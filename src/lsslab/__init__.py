@@ -7,8 +7,8 @@ from .spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
                              TestFunction, support_interval)
 from .stieltjes import (StieltjesSolution, inverse_map, lsd_density,
                         lss_centering, solve_s_under)
-from .contour import Contour, ContourPair, build_contour, build_contour_pair, integrate, integrate_double
-from .clt_moments import CltMoments, compute_moments, kernel_a, mean_correction, normalize, variance
+from .contour import Contour, ContourPair, build_contour, build_contour_pair, integrate
+from .clt_moments import CltMoments, compute_moments, mean_correction, normalize, variance
 from .simulator import (ExperimentRecord, SimConfig, TruncationPolicy, assemble_B,
                         eigenvalues, lss_centered, run_experiment, sample_entries,
                         truncate_normalize)
@@ -20,8 +20,8 @@ __all__ = [
     "AspectRatio", "EntryEnsemble", "PopulationSpectrum", "TestFunction",
     "support_interval", "StieltjesSolution", "inverse_map", "lsd_density",
     "lss_centering", "solve_s_under", "Contour", "ContourPair", "build_contour",
-    "build_contour_pair", "integrate", "integrate_double", "CltMoments",
-    "compute_moments", "kernel_a", "mean_correction", "normalize", "variance",
+    "build_contour_pair", "integrate", "CltMoments",
+    "compute_moments", "mean_correction", "normalize", "variance",
     "ExperimentRecord", "SimConfig", "TruncationPolicy", "assemble_B",
     "eigenvalues", "lss_centered", "run_experiment", "sample_entries",
     "truncate_normalize", "RateFit", "SteinContext", "fit_rate", "ks_to_normal",

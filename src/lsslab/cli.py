@@ -121,11 +121,13 @@ def _experiment(cfg: RunConfig, p: int, n: int, replicates: int, root_seed: int)
     ratio = AspectRatio(p=p, n=n)
     mom = compute_moments(cfg.f, cfg.spectrum, ratio.y_n, cfg.case,
                           eps=cfg.contour.eps, v_0=cfg.contour.v0, m=cfg.contour.nodes)
+    contour = build_contour(cfg.spectrum, ratio.y_n, cfg.contour.eps, cfg.contour.v0,
+                            cfg.contour.nodes, f=cfg.f)
     sim = SimConfig(ratio=ratio, spectrum=cfg.spectrum, ensemble=cfg.ensemble,
                     f=cfg.f, replicates=replicates, root_seed=root_seed,
-                    truncation=TruncationPolicy(cfg.truncation_mode, cfg.truncation_eta))
-    record = run_experiment(sim, mom, threads=cfg.threads,
-                            config_snapshot=cfg.to_dict())
+                    truncation=TruncationPolicy(cfg.truncation_mode, cfg.truncation_eta),
+                    contour=contour)
+    record = run_experiment(sim, mom, config_snapshot=cfg.to_dict())
     return mom, record
 
 
@@ -236,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, help="override root_seed")
         sp.add_argument("--out", type=str, default=None,
                         help=f"output directory (default: config, then ${ENV_OUT}, then cwd)")
-        sp.add_argument("--threads", type=int, default=None, help="override thread count")
     return parser
 
 
@@ -254,8 +255,6 @@ def main(argv: list[str] | None = None) -> int:
             raise LabError(f"config kind {raw['kind']!r} does not match subcommand {args.kind!r}")
         if args.seed is not None:
             raw["root_seed"] = args.seed
-        if args.threads is not None:
-            raw["threads"] = args.threads
         cfg = parse_config(json.dumps(raw))
         print(run(cfg, flag_out=args.out))
         return 0

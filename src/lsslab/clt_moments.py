@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import Contour, ContourPair, _MAX_EXTRA_DOUBLINGS, build_contour, build_contour_pair
+from .contour import Contour, ContourPair, _doubling_ladder, build_contour_pair
 from .errors import DenominatorNearZero, KernelOutOfDisk, QuadratureStall, ZeroVariance
 from .spectral_model import PopulationSpectrum, TestFunction
-from .stieltjes import s_under_grid, solve_s_under
+from .stieltjes import s_under_grid
 
 _IMAG_RTOL = 1e-8
 
@@ -52,13 +52,6 @@ def kernel_from_s(s1, s2, spectrum: PopulationSpectrum, y_n: float):
         acc += w * t * t / ((1.0 + t * s1) * (1.0 + t * s2))
     out = y_n * s1 * s2 * acc
     return out if out.shape else complex(out)
-
-
-def kernel_a(z1: complex, z2: complex, spectrum: PopulationSpectrum, y_n: float) -> complex:
-    """Covariance kernel at two points off the spectral bulk."""
-    s1 = solve_s_under(z1, spectrum, y_n).s_under
-    s2 = solve_s_under(z2, spectrum, y_n).s_under
-    return complex(kernel_from_s(s1, s2, spectrum, y_n))
 
 
 def _a_times_t_integral(a):
@@ -123,21 +116,15 @@ def variance_with_kernel(f: TestFunction, spectrum: PopulationSpectrum, y_n: flo
                          pair: ContourPair, rtol: float = 1e-9) -> tuple[float, float]:
     """Variance plus the maximum kernel modulus seen on the finest grid.
 
-    Same m-vs-2m doubling ladder as the contour engine, with the transform
-    solved once per node and the kernel assembled by broadcasting.
+    Same doubling ladder as the contour engine, with the transform solved
+    once per node and the kernel assembled by broadcasting.
     """
-    m = pair.inner.m
-    coarse, _ = _variance_level(f, spectrum, y_n, pair, m)
-    for _ in range(_MAX_EXTRA_DOUBLINGS + 1):
-        fine, amax = _variance_level(f, spectrum, y_n, pair, 2 * m)
-        if abs(fine - coarse) <= rtol * (1.0 + abs(fine)):
-            raw = -fine / (2.0 * np.pi**2)
-            if abs(raw.imag) > _IMAG_RTOL * (1.0 + abs(raw.real)):
-                raise QuadratureStall(f"variance kept imaginary residue {raw.imag:.3e}")
-            return float(raw.real), amax
-        m *= 2
-        coarse = fine
-    raise QuadratureStall("variance quadrature failed to settle after node doubling")
+    fine, amax = _doubling_ladder(
+        lambda m: _variance_level(f, spectrum, y_n, pair, m), pair.inner.m, rtol, "variance")
+    raw = -fine / (2.0 * np.pi**2)
+    if abs(raw.imag) > _IMAG_RTOL * (1.0 + abs(raw.real)):
+        raise QuadratureStall(f"variance kept imaginary residue {raw.imag:.3e}")
+    return float(raw.real), amax
 
 
 def variance(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,

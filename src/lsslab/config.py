@@ -19,7 +19,7 @@ KINDS = ("lsd", "moments", "simulate", "ks-rate", "stein-check", "probe-qform")
 _TOP_KEYS = {
     "kind", "spectrum", "spectrum_allow_large", "y", "p", "n", "n_grid",
     "ensemble", "case", "f", "contour", "replicates", "root_seed",
-    "truncation", "out", "threads", "cost_cap_seconds",
+    "truncation", "out", "cost_cap_seconds",
     "grid_points", "contexts", "k", "matrix_kind",
 }
 _CONTOUR_KEYS = {"eps", "v0", "nodes"}
@@ -36,7 +36,6 @@ _DEFAULTS = {
     "root_seed": 12345,
     "truncation": {"mode": "off", "eta": None},
     "out": None,  # resolved by the CLI (flag, then LSSLAB_OUT, then cwd)
-    "threads": 1,
     "cost_cap_seconds": 3600.0,
     "grid_points": 400,     # lsd density dump / stein sweep grid
     "contexts": 20,         # stein-check random contexts
@@ -168,7 +167,6 @@ class RunConfig:
     truncation_mode: str
     truncation_eta: float | None
     out: str | None
-    threads: int
     cost_cap_seconds: float
     grid_points: int
     contexts: int
@@ -194,7 +192,6 @@ class RunConfig:
             "root_seed": self.root_seed,
             "truncation": {"mode": self.truncation_mode, "eta": self.truncation_eta},
             "out": self.out,
-            "threads": self.threads,
             "cost_cap_seconds": self.cost_cap_seconds,
             "grid_points": self.grid_points,
             "contexts": self.contexts,
@@ -317,9 +314,6 @@ def parse_config(text: str) -> RunConfig:
     root_seed = _expect(get("root_seed"), int, "root_seed")
     if not 0 <= root_seed < 2**64:
         raise ConstraintViolation("root_seed must fit in 64 unsigned bits")
-    threads = _expect(get("threads"), int, "threads")
-    if threads < 1:
-        raise ConstraintViolation("threads must be >= 1")
     cost_cap = float(_expect(get("cost_cap_seconds"), (int, float), "cost_cap_seconds"))
     if cost_cap <= 0:
         raise ConstraintViolation("cost_cap_seconds must be positive")
@@ -345,7 +339,7 @@ def parse_config(text: str) -> RunConfig:
         contour=ContourParams(eps=eps, v0=v0, nodes=nodes),
         replicates=replicates, root_seed=root_seed,
         truncation_mode=trunc_mode, truncation_eta=trunc_eta,
-        out=out, threads=threads, cost_cap_seconds=cost_cap,
+        out=out, cost_cap_seconds=cost_cap,
         grid_points=grid_points, contexts=contexts, k=k, matrix_kind=matrix_kind,
         spectrum_allow_large=allow_large,
     )

@@ -1,14 +1,14 @@
-"""Rectangular integration contours with composite Gauss-Legendre quadrature.
+"""Rectangular integration contours with Gauss-Legendre quadrature.
 
 A contour is a positively oriented rectangle ``[x_l, x_r] x [-v_0, v_0]``
-enclosing the spectral bulk.  Quadrature error is controlled by comparing
-the composite rule at m and 2m nodes per edge and doubling until the
-difference clears the tolerance.
+enclosing the spectral bulk, with one Gauss-Legendre panel per edge.
+Quadrature error is controlled by comparing the rule at m and 2m nodes per
+edge and doubling until the difference clears the tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -74,13 +74,6 @@ class Contour:
             zs.append(mid + half * xi)
             ws.append(half * w)
         return np.concatenate(zs), np.concatenate(ws)
-
-    def encloses(self, z: complex, margin: float = 0.0) -> bool:
-        return (self.x_l + margin < z.real < self.x_r - margin
-                and -self.v_0 + margin < z.imag < self.v_0 - margin)
-
-    def contains_interval(self, lo: float, hi: float) -> bool:
-        return self.x_l < lo and hi < self.x_r
 
 
 @dataclass(frozen=True)
@@ -153,62 +146,30 @@ def _sum(g, c: Contour, m: int) -> complex:
     return complex(np.sum(w * _eval_nodes(g, z)))
 
 
-def integrate(g, c: Contour, rtol: float = 1e-9, full_output: bool = False):
-    """Closed-path integral of a vectorized complex function over c.
+def _doubling_ladder(level, m: int, rtol: float, what: str):
+    """Node-doubling error control shared by every contour integral.
 
-    Compares the composite rule at m and 2m nodes per edge; the difference
-    is the error estimate and the finer result is returned.  The node count
-    is doubled at most twice more before giving up with QuadratureStall.
+    ``level(k)`` returns ``(value, info)`` for the rule at k nodes per edge.
+    Levels m and 2m are compared; the difference is the error estimate and
+    the finer level's ``(value, info)`` is returned once it clears
+    ``rtol * (1 + |fine|)``.  The node count is doubled at most twice more
+    before giving up with QuadratureStall.
     """
-    m = c.m
-    coarse = _sum(g, c, m)
-    errors = []
+    coarse, _ = level(m)
     for _ in range(_MAX_EXTRA_DOUBLINGS + 1):
-        fine = _sum(g, c, 2 * m)
-        err = abs(fine - coarse)
-        errors.append(err)
-        if err <= rtol * (1.0 + abs(fine)):
-            return (fine, errors) if full_output else fine
         m *= 2
+        fine, info = level(m)
+        err = abs(fine - coarse)
+        if err <= rtol * (1.0 + abs(fine)):
+            return fine, info
         coarse = fine
     raise QuadratureStall(
-        f"error estimate {errors[-1]:.3e} still above rtol={rtol} at {2 * m} nodes/edge"
+        f"{what} error estimate {err:.3e} still above rtol={rtol} at {m} nodes/edge"
     )
 
 
-def _sum_double(g2, pair: ContourPair, m: int) -> complex:
-    z1, w1 = pair.inner.nodes(m)
-    z2, w2 = pair.outer.nodes(m)
-    vals = np.asarray(g2(z1[:, None], z2[None, :]), dtype=complex)
-    if vals.shape != (z1.size, z2.size):
-        raise ValueError("double integrand must broadcast over the node grid")
-    if not np.all(np.isfinite(vals)):
-        raise NodeSingularity("double integrand not finite on the node grid")
-    return complex(w1 @ vals @ w2)
-
-
-def integrate_double(g2, pair: ContourPair, rtol: float = 1e-9,
-                     full_output: bool = False):
-    """Iterated closed-path integral, inner variable on pair.inner.
-
-    Tensor-product quadrature with the same doubling ladder as
-    ``integrate``; both contours are refined together.
-    """
-    m = pair.inner.m
-    coarse = _sum_double(g2, pair, m)
-    errors = []
-    for _ in range(_MAX_EXTRA_DOUBLINGS + 1):
-        fine = _sum_double(g2, pair, 2 * m)
-        err = abs(fine - coarse)
-        errors.append(err)
-        if err <= rtol * (1.0 + abs(fine)):
-            return (fine, errors) if full_output else fine
-        m *= 2
-        coarse = fine
-    raise QuadratureStall(
-        f"double-integral error estimate {errors[-1]:.3e} above rtol={rtol}"
-    )
-
-
-def with_nodes(c: Contour, m: int) -> Contour:
-    return replace(c, m=m)
+def integrate(g, c: Contour, rtol: float = 1e-9) -> complex:
+    """Closed-path integral of a vectorized complex function over c."""
+    value, _ = _doubling_ladder(lambda m: (_sum(g, c, m), None), c.m, rtol,
+                                "contour integral")
+    return value

@@ -364,7 +364,7 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     benchmark and the run aborts beforehand if it exceeds the cap.
     """
     from . import contour as contour_mod
-    from .simulator import population_diagonal, replicate_seed, sample_entries
+    from .simulator import draw_entries, population_diagonal, replicate_seed, sample_entries
     from .stieltjes import s_under_grid
 
     if n_small > 64:
@@ -392,16 +392,6 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     root_t = np.sqrt(diag_t)
     complex_entries = ensemble.is_complex
 
-    def draw_columns(rng: np.random.Generator, count: int) -> np.ndarray:
-        if ensemble.variant == "RG":
-            x = rng.standard_normal((p, count))
-        elif ensemble.variant == "CG":
-            x = (rng.standard_normal((p, count))
-                 + 1j * rng.standard_normal((p, count))) * math.sqrt(0.5)
-        else:
-            x = np.asarray(ensemble.sampler(rng, (p, count)), dtype=float)
-        return root_t[:, None] * x / math.sqrt(n)
-
     def half_estimate(rng: np.random.Generator, base: np.ndarray, r_j: np.ndarray,
                       fresh_count: int, reps: int) -> float:
         """One inner-MC estimate of the conditional column fluctuation term."""
@@ -409,7 +399,8 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
         for _ in range(reps):
             m_j = base
             if fresh_count:
-                cols = draw_columns(rng, fresh_count)
+                x = draw_entries(ensemble, rng, (p, fresh_count))
+                cols = root_t[:, None] * x / math.sqrt(n)
                 m_j = base + cols @ cols.conj().T
             lam, q = np.linalg.eigh(m_j)
             proj = q.conj().T @ r_j

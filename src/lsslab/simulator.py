@@ -3,7 +3,7 @@
 Replicates are reproducible by construction: replicate ``i`` always uses
 the 64-bit stream seed ``splitmix64(root_seed + (i+1) * GAMMA)`` (the i-th
 output of the splitmix64 generator seeded at ``root_seed``), independent of
-execution order or thread count.
+execution order.
 """
 
 from __future__ import annotations
@@ -11,14 +11,13 @@ from __future__ import annotations
 import datetime as _dt
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _scipy_integrate
 
 from .clt_moments import CltMoments, normalize
-from .contour import default_margin
+from .contour import Contour, default_margin
 from .diagnostics import ks_to_normal
 from .errors import DegenerateTruncation, LabError, LogDomain, NonConvergence
 from .spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
@@ -48,20 +47,24 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def sample_entries(ensemble: EntryEnsemble, p: int, n: int, seed: int) -> np.ndarray:
-    """i.i.d. entry matrix of shape (p, n) for the given stream seed.
+def draw_entries(ensemble: EntryEnsemble, rng: np.random.Generator, shape) -> np.ndarray:
+    """i.i.d. entries of the given shape, drawn from an existing generator.
 
     Circular complex entries have real and imaginary parts i.i.d. normal
-    with variance one half, so E|x|^2 = 1.
+    with variance one half, so E|x|^2 = 1; the real parts are drawn first.
     """
-    rng = _rng(seed)
     if ensemble.variant == "RG":
-        return rng.standard_normal((p, n))
+        return rng.standard_normal(shape)
     if ensemble.variant == "CG":
-        re = rng.standard_normal((p, n))
-        im = rng.standard_normal((p, n))
+        re = rng.standard_normal(shape)
+        im = rng.standard_normal(shape)
         return (re + 1j * im) * math.sqrt(0.5)
-    return np.asarray(ensemble.sampler(rng, (p, n)), dtype=float)
+    return np.asarray(ensemble.sampler(rng, shape), dtype=float)
+
+
+def sample_entries(ensemble: EntryEnsemble, p: int, n: int, seed: int) -> np.ndarray:
+    """i.i.d. entry matrix of shape (p, n) for the given stream seed."""
+    return draw_entries(ensemble, _rng(seed), (p, n))
 
 
 def truncated_moments(ensemble: EntryEnsemble, threshold: float) -> tuple[float, float]:
@@ -107,13 +110,8 @@ def default_eta(n: int) -> float:
     return 1.0 / math.log(n) if n > 1 else 1.0
 
 
-def truncate_normalize(entries: np.ndarray, n: int, eta: float,
-                       ensemble: EntryEnsemble) -> np.ndarray:
-    """Zero out entries at or beyond ``eta * n^(1/4)``, then restandardize.
-
-    Entries are removed by indicator, not clamped, and the recentering and
-    rescaling use the distributional truncated moments of the ensemble.
-    """
+def _truncation(n: int, eta: float, ensemble: EntryEnsemble) -> tuple[float, float, float]:
+    """Threshold ``eta * n^(1/4)`` with the truncated mean and variance there."""
     threshold = eta * n ** 0.25
     if threshold <= 0:
         raise ValueError("truncation threshold must be positive")
@@ -122,8 +120,23 @@ def truncate_normalize(entries: np.ndarray, n: int, eta: float,
         raise DegenerateTruncation(
             f"truncated variance {var:.3e} below 1e-6 at threshold {threshold:.3e}"
         )
+    return threshold, mean, var
+
+
+def _clip_restandardize(entries: np.ndarray, threshold: float, mean: float,
+                        var: float) -> np.ndarray:
     clipped = np.where(np.abs(entries) < threshold, entries, 0.0)
     return (clipped - mean) / math.sqrt(var)
+
+
+def truncate_normalize(entries: np.ndarray, n: int, eta: float,
+                       ensemble: EntryEnsemble) -> np.ndarray:
+    """Zero out entries at or beyond ``eta * n^(1/4)``, then restandardize.
+
+    Entries are removed by indicator, not clamped, and the recentering and
+    rescaling use the distributional truncated moments of the ensemble.
+    """
+    return _clip_restandardize(entries, *_truncation(n, eta, ensemble))
 
 
 def population_diagonal(spectrum: PopulationSpectrum, p: int) -> np.ndarray:
@@ -214,6 +227,9 @@ class SimConfig:
     root_seed: int
     truncation: TruncationPolicy = TruncationPolicy()
     max_entries: int = 1 << 26  # memory budget on p*n
+    # inner contour the moments were computed on, reused for the centering;
+    # None builds the default rectangle
+    contour: Contour | None = None
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -249,13 +265,13 @@ class ExperimentRecord:
 
 
 def _one_replicate(cfg: SimConfig, moments: CltMoments, centering: float,
+                   truncation: tuple[float, float, float] | None,
                    index: int) -> ReplicateRow:
     seed = replicate_seed(cfg.root_seed, index)
     p, n = cfg.ratio.p, cfg.ratio.n
     x = sample_entries(cfg.ensemble, p, n, seed)
-    if cfg.truncation.mode == "on":
-        eta = cfg.truncation.eta if cfg.truncation.eta is not None else default_eta(n)
-        x = truncate_normalize(x, n, eta, cfg.ensemble)
+    if truncation is not None:
+        x = _clip_restandardize(x, *truncation)
     b = assemble_B(cfg.spectrum, x, n)
     eigs = eigenvalues(b)
     stat = lss_centered(cfg.f, eigs, cfg.spectrum, cfg.ratio.y_n, p, centering=centering)
@@ -264,29 +280,28 @@ def _one_replicate(cfg: SimConfig, moments: CltMoments, centering: float,
                         lam_min=float(eigs[0]), lam_max=float(eigs[-1]))
 
 
-def run_experiment(cfg: SimConfig, moments: CltMoments, threads: int = 1,
+def run_experiment(cfg: SimConfig, moments: CltMoments,
                    config_snapshot: dict | None = None) -> ExperimentRecord:
     """Replicated simulation of the normalized centered statistic.
 
-    Rows are ordered by replicate index whatever the execution order; any
+    The centering and the truncated moments are computed once per run; any
     replicate failure is re-raised with its index attached.
     """
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
     y = cfg.ratio.y_n
-    centering = lss_centering(cfg.f, cfg.spectrum, y, cfg.ratio.p)
+    centering = lss_centering(cfg.f, cfg.spectrum, y, cfg.ratio.p, contour=cfg.contour)
+    truncation = None
+    if cfg.truncation.mode == "on":
+        n = cfg.ratio.n
+        eta = cfg.truncation.eta if cfg.truncation.eta is not None else default_eta(n)
+        truncation = _truncation(n, eta, cfg.ensemble)
 
-    def job(i: int) -> ReplicateRow:
+    rows = []
+    for i in range(cfg.replicates):
         try:
-            return _one_replicate(cfg, moments, centering, i)
+            rows.append(_one_replicate(cfg, moments, centering, truncation, i))
         except LabError as exc:
             raise type(exc)(f"replicate {i}: {exc}") from exc
-
-    indices = range(cfg.replicates)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(job, indices))
-    else:
-        rows = [job(i) for i in indices]
 
     lo, hi = support_interval(cfg.spectrum, y)
     eps = default_margin(cfg.spectrum, y)

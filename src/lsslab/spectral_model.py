@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import LogDomain
 
@@ -73,25 +72,6 @@ class PopulationSpectrum:
                 raise ValueError("total weight must be positive")
             pairs = [(t, w / total) for t, w in pairs]
         return cls(atoms=tuple(pairs), allow_large_atoms=allow_large_atoms)
-
-    @classmethod
-    def from_density(cls, pdf: Callable[[float], float], lo: float, hi: float,
-                     n_atoms: int = 64, *, allow_large_atoms: bool = False) -> "PopulationSpectrum":
-        """Discretize a continuous population density into ``n_atoms`` atoms.
-
-        Midpoint atoms on an equispaced grid carry the cell masses computed
-        by adaptive quadrature; masses are renormalized to sum exactly 1.
-        No approximation rate is claimed, the node count is the only knob.
-        """
-        if n_atoms < 1:
-            raise ValueError("n_atoms must be >= 1")
-        edges = np.linspace(lo, hi, n_atoms + 1)
-        pairs = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            mass, _ = integrate.quad(pdf, a, b)
-            if mass > 0:
-                pairs.append(((a + b) / 2.0, mass))
-        return cls.from_pairs(pairs, renormalize=True, allow_large_atoms=allow_large_atoms)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -166,7 +146,6 @@ class EntryEnsemble:
     sampler: Callable | None = field(default=None, compare=False)
     pdf: Callable[[float], float] | None = field(default=None, compare=False)
     fourth_moment: float = 3.0
-    declared_moment_bound: float | None = None  # declared E|x|^10, not verified
 
     def __post_init__(self):
         if self.variant not in ("RG", "CG", "custom_real"):
@@ -213,7 +192,7 @@ class EntryEnsemble:
             return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
 
         return cls(variant="custom_real", name="rademacher", sampler=sampler,
-                   pdf=None, fourth_moment=1.0, declared_moment_bound=1.0)
+                   pdf=None, fourth_moment=1.0)
 
     @classmethod
     def student_t(cls, df: float = 11.0) -> "EntryEnsemble":
@@ -231,15 +210,8 @@ class EntryEnsemble:
             return scale * stats.t.pdf(x * scale, df)
 
         fourth = 3.0 * (df - 2.0) / (df - 4.0)
-        tenth = None
-        if df > 10:
-            # E t^10 = 945 * df^5 / prod(df - 2k), k=1..5, then standardized
-            prod = 1.0
-            for k in range(1, 6):
-                prod *= df - 2 * k
-            tenth = 945.0 * df**5 / prod / scale**10
         return cls(variant="custom_real", name=f"student_t_{df:g}", sampler=sampler,
-                   pdf=pdf, fourth_moment=fourth, declared_moment_bound=tenth)
+                   pdf=pdf, fourth_moment=fourth)
 
 
 # ---------------------------------------------------------------------------

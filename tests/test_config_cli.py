@@ -60,6 +60,10 @@ class TestParseConfig:
         with pytest.raises(UnknownKey, match="bogus"):
             parse_config(json.dumps({"kind": "moments", "bogus": 1}))
 
+    def test_threads_key_rejected(self):
+        with pytest.raises(UnknownKey, match="threads"):
+            parse_config(json.dumps({"kind": "simulate", "p": 8, "n": 16, "threads": 1}))
+
     def test_nested_unknown_key(self):
         with pytest.raises(UnknownKey, match="fancy"):
             parse_config(json.dumps({"kind": "moments", "contour": {"fancy": 2}}))
@@ -99,7 +103,6 @@ class TestParseConfig:
             doc = {"kind": kind,
                    "replicates": int(rng.integers(1, 500)),
                    "root_seed": int(rng.integers(0, 2**63)),
-                   "threads": int(rng.integers(1, 8)),
                    "f": {"poly": [float(round(c, 6)) for c in rng.standard_normal(
                        int(rng.integers(1, 5)))]},
                    "contour": {"eps": float(round(rng.uniform(0.01, 0.3), 6)),
@@ -143,6 +146,38 @@ class TestCliRuns:
         text = body1.decode()
         assert text.splitlines()[0] == "index,seed,value,lambda_min,lambda_max"
         assert "\r" not in text
+
+    def test_simulate_centers_on_configured_contour(self, tmp_path, monkeypatch):
+        # the default margin puts x_l at -0.106 for y = 0.5, where log is
+        # undefined; the configured eps = 0.03 keeps the rectangle in Re z > 0.
+        # Log moments are not computable yet, so hand-built ones stand in.
+        import lsslab.cli as cli_mod
+        import lsslab.simulator as sim_mod
+        from lsslab.clt_moments import CltMoments
+
+        monkeypatch.setattr(cli_mod, "compute_moments",
+                            lambda *a, **k: CltMoments(0.0, 1.0, "RG", 0.0))
+        seen = []
+        original = sim_mod.lss_centering
+
+        def spy(*args, **kwargs):
+            seen.append(original(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(sim_mod, "lss_centering", spy)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "kind": "simulate", "p": 256, "n": 512, "replicates": 2, "f": "log",
+            "contour": {"eps": 0.03}}))
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        # p ((y - 1)/y log(1 - y) - 1), the MP log centering at y = 1/2
+        y = 0.5
+        expected = 256 * ((y - 1.0) / y * np.log(1.0 - y) - 1.0)
+        assert seen == [pytest.approx(expected, rel=1e-9)]
+
+    def test_threads_flag_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["moments", "--threads", "2"])
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import BATTERY
 from lsslab.contour import (Contour, ContourPair, build_contour, build_contour_pair,
-                            default_margin, integrate, integrate_double)
+                            default_margin, integrate)
 from lsslab.errors import LogDomain, NodeSingularity, QuadratureStall
 from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
 
@@ -120,36 +120,3 @@ class TestIntegrate:
         with pytest.raises(QuadratureStall):
             integrate(lambda z: 1.0 / (z - c_out), contour, rtol=1e-12)
 
-
-class TestIntegrateDouble:
-    @pytest.fixture()
-    def pair(self):
-        return build_contour_pair(IDENTITY, 0.25, eps=0.05, v_0=1.0)
-
-    def test_constant_gives_zero(self, pair):
-        val = integrate_double(lambda z1, z2: np.ones(np.broadcast(z1, z2).shape), pair)
-        assert abs(val) <= 1e-12
-
-    def test_separable_residues(self, pair):
-        c1 = complex(1.0, 0.1)   # inside the inner contour (and the outer)
-        c2 = complex(1.5, -0.4)  # inside both as well
-
-        def g2(z1, z2):
-            return 1.0 / ((z1 - c1) * (z2 - c2))
-
-        val = integrate_double(g2, pair)
-        assert abs(val - (2j * np.pi) ** 2) <= 1e-9 * (1 + abs(val))
-
-    def test_zero_population_kernel_vanishes(self, pair):
-        from lsslab.clt_moments import kernel_from_s
-        from lsslab.stieltjes import s_under_grid
-
-        sp0 = PopulationSpectrum.from_pairs([(0.0, 1.0)])
-
-        def g2(z1, z2):
-            s1 = s_under_grid(z1[:, 0] if z1.ndim == 2 else z1, sp0, 0.25)
-            s2 = s_under_grid(z2[0, :] if z2.ndim == 2 else z2, sp0, 0.25)
-            return kernel_from_s(s1[:, None], s2[None, :], sp0, 0.25)
-
-        val = integrate_double(g2, pair)
-        assert abs(val) <= 1e-12

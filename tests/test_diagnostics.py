@@ -11,7 +11,7 @@ from lsslab.diagnostics import (QformProbeResult, RateFit, SteinContext,
                                 stein_solution)
 from lsslab.errors import (CostBudgetExceeded, EmptySample, NonPositiveKs,
                            OutOfRange, TooFewPoints)
-from lsslab.spectral_model import PopulationSpectrum, TestFunction
+from lsslab.spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
 
 IDENTITY = PopulationSpectrum.identity()
 
@@ -230,6 +230,18 @@ class TestSigma0:
         res = sigma0_nested_mc(TestFunction.monomial(1), sp0, 0.5, n_small=8,
                                inner_reps=4, outer_reps=3, seed=1)
         assert res.estimate == 0.0
+
+    @pytest.mark.parametrize("ensemble,expected", [
+        (EntryEnsemble.real_gaussian(), 20.01016593782114),
+        (EntryEnsemble.complex_gaussian(), 5.443063446651592),
+        (EntryEnsemble.rademacher(), 0.3847656236277999),
+    ], ids=["RG", "CG", "rademacher"])
+    def test_random_stream_pinned(self, ensemble, expected):
+        # recorded values: a change to how the outer and inner columns are
+        # drawn moves every estimate
+        res = sigma0_nested_mc(TestFunction.monomial(2), IDENTITY, 0.5, n_small=8,
+                               inner_reps=4, outer_reps=3, seed=11, ensemble=ensemble)
+        assert res.estimate == pytest.approx(expected, rel=1e-10)
 
     def test_minimal_dimension_self_consistency(self):
         # two independent estimates at n = p = 2 agree within three combined

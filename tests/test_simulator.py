@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from conftest import BATTERY
-from lsslab.clt_moments import compute_moments
+from lsslab.clt_moments import compute_moments, normalize
 from lsslab.errors import DegenerateTruncation, LogDomain
 from lsslab.simulator import (SimConfig, TruncationPolicy, assemble_B, default_eta,
                               eigenvalues, lss_centered, population_diagonal,
@@ -13,6 +13,7 @@ from lsslab.simulator import (SimConfig, TruncationPolicy, assemble_B, default_e
                               splitmix64, truncate_normalize, truncated_moments)
 from lsslab.spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
                                    TestFunction)
+from lsslab.stieltjes import lss_centering
 
 IDENTITY = PopulationSpectrum.identity()
 RG = EntryEnsemble.real_gaussian()
@@ -206,14 +207,6 @@ class TestRunExperiment:
         assert [r.value for r in r1.rows] == [r.value for r in r2.rows]
         assert [r.seed for r in r1.rows] == [r.seed for r in r2.rows]
 
-    def test_threads_do_not_change_values(self):
-        cfg = self._config(replicates=12)
-        mom = compute_moments(F_X, IDENTITY, 0.5, "RG")
-        seq = run_experiment(cfg, mom, threads=1)
-        par = run_experiment(cfg, mom, threads=4)
-        assert [r.value for r in seq.rows] == [r.value for r in par.rows]
-        assert [r.index for r in par.rows] == list(range(12))
-
     def test_normalized_variance_near_one(self):
         # chi-square concentration: 2000 samples put the sample variance of
         # the unit-variance statistic within 0.1 of 1
@@ -240,3 +233,32 @@ class TestRunExperiment:
         rec = run_experiment(cfg, mom)
         assert len(rec.rows) == 4
         assert np.isfinite(rec.values()).all()
+
+    def test_truncated_run_matches_reference_loop(self, monkeypatch):
+        import lsslab.simulator as sim_mod
+
+        t11 = EntryEnsemble.student_t(11.0)
+        p, n = 16, 32
+        cfg = self._config(ensemble=t11, truncation=TruncationPolicy("on", None),
+                           replicates=5)
+        mom = compute_moments(F_X, IDENTITY, 0.5, "RG")
+        centering = lss_centering(F_X, IDENTITY, 0.5, p)
+        expected = []
+        for i in range(cfg.replicates):
+            x = sample_entries(t11, p, n, replicate_seed(cfg.root_seed, i))
+            x = truncate_normalize(x, n, default_eta(n), t11)
+            eigs = eigenvalues(assemble_B(IDENTITY, x, n))
+            stat = lss_centered(F_X, eigs, IDENTITY, 0.5, p, centering=centering)
+            expected.append((normalize(stat, mom), eigs[0], eigs[-1]))
+
+        calls = []
+        original = sim_mod.truncated_moments
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sim_mod, "truncated_moments", counting)
+        rec = run_experiment(cfg, mom)
+        assert [(r.value, r.lam_min, r.lam_max) for r in rec.rows] == expected
+        assert len(calls) == 1  # the threshold is the same for every replicate
