@@ -100,8 +100,7 @@ def run_lsd(cfg: RunConfig, out: Path, started: str) -> str:
 
 
 def run_moments(cfg: RunConfig, out: Path, started: str) -> str:
-    mom = compute_moments(cfg.f, cfg.spectrum, cfg.y, cfg.case,
-                          eps=cfg.contour.eps, v_0=cfg.contour.v0, m=cfg.contour.nodes)
+    mom = _moments(cfg, cfg.y)
     pair = build_contour_pair(cfg.spectrum, cfg.y, cfg.contour.eps, cfg.contour.v0,
                               cfg.contour.nodes, f=cfg.f)
     summary = {
@@ -117,23 +116,26 @@ def run_moments(cfg: RunConfig, out: Path, started: str) -> str:
             f"max|a|={mom.kernel_max_abs:.4f}")
 
 
-def _experiment(cfg: RunConfig, p: int, n: int, replicates: int, root_seed: int):
-    ratio = AspectRatio(p=p, n=n)
-    mom = compute_moments(cfg.f, cfg.spectrum, ratio.y_n, cfg.case,
-                          eps=cfg.contour.eps, v_0=cfg.contour.v0, m=cfg.contour.nodes)
+def _moments(cfg: RunConfig, y_n: float):
+    return compute_moments(cfg.f, cfg.spectrum, y_n, cfg.case,
+                           eps=cfg.contour.eps, v_0=cfg.contour.v0, m=cfg.contour.nodes)
+
+
+def _experiment(cfg: RunConfig, ratio: AspectRatio, mom, replicates: int, root_seed: int):
     contour = build_contour(cfg.spectrum, ratio.y_n, cfg.contour.eps, cfg.contour.v0,
                             cfg.contour.nodes, f=cfg.f)
     sim = SimConfig(ratio=ratio, spectrum=cfg.spectrum, ensemble=cfg.ensemble,
                     f=cfg.f, replicates=replicates, root_seed=root_seed,
                     truncation=TruncationPolicy(cfg.truncation_mode, cfg.truncation_eta),
                     contour=contour)
-    record = run_experiment(sim, mom, config_snapshot=cfg.to_dict())
-    return mom, record
+    return run_experiment(sim, mom, config_snapshot=cfg.to_dict())
 
 
 def run_simulate(cfg: RunConfig, out: Path, started: str) -> str:
     _check_budget(cfg, cfg.p, cfg.n, cfg.replicates)
-    mom, record = _experiment(cfg, cfg.p, cfg.n, cfg.replicates, cfg.root_seed)
+    ratio = AspectRatio(p=cfg.p, n=cfg.n)
+    mom = _moments(cfg, ratio.y_n)
+    record = _experiment(cfg, ratio, mom, cfg.replicates, cfg.root_seed)
     rows = [(r.index, r.seed, _fmt(r.value), _fmt(r.lam_min), _fmt(r.lam_max))
             for r in record.rows]
     _write_csv(out / "simulate_detail.csv",
@@ -154,10 +156,13 @@ def run_ks_rate(cfg: RunConfig, out: Path, started: str) -> str:
         _check_budget(cfg, int(round(cfg.y * n)), n, cfg.replicates)
     rows = []
     points = []
+    moments = {}  # by y_n: p = round(y n) often gives the same ratio at every n
     for i, n in enumerate(cfg.n_grid):
-        p = int(round(cfg.y * n))
+        ratio = AspectRatio(p=int(round(cfg.y * n)), n=n)
+        if ratio.y_n not in moments:
+            moments[ratio.y_n] = _moments(cfg, ratio.y_n)
         seed_n = replicate_seed(cfg.root_seed, i)
-        _, record = _experiment(cfg, p, n, cfg.replicates, seed_n)
+        record = _experiment(cfg, ratio, moments[ratio.y_n], cfg.replicates, seed_n)
         rows.append((n, _fmt(record.ks), cfg.replicates, seed_n))
         points.append((n, record.ks))
     fit = fit_rate(points, seed=cfg.root_seed)

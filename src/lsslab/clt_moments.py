@@ -44,14 +44,20 @@ class CltMoments:
 
 
 def kernel_from_s(s1, s2, spectrum: PopulationSpectrum, y_n: float):
-    """Covariance kernel from precomputed companion-transform values."""
+    """Covariance kernel from precomputed companion-transform values.
+
+    ``a = y sum_k w_k u_k(s1) u_k(s2)`` with ``u_k(s) = t_k s / (1 + t_k s)``.
+    Each product is taken both ways round and averaged: numpy's complex
+    multiply may fuse one side, and the kernel must be exactly symmetric.
+    """
     s1 = np.asarray(s1, dtype=complex)
     s2 = np.asarray(s2, dtype=complex)
     acc = np.zeros(np.broadcast(s1, s2).shape, dtype=complex)
     for t, w in spectrum.atoms:
-        acc += w * t * t / ((1.0 + t * s1) * (1.0 + t * s2))
-    out = y_n * s1 * s2 * acc
-    return out if out.shape else complex(out)
+        u1 = t * s1 / (1.0 + t * s1)
+        u2 = t * s2 / (1.0 + t * s2)
+        acc += (0.5 * w * y_n) * (u1 * u2 + u2 * u1)
+    return acc if acc.shape else complex(acc)
 
 
 def _a_times_t_integral(a):

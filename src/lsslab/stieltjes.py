@@ -1,19 +1,22 @@
-"""Companion Stieltjes transform: fixed point solver, inverse map, density.
+"""Companion Stieltjes transform: one Newton solver, inverse map, density.
 
 The central object is the transform ``s_under(z)`` of the companion
 spectral law, characterized off the real bulk by the fixed point
 
-    s_under = -1 / (z - y * sum_k w_k t_k / (1 + t_k s_under)),
+    s_under = F(s_under) = -1 / (z - y * sum_k w_k t_k / (1 + t_k s_under)),
 
 whose Herglotz branch (Im s_under has the sign of Im z) is the one with
-probabilistic meaning.  The transform of the primary law follows from the
-companion relation ``s = (s_under + (1 - y)/z) / y``.
+probabilistic meaning.  Equivalently ``z(s_under) = z`` for the rational
+inverse map ``z(s) = -1/s + y sum_k w_k t_k / (1 + t_k s)`` (Silverstein &
+Choi 1995).  Every solve runs Newton on that equation, safeguarded by the
+plain step ``F`` and certified by the fixed-point residual ``|F(s) - s|``.
+The transform of the primary law follows from the companion relation
+``s = (s_under + (1 - y)/z) / y``.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +24,9 @@ import numpy as np
 from .errors import BranchViolation, NonConvergence, OutsideSupport, PoleAtAtom
 from .spectral_model import PopulationSpectrum, TestFunction, support_interval
 
-_DEFAULT_TOL = 1e-12
-_DEFAULT_MAX_ITER = 10_000
+_TOL = 1e-12  # certified fixed-point residual |F(s) - s| at every converged point
+_MAX_ITER = 10_000
 _REAL_Z_LIFT = 1e-9  # imaginary offset used to select the branch at real z
-_STALL_WINDOW = 20  # non-decreasing residuals before damping kicks in
 
 
 @dataclass(frozen=True)
@@ -38,82 +40,89 @@ class StieltjesSolution:
     iterations: int
 
 
-def _atom_sum(spectrum: PopulationSpectrum, s, weights_times=None):
-    """sum_k w_k t_k / (1 + t_k s), vectorized over s."""
+def _atom_sum(spectrum: PopulationSpectrum, s: np.ndarray):
+    """``g(s) = sum_k w_k t_k / (1 + t_k s)`` and ``g'(s)`` over a 1-D array s."""
     t = spectrum.eigenvalues
-    w = spectrum.weights
-    s = np.asarray(s, dtype=complex)
-    denom = 1.0 + np.multiply.outer(t, s)
-    out = np.sum((w * t)[:, None] * (1.0 / denom.reshape(len(t), -1)), axis=0)
-    return out.reshape(s.shape) if s.shape else complex(out[0])
+    inv = 1.0 / (1.0 + np.multiply.outer(t, s))
+    terms = (spectrum.weights * t)[:, None] * inv
+    return terms.sum(axis=0), -(terms * t[:, None] * inv).sum(axis=0)
 
 
-def _fixed_point_map(z, s, spectrum: PopulationSpectrum, y: float):
-    return -1.0 / (z - y * _atom_sum(spectrum, s))
+def _solve(z: np.ndarray, s0: np.ndarray, spectrum: PopulationSpectrum,
+           y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Safeguarded Newton solve of the companion equation at every point of 1-D z.
 
-
-def _iterate_scalar(z: complex, spectrum: PopulationSpectrum, y: float,
-                    tol: float, max_iter: int, s0: complex) -> tuple[complex, float, int]:
-    """Damped fixed-point iteration at a single point.
-
-    Starts undamped; once the residual fails to decrease for 20 consecutive
-    steps the update is relaxed to ``(1 - w) s + w map(s)`` with w = 0.5,
-    halved on every further stall.  Pure-python loop: near the bulk the
-    contraction rate degrades to 1 - O(Im z) and the per-step cost matters.
+    Newton runs on the inverse map, ``h(s) = -1/s + y g(s) - z`` with
+    ``h'(s) = 1/s^2 + y g'(s)``.  A Newton step is kept only where the new
+    point is finite, lies in the half plane of z (anywhere when Im z = 0)
+    and lowers the fixed-point residual ``|F(s) - s|`` of
+    ``F(s) = -1/(z - y g(s))``; elsewhere the plain step ``F(s)`` is taken,
+    which maps each half plane into itself.  A point is done once its
+    residual is at most 1e-12.  Returns ``(s, residual, iterations)`` per
+    point, where ``iterations`` counts the iterates checked, the start
+    included.  Raises ``NonConvergence`` when points are left after
+    10,000 steps and ``BranchViolation`` when a converged point lies in the
+    wrong half plane.
     """
-    atoms = spectrum.atoms
-    single = atoms[0] if len(atoms) == 1 else None
-    s = complex(s0)
-    omega = 1.0
-    last_res = float("inf")
-    stall = 0
-    tol_sq = tol * tol
-    for it in range(1, max_iter + 1):
-        if single is not None:
-            t, w = single
-            m = -1.0 / (z - y * (w * t / (1.0 + t * s)))
+    z_all, s = z, s0
+    s_out = np.empty_like(z_all)
+    res_out = np.empty(z_all.shape)
+    it_out = np.empty(z_all.shape, dtype=int)
+    idx = np.arange(z_all.size)
+
+    def evaluate(z, s):
+        g, dg = _atom_sum(spectrum, s)
+        f = -1.0 / (z - y * g)
+        return f, dg, np.abs(f - s)
+
+    with np.errstate(all="ignore"):
+        f, dg, res = evaluate(z, s)
+        for it in range(1, _MAX_ITER + 1):
+            done = res <= _TOL
+            if done.any():
+                s_out[idx[done]] = s[done]
+                res_out[idx[done]] = res[done]
+                it_out[idx[done]] = it
+                live = ~done
+                idx, z, s, f, dg, res = (a[live] for a in (idx, z, s, f, dg, res))
+            if not idx.size:
+                break
+            # h(s) = 1/F(s) - 1/s, since z - y g(s) = -1/F(s)
+            newton = s - (1.0 / f - 1.0 / s) / (1.0 / (s * s) + y * dg)
+            f_new, dg_new, res_new = evaluate(z, newton)
+            keep = (np.isfinite(newton) & (res_new < res)
+                    & ((z.imag == 0.0) | (newton.imag * z.imag > 0.0)))
+            s = np.where(keep, newton, f)
+            plain = ~keep
+            if plain.any():
+                f_new[plain], dg_new[plain], res_new[plain] = evaluate(z[plain], f[plain])
+            f, dg, res = f_new, dg_new, res_new
         else:
-            acc = 0.0j
-            for t, w in atoms:
-                acc += w * t / (1.0 + t * s)
-            m = -1.0 / (z - y * acc)
-        d = m - s
-        res_sq = d.real * d.real + d.imag * d.imag
-        if res_sq <= tol_sq:
-            acc = 0.0j
-            for t, w in atoms:
-                acc += w * t / (1.0 + t * m)
-            m2 = -1.0 / (z - y * acc)
-            res2 = abs(m2 - m)
-            if res2 <= tol:
-                return m, res2, it
-            res_sq = res2 * res2
-        if res_sq >= last_res:
-            stall += 1
-            if stall >= _STALL_WINDOW:
-                omega *= 0.5
-                stall = 0
-        else:
-            stall = 0
-        last_res = res_sq
-        s = s + omega * d if omega != 1.0 else m
-    raise NonConvergence(
-        f"fixed point at z={z} stalled at residual {math.sqrt(last_res):.3e} "
-        f"after {max_iter} iterations"
-    )
+            worst = int(np.argmax(res))
+            raise NonConvergence(
+                f"Stieltjes solve left {idx.size} points above residual {_TOL:.0e} after "
+                f"{_MAX_ITER} steps; worst z={z[worst]} at residual {res[worst]:.3e}"
+            )
+    bad = s_out.imag * z_all.imag < 0.0
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise BranchViolation(f"wrong branch at z={z_all[i]}: Im s_under={s_out[i].imag:.3e}")
+    return s_out, res_out, it_out
 
 
 def solve_s_under(z: complex, spectrum: PopulationSpectrum, y_n: float, *,
-                  tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER,
                   s0: complex | None = None) -> StieltjesSolution:
-    """Solve the companion fixed point at one point off the spectral bulk.
+    """Solve for the companion transform at one point off the spectral bulk.
 
-    Real ``z`` (off support only) is handled by continuity: the equation is
-    first solved at ``z + 1e-9j`` and the result warm-starts the solve on
-    the real axis, which selects the boundary-value branch without sign
-    ambiguity.  Raises ``NonConvergence`` if the damped iteration exhausts
-    ``max_iter`` and ``BranchViolation`` if the converged point lands on
-    the wrong half plane.
+    Runs the safeguarded Newton solve on a single point, from ``s0`` or
+    ``-1/z``.  Real ``z`` (off support only) is handled by continuity: the
+    equation is first solved at ``z + 1e-9j`` and the result warm-starts
+    the solve on the real axis, which selects the boundary-value branch
+    without sign ambiguity.  ``residual`` is the certified ``|F(s) - s|``
+    (at most 1e-12) and ``iterations`` counts the iterates checked, the
+    start included.  Raises ``NonConvergence`` if the step cap runs out
+    and ``BranchViolation`` if the converged point lands on the wrong half
+    plane.
     """
     z = complex(z)
     if z == 0:
@@ -124,50 +133,28 @@ def solve_s_under(z: complex, spectrum: PopulationSpectrum, y_n: float, *,
         if lo <= z.real <= hi:
             raise ValueError(f"real z={z.real} lies in the closed support [{lo}, {hi}]")
         if s0 is None:
-            lifted = solve_s_under(z + 1j * _REAL_Z_LIFT, spectrum, y,
-                                   tol=tol, max_iter=max_iter)
-            s0 = lifted.s_under
-    if s0 is None:
-        s0 = -1.0 / z
-    s, res, it = _iterate_scalar(z, spectrum, y, tol, max_iter, s0)
-    if z.imag != 0.0 and s.imag * z.imag < 0.0:
-        raise BranchViolation(f"converged to Im s_under = {s.imag:.3e} at Im z = {z.imag:.3e}")
+            s0 = solve_s_under(z + 1j * _REAL_Z_LIFT, spectrum, y).s_under
+    z_arr = np.array([z])
+    start = -1.0 / z_arr if s0 is None else np.array([s0], dtype=complex)
+    s, res, it = _solve(z_arr, start, spectrum, y)
+    s = complex(s[0])
     s_primary = (s + (1.0 - y) / z) / y
-    return StieltjesSolution(z=z, s_under=s, s=s_primary, residual=res, iterations=it)
+    return StieltjesSolution(z=z, s_under=s, s=s_primary, residual=float(res[0]),
+                             iterations=int(it[0]))
 
 
-def s_under_grid(z: np.ndarray, spectrum: PopulationSpectrum, y_n: float, *,
-                 tol: float = _DEFAULT_TOL, max_iter: int = _DEFAULT_MAX_ITER,
-                 s0: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized solve over an array of strictly complex points.
+def s_under_grid(z: np.ndarray, spectrum: PopulationSpectrum, y_n: float) -> np.ndarray:
+    """Companion transform over an array of strictly complex points.
 
-    Plain simultaneous iteration handles the bulk of the grid; stragglers
-    fall back to the per-point damped solver.  Results are branch checked
-    pointwise.
+    One safeguarded Newton solve over the flattened grid, started at
+    ``-1/z``, with the same residual certificate and branch check as
+    ``solve_s_under``.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     if np.any(flat.imag == 0.0):
         raise ValueError("grid solver expects Im z != 0 at every point; use solve_s_under")
-    y = float(y_n)
-    s = (-1.0 / flat) if s0 is None else np.asarray(s0, dtype=complex).ravel().copy()
-    active = np.ones(flat.shape, dtype=bool)
-    # vectorized plain sweep; converges everything except near-edge stragglers
-    for _ in range(5000):
-        if not active.any():
-            break
-        m = _fixed_point_map(flat[active], s[active], spectrum, y)
-        res = np.abs(m - s[active])
-        s[active] = m
-        still = res > tol
-        idx = np.flatnonzero(active)
-        active[idx[~still]] = False
-    for i in np.flatnonzero(active):
-        s[i], _, _ = _iterate_scalar(flat[i], spectrum, y, tol, max_iter, s[i])
-    bad = s.imag * flat.imag < 0.0
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise BranchViolation(f"wrong branch at z={flat[i]}: Im s_under={s[i].imag:.3e}")
+    s, _, _ = _solve(flat, -1.0 / flat, spectrum, float(y_n))
     return s.reshape(z.shape)
 
 
@@ -188,21 +175,20 @@ def inverse_map(s_under: complex, spectrum: PopulationSpectrum, y_n: float) -> c
     for t, _ in spectrum.atoms:
         if abs(1.0 + t * s_under) < 1e-14:
             raise PoleAtAtom(f"1 + t*s_under vanished at atom t={t}")
-    return -1.0 / s_under + y_n * _atom_sum(spectrum, s_under)
+    g, _ = _atom_sum(spectrum, np.array([s_under]))
+    return -1.0 / s_under + y_n * complex(g[0])
 
 
 _DENSITY_EPS = (1e-3, 5e-4, 2.5e-4)
-# plain iteration slows to 1 - O(eps) inside the bulk; the density schedule
-# therefore runs with a much larger iteration budget than the off-bulk default
-_DENSITY_MAX_ITER = 500_000
 
 
 def lsd_density(x: float, spectrum: PopulationSpectrum, y_n: float) -> float:
     """Spectral density of the limiting law at a point inside the bulk.
 
     Evaluates ``Im s(x + i eps) / pi`` on the fixed three-step geometric
-    schedule and removes the O(eps) boundary error with one Richardson
-    step on the two finest values.  Raises ``OutsideSupport`` for x beyond
+    schedule, each solve warm-started from the previous one, and removes
+    the O(eps) boundary error with one Richardson step on the two finest
+    values.  Raises ``OutsideSupport`` for x beyond
     the enclosing interval or when the extrapolation comes out below
     -1e-6 (a point in a spectral gap rounds to zero instead).
     """
@@ -212,8 +198,7 @@ def lsd_density(x: float, spectrum: PopulationSpectrum, y_n: float) -> float:
     vals = []
     warm = None
     for eps in _DENSITY_EPS:
-        sol = solve_s_under(complex(x, eps), spectrum, y_n, s0=warm,
-                            max_iter=_DENSITY_MAX_ITER)
+        sol = solve_s_under(complex(x, eps), spectrum, y_n, s0=warm)
         warm = sol.s_under
         vals.append(sol.s.imag / np.pi)
     extrapolated = 2.0 * vals[2] - vals[1]

@@ -1,14 +1,18 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
+from lsslab import cli
 from lsslab.cli import main, run
 from lsslab.config import (RunConfig, parse_config, parse_test_function,
                            serialize_test_function)
 from lsslab.errors import (ConstraintViolation, MissingRequired, TypeMismatch,
                            UnknownKey)
+from lsslab.simulator import replicate_seed
+from lsslab.spectral_model import AspectRatio
 
 
 class TestParseTestFunction:
@@ -201,6 +205,33 @@ class TestCliRuns:
         assert len(lines) == 4
         doc = json.loads((tmp_path / "ks_rate_summary.json").read_text())
         assert "exponent" in doc["summary"]
+
+    def test_ks_rate_computes_moments_once_per_ratio(self, tmp_path, monkeypatch):
+        # y = 0.25 at n = 16, 24, 32 gives p/n = 0.25 at every n
+        calls = []
+        compute_moments = cli.compute_moments
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return compute_moments(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_moments", counting)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": "ks-rate", "n_grid": [16, 24, 32],
+                                       "replicates": 4, "y": 0.25}))
+        assert main(["ks-rate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        assert calls == [0.25]
+        # rows equal a per-n loop that computes the moments afresh at every n
+        cfg = parse_config(cfgfile.read_text())
+        expected = [["n", "ks", "replicates", "seed"]]
+        for i, n in enumerate(cfg.n_grid):
+            ratio = AspectRatio(p=int(round(cfg.y * n)), n=n)
+            seed = replicate_seed(cfg.root_seed, i)
+            record = cli._experiment(cfg, ratio, cli._moments(cfg, ratio.y_n),
+                                     cfg.replicates, seed)
+            expected.append([str(n), repr(record.ks), str(cfg.replicates), str(seed)])
+        with open(tmp_path / "ks_rate_detail.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == expected
 
     def test_lsd_emits_density(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

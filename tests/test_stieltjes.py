@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BATTERY, random_offbulk_points
 from lsslab.errors import OutsideSupport, PoleAtAtom
@@ -76,6 +78,44 @@ class TestSolver:
             assert abs(s - solve_s_under(complex(z), BATTERY["five_atom"], 0.5).s_under) < 1e-11
 
 
+@st.composite
+def _problems(draw):
+    """A spectrum of 1-5 atoms (maybe one at zero), a ratio and 1-4 off-axis points."""
+    k = draw(st.integers(1, 5))
+    ts = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        ts[0] = 0.0
+    ws = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    spectrum = PopulationSpectrum.from_pairs(list(zip(ts, ws)), renormalize=True)
+    y = draw(st.floats(0.05, 4.0))
+    lo, hi = support_interval(spectrum, y)
+    point = st.builds(complex, st.floats(lo - 2.0, hi + 2.0),
+                      st.floats(1e-3, 3.0) | st.floats(-3.0, -1e-3))
+    return spectrum, y, draw(st.lists(point, min_size=1, max_size=4))
+
+
+class TestSolverProperties:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(_problems())
+    def test_one_solver_contract(self, problem):
+        spectrum, y, zs = problem
+        grid = s_under_grid(np.array(zs), spectrum, y)
+        for z, s_grid in zip(zs, grid):
+            sol = solve_s_under(z, spectrum, y)
+            assert sol.s_under.imag * z.imag > 0
+            assert sol.residual <= 1e-12
+            assert abs(inverse_map(sol.s_under, spectrum, y) - z) <= 1e-9 * (1 + abs(z))
+            # same kernel; only numpy's SIMD rounding may differ between array lengths
+            assert abs(s_grid - sol.s_under) <= 1e-11 * (1 + abs(sol.s_under))
+
+    @pytest.mark.parametrize("z", [0.6783156903880827 + 1j, 0.6783156903880827 - 1j])
+    def test_plain_half_plane_newton_divergence_points(self, z):
+        # Newton that only checks the half plane runs off to |s| ~ 1e12 here
+        exact = mp_quadratic_root(z, 2.0)
+        assert abs(solve_s_under(z, IDENTITY, 2.0).s_under - exact) <= 1e-10
+        assert abs(s_under_grid(np.array([z]), IDENTITY, 2.0)[0] - exact) <= 1e-10
+
+
 class TestInverseMap:
     def test_zero_population(self):
         assert abs(inverse_map(1j, DELTA0, 0.7) - 1j) < 1e-15
@@ -113,14 +153,15 @@ class TestDensity:
         with pytest.raises(OutsideSupport):
             lsd_density(hi + 1e-3, IDENTITY, 0.25)
 
-    def test_normalization(self):
+    @pytest.mark.parametrize("name", ["identity", "two_atom", "five_atom"])
+    def test_normalization(self, name):
         # 2000-node Gauss-Legendre integral of the density over the bulk
-        y = 0.5
-        lo, hi = support_interval(IDENTITY, y)
+        sp, y = BATTERY[name], 0.5
+        lo, hi = support_interval(sp, y)
         nodes, weights = np.polynomial.legendre.leggauss(2000)
         xs = (hi + lo) / 2 + (hi - lo) / 2 * nodes
         total = (hi - lo) / 2 * sum(
-            w * lsd_density(float(x), IDENTITY, y) for x, w in zip(xs, weights))
+            w * lsd_density(float(x), sp, y) for x, w in zip(xs, weights))
         assert total == pytest.approx(1.0, abs=1e-4)
 
 
