@@ -26,10 +26,10 @@ from .clt_moments import compute_moments
 from .config import KINDS, RunConfig, parse_config
 from .contour import build_contour, build_contour_pair
 from .diagnostics import (SteinContext, fit_rate, qform_probe, stein_bound_report)
-from .errors import CostBudgetExceeded, LabError, OutsideSupport
+from .errors import CostBudgetExceeded, LabError
 from .simulator import SimConfig, TruncationPolicy, replicate_seed, run_experiment
 from .spectral_model import AspectRatio, support_interval
-from .stieltjes import lsd_density
+from .stieltjes import _density_grid
 
 ENV_OUT = "LSSLAB_OUT"
 
@@ -82,13 +82,11 @@ def _check_budget(cfg: RunConfig, p: int, n: int, replicates: int) -> None:
 def run_lsd(cfg: RunConfig, out: Path, started: str) -> str:
     lo, hi = support_interval(cfg.spectrum, cfg.y)
     xs = np.linspace(lo, hi, cfg.grid_points + 2)[1:-1]
+    # a point where lsd_density raises OutsideSupport gets density 0
+    density = np.nan_to_num(_density_grid(xs, cfg.spectrum, cfg.y), nan=0.0)
     rows = []
     mass = 0.0
-    for x in xs:
-        try:
-            d = lsd_density(float(x), cfg.spectrum, cfg.y)
-        except OutsideSupport:
-            d = 0.0
+    for x, d in zip(xs, density.tolist()):
         rows.append((_fmt(x), _fmt(d)))
         mass += d
     mass *= (xs[1] - xs[0]) if len(xs) > 1 else 0.0

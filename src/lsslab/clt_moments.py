@@ -13,6 +13,16 @@ at the companion transform s and the covariance kernel
 
 The kernel stays strictly inside the unit disk on nested contours, so the
 inner t-integral collapses to ``-log(1 - a)`` (principal branch).
+
+One quadrature level of the variance costs a few passes over the node
+grid.  The kernel is the rank-K sum ``a = sum_k v_k(s1) v_k(s2)`` with
+``v_k(s) = sqrt(y w_k) t_k s / (1 + t_k s)``, so the whole grid is one real
+matrix product of small factor matrices (``kernel_from_s``).  The log is
+taken in real arithmetic, ``-log(1 - a) = -log1p(ar (ar - 2) + ai^2) / 2
++ i atan2(ai, 1 - ar)``, which is accurate to rounding for every
+``|a| < 1`` (``_a_times_t_integral``).  ``f'`` is folded into the
+quadrature weights, ``(w1 f'(z1)) @ L @ (w2 f'(z2))``, so no f'-grid is
+built.
 """
 
 from __future__ import annotations
@@ -43,31 +53,65 @@ class CltMoments:
             raise ValueError(f"case must be RG or CG, got {self.case!r}")
 
 
+def _atom_factors(s: np.ndarray, spectrum: PopulationSpectrum, y_n: float) -> np.ndarray:
+    """``v_k(s) = sqrt(y w_k) t_k s / (1 + t_k s)`` for every atom, on a new last axis."""
+    ts = s[..., None] * spectrum.eigenvalues
+    return np.sqrt(y_n * spectrum.weights) * (ts / (1.0 + ts))
+
+
 def kernel_from_s(s1, s2, spectrum: PopulationSpectrum, y_n: float):
     """Covariance kernel from precomputed companion-transform values.
 
-    ``a = y sum_k w_k u_k(s1) u_k(s2)`` with ``u_k(s) = t_k s / (1 + t_k s)``.
-    Each product is taken both ways round and averaged: numpy's complex
-    multiply may fuse one side, and the kernel must be exactly symmetric.
+    ``a(s1, s2) = sum_k v_k(s1) v_k(s2)`` with
+    ``v_k(s) = sqrt(y w_k) t_k s / (1 + t_k s)``, i.e.
+    ``y sum_k w_k u_k(s1) u_k(s2)`` with ``u_k(s) = t_k s / (1 + t_k s)``.
+    On an outer grid (``s1`` of shape ``(..., n1, 1)`` and ``s2`` of shape
+    ``(..., 1, n2)``) the whole grid is one real matrix product of rank-3K
+    factors, written straight into the complex result:
+
+        Re a = [ar, ai, ar + ai] . [br, -bi, 0]
+        Im a = [ar, ai, ar + ai] . [-br, -bi, br + bi]
+
+    with ``v(s1) = ar + i ai`` and ``v(s2) = br + i bi``.  Swapping s1 and
+    s2 forms the same products in the same order, so the kernel is exactly
+    symmetric.  Any other broadcast of s1 against s2 takes the same product
+    one element at a time.
     """
     s1 = np.asarray(s1, dtype=complex)
     s2 = np.asarray(s2, dtype=complex)
-    acc = np.zeros(np.broadcast(s1, s2).shape, dtype=complex)
-    for t, w in spectrum.atoms:
-        u1 = t * s1 / (1.0 + t * s1)
-        u2 = t * s2 / (1.0 + t * s2)
-        acc += (0.5 * w * y_n) * (u1 * u2 + u2 * u1)
-    return acc if acc.shape else complex(acc)
+    outer = s1.ndim >= 2 and s2.ndim >= 2 and s1.shape[-1] == 1 and s2.shape[-2] == 1
+    if not outer:
+        s1, s2 = s1[..., None, None], s2[..., None, None]
+    a = _atom_factors(s1[..., 0], spectrum, y_n)  # (..., n1, K)
+    b = _atom_factors(s2[..., 0, :], spectrum, y_n)  # (..., n2, K)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    left = np.concatenate([ar, ai, ar + ai], axis=-1)
+    right = np.stack([np.concatenate([br, -bi, np.zeros_like(br)], axis=-1),
+                      np.concatenate([-br, -bi, br + bi], axis=-1)], axis=-2)
+    right = right.reshape(right.shape[:-3] + (-1, left.shape[-1]))  # (..., 2 n2, 3K)
+    grid = np.matmul(left, np.swapaxes(right, -1, -2)).view(complex)
+    if not outer:
+        grid = grid[..., 0, 0]
+    return grid if grid.shape else complex(grid)
 
 
 def _a_times_t_integral(a):
-    """a * int_0^1 dt/(1 - t a), i.e. -log(1 - a), series-stabilized near 0."""
+    """a * int_0^1 dt/(1 - t a) = -log(1 - a) on the principal branch, in real arithmetic.
+
+    ``-log(1 - a) = -log1p(ar (ar - 2) + ai^2) / 2 + i atan2(ai, 1 - ar)`` with
+    ``a = ar + i ai``: ``|1 - a|^2 - 1`` is formed without cancellation and
+    handed to the real ``log1p``, so the result is accurate to rounding for
+    every ``|a| < 1``, down to ``a -> 0``.
+    """
     a = np.asarray(a, dtype=complex)
-    small = np.abs(a) < 1e-8
+    ar, ai = a.real, a.imag
     out = np.empty_like(a)
-    out[~small] = -np.log(1.0 - a[~small])
-    asm = a[small]
-    out[small] = asm * (1.0 + asm / 2.0 + asm * asm / 3.0)
+    x = ar - 2.0
+    x *= ar
+    x += ai * ai
+    np.log1p(x, out=out.real)
+    out.real *= -0.5
+    np.arctan2(ai, 1.0 - ar, out=out.imag)
     return out
 
 
@@ -114,8 +158,8 @@ def _variance_level(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     amax = float(np.max(np.abs(a)))
     if amax >= 1.0:
         raise KernelOutOfDisk(f"|a| reached {amax:.6f} on the node grid")
-    grid = f.deriv(z1)[:, None] * f.deriv(z2)[None, :] * _a_times_t_integral(a)
-    return complex(w1 @ grid @ w2), amax
+    g1, g2 = w1 * f.deriv(z1), w2 * f.deriv(z2)
+    return complex(g1 @ _a_times_t_integral(a) @ g2), amax
 
 
 def variance_with_kernel(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,

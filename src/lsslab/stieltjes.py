@@ -180,31 +180,50 @@ def inverse_map(s_under: complex, spectrum: PopulationSpectrum, y_n: float) -> c
 
 
 _DENSITY_EPS = (1e-3, 5e-4, 2.5e-4)
+_DENSITY_FLOOR = -1e-6  # extrapolations below this mark a point outside the support
+
+
+def _density_grid(x: np.ndarray, spectrum: PopulationSpectrum, y_n: float) -> np.ndarray:
+    """Spectral density of the limiting law at every point of 1-D x.
+
+    Evaluates ``Im s(x + i eps) / pi`` on the fixed three-step geometric
+    schedule with one solve over the whole grid per step, each warm-started
+    from the previous one, and removes the O(eps) boundary error with one
+    Richardson step on the two finest values.  A point beyond the enclosing
+    interval, or whose extrapolation comes out below -1e-6, is NaN; an
+    extrapolation between -1e-6 and 0 (a point in a spectral gap) rounds
+    to zero.
+    """
+    lo, hi = support_interval(spectrum, y_n)
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, np.nan)
+    inside = (lo < x) & (x < hi)
+    y = float(y_n)
+    vals = []
+    s = None
+    for eps in _DENSITY_EPS:
+        z = x[inside] + 1j * eps
+        s, _, _ = _solve(z, -1.0 / z if s is None else s, spectrum, y)
+        vals.append(companion_to_primary(s, z, y).imag / np.pi)
+    extrapolated = 2.0 * vals[2] - vals[1]
+    out[inside] = np.where(extrapolated < _DENSITY_FLOOR, np.nan,
+                           np.maximum(extrapolated, 0.0))
+    return out
 
 
 def lsd_density(x: float, spectrum: PopulationSpectrum, y_n: float) -> float:
     """Spectral density of the limiting law at a point inside the bulk.
 
-    Evaluates ``Im s(x + i eps) / pi`` on the fixed three-step geometric
-    schedule, each solve warm-started from the previous one, and removes
-    the O(eps) boundary error with one Richardson step on the two finest
-    values.  Raises ``OutsideSupport`` for x beyond
-    the enclosing interval or when the extrapolation comes out below
-    -1e-6 (a point in a spectral gap rounds to zero instead).
+    The one-point case of ``_density_grid``.  Raises ``OutsideSupport``
+    for x beyond the enclosing interval or when the extrapolation comes out
+    below -1e-6 (a point in a spectral gap rounds to zero instead).
     """
-    lo, hi = support_interval(spectrum, y_n)
-    if not (lo < x < hi):
-        raise OutsideSupport(f"x={x} outside the enclosing interval [{lo}, {hi}]")
-    vals = []
-    warm = None
-    for eps in _DENSITY_EPS:
-        sol = solve_s_under(complex(x, eps), spectrum, y_n, s0=warm)
-        warm = sol.s_under
-        vals.append(sol.s.imag / np.pi)
-    extrapolated = 2.0 * vals[2] - vals[1]
-    if extrapolated < -1e-6:
-        raise OutsideSupport(f"density extrapolated to {extrapolated:.3e} at x={x}")
-    return max(extrapolated, 0.0)
+    density = float(_density_grid(np.array([x], dtype=float), spectrum, y_n)[0])
+    if np.isnan(density):
+        lo, hi = support_interval(spectrum, y_n)
+        raise OutsideSupport(f"x={x} outside the support: beyond the enclosing interval "
+                             f"[{lo}, {hi}] or extrapolated below {_DENSITY_FLOOR:.0e}")
+    return density
 
 
 def lss_centering(f: TestFunction, spectrum: PopulationSpectrum, y_n: float, p: int,

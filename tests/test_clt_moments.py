@@ -1,13 +1,16 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BATTERY
-from lsslab.clt_moments import (CltMoments, compute_moments, kernel_from_s,
-                                mean_correction, normalize, variance,
-                                variance_with_kernel)
+from lsslab.clt_moments import (CltMoments, _a_times_t_integral, _variance_level,
+                                compute_moments, kernel_from_s, mean_correction,
+                                normalize, variance, variance_with_kernel)
 from lsslab.contour import build_contour, build_contour_pair
 from lsslab.errors import ZeroVariance
-from lsslab.spectral_model import PopulationSpectrum, TestFunction
+from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
 from lsslab.stieltjes import s_under_grid, solve_s_under
 
 IDENTITY = PopulationSpectrum.identity()
@@ -43,6 +46,89 @@ class TestKernel:
         s2 = s_under_grid(z2, IDENTITY, y)
         a = kernel_from_s(s1[:, None], s2[None, :], IDENTITY, y)
         assert float(np.max(np.abs(a))) < 1.0
+
+
+def _textbook_kernel(s1, s2, spectrum, y):
+    """``y sum_k w_k u_k(s1) u_k(s2)``, ``u_k(s) = t_k s / (1 + t_k s)``, in complex arithmetic,
+    with its scale ``y sum_k w_k |u_k(s1)| |u_k(s2)|``, which bounds its modulus."""
+    a = scale = 0.0
+    for t, w in spectrum.atoms:
+        u1, u2 = t * s1 / (1.0 + t * s1), t * s2 / (1.0 + t * s2)
+        a = a + y * w * u1 * u2
+        scale = scale + y * w * np.abs(u1) * np.abs(u2)
+    return a, scale
+
+
+@st.composite
+def _kernel_grids(draw):
+    """A spectrum of 1-5 atoms, a ratio and transform values on two node sets."""
+    k = draw(st.integers(1, 5))
+    ts = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    ws = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    spectrum = PopulationSpectrum.from_pairs(list(zip(ts, ws)), renormalize=True)
+    y = draw(st.floats(0.05, 4.0))
+    lo, hi = support_interval(spectrum, y)
+    point = st.builds(complex, st.floats(lo - 2.0, hi + 2.0),
+                      st.floats(1e-3, 3.0) | st.floats(-3.0, -1e-3))
+    s1, s2 = (s_under_grid(np.array(draw(st.lists(point, min_size=1, max_size=40))),
+                           spectrum, y) for _ in range(2))
+    return spectrum, y, s1, s2
+
+
+class TestKernelProperties:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(_kernel_grids())
+    def test_rank_k_product_is_the_textbook_kernel(self, problem):
+        spectrum, y, s1, s2 = problem
+        a = kernel_from_s(s1[:, None], s2[None, :], spectrum, y)
+        ref, scale = _textbook_kernel(s1[:, None], s2[None, :], spectrum, y)
+        assert a.shape == (s1.size, s2.size)
+        # errors are relative to the size of the summed products, not to |a|,
+        # which may cancel between atoms
+        assert np.all(np.abs(a - ref) <= 1e-13 * scale)
+        swapped = kernel_from_s(s2[:, None], s1[None, :], spectrum, y)
+        assert np.all(np.abs(swapped.T - a) <= 1e-15 * scale)
+
+
+class TestKernelLog:
+    def test_matches_mpmath_across_the_disk(self):
+        # |a| on a log grid up to 0.95, 24 arguments each, against 40-digit log
+        moduli = np.logspace(-12.0, np.log10(0.95), 45)
+        args = np.linspace(-np.pi, np.pi, 24, endpoint=False)
+        a = (moduli[:, None] * np.exp(1j * args)[None, :]).ravel()
+        got = _a_times_t_integral(a)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for ak, gk in zip(a, got):
+                exact = -mpmath.log(1 - mpmath.mpc(ak.real, ak.imag))
+                err = abs(mpmath.mpc(gk.real, gk.imag) - exact) / abs(exact)
+                worst = max(worst, float(err))
+        assert worst <= 1e-14
+
+
+def _textbook_level(f, spectrum, y, pair, m):
+    """One variance level as the formula reads: full f'-grid times complex -log(1 - a)."""
+    z1, w1 = pair.inner.nodes(m)
+    z2, w2 = pair.outer.nodes(m)
+    s1 = s_under_grid(z1, spectrum, y)
+    s2 = s_under_grid(z2, spectrum, y)
+    a, _ = _textbook_kernel(s1[:, None], s2[None, :], spectrum, y)
+    grid = f.deriv(z1)[:, None] * f.deriv(z2)[None, :] * -np.log(1.0 - a)
+    return complex(w1 @ grid @ w2)
+
+
+class TestFusedLevel:
+    @pytest.mark.parametrize("name", ["identity", "two_atom", "five_atom"])
+    @pytest.mark.parametrize("y", [0.5, 2.0])
+    @pytest.mark.parametrize("power", [2, 11])
+    def test_matches_textbook_assembly(self, name, y, power):
+        f = TestFunction.monomial(power)
+        sp = BATTERY[name]
+        pair = build_contour_pair(sp, y, f=f)
+        got, amax = _variance_level(f, sp, y, pair, 64)
+        want = _textbook_level(f, sp, y, pair, 64)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert 0.0 < amax < 1.0
 
 
 class TestMean:

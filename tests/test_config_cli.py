@@ -5,14 +5,16 @@ import os
 import numpy as np
 import pytest
 
+from conftest import BATTERY
 from lsslab import cli
 from lsslab.cli import main, run
 from lsslab.config import (RunConfig, parse_config, parse_test_function,
-                           serialize_test_function)
-from lsslab.errors import (ConstraintViolation, MissingRequired, TypeMismatch,
-                           UnknownKey)
+                           serialize_spectrum, serialize_test_function)
+from lsslab.errors import (ConstraintViolation, MissingRequired, OutsideSupport,
+                           TypeMismatch, UnknownKey)
 from lsslab.simulator import replicate_seed
-from lsslab.spectral_model import AspectRatio
+from lsslab.spectral_model import AspectRatio, support_interval
+from lsslab.stieltjes import lsd_density
 
 
 class TestParseTestFunction:
@@ -240,6 +242,26 @@ class TestCliRuns:
         lines = (tmp_path / "lsd_detail.csv").read_text().splitlines()
         assert lines[0] == "x,density"
         assert len(lines) == 13
+
+    @pytest.mark.parametrize("name", ["identity", "two_atom", "five_atom"])
+    @pytest.mark.parametrize("y", [0.5, 2.0])
+    def test_lsd_grid_matches_point_by_point(self, name, y, tmp_path):
+        sp = BATTERY[name]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": "lsd", "spectrum": serialize_spectrum(sp),
+                                       "y": y, "grid_points": 20}))
+        assert main(["lsd", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "lsd_detail.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        lo, hi = support_interval(sp, y)
+        xs = np.linspace(lo, hi, 22)[1:-1]
+        assert [r[0] for r in rows] == [repr(float(x)) for x in xs]
+        for (_, got), x in zip(rows, xs):
+            try:
+                want = lsd_density(float(x), sp, y)
+            except OutsideSupport:
+                want = 0.0
+            assert abs(float(got) - want) <= 1e-12
 
     def test_stein_check_emits_table(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
