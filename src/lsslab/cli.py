@@ -29,7 +29,7 @@ from .diagnostics import (SteinContext, fit_rate, qform_probe, stein_bound_repor
 from .errors import CostBudgetExceeded, LabError
 from .simulator import SimConfig, TruncationPolicy, replicate_seed, run_experiment
 from .spectral_model import AspectRatio, support_interval
-from .stieltjes import _density_grid
+from .stieltjes import lsd_density
 
 ENV_OUT = "LSSLAB_OUT"
 
@@ -82,8 +82,7 @@ def _check_budget(cfg: RunConfig, p: int, n: int, replicates: int) -> None:
 def run_lsd(cfg: RunConfig, out: Path, started: str) -> str:
     lo, hi = support_interval(cfg.spectrum, cfg.y)
     xs = np.linspace(lo, hi, cfg.grid_points + 2)[1:-1]
-    # a point where lsd_density raises OutsideSupport gets density 0
-    density = np.nan_to_num(_density_grid(xs, cfg.spectrum, cfg.y), nan=0.0)
+    density = lsd_density(xs, cfg.spectrum, cfg.y)
     rows = []
     mass = 0.0
     for x, d in zip(xs, density.tolist()):

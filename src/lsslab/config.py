@@ -273,8 +273,12 @@ def parse_config(text: str) -> RunConfig:
         n_grid = tuple(n_grid)
     if kind == "simulate" and (p is None or n is None):
         raise MissingRequired("simulate needs explicit p and n")
-    if kind in ("ks-rate", "probe-qform") and n_grid is None:
-        raise MissingRequired(f"{kind} needs n_grid")
+    if kind in ("ks-rate", "probe-qform"):
+        if n_grid is None:
+            raise MissingRequired(f"{kind} needs n_grid")
+        empty = [n for n in n_grid if round(y * n) < 1]
+        if empty:
+            raise ConstraintViolation(f"n_grid: p = round(y*n) is 0 at n={empty} for y={y}")
 
     contour_raw = get("contour")
     _expect(contour_raw, dict, "contour")

@@ -227,8 +227,8 @@ class SimConfig:
     root_seed: int
     truncation: TruncationPolicy = TruncationPolicy()
     max_entries: int = 1 << 26  # memory budget on p*n
-    # inner contour the moments were computed on, reused for the centering;
-    # None builds the default rectangle
+    # inner contour the moments were computed on, reused for the centering
+    # and the confinement band; None builds the default rectangle
     contour: Contour | None = None
 
     def __post_init__(self):
@@ -304,7 +304,7 @@ def run_experiment(cfg: SimConfig, moments: CltMoments,
             raise type(exc)(f"replicate {i}: {exc}") from exc
 
     lo, hi = support_interval(cfg.spectrum, y)
-    eps = default_margin(cfg.spectrum, y)
+    eps = default_margin(cfg.spectrum, y) if cfg.contour is None else cfg.contour.x_r - hi
     low, high = lo - eps / 2.0, hi + eps / 2.0
     violations = sum(1 for r in rows if r.lam_min < low or r.lam_max > high)
     if violations:

@@ -1,4 +1,4 @@
-"""Companion Stieltjes transform: one Newton solver, inverse map, density.
+"""Companion Stieltjes transform: one Newton solver, inverse map, exact density.
 
 The central object is the transform ``s_under(z)`` of the companion
 spectral law, characterized off the real bulk by the fixed point
@@ -8,16 +8,18 @@ spectral law, characterized off the real bulk by the fixed point
 whose Herglotz branch (Im s_under has the sign of Im z) is the one with
 probabilistic meaning.  Equivalently ``z(s_under) = z`` for the rational
 inverse map ``z(s) = -1/s + y sum_k w_k t_k / (1 + t_k s)`` (Silverstein &
-Choi 1995).  Every solve runs Newton on that equation, safeguarded by the
-plain step ``F`` and certified by the fixed-point residual ``|F(s) - s|``.
-The transform of the primary law follows from the companion relation
-``s = (s_under + (1 - y)/z) / y``.
+Choi 1995).  Every solve off the real axis runs Newton on that equation,
+safeguarded by the plain step ``F`` and certified by the fixed-point
+residual ``|F(s) - s|``; on the axis the density is read off the
+eigenvalues of an arrowhead matrix.  The transform of the primary law
+follows from the companion relation ``s = (s_under + (1 - y)/z) / y``.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -179,51 +181,45 @@ def inverse_map(s_under: complex, spectrum: PopulationSpectrum, y_n: float) -> c
     return -1.0 / s_under + y_n * complex(g[0])
 
 
-_DENSITY_EPS = (1e-3, 5e-4, 2.5e-4)
-_DENSITY_FLOOR = -1e-6  # extrapolations below this mark a point outside the support
+def lsd_density(x, spectrum: PopulationSpectrum, y_n: float):
+    """Spectral density of the limiting law at a point or a 1-D array of points.
 
-
-def _density_grid(x: np.ndarray, spectrum: PopulationSpectrum, y_n: float) -> np.ndarray:
-    """Spectral density of the limiting law at every point of 1-D x.
-
-    Evaluates ``Im s(x + i eps) / pi`` on the fixed three-step geometric
-    schedule with one solve over the whole grid per step, each warm-started
-    from the previous one, and removes the O(eps) boundary error with one
-    Richardson step on the two finest values.  A point beyond the enclosing
-    interval, or whose extrapolation comes out below -1e-6, is NaN; an
-    extrapolation between -1e-6 and 0 (a point in a spectral gap) rounds
-    to zero.
+    Exact for atomic spectra: over the nonzero atoms, the roots of the
+    companion equation at real x in ``sigma = sqrt(x) s_under`` are the
+    eigenvalues of the arrowhead matrix with corner
+    ``(y sum_k w_k - 1)/sqrt(x)``, diagonal ``-sqrt(x)/t_k``, first row
+    ``beta_k`` and first column ``-beta_k``, where ``beta_k^2 = y w_k/t_k``.
+    One root lies between each pair of neighbouring poles, so at most one
+    has Im sigma > 0; the density is ``Im sigma / (pi y sqrt(x))``, and
+    exactly 0 in a spectral gap, where every root is real.  One Newton step
+    polishes that root unless the step is not finite or leaves the upper
+    half plane.  Raises ``OutsideSupport`` for any x outside the open
+    enclosing interval.
     """
     lo, hi = support_interval(spectrum, y_n)
     x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, np.nan)
-    inside = (lo < x) & (x < hi)
-    y = float(y_n)
-    vals = []
-    s = None
-    for eps in _DENSITY_EPS:
-        z = x[inside] + 1j * eps
-        s, _, _ = _solve(z, -1.0 / z if s is None else s, spectrum, y)
-        vals.append(companion_to_primary(s, z, y).imag / np.pi)
-    extrapolated = 2.0 * vals[2] - vals[1]
-    out[inside] = np.where(extrapolated < _DENSITY_FLOOR, np.nan,
-                           np.maximum(extrapolated, 0.0))
-    return out
-
-
-def lsd_density(x: float, spectrum: PopulationSpectrum, y_n: float) -> float:
-    """Spectral density of the limiting law at a point inside the bulk.
-
-    The one-point case of ``_density_grid``.  Raises ``OutsideSupport``
-    for x beyond the enclosing interval or when the extrapolation comes out
-    below -1e-6 (a point in a spectral gap rounds to zero instead).
-    """
-    density = float(_density_grid(np.array([x], dtype=float), spectrum, y_n)[0])
-    if np.isnan(density):
-        lo, hi = support_interval(spectrum, y_n)
-        raise OutsideSupport(f"x={x} outside the support: beyond the enclosing interval "
-                             f"[{lo}, {hi}] or extrapolated below {_DENSITY_FLOOR:.0e}")
-    return density
+    outside = x[~((lo < x) & (x < hi))]
+    if outside.size:
+        raise OutsideSupport(f"x={outside[0]} outside the open enclosing interval ({lo}, {hi})")
+    nonzero = spectrum.eigenvalues > 0
+    t, w = spectrum.eigenvalues[nonzero], spectrum.weights[nonzero]
+    beta = np.sqrt(y_n * w / t)
+    sqrt_x = np.sqrt(x.ravel())
+    # y sum w - 1 rounded once, so that the hard edge at 0 keeps its digits
+    corner = float(Fraction(y_n) * sum(map(Fraction, w)) - 1) / sqrt_x
+    poles = sqrt_x[:, None] / t
+    arrow = np.zeros((sqrt_x.size, t.size + 1, t.size + 1))
+    arrow[:, 0, 0], arrow[:, 0, 1:], arrow[:, 1:, 0] = corner, beta, -beta
+    arrow[:, 1:, 1:] = -poles[:, :, None] * np.eye(t.size)
+    roots = np.linalg.eigvals(arrow)
+    sigma = roots[np.arange(sqrt_x.size), np.argmax(roots.imag, axis=1)]
+    r = 1.0 / (sigma[:, None] + poles)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        polished = sigma - (sigma - corner + r @ beta**2) / (1.0 - (r * r) @ beta**2)
+    keep = np.isfinite(polished) & ((polished.imag > 0) | (sigma.imag <= 0))
+    sigma = np.where(keep, polished, sigma)
+    density = (np.maximum(sigma.imag, 0.0) / (np.pi * y_n * sqrt_x)).reshape(x.shape)
+    return float(density) if density.ndim == 0 else density
 
 
 def lss_centering(f: TestFunction, spectrum: PopulationSpectrum, y_n: float, p: int,

@@ -10,8 +10,7 @@ from lsslab import cli
 from lsslab.cli import main, run
 from lsslab.config import (RunConfig, parse_config, parse_test_function,
                            serialize_spectrum, serialize_test_function)
-from lsslab.errors import (ConstraintViolation, MissingRequired, OutsideSupport,
-                           TypeMismatch, UnknownKey)
+from lsslab.errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
 from lsslab.simulator import replicate_seed
 from lsslab.spectral_model import AspectRatio, support_interval
 from lsslab.stieltjes import lsd_density
@@ -82,6 +81,14 @@ class TestParseConfig:
     def test_decreasing_n_grid_rejected(self):
         with pytest.raises(ConstraintViolation, match="increasing"):
             parse_config(json.dumps({"kind": "ks-rate", "n_grid": [256, 128]}))
+
+    @pytest.mark.parametrize("kind", ["ks-rate", "probe-qform"])
+    def test_n_grid_with_empty_dimension_rejected(self, kind):
+        # p = round(0.001 n) is 0 at every n of the grid
+        with pytest.raises(ConstraintViolation, match=r"n=\[64, 128, 256\]"):
+            parse_config(json.dumps({"kind": kind, "y": 0.001, "n_grid": [64, 128, 256]}))
+        with pytest.raises(ConstraintViolation, match=r"n=\[32\]"):
+            parse_config(json.dumps({"kind": kind, "y": 0.01, "n_grid": [32, 64]}))
 
     def test_simulate_needs_dims(self):
         with pytest.raises(MissingRequired):
@@ -249,19 +256,35 @@ class TestCliRuns:
         sp = BATTERY[name]
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"kind": "lsd", "spectrum": serialize_spectrum(sp),
-                                       "y": y, "grid_points": 20}))
+                                       "y": y, "grid_points": 40}))
         assert main(["lsd", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
         with open(tmp_path / "lsd_detail.csv", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         lo, hi = support_interval(sp, y)
-        xs = np.linspace(lo, hi, 22)[1:-1]
+        xs = np.linspace(lo, hi, 42)[1:-1]
         assert [r[0] for r in rows] == [repr(float(x)) for x in xs]
         for (_, got), x in zip(rows, xs):
-            try:
-                want = lsd_density(float(x), sp, y)
-            except OutsideSupport:
-                want = 0.0
-            assert abs(float(got) - want) <= 1e-12
+            assert abs(float(got) - lsd_density(float(x), sp, y)) <= 1e-12
+
+    def test_lsd_all_zero_atoms_fails_up_front(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": "lsd", "spectrum": [{"atom": 0.0, "weight": 1.0}]}))
+        assert main(["lsd", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert "OutsideSupport" in capsys.readouterr().err
+        assert not (tmp_path / "lsd_detail.csv").exists()
+
+    @pytest.mark.parametrize("points", [40, 80, 100])
+    def test_lsd_identity_above_one_is_marchenko_pastur(self, points, tmp_path):
+        y = 2.0
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": "lsd", "y": y, "grid_points": points}))
+        assert main(["lsd", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "lsd_detail.csv", newline="") as fh:
+            rows = [(float(x), float(d)) for x, d in list(csv.reader(fh))[1:]]
+        a, b = (1 - np.sqrt(y)) ** 2, (1 + np.sqrt(y)) ** 2
+        want = [np.sqrt(max((b - x) * (x - a), 0.0)) / (2 * np.pi * y * x) for x, _ in rows]
+        assert len(rows) == points
+        assert max(abs(d - w) for (_, d), w in zip(rows, want)) <= 1e-12 * max(want)
 
     def test_stein_check_emits_table(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -6,13 +6,14 @@ from scipy import stats
 
 from conftest import BATTERY
 from lsslab.clt_moments import compute_moments, normalize
+from lsslab.contour import build_contour, default_margin
 from lsslab.errors import DegenerateTruncation, LogDomain
 from lsslab.simulator import (SimConfig, TruncationPolicy, assemble_B, default_eta,
                               eigenvalues, lss_centered, population_diagonal,
                               replicate_seed, run_experiment, sample_entries,
                               splitmix64, truncate_normalize, truncated_moments)
 from lsslab.spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
-                                   TestFunction)
+                                   TestFunction, support_interval)
 from lsslab.stieltjes import lss_centering
 
 IDENTITY = PopulationSpectrum.identity()
@@ -220,6 +221,29 @@ class TestRunExperiment:
         # edge fluctuations at this n occasionally leave the +-eps/2 band;
         # the contract is counting + logging, not failure
         assert rec.confinement_violations <= 0.05 * cfg.replicates
+
+    def test_confinement_band_follows_the_run_contour(self):
+        mom = compute_moments(F_X, IDENTITY, 0.5, "RG")
+        lo, hi = support_interval(IDENTITY, 0.5)
+
+        def outside(rec, margin):
+            return sum(r.lam_min < lo - margin / 2 or r.lam_max > hi + margin / 2
+                       for r in rec.rows)
+
+        # a contour margin of 0.03 against the default 0.19: the narrow band
+        # is left by three of these replicates, the wide one by none
+        narrow = self._config(ratio=AspectRatio(p=64, n=128), replicates=20,
+                              contour=build_contour(IDENTITY, 0.5, eps=0.03))
+        rec = run_experiment(narrow, mom)
+        assert rec.confinement_violations == outside(rec, 0.03) == 3
+        assert outside(rec, default_margin(IDENTITY, 0.5)) == 0
+        # the default contour keeps the default band
+        default = self._config(ratio=AspectRatio(p=64, n=128), replicates=20,
+                               contour=build_contour(IDENTITY, 0.5))
+        assert (run_experiment(default, mom).confinement_violations
+                == run_experiment(self._config(ratio=AspectRatio(p=64, n=128),
+                                               replicates=20), mom).confinement_violations
+                == 0)
 
     def test_memory_budget_enforced(self):
         with pytest.raises(ValueError, match="memory budget"):

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +143,78 @@ class TestInverseMap:
             inverse_map(0.0, IDENTITY, 0.5)
 
 
+def _mp_density(x, spectrum, y):
+    """Density from ``mpmath.polyroots`` of the real-axis polynomial.
+
+    ``R_x(u) = (u + x) Q(u) - y u S(u)`` in ``u = 1/s_under`` over the
+    nonzero atoms, with ``Q = prod (u + t)`` and
+    ``S = sum w t prod_{j != k} (u + t_j)``, expanded here atom by atom as
+    written (equal atoms are not merged); the density is ``Im(1/u-)/(pi y)``
+    for the root u- with the most negative imaginary part, floored at 0.
+    Expanded coefficients lose digits as the atoms grow in number, and
+    Durand-Kerner stops on an absolute step, so the 40 digits are widened by
+    one per atom and by the decades of a small x, whose roots lie near
+    ``+-i sqrt(x)``.  It starts from a point between each pair of
+    neighbouring atoms and a conjugate pair, which only saves iterations.
+    """
+    def prod(ts):
+        out = [mpmath.mpf(1)]  # ascending powers of u
+        for t in ts:
+            out = [a * t + b for a, b in zip(out + [0], [0] + out)]
+        return out
+
+    with mpmath.workdps(40 + len(spectrum.atoms) + max(0, int(-math.log10(x)))):
+        atoms = [(mpmath.mpf(t), mpmath.mpf(w)) for t, w in spectrum.atoms if t > 0]
+        ts = [t for t, _ in atoms]
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        q = prod(ts)
+        coeffs = [x * c for c in q] + [mpmath.mpf(0)]
+        for i, c in enumerate(q):
+            coeffs[i + 1] += c
+        for k, (t, w) in enumerate(atoms):
+            for i, c in enumerate(prod(ts[:k] + ts[k + 1:])):
+                coeffs[i + 1] -= y * w * t * c
+        ts = sorted(ts)
+        start = [-(a + b) / 2 for a, b in zip(ts, ts[1:])] + [mpmath.mpc(0.3, 0.7),
+                                                              mpmath.mpc(0.3, -0.7)]
+        roots = mpmath.polyroots(coeffs[::-1], maxsteps=5000, extraprec=200, roots_init=start)
+        u = min(roots, key=mpmath.im)
+        return float(max(mpmath.im(1 / u), 0) / (mpmath.pi * y))
+
+
+def _evenly_spaced(k):
+    return [((i + 1) / k, 1 / k) for i in range(k)]
+
+
+ORACLE_SPECTRA = {
+    "two_atom_0.1": [(0.1, 0.5), (1.0, 0.5)],
+    "two_atom": [(0.4, 0.5), (1.0, 0.5)],
+    "five_atom": [(0.2, 0.2), (0.4, 0.2), (0.6, 0.2), (0.8, 0.2), (1.0, 0.2)],
+    "with_zero": [(0.0, 0.3), (1.0, 0.7)],
+    # clustered atoms at a small ratio: a narrow bulk whose roots crowd
+    # within 0.1 of each other
+    "clustered": [(0.8, 0.2), (0.82, 0.2), (0.84, 0.2), (0.86, 0.2), (0.88, 0.2)],
+    "upper_five": [(0.6, 0.2), (0.7, 0.2), (0.8, 0.2), (0.9, 0.2), (1.0, 0.2)],
+    # an exact and a near duplicate: three close real roots that must not
+    # split into a complex pair in a gap
+    "near_duplicate": [(0.5, 0.25), (0.5, 0.25), (0.5000001, 0.25), (1.0, 0.25)],
+    # an atom far below the rest: the eigenvalues alone are off by 3e-11 here
+    "tiny_atom": [(1e-8, 0.5), (1.0, 0.5)],
+    # many atoms: roots taken from expanded monomial coefficients in floating
+    # point split into false complex pairs here
+    "twenty_even": _evenly_spaced(20),
+    "fifty_even": _evenly_spaced(50),
+}
+# (spectrum, ratio, stride through the 40-point grid); the 50-atom oracle
+# takes about 2 s a point, so its grids are thinned to 8 points
+ORACLE_GRIDS = ([(name, y, 1) for name in ("two_atom_0.1", "two_atom", "five_atom", "with_zero",
+                                           "twenty_even")
+                 for y in (0.5, 2.0)]
+                + [("fifty_even", 0.5, 5), ("fifty_even", 2.0, 5)]
+                + [("clustered", 0.1, 1), ("upper_five", 0.05, 1), ("near_duplicate", 0.5, 1),
+                   ("tiny_atom", 0.01, 1)])
+
+
 class TestDensity:
     def test_mp_closed_form(self):
         y = 0.25
@@ -149,9 +224,55 @@ class TestDensity:
         assert lsd_density(x, IDENTITY, y) == pytest.approx(exact, abs=1e-6)
 
     def test_outside_support_raises(self):
-        _, hi = support_interval(IDENTITY, 0.25)
+        lo, hi = support_interval(IDENTITY, 0.25)
         with pytest.raises(OutsideSupport):
             lsd_density(hi + 1e-3, IDENTITY, 0.25)
+        with pytest.raises(OutsideSupport):
+            lsd_density(np.array([1.0, lo]), IDENTITY, 0.25)
+
+    @pytest.mark.parametrize("name,y,stride", ORACLE_GRIDS)
+    def test_matches_mpmath_polynomial_roots(self, name, y, stride):
+        sp = PopulationSpectrum.from_pairs(ORACLE_SPECTRA[name])
+        lo, hi = support_interval(sp, y)
+        xs = np.linspace(lo, hi, 42)[1:-1][::stride]
+        got = lsd_density(xs, sp, y)
+        assert got.shape == xs.shape
+        want = np.array([_mp_density(x, sp, y) for x in xs])
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["binary", "five_atom"])
+    def test_hard_edge_at_zero(self, name):
+        # at y sum w = 1 the density grows like x^(-1/2) at 0, down to the
+        # least subnormal x.  The five float weights of 0.2 sum to 1 + 5.6e-17
+        # exactly, which opens a gap at 0 about 1e-33 wide.
+        atoms = [(0.5, 0.5), (1.0, 0.5)] if name == "binary" else ORACLE_SPECTRA[name]
+        sp = PopulationSpectrum.from_pairs(atoms)
+        xs = np.array([5e-324, 1e-300, 1e-100, 1e-60, 1e-30, 1e-8])
+        want = np.array([_mp_density(x, sp, 1.0) for x in xs])
+        assert np.all(np.abs(lsd_density(xs, sp, 1.0) - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("t,y,x", [
+        (0.29686845068558426, 0.43049145907989467, 0.8142295360988765),
+        (0.005163400205207724, 0.36361324130420697, 0.013267977855012091),
+        (0.05665892124834359, 0.06789711708647024, 0.0900332141554738),
+    ])
+    def test_ulps_inside_an_edge_is_finite(self, t, y, x):
+        # one or two ulps inside a one-atom edge, where the two roots meet:
+        # they may come out real, and a Newton step from there divides by a
+        # vanishing derivative.  The exact density changes by about its own
+        # size per ulp of x here.  The midpoint makes the batch complex, as
+        # it is on any lsd grid.
+        sp = PopulationSpectrum.from_pairs([(t, 1.0)])
+        xs = np.array([support_interval(sp, y)[1] / 2, x])
+        got = lsd_density(xs, sp, y)
+        want = np.array([_mp_density(v, sp, y) for v in xs])
+        assert abs(got[0] - want[0]) <= 1e-12
+        assert 0.0 <= got[1] <= 2.0 * want[1]
+
+    def test_spectral_gap_is_exactly_zero(self):
+        # inside the enclosing interval, left of the bulk of the 0.1 atom
+        sp = PopulationSpectrum.from_pairs(ORACLE_SPECTRA["two_atom_0.1"])
+        assert lsd_density(0.012834093047206396, sp, 0.5) == 0.0
 
     @pytest.mark.parametrize("name", ["identity", "two_atom", "five_atom"])
     def test_normalization(self, name):
@@ -163,6 +284,40 @@ class TestDensity:
         total = (hi - lo) / 2 * sum(
             w * lsd_density(float(x), sp, y) for x, w in zip(xs, weights))
         assert total == pytest.approx(1.0, abs=1e-4)
+
+
+@st.composite
+def _density_problems(draw):
+    """1-5 atoms (maybe one at zero, maybe two equal), a ratio and 1-3 points inside.
+
+    The points keep 1e-3 of the enclosing interval from its ends.  Closer
+    in, a one-atom edge (density ~ sqrt of the distance) or the hard edge at
+    0 when y = 1 makes the exact density move more under a one-ulp change
+    of x or of the weights than the 1e-12 checked here.
+    """
+    k = draw(st.integers(1, 5))
+    ts = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        ts[0] = 0.0
+    if k > 2 and draw(st.booleans()):
+        ts[-1] = ts[-2]
+    ws = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    spectrum = PopulationSpectrum.from_pairs(list(zip(ts, ws)), renormalize=True)
+    y = draw(st.floats(0.05, 4.0))
+    lo, hi = support_interval(spectrum, y)
+    fractions = draw(st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=1, max_size=3))
+    return spectrum, y, [lo + (hi - lo) * f for f in fractions]
+
+
+class TestDensityProperties:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(_density_problems())
+    def test_herglotz_root_density(self, problem):
+        spectrum, y, xs = problem
+        got = lsd_density(np.array(xs), spectrum, y)
+        assert np.all(got >= 0.0)
+        want = np.array([_mp_density(x, spectrum, y) for x in xs])
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestCentering:
