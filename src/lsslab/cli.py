@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .clt_moments import compute_moments
 from .config import KINDS, RunConfig, parse_config
-from .contour import build_contour, build_contour_pair
 from .diagnostics import (SteinContext, fit_rate, qform_probe, stein_bound_report)
 from .errors import CostBudgetExceeded, LabError
 from .simulator import SimConfig, TruncationPolicy, replicate_seed, run_experiment
@@ -98,15 +97,17 @@ def run_lsd(cfg: RunConfig, out: Path, started: str) -> str:
 
 def run_moments(cfg: RunConfig, out: Path, started: str) -> str:
     mom = _moments(cfg, cfg.y)
-    pair = build_contour_pair(cfg.spectrum, cfg.y, cfg.contour.eps, cfg.contour.v0,
-                              cfg.contour.nodes, f=cfg.f)
+    inner, outer = mom.pair.inner, mom.pair.outer
     summary = {
         "mu": mom.mu, "sigma": mom.sigma, "case": mom.case,
         "kernel_max_abs": mom.kernel_max_abs,
-        "contour": {"x_l": pair.inner.x_l, "x_r": pair.inner.x_r,
-                    "v_0": pair.inner.v_0, "nodes": pair.inner.m,
-                    "outer_x_l": pair.outer.x_l, "outer_x_r": pair.outer.x_r,
-                    "outer_v_0": pair.outer.v_0},
+        "contour": {"x_l": inner.x_l, "x_r": inner.x_r, "v_0": inner.v_0,
+                    "nodes": inner.m, "rho_inner": inner.rho,
+                    "outer_x_l": outer.x_l, "outer_x_r": outer.x_r,
+                    "outer_v_0": outer.v_0, "rho_outer": outer.rho},
+        # accepted nodes per contour and the last error estimate, per integral
+        "quadrature": {name: {"nodes": q.nodes, "error": q.error}
+                       for name, q in mom.quadrature.items()},
     }
     _write_json(out / "moments_summary.json", cfg, summary, started)
     return (f"moments[{cfg.case}] f={cfg.f.label}: mu={mom.mu:.6g} sigma={mom.sigma:.6g} "
@@ -119,12 +120,11 @@ def _moments(cfg: RunConfig, y_n: float):
 
 
 def _experiment(cfg: RunConfig, ratio: AspectRatio, mom, replicates: int, root_seed: int):
-    contour = build_contour(cfg.spectrum, ratio.y_n, cfg.contour.eps, cfg.contour.v0,
-                            cfg.contour.nodes, f=cfg.f)
+    # centered on the inner contour the moments were computed on
     sim = SimConfig(ratio=ratio, spectrum=cfg.spectrum, ensemble=cfg.ensemble,
                     f=cfg.f, replicates=replicates, root_seed=root_seed,
                     truncation=TruncationPolicy(cfg.truncation_mode, cfg.truncation_eta),
-                    contour=contour)
+                    contour=mom.pair.inner)
     return run_experiment(sim, mom, config_snapshot=cfg.to_dict())
 
 

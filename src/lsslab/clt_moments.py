@@ -14,10 +14,16 @@ at the companion transform s and the covariance kernel
 The kernel stays strictly inside the unit disk on nested contours, so the
 inner t-integral collapses to ``-log(1 - a)`` (principal branch).
 
-One quadrature level of the variance costs a few passes over the node
-grid.  The kernel is the rank-K sum ``a = sum_k v_k(s1) v_k(s2)`` with
-``v_k(s) = sqrt(y w_k) t_k s / (1 + t_k s)``, so the whole grid is one real
-matrix product of small factor matrices (``kernel_from_s``).  The log is
+The contours are two confocal ellipses around the bulk (``contour.py``)
+with the nested trapezoid rule, whose levels share their nodes: the
+transform is solved once per node across levels, and the inner contour's
+values serve both the mean and the variance.  One quadrature level of the
+variance at m nodes per contour costs a few passes over the m x m node
+grid, formed in row blocks of bounded size; the rule at m/2, against which
+the level is checked, is the grid's even-index subgrid.  The kernel is the
+rank-K sum ``a = sum_k v_k(s1) v_k(s2)`` with ``v_k(s) = sqrt(y w_k) t_k s
+/ (1 + t_k s)``, so each block is one real matrix product of small factor
+matrices (``kernel_from_s``).  The log is
 taken in real arithmetic, ``-log(1 - a) = -log1p(ar (ar - 2) + ai^2) / 2
 + i atan2(ai, 1 - ar)``, which is accurate to rounding for every
 ``|a| < 1`` (``_a_times_t_integral``).  ``f'`` is folded into the
@@ -27,16 +33,18 @@ built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contour import Contour, ContourPair, _doubling_ladder, build_contour_pair
+from .contour import (Contour, ContourPair, NodeValues, _doubling_ladder, build_contour_pair,
+                      trapezoid)
 from .errors import DenominatorNearZero, KernelOutOfDisk, QuadratureStall, ZeroVariance
 from .spectral_model import PopulationSpectrum, TestFunction
 from .stieltjes import s_under_grid
 
 _IMAG_RTOL = 1e-8
+_BLOCK_CELLS = 1 << 18  # kernel cells formed at once in a variance level
 
 
 @dataclass(frozen=True)
@@ -47,6 +55,10 @@ class CltMoments:
     sigma: float
     case: str  # "RG" or "CG"
     kernel_max_abs: float
+    # provenance, not compared: the contour pair used and where each ladder
+    # stopped ({"mean": Quadrature, "variance": Quadrature}, no mean for CG)
+    pair: ContourPair | None = field(default=None, compare=False)
+    quadrature: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.case not in ("RG", "CG"):
@@ -115,8 +127,8 @@ def _a_times_t_integral(a):
     return out
 
 
-def _mean_integrand(z, spectrum: PopulationSpectrum, y_n: float):
-    s = s_under_grid(z, spectrum, y_n)
+def _mean_integrand(z, s, spectrum: PopulationSpectrum, y_n: float):
+    """``I3 / (1 - I2)^2`` from the companion transform s at the nodes z."""
     i3 = np.zeros_like(s)
     i2 = np.zeros_like(s)
     for t, w in spectrum.atoms:
@@ -133,47 +145,87 @@ def _mean_integrand(z, spectrum: PopulationSpectrum, y_n: float):
     return i3 / denom**2
 
 
+def _transform(c: Contour, spectrum: PopulationSpectrum, y_n: float) -> NodeValues:
+    return NodeValues(lambda z: s_under_grid(z, spectrum, y_n), c)
+
+
 def mean_correction(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
-                    c: Contour) -> float:
-    """Asymptotic mean of the centered statistic (real-entry case)."""
-    from . import contour as contour_mod
+                    c: Contour, rtol: float = 1e-9, *, s_under: NodeValues | None = None,
+                    report: dict | None = None) -> float:
+    """Asymptotic mean of the centered statistic (real-entry case).
 
-    def g(z):
-        return f(z) * _mean_integrand(z, spectrum, y_n)
+    ``s_under`` is the companion transform at the nodes of c when a caller
+    shares it with the variance; ``report["mean"]``, when a dict is given,
+    receives where the ladder stopped, with its error estimate in units of
+    the mean.
+    """
+    s = _transform(c, spectrum, y_n) if s_under is None else s_under
 
-    raw = contour_mod.integrate(g, c)
-    value = -raw / (2.0j * np.pi)
+    def values(m):
+        z, _ = c.nodes(m)
+        return f(z) * _mean_integrand(z, s(m), spectrum, y_n)
+
+    quad = trapezoid(values, c, rtol, "mean")
+    value = -quad.value / (2.0j * np.pi)
     if abs(value.imag) > _IMAG_RTOL * (1.0 + abs(value.real)):
         raise QuadratureStall(f"mean kept imaginary residue {value.imag:.3e}")
+    if report is not None:
+        report["mean"] = replace(quad, value=value, error=quad.error / (2.0 * np.pi))
     return float(value.real)
 
 
 def _variance_level(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
-                    pair: ContourPair, m: int) -> tuple[complex, float]:
+                    pair: ContourPair, m: int, s1: np.ndarray | None = None,
+                    s2: np.ndarray | None = None) -> tuple[complex, complex, float]:
+    """The rule at m nodes per contour, the rule at m/2 and the largest |a| on the grid.
+
+    The m/2 rule is the even-index subgrid of the same kernel grid, which
+    is formed in blocks of at most 2^18 cells, so memory stays bounded
+    however fine the level.  ``s1`` and ``s2`` are the companion transform
+    at the inner and outer nodes, solved here when not given.
+    """
     z1, w1 = pair.inner.nodes(m)
     z2, w2 = pair.outer.nodes(m)
-    s1 = s_under_grid(z1, spectrum, y_n)
-    s2 = s_under_grid(z2, spectrum, y_n)
-    a = kernel_from_s(s1[:, None], s2[None, :], spectrum, y_n)
-    amax = float(np.max(np.abs(a)))
-    if amax >= 1.0:
-        raise KernelOutOfDisk(f"|a| reached {amax:.6f} on the node grid")
+    s1 = s_under_grid(z1, spectrum, y_n) if s1 is None else s1
+    s2 = s_under_grid(z2, spectrum, y_n) if s2 is None else s2
     g1, g2 = w1 * f.deriv(z1), w2 * f.deriv(z2)
-    return complex(g1 @ _a_times_t_integral(a) @ g2), amax
+    g2_even = g2[::2]
+    rows = 2 * max(1, _BLOCK_CELLS // (2 * m))  # even, so blocks start on even rows
+    fine = coarse = 0j
+    amax = 0.0
+    for i in range(0, m, rows):
+        a = kernel_from_s(s1[i:i + rows, None], s2[None, :], spectrum, y_n)
+        amax = max(amax, float(np.max(np.abs(a))))
+        if amax >= 1.0:
+            raise KernelOutOfDisk(f"|a| reached {amax:.6f} on the node grid")
+        log = _a_times_t_integral(a)
+        fine += g1[i:i + rows] @ (log @ g2)
+        coarse += g1[i:i + rows:2] @ (log[::2, ::2] @ g2_even)
+    return complex(fine), 4.0 * complex(coarse), amax
 
 
 def variance_with_kernel(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
-                         pair: ContourPair, rtol: float = 1e-9) -> tuple[float, float]:
-    """Variance plus the maximum kernel modulus seen on the finest grid.
+                         pair: ContourPair, rtol: float = 1e-9, *,
+                         s_inner: NodeValues | None = None,
+                         report: dict | None = None) -> tuple[float, float]:
+    """Variance plus the maximum kernel modulus seen on the accepted grid.
 
     Same doubling ladder as the contour engine, with the transform solved
-    once per node and the kernel assembled by broadcasting.
+    once per node across levels.  ``s_inner`` is the transform at the inner
+    nodes when a caller shares it with the mean; ``report["variance"]``,
+    when a dict is given, receives where the ladder stopped, with its error
+    estimate in units of the variance.
     """
-    fine, amax = _doubling_ladder(
-        lambda m: _variance_level(f, spectrum, y_n, pair, m), pair.inner.m, rtol, "variance")
-    raw = -fine / (2.0 * np.pi**2)
+    s1 = _transform(pair.inner, spectrum, y_n) if s_inner is None else s_inner
+    s2 = _transform(pair.outer, spectrum, y_n)
+    quad, amax = _doubling_ladder(
+        lambda m: _variance_level(f, spectrum, y_n, pair, m, s1(m), s2(m)),
+        pair.inner.m, rtol, "variance")
+    raw = -quad.value / (2.0 * np.pi**2)
     if abs(raw.imag) > _IMAG_RTOL * (1.0 + abs(raw.real)):
         raise QuadratureStall(f"variance kept imaginary residue {raw.imag:.3e}")
+    if report is not None:
+        report["variance"] = replace(quad, value=raw, error=quad.error / (2.0 * np.pi**2))
     return float(raw.real), amax
 
 
@@ -191,23 +243,28 @@ def compute_moments(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
 
     The mean correction applies to the real-entry case only; the circular
     complex case has zero asymptotic mean by construction and its
-    normalization divides by sqrt(sigma / 2) instead.
+    normalization divides by sqrt(sigma / 2) instead.  The transform at
+    the inner nodes is solved once and shared by the variance and the mean.
     """
-    pair = build_contour_pair(spectrum, y_n, eps, v_0, m, f=f)
-    sigma, kernel_max = variance_with_kernel(f, spectrum, y_n, pair, rtol)
-    if case == "RG":
-        mu = mean_correction(f, spectrum, y_n, pair.inner)
-    elif case == "CG":
-        mu = 0.0
-    else:
+    if case not in ("RG", "CG"):
         raise ValueError(f"case must be RG or CG, got {case!r}")
+    pair = build_contour_pair(spectrum, y_n, eps, v_0, m, f=f)
+    s_inner = _transform(pair.inner, spectrum, y_n)
+    report = {}
+    sigma, kernel_max = variance_with_kernel(f, spectrum, y_n, pair, rtol,
+                                             s_inner=s_inner, report=report)
+    mu = 0.0
+    if case == "RG":
+        mu = mean_correction(f, spectrum, y_n, pair.inner, rtol, s_under=s_inner,
+                             report=report)
     if not f.is_constant and sigma <= 0.0:
         raise ZeroVariance(
             f"sigma={sigma} for nonconstant f; contour orientation needs review"
         )
     if f.is_constant:
         sigma = max(sigma, 0.0)
-    return CltMoments(mu=mu, sigma=sigma, case=case, kernel_max_abs=kernel_max)
+    return CltMoments(mu=mu, sigma=sigma, case=case, kernel_max_abs=kernel_max,
+                      pair=pair, quadrature=report)
 
 
 def normalize(lss_centered: float, m: CltMoments) -> float:

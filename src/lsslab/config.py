@@ -295,8 +295,8 @@ def parse_config(text: str) -> RunConfig:
     if v0 <= 0:
         raise ConstraintViolation("contour.v0 must be positive")
     nodes = _expect(contour_raw.get("nodes", _DEFAULTS["contour"]["nodes"]), int, "contour.nodes")
-    if nodes < 16:
-        raise ConstraintViolation("contour.nodes must be >= 16")
+    if not 16 <= nodes <= 8192:
+        raise ConstraintViolation("contour.nodes must be between 16 and 8192")
 
     trunc_raw = get("truncation")
     _expect(trunc_raw, dict, "truncation")

@@ -353,15 +353,17 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
                      n_small: int, inner_reps: int, outer_reps: int, seed: int,
                      ensemble: EntryEnsemble | None = None,
                      work_cap_seconds: float = 600.0,
-                     contour_nodes: int = 32) -> Sigma0Result:
+                     contour_nodes: int = 128) -> Sigma0Result:
     """Estimate the martingale variance sum by nested Monte Carlo.
 
     For each column j the conditional expectation over the not-yet-revealed
     columns is realized by redrawing them; two independent half-estimates
     are multiplied so the inner noise cancels in expectation instead of
     biasing the square.  Column weights use the deterministic equivalent
-    ``-z s_under(z)``.  Work is projected from a small eigendecomposition
-    benchmark and the run aborts beforehand if it exceeds the cap.
+    ``-z s_under(z)``.  The contour sum is one trapezoid rule of
+    ``contour_nodes`` nodes on the default inner contour.  Work is projected
+    from a small eigendecomposition benchmark and the run aborts beforehand
+    if it exceeds the cap.
     """
     from . import contour as contour_mod
     from .simulator import draw_entries, population_diagonal, replicate_seed, sample_entries

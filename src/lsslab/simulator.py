@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate as _scipy_integrate
 
 from .clt_moments import CltMoments, normalize
-from .contour import Contour, default_margin
+from .contour import Contour, build_contour
 from .diagnostics import ks_to_normal
 from .errors import DegenerateTruncation, LabError, LogDomain, NonConvergence
 from .spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
@@ -228,7 +228,7 @@ class SimConfig:
     truncation: TruncationPolicy = TruncationPolicy()
     max_entries: int = 1 << 26  # memory budget on p*n
     # inner contour the moments were computed on, reused for the centering
-    # and the confinement band; None builds the default rectangle
+    # and the confinement band; None builds the default one
     contour: Contour | None = None
 
     def __post_init__(self):
@@ -289,7 +289,8 @@ def run_experiment(cfg: SimConfig, moments: CltMoments,
     """
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
     y = cfg.ratio.y_n
-    centering = lss_centering(cfg.f, cfg.spectrum, y, cfg.ratio.p, contour=cfg.contour)
+    contour = cfg.contour or build_contour(cfg.spectrum, y, f=cfg.f)
+    centering = lss_centering(cfg.f, cfg.spectrum, y, cfg.ratio.p, contour=contour)
     truncation = None
     if cfg.truncation.mode == "on":
         n = cfg.ratio.n
@@ -304,7 +305,7 @@ def run_experiment(cfg: SimConfig, moments: CltMoments,
             raise type(exc)(f"replicate {i}: {exc}") from exc
 
     lo, hi = support_interval(cfg.spectrum, y)
-    eps = default_margin(cfg.spectrum, y) if cfg.contour is None else cfg.contour.x_r - hi
+    eps = contour.x_r - hi  # the contour's margin on the real axis
     low, high = lo - eps / 2.0, hi + eps / 2.0
     violations = sum(1 for r in rows if r.lam_min < low or r.lam_max > high)
     if violations:

@@ -227,9 +227,10 @@ def lss_centering(f: TestFunction, spectrum: PopulationSpectrum, y_n: float, p: 
     """Deterministic centering term of the linear spectral statistic.
 
     Computes ``-(p / 2 pi i) * contour integral of f(z) s(z) dz`` with the
-    transform of the primary law on a rectangle enclosing the bulk.  The
-    imaginary part must vanish up to quadrature error (checked against
-    1e-8 relative) and is discarded.
+    transform of the primary law, by default on the inner contour of
+    ``build_contour_pair``; the nested trapezoid ladder solves the transform
+    once per node.  The imaginary part must vanish up to quadrature error
+    (checked against 1e-8 relative) and is discarded.
     """
     from . import contour as contour_mod
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BATTERY
+from lsslab import clt_moments
 from lsslab.clt_moments import (CltMoments, _a_times_t_integral, _variance_level,
                                 compute_moments, kernel_from_s, mean_correction,
                                 normalize, variance, variance_with_kernel)
@@ -125,10 +126,25 @@ class TestFusedLevel:
         f = TestFunction.monomial(power)
         sp = BATTERY[name]
         pair = build_contour_pair(sp, y, f=f)
-        got, amax = _variance_level(f, sp, y, pair, 64)
+        got, coarse, amax = _variance_level(f, sp, y, pair, 64)
         want = _textbook_level(f, sp, y, pair, 64)
         assert abs(got - want) <= 1e-12 * abs(want)
+        # the m/2 rule is the even-index subgrid of the same kernel grid
+        want = _textbook_level(f, sp, y, pair, 32)
+        assert abs(coarse - want) <= 1e-12 * abs(want)
         assert 0.0 < amax < 1.0
+
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        # blocks of 8, 8, 8 and 6 rows against the whole 30 x 30 grid at
+        # once, on a contour whose levels are not powers of 2
+        f, sp, y = TestFunction.monomial(3), BATTERY["five_atom"], 0.5
+        pair = build_contour_pair(sp, y, m=30, f=f)
+        whole = _variance_level(f, sp, y, pair, 30)
+        monkeypatch.setattr(clt_moments, "_BLOCK_CELLS", 8 * 30)
+        blocked = _variance_level(f, sp, y, pair, 30)
+        assert blocked[2] == whole[2]
+        for b, w in zip(blocked[:2], whole[:2]):
+            assert abs(b - w) <= 1e-13 * abs(w)
 
 
 class TestMean:
@@ -229,6 +245,14 @@ class TestMomentsBundle:
             assert abs(a - mus[0]) <= 1e-7 * max(1.0, abs(mus[0]))
         for a in sigmas[1:]:
             assert abs(a - sigmas[0]) <= 1e-7 * abs(sigmas[0])
+
+    def test_small_margin_does_not_stall(self):
+        # sigma(x) = 2y and mu(x) = 0 on the identity; at eps = 0.03 the mean
+        # stalled at 9.5e-7 on the rectangle with one Gauss-Legendre panel
+        # per edge
+        mom = compute_moments(F_X, IDENTITY, 0.5, "RG", eps=0.03)
+        assert abs(mom.mu) <= 1e-9
+        assert mom.sigma == pytest.approx(1.0, rel=1e-9)
 
     def test_cg_case_zero_mean_same_sigma(self):
         rg = compute_moments(F_X2, IDENTITY, 0.5, "RG")

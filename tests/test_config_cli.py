@@ -7,13 +7,16 @@ import pytest
 
 from conftest import BATTERY
 from lsslab import cli
+from lsslab import clt_moments as clt_moments_mod
 from lsslab.cli import main, run
 from lsslab.config import (RunConfig, parse_config, parse_test_function,
                            serialize_spectrum, serialize_test_function)
 from lsslab.errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
 from lsslab.simulator import replicate_seed
-from lsslab.spectral_model import AspectRatio, support_interval
+from lsslab.spectral_model import AspectRatio, PopulationSpectrum, support_interval
 from lsslab.stieltjes import lsd_density
+
+IDENTITY = PopulationSpectrum.identity()
 
 
 class TestParseTestFunction:
@@ -90,6 +93,11 @@ class TestParseConfig:
         with pytest.raises(ConstraintViolation, match=r"n=\[32\]"):
             parse_config(json.dumps({"kind": kind, "y": 0.01, "n_grid": [32, 64]}))
 
+    @pytest.mark.parametrize("nodes", [8, 8193])
+    def test_contour_nodes_out_of_range_rejected(self, nodes):
+        with pytest.raises(ConstraintViolation, match="between 16 and 8192"):
+            parse_config(json.dumps({"kind": "moments", "contour": {"nodes": nodes}}))
+
     def test_simulate_needs_dims(self):
         with pytest.raises(MissingRequired):
             parse_config(json.dumps({"kind": "simulate"}))
@@ -161,21 +169,16 @@ class TestCliRuns:
         assert "\r" not in text
 
     def test_simulate_centers_on_configured_contour(self, tmp_path, monkeypatch):
-        # the default margin puts x_l at -0.106 for y = 0.5, where log is
-        # undefined; the configured eps = 0.03 keeps the rectangle in Re z > 0.
-        # Log moments are not computable yet, so hand-built ones stand in.
-        import lsslab.cli as cli_mod
+        # the configured eps = 0.03 (in place of log's default radii) sets
+        # the inner contour, and the centering runs on it
         import lsslab.simulator as sim_mod
-        from lsslab.clt_moments import CltMoments
 
-        monkeypatch.setattr(cli_mod, "compute_moments",
-                            lambda *a, **k: CltMoments(0.0, 1.0, "RG", 0.0))
         seen = []
         original = sim_mod.lss_centering
 
         def spy(*args, **kwargs):
-            seen.append(original(*args, **kwargs))
-            return seen[-1]
+            seen.append((kwargs["contour"], original(*args, **kwargs)))
+            return seen[-1][1]
 
         monkeypatch.setattr(sim_mod, "lss_centering", spy)
         cfgfile = tmp_path / "cfg.json"
@@ -186,7 +189,54 @@ class TestCliRuns:
         # p ((y - 1)/y log(1 - y) - 1), the MP log centering at y = 1/2
         y = 0.5
         expected = 256 * ((y - 1.0) / y * np.log(1.0 - y) - 1.0)
-        assert seen == [pytest.approx(expected, rel=1e-9)]
+        [(contour, centering)] = seen
+        assert centering == pytest.approx(expected, rel=1e-9)
+        assert contour.x_r == pytest.approx(support_interval(IDENTITY, y)[1] + 0.03)
+
+    @pytest.mark.parametrize("y", [0.25, 0.5, 0.9])
+    def test_log_moments_match_closed_forms(self, y, tmp_path):
+        # Bai & Silverstein (2004): mu(log) = log(1 - y)/2, sigma(log) = -2 log(1 - y)
+        mu, sigma = np.log(1.0 - y) / 2.0, -2.0 * np.log(1.0 - y)
+        n = 40
+        runs = {"moments": {"y": y}, "simulate": {"p": round(y * n), "n": n, "replicates": 3}}
+        for kind, extra in runs.items():
+            cfgfile = tmp_path / f"{kind}.json"
+            cfgfile.write_text(json.dumps({"kind": kind, "f": "log", **extra}))
+            assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+            doc = json.loads((tmp_path / f"{kind}_summary.json").read_text())["summary"]
+            assert doc["mu"] == pytest.approx(mu, rel=1e-9)
+            assert doc["sigma"] == pytest.approx(sigma, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["moments", "simulate"])
+    def test_log_above_one_fails_before_any_solve(self, kind, tmp_path, monkeypatch, capsys):
+        import lsslab.stieltjes as stieltjes_mod
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the transform was solved")
+
+        monkeypatch.setattr(stieltjes_mod, "s_under_grid", no_solve)
+        monkeypatch.setattr(clt_moments_mod, "s_under_grid", no_solve)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": kind, "f": "log", "y": 2.0, "p": 32, "n": 16,
+                                       "replicates": 2}))
+        assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert "LogDomain" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
+    def test_moments_summary_reports_quadrature(self, tmp_path):
+        assert main(["moments", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "moments_summary.json").read_text())["summary"]
+        contour = doc["contour"]
+        assert set(contour) == {"x_l", "x_r", "v_0", "nodes", "outer_x_l", "outer_x_r",
+                                "outer_v_0", "rho_inner", "rho_outer"}
+        assert contour["nodes"] == 64
+        assert 1.0 < contour["rho_inner"] < contour["rho_outer"]
+        assert set(doc["quadrature"]) == {"mean", "variance"}
+        # accepted estimates stay below rtol = 1e-9 times 1 + |moment|
+        # (mu = 1/2, sigma = 10 for x^2 at y = 1/2)
+        for q in doc["quadrature"].values():
+            assert q["nodes"] in (64, 128, 256)
+            assert 0.0 <= q["error"] <= 1e-9 * (1.0 + 10.0)
 
     def test_threads_flag_rejected(self):
         with pytest.raises(SystemExit):

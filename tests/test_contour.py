@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import BATTERY
-from lsslab.contour import (Contour, ContourPair, build_contour, build_contour_pair,
-                            default_margin, integrate)
+from lsslab.contour import (Contour, ContourPair, NodeValues, build_contour,
+                            build_contour_pair, default_margin, integrate)
 from lsslab.errors import LogDomain, NodeSingularity, QuadratureStall
 from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
 
@@ -12,10 +14,19 @@ IDENTITY = PopulationSpectrum.identity()
 
 class TestBuild:
     def test_rectangle_from_margin(self):
+        # the ellipse with foci lo = 0.25 and hi = 2.25 through hi + eps
         c = build_contour(IDENTITY, 0.25, eps=0.05, v_0=1.0)
         assert c.x_l == pytest.approx(0.20)
         assert c.x_r == pytest.approx(2.30)
-        assert c.v_0 == 1.0
+        assert c.v_0 == pytest.approx(math.sqrt(1.05**2 - 1.0))
+        assert c.rho == pytest.approx(1.05 + math.sqrt(1.05**2 - 1.0))
+
+    def test_half_height_capped_by_v0(self):
+        # the largest confocal ellipse inside [lo - eps, hi + eps] x [-v_0, v_0]
+        c = build_contour(IDENTITY, 0.25, eps=0.5, v_0=0.4)
+        assert c.v_0 == 0.4
+        assert c.x_r == pytest.approx(1.25 + math.sqrt(1.0 + 0.4**2))
+        assert c.x_r < 2.25 + 0.5
 
     def test_negative_left_edge_when_bulk_touches_zero(self):
         c = build_contour(IDENTITY, 4.0, eps=0.05, v_0=1.0)
@@ -29,7 +40,18 @@ class TestBuild:
         pair = build_contour_pair(IDENTITY, 0.25, eps=0.05, v_0=1.0)
         assert pair.outer.x_l == pytest.approx(pair.inner.x_l - 0.05)
         assert pair.outer.x_r == pytest.approx(pair.inner.x_r + 0.05)
-        assert pair.outer.v_0 == pytest.approx(2.0 * pair.inner.v_0)
+        # confocal: both have foci lo = 0.25 and hi = 2.25
+        for c in (pair.inner, pair.outer):
+            a = (c.x_r - c.x_l) / 2
+            assert a * a - c.v_0 * c.v_0 == pytest.approx(1.0)
+        assert pair.inner.rho < pair.outer.rho
+
+    def test_log_default_radii(self):
+        # R0 = (sqrt(hi) + sqrt(lo)) / (sqrt(hi) - sqrt(lo)) = 2 at y = 0.25
+        pair = build_contour_pair(IDENTITY, 0.25, f=TestFunction.log())
+        assert pair.inner.rho == pytest.approx(2.0 ** (1 / 3))
+        assert pair.outer.rho == pytest.approx(2.0 ** (2 / 3))
+        assert pair.outer.x_l > 0
 
     def test_pair_requires_strict_containment(self):
         inner = Contour(0.0, 2.0, 1.0)
@@ -39,6 +61,8 @@ class TestBuild:
     def test_log_rejected_when_left_edge_nonpositive(self):
         with pytest.raises(LogDomain):
             build_contour(IDENTITY, 4.0, eps=0.05, v_0=1.0, f=TestFunction.log())
+        with pytest.raises(LogDomain):
+            build_contour(IDENTITY, 1.0, f=TestFunction.log())
         # lo = 0.25 at y = 0.25; eps larger than lo pushes x_l below 0
         with pytest.raises(LogDomain):
             build_contour(IDENTITY, 0.25, eps=0.3, v_0=1.0, f=TestFunction.log())
@@ -48,11 +72,32 @@ class TestBuild:
         with pytest.raises(LogDomain):
             build_contour_pair(IDENTITY, 0.25, eps=0.15, v_0=1.0, f=TestFunction.log())
 
-    def test_edges_chain_closed(self):
-        c = build_contour(IDENTITY, 0.5)
-        segs = c.segments
-        for (_, end), (start, _) in zip(segs, segs[1:] + segs[:1]):
-            assert end == start
+    @pytest.mark.parametrize("m0", [16, 17, 64])
+    def test_levels_nest_off_the_real_axis(self, m0):
+        c = build_contour(IDENTITY, 0.5, m=m0)
+        coarse_z, coarse_w = c.nodes()
+        for k in range(1, 10):
+            z, w = c.nodes(m0 * 2**k)
+            assert np.all(z.imag != 0.0)
+            # the rule at m holds the rule at m/2 as its even-index half
+            assert np.array_equal(z[::2], coarse_z)
+            assert np.array_equal(2.0 * w[::2], coarse_w)
+            coarse_z, coarse_w = z, w
+
+    def test_node_values_evaluate_each_node_once(self):
+        c = build_contour(IDENTITY, 0.5, m=16)
+        seen = []
+
+        def g(z):
+            seen.append(z.copy())
+            return z * z
+
+        values = NodeValues(g, c)
+        for m in (16, 32, 128, 64, 16):
+            z, _ = c.nodes(m)
+            assert np.array_equal(values(m), z * z)
+        assert [len(z) for z in seen] == [16, 16, 96]
+        assert np.unique(np.concatenate(seen)).size == 128
 
     def test_minimum_node_count(self):
         with pytest.raises(ValueError, match="node count"):

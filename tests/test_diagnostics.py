@@ -232,13 +232,14 @@ class TestSigma0:
         assert res.estimate == 0.0
 
     @pytest.mark.parametrize("ensemble,expected", [
-        (EntryEnsemble.real_gaussian(), 20.01016593782114),
-        (EntryEnsemble.complex_gaussian(), 5.443063446651592),
-        (EntryEnsemble.rademacher(), 0.3847656236277999),
+        (EntryEnsemble.real_gaussian(), 20.010132702313935),
+        (EntryEnsemble.complex_gaussian(), 5.443063516176532),
+        (EntryEnsemble.rademacher(), 0.38476562500000594),
     ], ids=["RG", "CG", "rademacher"])
     def test_random_stream_pinned(self, ensemble, expected):
         # recorded values: a change to how the outer and inner columns are
-        # drawn moves every estimate
+        # drawn moves every estimate, and so does a change of the contour
+        # nodes (the 128 nodes of the default inner ellipse)
         res = sigma0_nested_mc(TestFunction.monomial(2), IDENTITY, 0.5, n_small=8,
                                inner_reps=4, outer_reps=3, seed=11, ensemble=ensemble)
         assert res.estimate == pytest.approx(expected, rel=1e-10)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BATTERY, random_offbulk_points
+from lsslab.contour import build_contour
 from lsslab.errors import OutsideSupport, PoleAtAtom
 from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
 from lsslab.stieltjes import (companion_to_primary, inverse_map, lsd_density,
@@ -350,3 +351,13 @@ class TestCentering:
         p, y = 40, 2.0
         f = TestFunction.polynomial([1.0])
         assert lss_centering(f, IDENTITY, y, p) == pytest.approx(p, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["identity", "five_atom"])
+    def test_small_margin_does_not_stall(self, name):
+        # on the identity a 0.01 margin stalled at an error estimate of
+        # 3.0e-6 on the rectangle with one Gauss-Legendre panel per edge
+        sp = BATTERY[name]
+        p, y = 48, 0.5
+        c = build_contour(sp, y, eps=0.01)
+        val = lss_centering(TestFunction.monomial(1), sp, y, p, contour=c)
+        assert val == pytest.approx(p * sp.moment(1), rel=1e-10)
