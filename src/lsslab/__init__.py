@@ -7,7 +7,7 @@ from .spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
                              TestFunction, support_interval)
 from .stieltjes import (StieltjesSolution, inverse_map, lsd_density,
                         lss_centering, solve_s_under)
-from .contour import Contour, ContourPair, build_contour, build_contour_pair, integrate
+from .contour import Contour, build_contour, integrate
 from .clt_moments import CltMoments, compute_moments, mean_correction, normalize, variance
 from .simulator import (ExperimentRecord, SimConfig, TruncationPolicy, assemble_B,
                         eigenvalues, lss_centered, run_experiment, sample_entries,
@@ -19,8 +19,7 @@ from .diagnostics import (RateFit, SteinContext, fit_rate, ks_to_normal,
 __all__ = [
     "AspectRatio", "EntryEnsemble", "PopulationSpectrum", "TestFunction",
     "support_interval", "StieltjesSolution", "inverse_map", "lsd_density",
-    "lss_centering", "solve_s_under", "Contour", "ContourPair", "build_contour",
-    "build_contour_pair", "integrate", "CltMoments",
+    "lss_centering", "solve_s_under", "Contour", "build_contour", "integrate", "CltMoments",
     "compute_moments", "mean_correction", "normalize", "variance",
     "ExperimentRecord", "SimConfig", "TruncationPolicy", "assemble_B",
     "eigenvalues", "lss_centered", "run_experiment", "sample_entries",

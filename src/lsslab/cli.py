@@ -97,15 +97,12 @@ def run_lsd(cfg: RunConfig, out: Path, started: str) -> str:
 
 def run_moments(cfg: RunConfig, out: Path, started: str) -> str:
     mom = _moments(cfg, cfg.y)
-    inner, outer = mom.pair.inner, mom.pair.outer
+    c = mom.contour
     summary = {
         "mu": mom.mu, "sigma": mom.sigma, "case": mom.case,
         "kernel_max_abs": mom.kernel_max_abs,
-        "contour": {"x_l": inner.x_l, "x_r": inner.x_r, "v_0": inner.v_0,
-                    "nodes": inner.m, "rho_inner": inner.rho,
-                    "outer_x_l": outer.x_l, "outer_x_r": outer.x_r,
-                    "outer_v_0": outer.v_0, "rho_outer": outer.rho},
-        # accepted nodes per contour and the last error estimate, per integral
+        "contour": {"x_l": c.x_l, "x_r": c.x_r, "v_0": c.v_0, "nodes": c.m, "rho": c.rho},
+        # accepted node count and the last error estimate, per integral
         "quadrature": {name: {"nodes": q.nodes, "error": q.error}
                        for name, q in mom.quadrature.items()},
     }
@@ -120,11 +117,11 @@ def _moments(cfg: RunConfig, y_n: float):
 
 
 def _experiment(cfg: RunConfig, ratio: AspectRatio, mom, replicates: int, root_seed: int):
-    # centered on the inner contour the moments were computed on
+    # centered on the contour the moments were computed on
     sim = SimConfig(ratio=ratio, spectrum=cfg.spectrum, ensemble=cfg.ensemble,
                     f=cfg.f, replicates=replicates, root_seed=root_seed,
                     truncation=TruncationPolicy(cfg.truncation_mode, cfg.truncation_eta),
-                    contour=mom.pair.inner)
+                    contour=mom.contour)
     return run_experiment(sim, mom, config_snapshot=cfg.to_dict())
 
 

@@ -11,24 +11,28 @@ at the companion transform s and the covariance kernel
 
     a(z1,z2) = y s(z1) s(z2) sum_j w_j t_j^2 / ((1 + t_j s(z1))(1 + t_j s(z2))).
 
-The kernel stays strictly inside the unit disk on nested contours, so the
-inner t-integral collapses to ``-log(1 - a)`` (principal branch).
+The kernel is the rank-K sum ``a = sum_k v_k(s1) v_k(s2)`` with
+``v_k(s) = sqrt(y w_k) t_k s / (1 + t_k s)``, so ``I2(z) = a(z, z)`` and,
+by Cauchy-Schwarz, ``|a(z1,z2)|^2 <= a(z1,conj z1) a(z2,conj z2)``, where
+``a(z,conj z) = 1 - Im z |s|^2 / Im s < 1`` off the real axis.  The kernel
+therefore stays strictly inside the unit disk for every pair of non-real
+points, the inner t-integral collapses to ``-log(1 - a)`` (principal
+branch), and that log is analytic in each variable off the bulk: unlike
+the double pole ``s1' s2' / (s1 - s2)^2`` it came from by parts, it has no
+singularity on ``z1 = z2``.  So both variables run over the same contour.
 
-The contours are two confocal ellipses around the bulk (``contour.py``)
-with the nested trapezoid rule, whose levels share their nodes: the
-transform is solved once per node across levels, and the inner contour's
-values serve both the mean and the variance.  One quadrature level of the
-variance at m nodes per contour costs a few passes over the m x m node
-grid, formed in row blocks of bounded size; the rule at m/2, against which
-the level is checked, is the grid's even-index subgrid.  The kernel is the
-rank-K sum ``a = sum_k v_k(s1) v_k(s2)`` with ``v_k(s) = sqrt(y w_k) t_k s
-/ (1 + t_k s)``, so each block is one real matrix product of small factor
-matrices (``kernel_from_s``).  The log is
-taken in real arithmetic, ``-log(1 - a) = -log1p(ar (ar - 2) + ai^2) / 2
-+ i atan2(ai, 1 - ar)``, which is accurate to rounding for every
-``|a| < 1`` (``_a_times_t_integral``).  ``f'`` is folded into the
-quadrature weights, ``(w1 f'(z1)) @ L @ (w2 f'(z2))``, so no f'-grid is
-built.
+That contour is one ellipse around the bulk (``contour.py``) with the
+nested trapezoid rule, whose levels share their nodes: the transform is
+solved once per node across levels, and its values serve both the mean and
+the variance.  One quadrature level of the variance at m nodes costs a few
+passes over the m x m node grid, formed in row blocks of bounded size; the
+rule at m/2, against which the level is checked, is the grid's even-index
+subgrid.  Each block of the kernel is one real matrix product of small
+factor matrices (``kernel_from_s``).  The log is taken in real arithmetic,
+``-log(1 - a) = -log1p(ar (ar - 2) + ai^2) / 2 + i atan2(ai, 1 - ar)``,
+which is accurate to rounding for every ``|a| < 1``
+(``_a_times_t_integral``).  ``f'`` is folded into the quadrature weights,
+``g = w f'(z)``, and a level is ``g @ L @ g``, so no f'-grid is built.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contour import (Contour, ContourPair, NodeValues, _doubling_ladder, build_contour_pair,
-                      trapezoid)
+from .contour import Contour, NodeValues, _doubling_ladder, build_contour, trapezoid
 from .errors import DenominatorNearZero, KernelOutOfDisk, QuadratureStall, ZeroVariance
 from .spectral_model import PopulationSpectrum, TestFunction
 from .stieltjes import s_under_grid
@@ -55,9 +58,9 @@ class CltMoments:
     sigma: float
     case: str  # "RG" or "CG"
     kernel_max_abs: float
-    # provenance, not compared: the contour pair used and where each ladder
+    # provenance, not compared: the contour used and where each ladder
     # stopped ({"mean": Quadrature, "variance": Quadrature}, no mean for CG)
-    pair: ContourPair | None = field(default=None, compare=False)
+    contour: Contour | None = field(default=None, compare=False)
     quadrature: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -128,15 +131,15 @@ def _a_times_t_integral(a):
 
 
 def _mean_integrand(z, s, spectrum: PopulationSpectrum, y_n: float):
-    """``I3 / (1 - I2)^2`` from the companion transform s at the nodes z."""
-    i3 = np.zeros_like(s)
-    i2 = np.zeros_like(s)
-    for t, w in spectrum.atoms:
-        ts = 1.0 + t * s
-        i2 += w * t * t * s * s / ts**2
-        i3 += w * t * t * s**3 / ts**3
-    i2 *= y_n
-    i3 *= y_n
+    """``I3 / (1 - I2)^2`` from the companion transform s at the nodes z.
+
+    ``I2 = sum_k v_k^2`` (the kernel's diagonal ``a(z, z)``) and
+    ``I3 = sum_k v_k^2 s / (1 + t_k s)``, with the factors of ``_atom_factors``.
+    """
+    v2 = _atom_factors(s, spectrum, y_n) ** 2
+    s = s[..., None]
+    i2 = v2.sum(axis=-1)
+    i3 = (v2 * (s / (1.0 + spectrum.eigenvalues * s))).sum(axis=-1)
     denom = 1.0 - i2
     near = np.abs(denom) < 1e-10
     if near.any():
@@ -175,52 +178,50 @@ def mean_correction(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
 
 
 def _variance_level(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
-                    pair: ContourPair, m: int, s1: np.ndarray | None = None,
-                    s2: np.ndarray | None = None) -> tuple[complex, complex, float]:
-    """The rule at m nodes per contour, the rule at m/2 and the largest |a| on the grid.
+                    c: Contour, m: int, s: np.ndarray | None = None
+                    ) -> tuple[complex, complex, float]:
+    """The rule at m nodes, the rule at m/2 and the largest |a| on the grid.
 
-    The m/2 rule is the even-index subgrid of the same kernel grid, which
-    is formed in blocks of at most 2^18 cells, so memory stays bounded
-    however fine the level.  ``s1`` and ``s2`` are the companion transform
-    at the inner and outer nodes, solved here when not given.
+    Both variables run over the m nodes of c, so a level is ``g @ L @ g``
+    with ``g = w f'(z)`` and ``L = -log(1 - a)`` on the node grid.  The m/2
+    rule is the even-index subgrid of the same kernel grid, which is formed
+    in blocks of at most 2^18 cells, so memory stays bounded however fine
+    the level.  ``s`` is the companion transform at the nodes, solved here
+    when not given.
     """
-    z1, w1 = pair.inner.nodes(m)
-    z2, w2 = pair.outer.nodes(m)
-    s1 = s_under_grid(z1, spectrum, y_n) if s1 is None else s1
-    s2 = s_under_grid(z2, spectrum, y_n) if s2 is None else s2
-    g1, g2 = w1 * f.deriv(z1), w2 * f.deriv(z2)
-    g2_even = g2[::2]
+    z, w = c.nodes(m)
+    s = s_under_grid(z, spectrum, y_n) if s is None else s
+    g = w * f.deriv(z)
+    g_even = g[::2]
     rows = 2 * max(1, _BLOCK_CELLS // (2 * m))  # even, so blocks start on even rows
     fine = coarse = 0j
     amax = 0.0
     for i in range(0, m, rows):
-        a = kernel_from_s(s1[i:i + rows, None], s2[None, :], spectrum, y_n)
+        a = kernel_from_s(s[i:i + rows, None], s[None, :], spectrum, y_n)
         amax = max(amax, float(np.max(np.abs(a))))
         if amax >= 1.0:
             raise KernelOutOfDisk(f"|a| reached {amax:.6f} on the node grid")
         log = _a_times_t_integral(a)
-        fine += g1[i:i + rows] @ (log @ g2)
-        coarse += g1[i:i + rows:2] @ (log[::2, ::2] @ g2_even)
+        fine += g[i:i + rows] @ (log @ g)
+        coarse += g[i:i + rows:2] @ (log[::2, ::2] @ g_even)
     return complex(fine), 4.0 * complex(coarse), amax
 
 
 def variance_with_kernel(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
-                         pair: ContourPair, rtol: float = 1e-9, *,
-                         s_inner: NodeValues | None = None,
+                         c: Contour, rtol: float = 1e-9, *,
+                         s_under: NodeValues | None = None,
                          report: dict | None = None) -> tuple[float, float]:
     """Variance plus the maximum kernel modulus seen on the accepted grid.
 
     Same doubling ladder as the contour engine, with the transform solved
-    once per node across levels.  ``s_inner`` is the transform at the inner
-    nodes when a caller shares it with the mean; ``report["variance"]``,
+    once per node across levels.  ``s_under`` is the transform at the nodes
+    of c when a caller shares it with the mean; ``report["variance"]``,
     when a dict is given, receives where the ladder stopped, with its error
     estimate in units of the variance.
     """
-    s1 = _transform(pair.inner, spectrum, y_n) if s_inner is None else s_inner
-    s2 = _transform(pair.outer, spectrum, y_n)
+    s = _transform(c, spectrum, y_n) if s_under is None else s_under
     quad, amax = _doubling_ladder(
-        lambda m: _variance_level(f, spectrum, y_n, pair, m, s1(m), s2(m)),
-        pair.inner.m, rtol, "variance")
+        lambda m: _variance_level(f, spectrum, y_n, c, m, s(m)), c.m, rtol, "variance")
     raw = -quad.value / (2.0 * np.pi**2)
     if abs(raw.imag) > _IMAG_RTOL * (1.0 + abs(raw.real)):
         raise QuadratureStall(f"variance kept imaginary residue {raw.imag:.3e}")
@@ -230,9 +231,9 @@ def variance_with_kernel(f: TestFunction, spectrum: PopulationSpectrum, y_n: flo
 
 
 def variance(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
-             pair: ContourPair, rtol: float = 1e-9) -> float:
+             c: Contour, rtol: float = 1e-9) -> float:
     """Asymptotic variance of the centered statistic."""
-    sigma, _ = variance_with_kernel(f, spectrum, y_n, pair, rtol)
+    sigma, _ = variance_with_kernel(f, spectrum, y_n, c, rtol)
     return sigma
 
 
@@ -244,19 +245,19 @@ def compute_moments(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     The mean correction applies to the real-entry case only; the circular
     complex case has zero asymptotic mean by construction and its
     normalization divides by sqrt(sigma / 2) instead.  The transform at
-    the inner nodes is solved once and shared by the variance and the mean.
+    the contour's nodes is solved once and shared by the variance and the
+    mean.
     """
     if case not in ("RG", "CG"):
         raise ValueError(f"case must be RG or CG, got {case!r}")
-    pair = build_contour_pair(spectrum, y_n, eps, v_0, m, f=f)
-    s_inner = _transform(pair.inner, spectrum, y_n)
+    c = build_contour(spectrum, y_n, eps, v_0, m, f=f)
+    s = _transform(c, spectrum, y_n)
     report = {}
-    sigma, kernel_max = variance_with_kernel(f, spectrum, y_n, pair, rtol,
-                                             s_inner=s_inner, report=report)
+    sigma, kernel_max = variance_with_kernel(f, spectrum, y_n, c, rtol, s_under=s,
+                                             report=report)
     mu = 0.0
     if case == "RG":
-        mu = mean_correction(f, spectrum, y_n, pair.inner, rtol, s_under=s_inner,
-                             report=report)
+        mu = mean_correction(f, spectrum, y_n, c, rtol, s_under=s, report=report)
     if not f.is_constant and sigma <= 0.0:
         raise ZeroVariance(
             f"sigma={sigma} for nonconstant f; contour orientation needs review"
@@ -264,7 +265,7 @@ def compute_moments(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     if f.is_constant:
         sigma = max(sigma, 0.0)
     return CltMoments(mu=mu, sigma=sigma, case=case, kernel_max_abs=kernel_max,
-                      pair=pair, quadrature=report)
+                      contour=c, quadrature=report)
 
 
 def normalize(lss_centered: float, m: CltMoments) -> float:

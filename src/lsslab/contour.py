@@ -1,9 +1,9 @@
-"""Elliptic integration contours with the nested trapezoid rule.
+"""The elliptic integration contour with the nested trapezoid rule.
 
-A contour is the ellipse inscribed in the rectangle
-``[x_l, x_r] x [-v_0, v_0]``, traversed counterclockwise.  The builders
-make it confocal with the enclosing interval ``[lo, hi]`` of the bulk: with
-centre ``c`` and half-width ``h`` of that interval its nodes are
+The contour is the ellipse inscribed in the rectangle
+``[x_l, x_r] x [-v_0, v_0]``, traversed counterclockwise.  The builder
+makes it confocal with the enclosing interval ``[lo, hi]`` of the bulk:
+with centre ``c`` and half-width ``h`` of that interval its nodes are
 
     z = c + h (rho e^{i theta} + e^{-i theta} / rho) / 2
 
@@ -11,12 +11,15 @@ at equally spaced ``theta``, where ``rho > 1`` is the ellipse's conformal
 radius.  The trapezoid rule on it converges geometrically, at a rate set by
 ``rho`` against 1 (the bulk) and against the conformal radius of the
 nearest singularity of the integrand outside it (Trefethen & Weideman, SIAM
-Rev. 56, 2014).  Every ``theta`` is shifted by ``pi / (3 m0)`` for the
-starting node count ``m0``: the levels ``m0 2^k`` then nest, so the rule at
-m nodes holds the rule at m/2 as its even-index half, and no node lands on
-the real axis.  Quadrature error is controlled by comparing the two and
-doubling m until their difference clears the tolerance; each node is
-evaluated once however many levels run.
+Rev. 56, 2014).  One contour serves every integral of the lab: the mean,
+the centering and both variables of the variance's double integral, whose
+integrand is analytic off the bulk in each variable (``clt_moments``).
+Every ``theta`` is shifted by ``pi / (3 m0)`` for the starting node count
+``m0``: the levels ``m0 2^k`` then nest, so the rule at m nodes holds the
+rule at m/2 as its even-index half, and no node lands on the real axis.
+Quadrature error is controlled by comparing the two and doubling m until
+their difference clears the tolerance; each node is evaluated once however
+many levels run.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .spectral_model import PopulationSpectrum, TestFunction, support_interval
 DEFAULT_NODES = 64
 DEFAULT_V0 = 1.0
 _MIN_NODES = 16
-_MAX_NODES = 1 << 13  # per contour; c03's pole at 1.2 + 0.3j needs 2048
+_MAX_NODES = 1 << 13  # c03's pole at 1.2 + 0.3j needs 2048
 
 
 @dataclass(frozen=True)
@@ -73,20 +76,6 @@ class Contour:
         return z, (2.0 * np.pi / m) * (-a * sin + 1j * self.v_0 * cos)
 
 
-@dataclass(frozen=True)
-class ContourPair:
-    """Strictly nested contours for the double variance integral."""
-
-    inner: Contour
-    outer: Contour
-
-    def __post_init__(self):
-        ok = (self.outer.x_l < self.inner.x_l and self.inner.x_r < self.outer.x_r
-              and self.inner.v_0 < self.outer.v_0)
-        if not ok:
-            raise ValueError("outer contour must strictly contain the inner one")
-
-
 def default_margin(spectrum: PopulationSpectrum, y: float) -> float:
     lo, hi = support_interval(spectrum, y)
     return 0.05 * (hi - lo + 1.0)
@@ -103,47 +92,37 @@ def _confocal(lo: float, hi: float, eps: float, v_0: float, m: int) -> Contour:
     return Contour(x_l=c - a, x_r=c + a, v_0=b, m=m)
 
 
-def build_contour_pair(spectrum: PopulationSpectrum, y: float, eps: float | None = None,
-                       v_0: float = DEFAULT_V0, m: int = DEFAULT_NODES,
-                       f: TestFunction | None = None) -> ContourPair:
-    """Two ellipses confocal with the enclosing interval ``[lo, hi]`` of the bulk.
+def build_contour(spectrum: PopulationSpectrum, y: float, eps: float | None = None,
+                  v_0: float = DEFAULT_V0, m: int = DEFAULT_NODES,
+                  f: TestFunction | None = None) -> Contour:
+    """The ellipse confocal with the enclosing interval ``[lo, hi]`` of the bulk.
 
-    The inner one reaches ``hi + eps`` on the real axis and the outer one
-    ``hi + 2 eps``, each capped so that its half-height stays at most
-    ``v_0`` and ``2 v_0``.  ``eps`` defaults to ``0.05 (hi - lo + 1)``; for
-    ``f = log``, whose singularity 0 sits at conformal radius
-    ``R0 = (sqrt(hi) + sqrt(lo)) / (sqrt(hi) - sqrt(lo))``, the default
-    radii are ``R0^(1/3)`` and ``R0^(2/3)`` instead, which balances the
-    convergence rates of the three singular sets.  Raises ``LogDomain``
-    before any work when log is asked for and the outer ellipse reaches
-    ``Re z <= 0`` (always so when ``lo = 0``).
+    It reaches ``hi + eps`` on the real axis, shrunk if needed so that its
+    half-height stays at most ``v_0``.  ``eps`` defaults to
+    ``0.05 (hi - lo + 1)``; for ``f = log``, whose singularity 0 sits at
+    conformal radius ``R0 = (sqrt(hi) + sqrt(lo)) / (sqrt(hi) - sqrt(lo))``,
+    the default radius is ``R0^(1/2)`` instead, which balances the
+    convergence rate against the bulk (radius 1) with the rate against 0.
+    Raises ``LogDomain`` before any work when log is asked for and the
+    ellipse reaches ``Re z <= 0`` (always so when ``lo = 0``).
     """
     if (eps is not None and eps <= 0) or v_0 <= 0:
         raise ValueError("eps and v_0 must be positive")
     lo, hi = support_interval(spectrum, y)
-    h = (hi - lo) / 2.0
     log = f is not None and f.kind == "log"
     if log and eps is None and lo > 0:
-        r0 = (math.sqrt(hi) + math.sqrt(lo)) / (math.sqrt(hi) - math.sqrt(lo))
-        margins = [h * ((r + 1.0 / r) / 2.0 - 1.0) for r in (r0 ** (1 / 3), r0 ** (2 / 3))]
-    else:
-        eps = default_margin(spectrum, y) if eps is None else eps
-        margins = [eps, 2.0 * eps]
-    inner, outer = (_confocal(lo, hi, e, v, m) for e, v in zip(margins, (v_0, 2.0 * v_0)))
-    if log and not (lo > 0 and outer.x_l > 0):
+        r = math.sqrt((math.sqrt(hi) + math.sqrt(lo)) / (math.sqrt(hi) - math.sqrt(lo)))
+        eps = (hi - lo) / 2.0 * ((r + 1.0 / r) / 2.0 - 1.0)
+    elif eps is None:
+        eps = default_margin(spectrum, y)
+    c = _confocal(lo, hi, eps, v_0, m)
+    if log and not (lo > 0 and c.x_l > 0):
         raise LogDomain(
-            f"log test function needs the contour pair in Re z > 0, but the bulk lower "
-            f"edge is {lo} and the outer contour reaches x_l={outer.x_l}; the bulk must "
-            f"stay away from 0 (y < 1, no zero atom) and contour.eps below it"
+            f"log test function needs the contour in Re z > 0, but the bulk lower edge "
+            f"is {lo} and the contour reaches x_l={c.x_l}; the bulk must stay away from "
+            f"0 (y < 1, no zero atom) and contour.eps below it"
         )
-    return ContourPair(inner=inner, outer=outer)
-
-
-def build_contour(spectrum: PopulationSpectrum, y: float, eps: float | None = None,
-                  v_0: float = DEFAULT_V0, m: int = DEFAULT_NODES,
-                  f: TestFunction | None = None) -> Contour:
-    """The inner contour of ``build_contour_pair`` with the same arguments."""
-    return build_contour_pair(spectrum, y, eps, v_0, m, f).inner
+    return c
 
 
 def _eval_nodes(g, z: np.ndarray) -> np.ndarray:
@@ -186,7 +165,7 @@ class NodeValues:
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Where a ladder stopped: the accepted sum, its node count per contour and error estimate."""
+    """Where a ladder stopped: the accepted sum, its node count and error estimate."""
 
     value: complex
     nodes: int
@@ -196,11 +175,11 @@ class Quadrature:
 def _doubling_ladder(level, m: int, rtol: float, what: str) -> tuple[Quadrature, object]:
     """Node-doubling error control shared by every contour integral.
 
-    ``level(k)`` returns ``(fine, coarse, info)``: the rule at k nodes per
-    contour and the rule at k/2, its even-index half.  Their difference is
+    ``level(k)`` returns ``(fine, coarse, info)``: the rule at k nodes and
+    the rule at k/2, its even-index half.  Their difference is
     the error estimate; the first level whose estimate clears
     ``rtol * (1 + |fine|)`` is returned with its ``info``.  Gives up with
-    QuadratureStall past 8192 nodes per contour.
+    QuadratureStall past 8192 nodes.
     """
     while True:
         fine, coarse, info = level(m)
@@ -209,7 +188,7 @@ def _doubling_ladder(level, m: int, rtol: float, what: str) -> tuple[Quadrature,
             return Quadrature(fine, m, err), info
         if 2 * m > _MAX_NODES:
             raise QuadratureStall(
-                f"{what} error estimate {err:.3e} still above rtol={rtol} at {m} nodes/contour"
+                f"{what} error estimate {err:.3e} still above rtol={rtol} at {m} nodes"
             )
         m *= 2
 

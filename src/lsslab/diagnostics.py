@@ -361,7 +361,7 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     are multiplied so the inner noise cancels in expectation instead of
     biasing the square.  Column weights use the deterministic equivalent
     ``-z s_under(z)``.  The contour sum is one trapezoid rule of
-    ``contour_nodes`` nodes on the default inner contour.  Work is projected
+    ``contour_nodes`` nodes on the default contour.  Work is projected
     from a small eigendecomposition benchmark and the run aborts beforehand
     if it exceeds the cap.
     """

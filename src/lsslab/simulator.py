@@ -227,7 +227,7 @@ class SimConfig:
     root_seed: int
     truncation: TruncationPolicy = TruncationPolicy()
     max_entries: int = 1 << 26  # memory budget on p*n
-    # inner contour the moments were computed on, reused for the centering
+    # contour the moments were computed on, reused for the centering
     # and the confinement band; None builds the default one
     contour: Contour | None = None
 

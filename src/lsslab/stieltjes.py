@@ -227,9 +227,9 @@ def lss_centering(f: TestFunction, spectrum: PopulationSpectrum, y_n: float, p: 
     """Deterministic centering term of the linear spectral statistic.
 
     Computes ``-(p / 2 pi i) * contour integral of f(z) s(z) dz`` with the
-    transform of the primary law, by default on the inner contour of
-    ``build_contour_pair``; the nested trapezoid ladder solves the transform
-    once per node.  The imaginary part must vanish up to quadrature error
+    transform of the primary law, by default on ``build_contour``'s ellipse,
+    the one the moments use; the nested trapezoid ladder solves the
+    transform once per node.  The imaginary part must vanish up to quadrature error
     (checked against 1e-8 relative) and is discarded.
     """
     from . import contour as contour_mod

@@ -14,7 +14,7 @@ from scipy import integrate, stats
 
 from conftest import BATTERY, random_offbulk_points
 from lsslab.clt_moments import compute_moments, kernel_from_s, mean_correction, variance
-from lsslab.contour import Contour, build_contour, build_contour_pair
+from lsslab.contour import Contour, build_contour
 from lsslab.diagnostics import (SteinContext, fit_rate, qform_probe,
                                 sigma0_nested_mc, stein_Nh, stein_bound_report,
                                 stein_h, stein_residual)
@@ -84,11 +84,10 @@ def test_c04_moment_oracles():
     t0 = time.perf_counter()
     y = 0.5
     c = build_contour(IDENTITY, y)
-    pair = build_contour_pair(IDENTITY, y)
     mu_const = mean_correction(TestFunction.polynomial([1.0]), IDENTITY, y, c)
     mu_lin = mean_correction(F_X, IDENTITY, y, c)
     # direct derivation: Var(tr B) = Var((1/n) sum x_ia^2) = 2p/n for T = I
-    sigma_lin = variance(F_X, IDENTITY, y, pair)
+    sigma_lin = variance(F_X, IDENTITY, y, c)
     # moment counting for real Gaussian entries, T = I:
     #   E tr B^2 = p(n+p+1)/n,  p * second moment of the limit law = p(1+y)
     p_ref, n_ref = 500, 1000
@@ -124,12 +123,9 @@ def test_c06_kernel_disk_bound():
     cases = [(sp, 0.5) for sp in BATTERY.values()]
     cases += [(IDENTITY, 0.25), (IDENTITY, 1.0), (IDENTITY, 2.0)]
     for sp, y in cases:
-        pair = build_contour_pair(sp, y)
-        z1, _ = pair.inner.nodes()
-        z2, _ = pair.outer.nodes()
-        s1 = s_under_grid(z1, sp, y)
-        s2 = s_under_grid(z2, sp, y)
-        a = kernel_from_s(s1[:, None], s2[None, :], sp, y)
+        z, _ = build_contour(sp, y).nodes()
+        s = s_under_grid(z, sp, y)
+        a = kernel_from_s(s[:, None], s[None, :], sp, y)
         worst = max(worst, float(np.max(np.abs(a))))
     dt = time.perf_counter() - t0
     report(6, worst < 1.0 and dt < 30.0,

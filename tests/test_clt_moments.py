@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from conftest import BATTERY
 from lsslab import clt_moments
-from lsslab.clt_moments import (CltMoments, _a_times_t_integral, _variance_level,
-                                compute_moments, kernel_from_s, mean_correction,
-                                normalize, variance, variance_with_kernel)
-from lsslab.contour import build_contour, build_contour_pair
+from lsslab.clt_moments import (CltMoments, _a_times_t_integral, _mean_integrand,
+                                _variance_level, compute_moments, kernel_from_s,
+                                mean_correction, normalize, variance, variance_with_kernel)
+from lsslab.contour import _confocal, _doubling_ladder, build_contour
 from lsslab.errors import ZeroVariance
 from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
-from lsslab.stieltjes import s_under_grid, solve_s_under
+from lsslab.stieltjes import inverse_map, s_under_grid, solve_s_under
 
 IDENTITY = PopulationSpectrum.identity()
 DELTA0 = PopulationSpectrum.from_pairs([(0.0, 1.0)])
@@ -40,12 +40,9 @@ class TestKernel:
 
     @pytest.mark.parametrize("y", [0.25, 1.0, 2.0])
     def test_unit_disk_bound_identity(self, y):
-        pair = build_contour_pair(IDENTITY, y)
-        z1, _ = pair.inner.nodes()
-        z2, _ = pair.outer.nodes()
-        s1 = s_under_grid(z1, IDENTITY, y)
-        s2 = s_under_grid(z2, IDENTITY, y)
-        a = kernel_from_s(s1[:, None], s2[None, :], IDENTITY, y)
+        z, _ = build_contour(IDENTITY, y).nodes()
+        s = s_under_grid(z, IDENTITY, y)
+        a = kernel_from_s(s[:, None], s[None, :], IDENTITY, y)
         assert float(np.max(np.abs(a))) < 1.0
 
 
@@ -62,7 +59,7 @@ def _textbook_kernel(s1, s2, spectrum, y):
 
 @st.composite
 def _kernel_grids(draw):
-    """A spectrum of 1-5 atoms, a ratio and transform values on two node sets."""
+    """A spectrum of 1-5 atoms, a ratio, two sets of non-real points and the transform there."""
     k = draw(st.integers(1, 5))
     ts = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
     ws = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
@@ -71,16 +68,15 @@ def _kernel_grids(draw):
     lo, hi = support_interval(spectrum, y)
     point = st.builds(complex, st.floats(lo - 2.0, hi + 2.0),
                       st.floats(1e-3, 3.0) | st.floats(-3.0, -1e-3))
-    s1, s2 = (s_under_grid(np.array(draw(st.lists(point, min_size=1, max_size=40))),
-                           spectrum, y) for _ in range(2))
-    return spectrum, y, s1, s2
+    z1, z2 = (np.array(draw(st.lists(point, min_size=1, max_size=40))) for _ in range(2))
+    return spectrum, y, z1, s_under_grid(z1, spectrum, y), z2, s_under_grid(z2, spectrum, y)
 
 
 class TestKernelProperties:
     @settings(derandomize=True, deadline=None, database=None, max_examples=150)
     @given(_kernel_grids())
     def test_rank_k_product_is_the_textbook_kernel(self, problem):
-        spectrum, y, s1, s2 = problem
+        spectrum, y, _, s1, _, s2 = problem
         a = kernel_from_s(s1[:, None], s2[None, :], spectrum, y)
         ref, scale = _textbook_kernel(s1[:, None], s2[None, :], spectrum, y)
         assert a.shape == (s1.size, s2.size)
@@ -89,6 +85,25 @@ class TestKernelProperties:
         assert np.all(np.abs(a - ref) <= 1e-13 * scale)
         swapped = kernel_from_s(s2[:, None], s1[None, :], spectrum, y)
         assert np.all(np.abs(swapped.T - a) <= 1e-15 * scale)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(_kernel_grids())
+    def test_kernel_inside_the_unit_disk(self, problem):
+        # the invariant the one-contour variance rests on: a(z, conj z) =
+        # sum_k |v_k|^2 = 1 - Im z |s|^2 / Im s < 1 from the inverse map, and
+        # Cauchy-Schwarz bounds |a(z1, z2)|^2 by a(z1, conj z1) a(z2, conj z2).
+        # The identity is checked at z = inverse_map(s), the point whose
+        # transform is s to rounding: at the drawn z it would also carry the
+        # solver's 1e-12 residual, divided by Im s
+        spectrum, y, _, s1, _, s2 = problem
+        d1, d2 = (kernel_from_s(s, s.conj(), spectrum, y) for s in (s1, s2))
+        for s, d in ((s1, d1), (s2, d2)):
+            z = np.array([inverse_map(v, spectrum, y) for v in s])
+            assert np.all(np.abs(d - (1.0 - z.imag * np.abs(s) ** 2 / s.imag)) <= 1e-12)
+            assert np.all(d.real < 1.0)
+        a = kernel_from_s(s1[:, None], s2[None, :], spectrum, y)
+        bound = d1.real[:, None] * d2.real[None, :]
+        assert np.all(np.abs(a) ** 2 <= bound * (1.0 + 1e-12))
 
 
 class TestKernelLog:
@@ -107,15 +122,59 @@ class TestKernelLog:
         assert worst <= 1e-14
 
 
-def _textbook_level(f, spectrum, y, pair, m):
-    """One variance level as the formula reads: full f'-grid times complex -log(1 - a)."""
-    z1, w1 = pair.inner.nodes(m)
-    z2, w2 = pair.outer.nodes(m)
+def _textbook_level(f, spectrum, y, c1, m, c2=None):
+    """One variance level as the formula reads: full f'-grid times complex -log(1 - a),
+    with z1 on c1 and z2 on c2 (c1 again by default)."""
+    z1, w1 = c1.nodes(m)
+    z2, w2 = (c2 or c1).nodes(m)
     s1 = s_under_grid(z1, spectrum, y)
     s2 = s_under_grid(z2, spectrum, y)
     a, _ = _textbook_kernel(s1[:, None], s2[None, :], spectrum, y)
     grid = f.deriv(z1)[:, None] * f.deriv(z2)[None, :] * -np.log(1.0 - a)
     return complex(w1 @ grid @ w2)
+
+
+def _nested_variance(f, spectrum, y):
+    """sigma(f) the way Bai & Silverstein set it up: z1 on an inner ellipse, z2 on a
+    strictly larger confocal one, laddered to 1e-11.  The ellipses are those the
+    variance ran on before it moved to one contour: margins eps and 2 eps with
+    half-heights at most 1 and 2, or conformal radii R0^(1/3) and R0^(2/3) for log,
+    where R0 is that of the singularity 0."""
+    lo, hi = support_interval(spectrum, y)
+    h = (hi - lo) / 2.0
+    if f.kind == "log":
+        r0 = (np.sqrt(hi) + np.sqrt(lo)) / (np.sqrt(hi) - np.sqrt(lo))
+        margins = [h * ((r + 1.0 / r) / 2.0 - 1.0) for r in (r0 ** (1 / 3), r0 ** (2 / 3))]
+    else:
+        eps = 0.05 * (hi - lo + 1.0)
+        margins = [eps, 2.0 * eps]
+    inner, outer = (_confocal(lo, hi, e, cap, 64) for e, cap in zip(margins, (1.0, 2.0)))
+
+    def level(m):
+        return (_textbook_level(f, spectrum, y, inner, m, outer),
+                _textbook_level(f, spectrum, y, inner, m // 2, outer), None)
+
+    quad, _ = _doubling_ladder(level, 64, 1e-11, "nested variance")
+    return -quad.value.real / (2.0 * np.pi**2)
+
+
+class TestOneContour:
+    @pytest.mark.parametrize("name", ["identity", "two_atom", "five_atom"])
+    @pytest.mark.parametrize("y", [0.5, 2.0])
+    @pytest.mark.parametrize("power", [2, 11])
+    def test_matches_nested_contours(self, name, y, power):
+        # -log(1 - a) is analytic in z2 off the bulk, so by Cauchy the double
+        # integral over one contour equals the one over nested contours
+        f, sp = TestFunction.monomial(power), BATTERY[name]
+        want = _nested_variance(f, sp, y)
+        assert variance(f, sp, y, build_contour(sp, y, f=f)) == pytest.approx(want, rel=1e-9)
+
+    def test_log_matches_nested_contours(self):
+        f, y = TestFunction.log(), 0.5
+        want = _nested_variance(f, IDENTITY, y)
+        assert want == pytest.approx(-2.0 * np.log(1 - y), rel=1e-9)
+        got = variance(f, IDENTITY, y, build_contour(IDENTITY, y, f=f))
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestFusedLevel:
@@ -125,12 +184,12 @@ class TestFusedLevel:
     def test_matches_textbook_assembly(self, name, y, power):
         f = TestFunction.monomial(power)
         sp = BATTERY[name]
-        pair = build_contour_pair(sp, y, f=f)
-        got, coarse, amax = _variance_level(f, sp, y, pair, 64)
-        want = _textbook_level(f, sp, y, pair, 64)
+        c = build_contour(sp, y, f=f)
+        got, coarse, amax = _variance_level(f, sp, y, c, 64)
+        want = _textbook_level(f, sp, y, c, 64)
         assert abs(got - want) <= 1e-12 * abs(want)
         # the m/2 rule is the even-index subgrid of the same kernel grid
-        want = _textbook_level(f, sp, y, pair, 32)
+        want = _textbook_level(f, sp, y, c, 32)
         assert abs(coarse - want) <= 1e-12 * abs(want)
         assert 0.0 < amax < 1.0
 
@@ -138,16 +197,28 @@ class TestFusedLevel:
         # blocks of 8, 8, 8 and 6 rows against the whole 30 x 30 grid at
         # once, on a contour whose levels are not powers of 2
         f, sp, y = TestFunction.monomial(3), BATTERY["five_atom"], 0.5
-        pair = build_contour_pair(sp, y, m=30, f=f)
-        whole = _variance_level(f, sp, y, pair, 30)
+        c = build_contour(sp, y, m=30, f=f)
+        whole = _variance_level(f, sp, y, c, 30)
         monkeypatch.setattr(clt_moments, "_BLOCK_CELLS", 8 * 30)
-        blocked = _variance_level(f, sp, y, pair, 30)
+        blocked = _variance_level(f, sp, y, c, 30)
         assert blocked[2] == whole[2]
         for b, w in zip(blocked[:2], whole[:2]):
             assert abs(b - w) <= 1e-13 * abs(w)
 
 
 class TestMean:
+    @pytest.mark.parametrize("name", ["identity", "with_zero", "five_atom"])
+    def test_integrand_matches_the_atom_sums(self, name):
+        # I2 and I3 as the formula reads, one atom at a time
+        sp, y = BATTERY[name], 0.5
+        z, _ = build_contour(sp, y).nodes(128)
+        s = s_under_grid(z, sp, y)
+        i2 = sum(w * t * t * s * s / (1.0 + t * s) ** 2 for t, w in sp.atoms) * y
+        i3 = sum(w * t * t * s**3 / (1.0 + t * s) ** 3 for t, w in sp.atoms) * y
+        want = i3 / (1.0 - i2) ** 2
+        got = _mean_integrand(z, s, sp, y)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max())
+
     def test_constant_function_zero(self):
         c = build_contour(IDENTITY, 0.5)
         assert abs(mean_correction(F_CONST, IDENTITY, 0.5, c)) <= 1e-8
@@ -183,27 +254,27 @@ class TestMean:
 
 class TestVariance:
     def test_constant_gives_zero(self):
-        pair = build_contour_pair(IDENTITY, 0.5)
-        assert abs(variance(F_CONST, IDENTITY, 0.5, pair)) <= 1e-12
+        c = build_contour(IDENTITY, 0.5)
+        assert abs(variance(F_CONST, IDENTITY, 0.5, c)) <= 1e-12
 
     def test_linear_identity_population(self):
         # Var(tr B) = 2p/n for real Gaussian entries and T = I
         y = 0.5
-        pair = build_contour_pair(IDENTITY, y)
-        assert variance(F_X, IDENTITY, y, pair) == pytest.approx(2 * y, rel=1e-10)
+        c = build_contour(IDENTITY, y)
+        assert variance(F_X, IDENTITY, y, c) == pytest.approx(2 * y, rel=1e-10)
 
     def test_linear_general_population(self):
         # Var(tr B) = (2/n) tr T^2 = 2 y m2 for real Gaussian entries
         sp = BATTERY["five_atom"]
         y = 0.5
-        pair = build_contour_pair(sp, y)
-        assert variance(F_X, sp, y, pair) == pytest.approx(2 * y * sp.moment(2), rel=1e-9)
+        c = build_contour(sp, y)
+        assert variance(F_X, sp, y, c) == pytest.approx(2 * y * sp.moment(2), rel=1e-9)
 
     def test_log_identity_population(self):
         # classical closed form -2 log(1 - y)
         y = 0.25
-        pair = build_contour_pair(IDENTITY, y, eps=0.04, v_0=0.8, f=TestFunction.log())
-        got = variance(TestFunction.log(), IDENTITY, y, pair)
+        c = build_contour(IDENTITY, y, eps=0.04, v_0=0.8, f=TestFunction.log())
+        got = variance(TestFunction.log(), IDENTITY, y, c)
         assert got == pytest.approx(-2.0 * np.log(1 - y), rel=1e-9)
 
     def test_small_kernel_series_limit(self):
@@ -254,6 +325,16 @@ class TestMomentsBundle:
         assert abs(mom.mu) <= 1e-9
         assert mom.sigma == pytest.approx(1.0, rel=1e-9)
 
+    def test_log_margin_past_half_the_lower_edge(self):
+        # lo = 1/4 at y = 1/4: eps = 0.15 keeps the contour in Re z > 0 (a
+        # second ellipse at 2 eps would cross 0); closed forms log(1 - y)/2
+        # and -2 log(1 - y)
+        y = 0.25
+        mom = compute_moments(TestFunction.log(), IDENTITY, y, "RG", eps=0.15)
+        assert mom.contour.x_l > 0
+        assert abs(mom.mu - np.log(1 - y) / 2.0) <= 1e-12
+        assert abs(mom.sigma + 2.0 * np.log(1 - y)) <= 1e-12
+
     def test_cg_case_zero_mean_same_sigma(self):
         rg = compute_moments(F_X2, IDENTITY, 0.5, "RG")
         cg = compute_moments(F_X2, IDENTITY, 0.5, "CG")
@@ -262,8 +343,8 @@ class TestMomentsBundle:
 
     def test_kernel_max_abs_reported(self):
         mom = compute_moments(F_X, IDENTITY, 0.5, "RG")
-        pair = build_contour_pair(IDENTITY, 0.5)
-        _, amax = variance_with_kernel(F_X, IDENTITY, 0.5, pair)
+        c = build_contour(IDENTITY, 0.5)
+        _, amax = variance_with_kernel(F_X, IDENTITY, 0.5, c)
         assert mom.kernel_max_abs == pytest.approx(amax, rel=1e-12)
 
 

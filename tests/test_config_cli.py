@@ -169,8 +169,8 @@ class TestCliRuns:
         assert "\r" not in text
 
     def test_simulate_centers_on_configured_contour(self, tmp_path, monkeypatch):
-        # the configured eps = 0.03 (in place of log's default radii) sets
-        # the inner contour, and the centering runs on it
+        # the configured eps = 0.03 (in place of log's default radius) sets
+        # the contour, and the centering runs on it
         import lsslab.simulator as sim_mod
 
         seen = []
@@ -227,10 +227,9 @@ class TestCliRuns:
         assert main(["moments", "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "moments_summary.json").read_text())["summary"]
         contour = doc["contour"]
-        assert set(contour) == {"x_l", "x_r", "v_0", "nodes", "outer_x_l", "outer_x_r",
-                                "outer_v_0", "rho_inner", "rho_outer"}
+        assert set(contour) == {"x_l", "x_r", "v_0", "nodes", "rho"}
         assert contour["nodes"] == 64
-        assert 1.0 < contour["rho_inner"] < contour["rho_outer"]
+        assert contour["rho"] > 1.0
         assert set(doc["quadrature"]) == {"mean", "variance"}
         # accepted estimates stay below rtol = 1e-9 times 1 + |moment|
         # (mu = 1/2, sigma = 10 for x^2 at y = 1/2)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import BATTERY
-from lsslab.contour import (Contour, ContourPair, NodeValues, build_contour,
-                            build_contour_pair, default_margin, integrate)
+from lsslab import clt_moments
+from lsslab.clt_moments import compute_moments
+from lsslab.contour import Contour, NodeValues, build_contour, default_margin, integrate
 from lsslab.errors import LogDomain, NodeSingularity, QuadratureStall
 from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
 
@@ -36,27 +37,15 @@ class TestBuild:
         lo, hi = support_interval(IDENTITY, 0.5)
         assert default_margin(IDENTITY, 0.5) == pytest.approx(0.05 * (hi - lo + 1.0))
 
-    def test_pair_geometry(self):
-        pair = build_contour_pair(IDENTITY, 0.25, eps=0.05, v_0=1.0)
-        assert pair.outer.x_l == pytest.approx(pair.inner.x_l - 0.05)
-        assert pair.outer.x_r == pytest.approx(pair.inner.x_r + 0.05)
-        # confocal: both have foci lo = 0.25 and hi = 2.25
-        for c in (pair.inner, pair.outer):
-            a = (c.x_r - c.x_l) / 2
-            assert a * a - c.v_0 * c.v_0 == pytest.approx(1.0)
-        assert pair.inner.rho < pair.outer.rho
-
     def test_log_default_radii(self):
-        # R0 = (sqrt(hi) + sqrt(lo)) / (sqrt(hi) - sqrt(lo)) = 2 at y = 0.25
-        pair = build_contour_pair(IDENTITY, 0.25, f=TestFunction.log())
-        assert pair.inner.rho == pytest.approx(2.0 ** (1 / 3))
-        assert pair.outer.rho == pytest.approx(2.0 ** (2 / 3))
-        assert pair.outer.x_l > 0
-
-    def test_pair_requires_strict_containment(self):
-        inner = Contour(0.0, 2.0, 1.0)
-        with pytest.raises(ValueError, match="strictly"):
-            ContourPair(inner=inner, outer=Contour(0.0, 2.5, 2.0))
+        # R0 = (sqrt(hi) + sqrt(lo)) / (sqrt(hi) - sqrt(lo)) = 2 at y = 0.25;
+        # the radius sqrt(R0) balances the bulk against 0
+        c = build_contour(IDENTITY, 0.25, f=TestFunction.log())
+        assert c.rho == pytest.approx(math.sqrt(2.0))
+        # confocal with lo = 0.25 and hi = 2.25
+        a = (c.x_r - c.x_l) / 2
+        assert a * a - c.v_0 * c.v_0 == pytest.approx(1.0)
+        assert c.x_l > 0
 
     def test_log_rejected_when_left_edge_nonpositive(self):
         with pytest.raises(LogDomain):
@@ -67,10 +56,15 @@ class TestBuild:
         with pytest.raises(LogDomain):
             build_contour(IDENTITY, 0.25, eps=0.3, v_0=1.0, f=TestFunction.log())
 
-    def test_log_pair_outer_checked_too(self):
-        # inner stays positive but the widened outer crosses zero
+    def test_log_domain_checked_before_any_solve(self, monkeypatch):
+        # lo = 0.25 at y = 0.25: eps = 0.3 takes the contour across 0 (eps =
+        # 0.15 stays inside and runs, see test_clt_moments)
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the transform was solved")
+
+        monkeypatch.setattr(clt_moments, "s_under_grid", no_solve)
         with pytest.raises(LogDomain):
-            build_contour_pair(IDENTITY, 0.25, eps=0.15, v_0=1.0, f=TestFunction.log())
+            compute_moments(TestFunction.log(), IDENTITY, 0.25, "RG", eps=0.3)
 
     @pytest.mark.parametrize("m0", [16, 17, 64])
     def test_levels_nest_off_the_real_axis(self, m0):

@@ -239,7 +239,7 @@ class TestSigma0:
     def test_random_stream_pinned(self, ensemble, expected):
         # recorded values: a change to how the outer and inner columns are
         # drawn moves every estimate, and so does a change of the contour
-        # nodes (the 128 nodes of the default inner ellipse)
+        # nodes (the 128 nodes of the default ellipse)
         res = sigma0_nested_mc(TestFunction.monomial(2), IDENTITY, 0.5, n_small=8,
                                inner_reps=4, outer_reps=3, seed=11, ensemble=ensemble)
         assert res.estimate == pytest.approx(expected, rel=1e-10)
