@@ -16,7 +16,6 @@ import datetime as _dt
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +23,11 @@ import numpy as np
 from . import __version__
 from .clt_moments import compute_moments
 from .config import KINDS, RunConfig, parse_config
-from .diagnostics import (SteinContext, fit_rate, qform_probe, stein_bound_report)
-from .errors import CostBudgetExceeded, LabError
-from .simulator import SimConfig, TruncationPolicy, replicate_seed, run_experiment
+from .diagnostics import (SteinContext, fit_rate, project_cost, qform_probe,
+                          stein_bound_report)
+from .errors import LabError
+from .simulator import (SimConfig, TruncationPolicy, assemble_B, eigenvalues,
+                        replicate_seed, run_experiment, sample_entries)
 from .spectral_model import AspectRatio, support_interval
 from .stieltjes import lsd_density
 
@@ -62,32 +63,26 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _check_budget(cfg: RunConfig, p: int, n: int, replicates: int) -> None:
-    """Project the run cost from one timed replicate-sized eigensolve."""
-    from .simulator import assemble_B, eigenvalues, sample_entries
+def _check_budget(cfg: RunConfig, shapes: list[tuple[int, int]]) -> None:
+    """Fail before any work if ``cfg.replicates`` replicates at each (p, n) cost too much.
 
-    t0 = time.perf_counter()
-    x = sample_entries(cfg.ensemble, p, n, 0)
-    eigenvalues(assemble_B(cfg.spectrum, x, n))
-    per_rep = time.perf_counter() - t0
-    projected = per_rep * replicates * 1.5
-    if projected > cfg.cost_cap_seconds:
-        raise CostBudgetExceeded(
-            f"projected {projected:.0f}s for {replicates} replicates at p={p}, n={n} "
-            f"exceeds cost_cap_seconds={cfg.cost_cap_seconds:.0f}"
-        )
+    The timed unit is one replicate at each (p, n), drawn from seed 0, no run stream.
+    """
+    def unit():
+        for p, n in shapes:
+            eigenvalues(assemble_B(cfg.spectrum, sample_entries(cfg.ensemble, p, n, 0), n))
+
+    where = ", ".join(f"p={p}, n={n}" for p, n in shapes)
+    project_cost(unit, cfg.replicates, 1.5, cfg.cost_cap_seconds,
+                 f"{cfg.replicates} replicates at each of ({where})")
 
 
 def run_lsd(cfg: RunConfig, out: Path, started: str) -> str:
     lo, hi = support_interval(cfg.spectrum, cfg.y)
     xs = np.linspace(lo, hi, cfg.grid_points + 2)[1:-1]
-    density = lsd_density(xs, cfg.spectrum, cfg.y)
-    rows = []
-    mass = 0.0
-    for x, d in zip(xs, density.tolist()):
-        rows.append((_fmt(x), _fmt(d)))
-        mass += d
-    mass *= (xs[1] - xs[0]) if len(xs) > 1 else 0.0
+    density = lsd_density(xs, cfg.spectrum, cfg.y).tolist()
+    rows = [(_fmt(x), _fmt(d)) for x, d in zip(xs, density)]
+    mass = sum(density) * (xs[1] - xs[0])  # grid_points >= 2
     _write_csv(out / "lsd_detail.csv", ["x", "density"], rows)
     _write_json(out / "lsd_summary.json", cfg,
                 {"support_lo": lo, "support_hi": hi, "grid_points": len(xs),
@@ -100,6 +95,9 @@ def run_moments(cfg: RunConfig, out: Path, started: str) -> str:
     c = mom.contour
     summary = {
         "mu": mom.mu, "sigma": mom.sigma, "case": mom.case,
+        # the moments carry no fourth-cumulant term: they hold for entries
+        # with the Gaussian fourth moment only
+        "gaussian_matched": not cfg.ensemble.violates_matching,
         "kernel_max_abs": mom.kernel_max_abs,
         "contour": {"x_l": c.x_l, "x_r": c.x_r, "v_0": c.v_0, "nodes": c.m, "rho": c.rho},
         # accepted node count and the last error estimate, per integral
@@ -117,16 +115,14 @@ def _moments(cfg: RunConfig, y_n: float):
 
 
 def _experiment(cfg: RunConfig, ratio: AspectRatio, mom, replicates: int, root_seed: int):
-    # centered on the contour the moments were computed on
     sim = SimConfig(ratio=ratio, spectrum=cfg.spectrum, ensemble=cfg.ensemble,
                     f=cfg.f, replicates=replicates, root_seed=root_seed,
-                    truncation=TruncationPolicy(cfg.truncation_mode, cfg.truncation_eta),
-                    contour=mom.contour)
+                    truncation=TruncationPolicy(cfg.truncation_mode, cfg.truncation_eta))
     return run_experiment(sim, mom, config_snapshot=cfg.to_dict())
 
 
 def run_simulate(cfg: RunConfig, out: Path, started: str) -> str:
-    _check_budget(cfg, cfg.p, cfg.n, cfg.replicates)
+    _check_budget(cfg, [(cfg.p, cfg.n)])
     ratio = AspectRatio(p=cfg.p, n=cfg.n)
     mom = _moments(cfg, ratio.y_n)
     record = _experiment(cfg, ratio, mom, cfg.replicates, cfg.root_seed)
@@ -136,6 +132,7 @@ def run_simulate(cfg: RunConfig, out: Path, started: str) -> str:
                ["index", "seed", "value", "lambda_min", "lambda_max"], rows)
     summary = {
         "mu": mom.mu, "sigma": mom.sigma, "case": mom.case,
+        "gaussian_matched": not cfg.ensemble.violates_matching,
         "ks": record.ks, "mean": record.mean, "variance": record.variance,
         "replicates": cfg.replicates,
         "confinement_violations": record.confinement_violations,
@@ -146,8 +143,7 @@ def run_simulate(cfg: RunConfig, out: Path, started: str) -> str:
 
 
 def run_ks_rate(cfg: RunConfig, out: Path, started: str) -> str:
-    for i, n in enumerate(cfg.n_grid):
-        _check_budget(cfg, int(round(cfg.y * n)), n, cfg.replicates)
+    _check_budget(cfg, [(int(round(cfg.y * n)), n) for n in cfg.n_grid])
     rows = []
     points = []
     moments = {}  # by y_n: p = round(y n) often gives the same ratio at every n
@@ -165,6 +161,7 @@ def run_ks_rate(cfg: RunConfig, out: Path, started: str) -> str:
         "points": [{"n": n, "ks": ks} for n, ks in points],
         "exponent": fit.exponent, "intercept": fit.intercept,
         "exponent_ci_90": list(fit.exponent_ci),
+        "gaussian_matched": not cfg.ensemble.violates_matching,
     }
     _write_json(out / "ks_rate_summary.json", cfg, summary, started)
     return (f"ks-rate over n={list(cfg.n_grid)}: exponent={fit.exponent:.3f} "

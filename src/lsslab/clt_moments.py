@@ -23,11 +23,11 @@ singularity on ``z1 = z2``.  So both variables run over the same contour.
 
 That contour is one ellipse around the bulk (``contour.py``) with the
 nested trapezoid rule, whose levels share their nodes: the transform is
-solved once per node across levels, and its values serve both the mean and
-the variance.  One quadrature level of the variance at m nodes costs a few
-passes over the m x m node grid, formed in row blocks of bounded size; the
-rule at m/2, against which the level is checked, is the grid's even-index
-subgrid.  Each block of the kernel is one real matrix product of small
+solved once per node across levels, and its values serve the mean, the
+variance and a run's centering.  One quadrature level of the variance at
+m nodes costs a few passes over the m x m node grid, formed in row blocks
+of bounded size; the rule at m/2, against which the level is checked, is
+the grid's even-index subgrid.  Each block of the kernel is one real matrix product of small
 factor matrices (``kernel_from_s``).  The log is taken in real arithmetic,
 ``-log(1 - a) = -log1p(ar (ar - 2) + ai^2) / 2 + i atan2(ai, 1 - ar)``,
 which is accurate to rounding for every ``|a| < 1``
@@ -58,9 +58,11 @@ class CltMoments:
     sigma: float
     case: str  # "RG" or "CG"
     kernel_max_abs: float
-    # provenance, not compared: the contour used and where each ladder
+    # provenance, not compared: the contour used, the companion transform
+    # solved at its nodes (a run centers on both) and where each ladder
     # stopped ({"mean": Quadrature, "variance": Quadrature}, no mean for CG)
     contour: Contour | None = field(default=None, compare=False)
+    s_under: NodeValues | None = field(default=None, compare=False)
     quadrature: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -233,8 +235,7 @@ def variance_with_kernel(f: TestFunction, spectrum: PopulationSpectrum, y_n: flo
 def variance(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
              c: Contour, rtol: float = 1e-9) -> float:
     """Asymptotic variance of the centered statistic."""
-    sigma, _ = variance_with_kernel(f, spectrum, y_n, c, rtol)
-    return sigma
+    return variance_with_kernel(f, spectrum, y_n, c, rtol)[0]
 
 
 def compute_moments(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
@@ -246,7 +247,7 @@ def compute_moments(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     complex case has zero asymptotic mean by construction and its
     normalization divides by sqrt(sigma / 2) instead.  The transform at
     the contour's nodes is solved once and shared by the variance and the
-    mean.
+    mean; the result keeps it as ``s_under`` for the centering of a run.
     """
     if case not in ("RG", "CG"):
         raise ValueError(f"case must be RG or CG, got {case!r}")
@@ -265,7 +266,7 @@ def compute_moments(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     if f.is_constant:
         sigma = max(sigma, 0.0)
     return CltMoments(mu=mu, sigma=sigma, case=case, kernel_max_abs=kernel_max,
-                      contour=c, quadrature=report)
+                      contour=c, s_under=s, quadrature=report)
 
 
 def normalize(lss_centered: float, m: CltMoments) -> float:

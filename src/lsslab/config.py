@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
+from .simulator import MAX_ENTRIES
 from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
 
 KINDS = ("lsd", "moments", "simulate", "ks-rate", "stein-check", "probe-qform")
@@ -128,7 +129,10 @@ def parse_ensemble(value) -> EntryEnsemble:
             df = value.get("df", 11.0)
             if not isinstance(df, (int, float)) or isinstance(df, bool):
                 raise TypeMismatch("ensemble.df must be a number")
-            return EntryEnsemble.student_t(float(df))
+            try:
+                return EntryEnsemble.student_t(float(df))
+            except ValueError as exc:
+                raise ConstraintViolation(f"ensemble.df: {exc}") from exc
         raise ConstraintViolation(f"unknown custom ensemble name {name!r}")
     raise TypeMismatch(f"ensemble must be 'RG', 'CG' or an object, got {value!r}")
 
@@ -211,6 +215,13 @@ def _expect(value, types, path: str):
     return value
 
 
+def _positive(value, path: str) -> float:
+    value = float(_expect(value, (int, float), path))
+    if value <= 0:
+        raise ConstraintViolation(f"{path} must be positive")
+    return value
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON config, filling documented defaults."""
     try:
@@ -258,9 +269,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConstraintViolation(f"y={y} inconsistent with p/n={derived_y}")
         y = derived_y
     else:
-        y = float(_expect(_DEFAULTS["y"] if y is None else y, (int, float), "y"))
-        if y <= 0:
-            raise ConstraintViolation("y must be positive")
+        y = _positive(_DEFAULTS["y"] if y is None else y, "y")
 
     n_grid = raw.get("n_grid")
     if n_grid is not None:
@@ -279,6 +288,11 @@ def parse_config(text: str) -> RunConfig:
         empty = [n for n in n_grid if round(y * n) < 1]
         if empty:
             raise ConstraintViolation(f"n_grid: p = round(y*n) is 0 at n={empty} for y={y}")
+    # replicates hold p x n entries, p = round(y*n) at each n of a ks-rate grid
+    dims = {"simulate": [(p, n)], "ks-rate": [(round(y * m), m) for m in n_grid or ()]}
+    large = [(q, m) for q, m in dims.get(kind, []) if q * m > MAX_ENTRIES]
+    if large:
+        raise ConstraintViolation(f"p*n over the memory budget {MAX_ENTRIES} at (p, n) = {large}")
 
     contour_raw = get("contour")
     _expect(contour_raw, dict, "contour")
@@ -287,13 +301,8 @@ def parse_config(text: str) -> RunConfig:
         raise UnknownKey(f"unknown contour keys: {sorted(unknown)}")
     eps = contour_raw.get("eps", _DEFAULTS["contour"]["eps"])
     if eps is not None:
-        eps = float(_expect(eps, (int, float), "contour.eps"))
-        if eps <= 0:
-            raise ConstraintViolation("contour.eps must be positive")
-    v0 = float(_expect(contour_raw.get("v0", _DEFAULTS["contour"]["v0"]),
-                       (int, float), "contour.v0"))
-    if v0 <= 0:
-        raise ConstraintViolation("contour.v0 must be positive")
+        eps = _positive(eps, "contour.eps")
+    v0 = _positive(contour_raw.get("v0", _DEFAULTS["contour"]["v0"]), "contour.v0")
     nodes = _expect(contour_raw.get("nodes", _DEFAULTS["contour"]["nodes"]), int, "contour.nodes")
     if not 16 <= nodes <= 8192:
         raise ConstraintViolation("contour.nodes must be between 16 and 8192")
@@ -308,9 +317,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConstraintViolation("truncation.mode must be 'off' or 'on'")
     trunc_eta = trunc_raw.get("eta")
     if trunc_eta is not None:
-        trunc_eta = float(_expect(trunc_eta, (int, float), "truncation.eta"))
-        if trunc_eta <= 0:
-            raise ConstraintViolation("truncation.eta must be positive")
+        trunc_eta = _positive(trunc_eta, "truncation.eta")
 
     replicates = _expect(get("replicates"), int, "replicates")
     if replicates < 1:
@@ -318,9 +325,7 @@ def parse_config(text: str) -> RunConfig:
     root_seed = _expect(get("root_seed"), int, "root_seed")
     if not 0 <= root_seed < 2**64:
         raise ConstraintViolation("root_seed must fit in 64 unsigned bits")
-    cost_cap = float(_expect(get("cost_cap_seconds"), (int, float), "cost_cap_seconds"))
-    if cost_cap <= 0:
-        raise ConstraintViolation("cost_cap_seconds must be positive")
+    cost_cap = _positive(get("cost_cap_seconds"), "cost_cap_seconds")
     grid_points = _expect(get("grid_points"), int, "grid_points")
     if grid_points < 2:
         raise ConstraintViolation("grid_points must be >= 2")

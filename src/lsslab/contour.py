@@ -200,8 +200,7 @@ def trapezoid(values, c: Contour, rtol: float, what: str) -> Quadrature:
         v = values(m)
         return complex(w @ v), complex(2.0 * (w[::2] @ v[::2])), None
 
-    quad, _ = _doubling_ladder(level, c.m, rtol, what)
-    return quad
+    return _doubling_ladder(level, c.m, rtol, what)[0]
 
 
 def integrate(g, c: Contour, rtol: float = 1e-9) -> complex:

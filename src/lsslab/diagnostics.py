@@ -5,19 +5,37 @@ the quadratic-form moment probe, and the nested Monte-Carlo variance check.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import cached_property
+from time import perf_counter
 
 import numpy as np
 from scipy import special
 
+from .contour import build_contour
 from .errors import (CostBudgetExceeded, EmptySample, NonPositiveKs, OutOfRange,
                      TooFewPoints)
-from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
+from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction, support_interval
+from .stieltjes import s_under_grid
+
+# simulator imports ks_to_normal from here, so its helpers are imported where used
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+
+
+def project_cost(unit, count: float, overhead: float, cap: float, what: str) -> None:
+    """Fail when ``count`` units times ``overhead`` would take more than ``cap`` seconds.
+
+    One timed call of ``unit`` makes the projection; ``CostBudgetExceeded`` reports it.
+    ``unit`` must draw from no run stream, so that timing it moves no result.
+    """
+    t0 = perf_counter()
+    unit()
+    projected = (perf_counter() - t0) * count * overhead
+    if projected > cap:
+        raise CostBudgetExceeded(
+            f"projected {projected:.0f}s for {what} exceeds the cost cap of {cap:.0f}s")
 
 
 def norm_cdf(x):
@@ -260,7 +278,6 @@ class QformProbeResult:
 def _probe_matrix(spectrum: PopulationSpectrum, matrix_kind: str, p: int, n: int,
                   seed: int, z: float | None) -> np.ndarray:
     from .simulator import population_diagonal, sample_entries
-    from .spectral_model import support_interval
 
     diag_t = population_diagonal(spectrum, p)
     if matrix_kind == "fixed_psd":
@@ -339,35 +356,25 @@ class Sigma0Result:
     b_equivalent: str = "-z*s_under"
 
 
-def _bench_eigh(p: int) -> float:
-    """Seconds per p x p Hermitian eigendecomposition, measured not guessed."""
-    m = np.eye(p) + 0.01 * np.ones((p, p))
-    t0 = time.perf_counter()
-    reps = 20
-    for _ in range(reps):
-        np.linalg.eigh(m)
-    return (time.perf_counter() - t0) / reps
+_SIGMA0_NODES = 128  # trapezoid nodes of the column sums on the default contour
 
 
 def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
                      n_small: int, inner_reps: int, outer_reps: int, seed: int,
                      ensemble: EntryEnsemble | None = None,
-                     work_cap_seconds: float = 600.0,
-                     contour_nodes: int = 128) -> Sigma0Result:
+                     work_cap_seconds: float = 600.0) -> Sigma0Result:
     """Estimate the martingale variance sum by nested Monte Carlo.
 
     For each column j the conditional expectation over the not-yet-revealed
     columns is realized by redrawing them; two independent half-estimates
     are multiplied so the inner noise cancels in expectation instead of
     biasing the square.  Column weights use the deterministic equivalent
-    ``-z s_under(z)``.  The contour sum is one trapezoid rule of
-    ``contour_nodes`` nodes on the default contour.  Work is projected
-    from a small eigendecomposition benchmark and the run aborts beforehand
-    if it exceeds the cap.
+    ``-z s_under(z)``.  The contour sum is one trapezoid rule of 128 nodes
+    on the default contour.  Work is projected from one timed p x p
+    eigendecomposition of a fixed matrix and the run aborts beforehand if
+    it exceeds the cap.
     """
-    from . import contour as contour_mod
     from .simulator import draw_entries, population_diagonal, replicate_seed, sample_entries
-    from .stieltjes import s_under_grid
 
     if n_small > 64:
         raise ValueError("n_small is capped at 64 (cost grows like n^4)")
@@ -376,15 +383,12 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     n = int(n_small)
     p = int(round(y_n * n))
 
-    per_op = _bench_eigh(p)
     ops = outer_reps * n * 2 * inner_reps
-    projected = ops * per_op * 2.5  # eigh plus node evaluations and assembly
-    if projected > work_cap_seconds:
-        raise CostBudgetExceeded(
-            f"projected {projected:.0f}s of nested-MC work exceeds cap {work_cap_seconds:.0f}s"
-        )
+    # 2.5: each inner draw adds its node sums and assembly to the eigh
+    project_cost(lambda: np.linalg.eigh(np.eye(p) + 0.01 * np.ones((p, p))), ops, 2.5,
+                 work_cap_seconds, f"{ops} nested-MC inner draws")
 
-    c = contour_mod.build_contour(spectrum, y_n, m=contour_nodes, f=f)
+    c = build_contour(spectrum, y_n, m=_SIGMA0_NODES, f=f)
     z, w = c.nodes()
     s_u = s_under_grid(z, spectrum, y_n)
     b_hat = -z * s_u

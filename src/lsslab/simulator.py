@@ -4,6 +4,11 @@ Replicates are reproducible by construction: replicate ``i`` always uses
 the 64-bit stream seed ``splitmix64(root_seed + (i+1) * GAMMA)`` (the i-th
 output of the splitmix64 generator seeded at ``root_seed``), independent of
 execution order.
+
+A run takes every deterministic input from its moment set: ``mu`` and
+``sigma`` normalize, the centering runs over the companion transform that
+``compute_moments`` solved on its contour, and that contour's margin sets
+the confinement band, so nothing is solved twice for one ``(f, y_n)``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import numpy as np
 from scipy import integrate as _scipy_integrate
 
 from .clt_moments import CltMoments, normalize
-from .contour import Contour, build_contour
 from .diagnostics import ks_to_normal
 from .errors import DegenerateTruncation, LabError, LogDomain, NonConvergence
 from .spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
@@ -26,6 +30,7 @@ from .stieltjes import lss_centering
 
 logger = logging.getLogger(__name__)
 
+MAX_ENTRIES = 1 << 26  # memory budget on p*n, also checked by the config parser
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -98,10 +103,12 @@ def truncated_moments(ensemble: EntryEnsemble, threshold: float) -> tuple[float,
     # split at zero so the adaptive rule finds the central mass even for
     # thresholds far out in a thin tail
     ceff = min(c, 1e3)
-    mean = (_scipy_integrate.quad(lambda x: x * ensemble.pdf(x), -ceff, 0.0)[0]
-            + _scipy_integrate.quad(lambda x: x * ensemble.pdf(x), 0.0, ceff)[0])
-    second = (_scipy_integrate.quad(lambda x: x * x * ensemble.pdf(x), -ceff, 0.0)[0]
-              + _scipy_integrate.quad(lambda x: x * x * ensemble.pdf(x), 0.0, ceff)[0])
+
+    def split(g):
+        return _scipy_integrate.quad(g, -ceff, 0.0)[0] + _scipy_integrate.quad(g, 0.0, ceff)[0]
+
+    mean = split(lambda x: x * ensemble.pdf(x))
+    second = split(lambda x: x * x * ensemble.pdf(x))
     return mean, second - mean * mean
 
 
@@ -144,20 +151,16 @@ def population_diagonal(spectrum: PopulationSpectrum, p: int) -> np.ndarray:
 
     Largest-remainder apportionment of the weights; remainder ties go to
     the larger atom so the realized distribution never loses its top edge.
+    The weights sum to 1, so the counts fill exactly p entries.
     """
     atoms = sorted(spectrum.atoms, key=lambda tw: tw[0])
     quotas = [w * p for _, w in atoms]
     counts = [int(math.floor(q)) for q in quotas]
-    leftover = p - sum(counts)
     order = sorted(range(len(atoms)),
                    key=lambda i: (quotas[i] - counts[i], atoms[i][0]), reverse=True)
-    for i in order[:leftover]:
+    for i in order[:p - sum(counts)]:
         counts[i] += 1
-    diag = np.concatenate([np.full(c, t) for (t, _), c in zip(atoms, counts) if c > 0]) \
-        if any(counts) else np.array([])
-    if diag.size != p:
-        raise ValueError("apportionment failed to fill the diagonal")
-    return diag
+    return np.repeat([t for t, _ in atoms], counts)
 
 
 def assemble_B(spectrum: PopulationSpectrum, entries: np.ndarray, n: int) -> np.ndarray:
@@ -192,13 +195,10 @@ def eigenvalues(b: np.ndarray, check: bool = False) -> np.ndarray:
     return vals
 
 
-def lss_centered(f: TestFunction, eigs: np.ndarray, spectrum: PopulationSpectrum,
-                 y_n: float, p: int, centering: float | None = None) -> float:
+def lss_centered(f: TestFunction, eigs: np.ndarray, centering: float) -> float:
     """Sum of f over the eigenvalues minus the deterministic centering."""
     if f.kind == "log" and np.min(eigs) <= 0:
         raise LogDomain(f"log statistic undefined at eigenvalue {np.min(eigs):.3e}")
-    if centering is None:
-        centering = lss_centering(f, spectrum, y_n, p)
     total = float(np.sum(f(np.asarray(eigs, dtype=complex))).real)
     return total - centering
 
@@ -226,18 +226,12 @@ class SimConfig:
     replicates: int
     root_seed: int
     truncation: TruncationPolicy = TruncationPolicy()
-    max_entries: int = 1 << 26  # memory budget on p*n
-    # contour the moments were computed on, reused for the centering
-    # and the confinement band; None builds the default one
-    contour: Contour | None = None
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.ratio.p * self.ratio.n > self.max_entries:
-            raise ValueError(
-                f"p*n = {self.ratio.p * self.ratio.n} exceeds the memory budget {self.max_entries}"
-            )
+        if (size := self.ratio.p * self.ratio.n) > MAX_ENTRIES:
+            raise ValueError(f"p*n = {size} over the memory budget {MAX_ENTRIES}")
 
 
 @dataclass(frozen=True)
@@ -274,7 +268,7 @@ def _one_replicate(cfg: SimConfig, moments: CltMoments, centering: float,
         x = _clip_restandardize(x, *truncation)
     b = assemble_B(cfg.spectrum, x, n)
     eigs = eigenvalues(b)
-    stat = lss_centered(cfg.f, eigs, cfg.spectrum, cfg.ratio.y_n, p, centering=centering)
+    stat = lss_centered(cfg.f, eigs, centering)
     value = normalize(stat, moments)
     return ReplicateRow(index=index, seed=seed, value=float(value),
                         lam_min=float(eigs[0]), lam_max=float(eigs[-1]))
@@ -284,13 +278,18 @@ def run_experiment(cfg: SimConfig, moments: CltMoments,
                    config_snapshot: dict | None = None) -> ExperimentRecord:
     """Replicated simulation of the normalized centered statistic.
 
-    The centering and the truncated moments are computed once per run; any
-    replicate failure is re-raised with its index attached.
+    ``moments`` comes from ``compute_moments`` at the run's ``y_n``: the
+    centering is integrated on its contour over the companion transform it
+    already solved there, so no further solve is needed, and its contour's
+    margin on the real axis sets the confinement band.  The centering and
+    the truncated moments are computed once per run; any replicate failure
+    is re-raised with its index attached.
     """
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
     y = cfg.ratio.y_n
-    contour = cfg.contour or build_contour(cfg.spectrum, y, f=cfg.f)
-    centering = lss_centering(cfg.f, cfg.spectrum, y, cfg.ratio.p, contour=contour)
+    contour = moments.contour
+    centering = lss_centering(cfg.f, cfg.spectrum, y, cfg.ratio.p, contour=contour,
+                              s_under=moments.s_under)
     truncation = None
     if cfg.truncation.mode == "on":
         n = cfg.ratio.n
@@ -312,7 +311,7 @@ def run_experiment(cfg: SimConfig, moments: CltMoments,
         logger.warning("eigenvalue confinement violated in %d replicates", violations)
 
     values = np.array([r.value for r in rows])
-    record = ExperimentRecord(
+    return ExperimentRecord(
         config=config_snapshot or {},
         rows=rows,
         ks=ks_to_normal(values),
@@ -322,4 +321,3 @@ def run_experiment(cfg: SimConfig, moments: CltMoments,
         started_at=started,
         finished_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
     )
-    return record

@@ -160,11 +160,7 @@ class EntryEnsemble:
     @property
     def beta_x(self) -> float:
         """Fourth-cumulant-style excess E|x|^4 - |E x^2|^2 - 2."""
-        if self.variant == "RG":
-            return 0.0
-        if self.variant == "CG":
-            return 0.0
-        return self.fourth_moment - 1.0 - 2.0
+        return 0.0 if self.variant in ("RG", "CG") else self.fourth_moment - 1.0 - 2.0
 
     @property
     def alpha_x(self) -> float:
@@ -301,13 +297,8 @@ def eval_f(f: TestFunction, z):
 
 def eval_f_prime(f: TestFunction, z):
     """Evaluate f' at a complex point or array of points (exact, not numeric)."""
-    if f.kind == "poly":
-        dcoeffs = tuple(k * c for k, c in enumerate(f.coeffs))[1:]
-        if not dcoeffs:
-            zc = np.asarray(z, dtype=complex)
-            out = np.zeros_like(zc)
-            return out if out.shape else 0j
-        return _horner(dcoeffs, z)
+    if f.kind == "poly":  # a constant's empty derivative evaluates to 0
+        return _horner(tuple(k * c for k, c in enumerate(f.coeffs))[1:], z)
     zc = np.asarray(z, dtype=complex)
     if np.any(zc.real <= 0):
         raise LogDomain("log test function evaluated at Re z <= 0")

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .contour import Contour, NodeValues, build_contour, trapezoid
 from .errors import BranchViolation, NonConvergence, OutsideSupport, PoleAtAtom
 from .spectral_model import PopulationSpectrum, TestFunction, support_interval
 
@@ -223,25 +224,28 @@ def lsd_density(x, spectrum: PopulationSpectrum, y_n: float):
 
 
 def lss_centering(f: TestFunction, spectrum: PopulationSpectrum, y_n: float, p: int,
-                  contour=None) -> float:
+                  contour: Contour | None = None, *,
+                  s_under: NodeValues | None = None) -> float:
     """Deterministic centering term of the linear spectral statistic.
 
     Computes ``-(p / 2 pi i) * contour integral of f(z) s(z) dz`` with the
     transform of the primary law, by default on ``build_contour``'s ellipse,
-    the one the moments use; the nested trapezoid ladder solves the
-    transform once per node.  The imaginary part must vanish up to quadrature error
-    (checked against 1e-8 relative) and is discarded.
+    by the nested trapezoid ladder over ``s_under``, the companion transform
+    at the contour's nodes: a run passes the one its moments solved
+    (``CltMoments.s_under``), and without one each node is solved once
+    here.  The imaginary part must vanish up to quadrature error (checked
+    against 1e-8 relative) and is discarded.
     """
-    from . import contour as contour_mod
-
     if contour is None:
-        contour = contour_mod.build_contour(spectrum, y_n, f=f)
+        contour = build_contour(spectrum, y_n, f=f)
+    if s_under is None:
+        s_under = NodeValues(lambda z: s_under_grid(z, spectrum, y_n), contour)
 
-    def integrand(z):
-        s_u = s_under_grid(z, spectrum, y_n)
-        return f(z) * companion_to_primary(s_u, z, y_n)
+    def values(m):
+        z, _ = contour.nodes(m)
+        return f(z) * companion_to_primary(s_under(m), z, y_n)
 
-    raw = contour_mod.integrate(integrand, contour)
+    raw = trapezoid(values, contour, 1e-9, "centering").value
     value = -p / (2.0j * np.pi) * raw
     if abs(value.imag) > 1e-8 * (1.0 + abs(value.real)):
         raise NonConvergence(

@@ -98,6 +98,20 @@ class TestParseConfig:
         with pytest.raises(ConstraintViolation, match="between 16 and 8192"):
             parse_config(json.dumps({"kind": "moments", "contour": {"nodes": nodes}}))
 
+    def test_student_t_df_at_most_four_rejected(self):
+        with pytest.raises(ConstraintViolation, match="ensemble.df"):
+            parse_config(json.dumps({"kind": "moments",
+                                     "ensemble": {"name": "student_t", "df": 3}}))
+
+    def test_memory_budget_checked_by_the_parser(self):
+        # p*n above 2^26 fails at parse time, before anything is allocated
+        with pytest.raises(ConstraintViolation, match="memory budget"):
+            parse_config(json.dumps({"kind": "simulate", "p": 8192, "n": 8193}))
+        parse_config(json.dumps({"kind": "simulate", "p": 8192, "n": 8192}))
+        with pytest.raises(ConstraintViolation, match=r"memory budget .* \[\(8193, 8193\)\]"):
+            parse_config(json.dumps({"kind": "ks-rate", "y": 1.0, "n_grid": [64, 8193]}))
+        parse_config(json.dumps({"kind": "ks-rate", "y": 1.0, "n_grid": [64, 8192]}))
+
     def test_simulate_needs_dims(self):
         with pytest.raises(MissingRequired):
             parse_config(json.dumps({"kind": "simulate"}))
@@ -236,6 +250,102 @@ class TestCliRuns:
         for q in doc["quadrature"].values():
             assert q["nodes"] in (64, 128, 256)
             assert 0.0 <= q["error"] <= 1e-9 * (1.0 + 10.0)
+
+    def test_student_t_df_at_most_four_exits_typed(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": "moments",
+                                       "ensemble": {"name": "student_t", "df": 3}}))
+        assert main(["moments", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "ConstraintViolation" in err and "ensemble.df" in err
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("simulate", {"p": 8192, "n": 8193}),
+        ("ks-rate", {"y": 1.0, "n_grid": [16, 8193]}),
+    ])
+    def test_memory_budget_fails_before_the_cost_probe(self, kind, extra, tmp_path,
+                                                       monkeypatch, capsys):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("the cost probe sampled a matrix")
+
+        monkeypatch.setattr(cli, "_check_budget", no_probe)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": kind, "replicates": 2, **extra}))
+        assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "ConstraintViolation" in err and "memory budget" in err
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
+    def test_ks_rate_projects_the_whole_run(self, tmp_path, monkeypatch, capsys):
+        # a fake clock at 1 s per replicate: 4 replicates at each of three n
+        # project 1.5 * 4 s = 6 s per n, under the 10 s cap, but 18 s in all
+        from lsslab import diagnostics
+
+        clock = [0.0]
+        eigenvalues = cli.eigenvalues
+
+        def one_second(b):
+            clock[0] += 1.0
+            return eigenvalues(b)
+
+        monkeypatch.setattr(diagnostics, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(cli, "eigenvalues", one_second)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": "ks-rate", "n_grid": [16, 24, 32],
+                                       "replicates": 4, "y": 0.25,
+                                       "cost_cap_seconds": 10}))
+        assert main(["ks-rate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "CostBudgetExceeded" in err and "projected 18s" in err
+        assert not (tmp_path / "ks_rate_detail.csv").exists()
+        # one replicate at each n projects 4.5 s, inside the cap
+        cfgfile.write_text(json.dumps({"kind": "ks-rate", "n_grid": [16, 24, 32],
+                                       "replicates": 1, "y": 0.25,
+                                       "cost_cap_seconds": 10}))
+        assert main(["ks-rate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("simulate", {"p": 8, "n": 16}),
+        ("ks-rate", {"y": 0.3, "n_grid": [16, 24, 32]}),
+    ])
+    def test_transform_solved_once_per_ratio(self, kind, extra, tmp_path, monkeypatch):
+        # y = 0.3 gives p/n = 5/16 at n = 16 and 32 and 7/24 at n = 24: the
+        # centering of every n reuses the transform its moments solved, so
+        # no contour node is solved twice for the same ratio
+        import lsslab.stieltjes as stieltjes_mod
+
+        solved = {}
+        original = stieltjes_mod.s_under_grid
+
+        def recording(z, spectrum, y_n):
+            solved.setdefault(y_n, []).extend(np.ravel(z).tolist())
+            return original(z, spectrum, y_n)
+
+        monkeypatch.setattr(stieltjes_mod, "s_under_grid", recording)
+        monkeypatch.setattr(clt_moments_mod, "s_under_grid", recording)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": kind, "replicates": 4, **extra}))
+        assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        ratios = {"simulate": {0.5}, "ks-rate": {5 / 16, 7 / 24}}[kind]
+        assert set(solved) == ratios
+        for nodes in solved.values():
+            assert len(nodes) == len(set(nodes))
+
+    @pytest.mark.parametrize("ensemble, matched", [
+        ("RG", True), ("CG", True), ({"name": "rademacher"}, False),
+        ({"name": "student_t", "df": 11}, False),
+    ])
+    def test_summaries_flag_gaussian_matching(self, ensemble, matched, tmp_path):
+        runs = {"moments": {}, "simulate": {"p": 8, "n": 16},
+                "ks-rate": {"n_grid": [16, 24, 32]}}
+        for kind, extra in runs.items():
+            cfgfile = tmp_path / f"{kind}.json"
+            cfgfile.write_text(json.dumps({"kind": kind, "ensemble": ensemble, "f": "x",
+                                           "replicates": 4, **extra}))
+            assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+            stem = kind.replace("-", "_")
+            doc = json.loads((tmp_path / f"{stem}_summary.json").read_text())
+            assert doc["summary"]["gaussian_matched"] is matched
 
     def test_threads_flag_rejected(self):
         with pytest.raises(SystemExit):

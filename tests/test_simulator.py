@@ -6,7 +6,7 @@ from scipy import stats
 
 from conftest import BATTERY
 from lsslab.clt_moments import compute_moments, normalize
-from lsslab.contour import build_contour, default_margin
+from lsslab.contour import default_margin
 from lsslab.errors import DegenerateTruncation, LogDomain
 from lsslab.simulator import (SimConfig, TruncationPolicy, assemble_B, default_eta,
                               eigenvalues, lss_centered, population_diagonal,
@@ -172,25 +172,26 @@ class TestLssCentered:
     def test_constant_exactly_zero(self):
         f1 = TestFunction.polynomial([1.0])
         eigs = np.array([0.5, 1.0, 2.0])
-        assert lss_centered(f1, eigs, IDENTITY, 0.5, p=3) == pytest.approx(0.0, abs=1e-9)
+        centering = lss_centering(f1, IDENTITY, 0.5, 3)
+        assert lss_centered(f1, eigs, centering) == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_population_zero_statistic(self):
         sp0 = PopulationSpectrum.from_pairs([(0.0, 1.0)])
         eigs = np.zeros(4)
-        assert lss_centered(F_X, eigs, sp0, 0.5, p=4) == pytest.approx(0.0, abs=1e-12)
+        centering = lss_centering(F_X, sp0, 0.5, 4)
+        assert lss_centered(F_X, eigs, centering) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_matches_trace(self):
         p, n = 12, 24
         x = sample_entries(RG, p, n, seed=12)
         b = assemble_B(IDENTITY, x, n)
         eigs = eigenvalues(b)
-        got = lss_centered(F_X, eigs, IDENTITY, p / n, p)
+        got = lss_centered(F_X, eigs, lss_centering(F_X, IDENTITY, p / n, p))
         assert got == pytest.approx(np.trace(b) - p * 1.0, abs=1e-8)
 
     def test_log_rejects_nonpositive_eigenvalues(self):
         with pytest.raises(LogDomain):
-            lss_centered(TestFunction.log(), np.array([-0.1, 1.0]), IDENTITY, 0.25, 2,
-                         centering=0.0)
+            lss_centered(TestFunction.log(), np.array([-0.1, 1.0]), 0.0)
 
 
 class TestRunExperiment:
@@ -232,18 +233,28 @@ class TestRunExperiment:
 
         # a contour margin of 0.03 against the default 0.19: the narrow band
         # is left by three of these replicates, the wide one by none
-        narrow = self._config(ratio=AspectRatio(p=64, n=128), replicates=20,
-                              contour=build_contour(IDENTITY, 0.5, eps=0.03))
-        rec = run_experiment(narrow, mom)
+        cfg = self._config(ratio=AspectRatio(p=64, n=128), replicates=20)
+        rec = run_experiment(cfg, compute_moments(F_X, IDENTITY, 0.5, "RG", eps=0.03))
         assert rec.confinement_violations == outside(rec, 0.03) == 3
         assert outside(rec, default_margin(IDENTITY, 0.5)) == 0
         # the default contour keeps the default band
-        default = self._config(ratio=AspectRatio(p=64, n=128), replicates=20,
-                               contour=build_contour(IDENTITY, 0.5))
-        assert (run_experiment(default, mom).confinement_violations
-                == run_experiment(self._config(ratio=AspectRatio(p=64, n=128),
-                                               replicates=20), mom).confinement_violations
-                == 0)
+        assert run_experiment(cfg, mom).confinement_violations == 0
+
+    def test_run_solves_no_transform_past_its_moments(self, monkeypatch):
+        # the centering runs over the transform compute_moments solved on
+        # its contour, so a run given those moments solves nothing
+        import lsslab.stieltjes as stieltjes_mod
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the transform was solved")
+
+        for f in (F_X, TestFunction.monomial(11), TestFunction.log()):
+            mom = compute_moments(f, BATTERY["five_atom"], 0.5, "RG")
+            with monkeypatch.context() as m:
+                m.setattr(stieltjes_mod, "s_under_grid", no_solve)
+                rec = run_experiment(self._config(f=f, spectrum=BATTERY["five_atom"],
+                                                  replicates=2), mom)
+            assert np.isfinite(rec.values()).all()
 
     def test_memory_budget_enforced(self):
         with pytest.raises(ValueError, match="memory budget"):
@@ -272,7 +283,7 @@ class TestRunExperiment:
             x = sample_entries(t11, p, n, replicate_seed(cfg.root_seed, i))
             x = truncate_normalize(x, n, default_eta(n), t11)
             eigs = eigenvalues(assemble_B(IDENTITY, x, n))
-            stat = lss_centered(F_X, eigs, IDENTITY, 0.5, p, centering=centering)
+            stat = lss_centered(F_X, eigs, centering)
             expected.append((normalize(stat, mom), eigs[0], eigs[-1]))
 
         calls = []
