@@ -8,7 +8,8 @@ from .spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
 from .stieltjes import (StieltjesSolution, inverse_map, lsd_density,
                         lss_centering, solve_s_under)
 from .contour import Contour, build_contour, integrate
-from .clt_moments import CltMoments, compute_moments, mean_correction, normalize, variance
+from .clt_moments import (CltMoments, CompanionTransform, compute_moments, mean_correction,
+                          normalize, variance_with_kernel)
 from .simulator import (ExperimentRecord, SimConfig, TruncationPolicy, assemble_B,
                         eigenvalues, lss_centered, run_experiment, sample_entries,
                         truncate_normalize)
@@ -20,8 +21,8 @@ __all__ = [
     "AspectRatio", "EntryEnsemble", "PopulationSpectrum", "TestFunction",
     "support_interval", "StieltjesSolution", "inverse_map", "lsd_density",
     "lss_centering", "solve_s_under", "Contour", "build_contour", "integrate", "CltMoments",
-    "compute_moments", "mean_correction", "normalize", "variance",
-    "ExperimentRecord", "SimConfig", "TruncationPolicy", "assemble_B",
+    "CompanionTransform", "compute_moments", "mean_correction", "normalize",
+    "variance_with_kernel", "ExperimentRecord", "SimConfig", "TruncationPolicy", "assemble_B",
     "eigenvalues", "lss_centered", "run_experiment", "sample_entries",
     "truncate_normalize", "RateFit", "SteinContext", "fit_rate", "ks_to_normal",
     "qform_probe", "sigma0_nested_mc", "stein_Nh", "stein_h", "stein_solution",

@@ -115,10 +115,10 @@ def _moments(cfg: RunConfig, y_n: float):
 
 
 def _experiment(cfg: RunConfig, ratio: AspectRatio, mom, replicates: int, root_seed: int):
-    sim = SimConfig(ratio=ratio, spectrum=cfg.spectrum, ensemble=cfg.ensemble,
-                    f=cfg.f, replicates=replicates, root_seed=root_seed,
+    sim = SimConfig(ratio=ratio, ensemble=cfg.ensemble, replicates=replicates,
+                    root_seed=root_seed,
                     truncation=TruncationPolicy(cfg.truncation_mode, cfg.truncation_eta))
-    return run_experiment(sim, mom, config_snapshot=cfg.to_dict())
+    return run_experiment(sim, mom)
 
 
 def run_simulate(cfg: RunConfig, out: Path, started: str) -> str:

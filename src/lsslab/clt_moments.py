@@ -22,13 +22,14 @@ the double pole ``s1' s2' / (s1 - s2)^2`` it came from by parts, it has no
 singularity on ``z1 = z2``.  So both variables run over the same contour.
 
 That contour is one ellipse around the bulk (``contour.py``) with the
-nested trapezoid rule, whose levels share their nodes: the transform is
-solved once per node across levels, and its values serve the mean, the
-variance and a run's centering.  One quadrature level of the variance at
-m nodes costs a few passes over the m x m node grid, formed in row blocks
-of bounded size; the rule at m/2, against which the level is checked, is
-the grid's even-index subgrid.  Each block of the kernel is one real matrix product of small
-factor matrices (``kernel_from_s``).  The log is taken in real arithmetic,
+nested trapezoid rule, whose levels share their nodes.  The mean, the
+variance and a run's centering read the law ``(spectrum, y_n)`` and the
+contour from one ``CompanionTransform``, solved once per node.  A variance
+level at m nodes costs a few passes over the m x m node grid, formed in row
+blocks of bounded size; the rule at m/2, against which the level is
+checked, is the grid's even-index subgrid.  Each block of the kernel is one
+real matrix product of small factor matrices (``kernel_from_s``).  The log
+is taken in real arithmetic,
 ``-log(1 - a) = -log1p(ar (ar - 2) + ai^2) / 2 + i atan2(ai, 1 - ar)``,
 which is accurate to rounding for every ``|a| < 1``
 (``_a_times_t_integral``).  ``f'`` is folded into the quadrature weights,
@@ -41,13 +42,26 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contour import Contour, NodeValues, _doubling_ladder, build_contour, trapezoid
+from .contour import (DEFAULT_NODES, DEFAULT_V0, RTOL, Contour, NodeValues,
+                      _doubling_ladder, build_contour, trapezoid)
 from .errors import DenominatorNearZero, KernelOutOfDisk, QuadratureStall, ZeroVariance
 from .spectral_model import PopulationSpectrum, TestFunction
 from .stieltjes import s_under_grid
 
 _IMAG_RTOL = 1e-8
 _BLOCK_CELLS = 1 << 18  # kernel cells formed at once in a variance level
+
+
+class CompanionTransform(NodeValues):
+    """The companion transform of one ``(spectrum, y_n)`` at the nested nodes of one contour.
+
+    ``s(m)`` is ``s_under`` at ``contour.nodes(m)``, each node solved once
+    however many levels and integrals ask for it.
+    """
+
+    def __init__(self, spectrum: PopulationSpectrum, y_n: float, contour: Contour):
+        super().__init__(lambda z: s_under_grid(z, spectrum, y_n), contour)
+        self.spectrum, self.y_n = spectrum, y_n
 
 
 @dataclass(frozen=True)
@@ -58,16 +72,21 @@ class CltMoments:
     sigma: float
     case: str  # "RG" or "CG"
     kernel_max_abs: float
-    # provenance, not compared: the contour used, the companion transform
-    # solved at its nodes (a run centers on both) and where each ladder
+    # provenance, not compared: the test function and the companion
+    # transform the moments were integrated over (a run takes f, the
+    # spectrum, y_n and the contour from them) and where each ladder
     # stopped ({"mean": Quadrature, "variance": Quadrature}, no mean for CG)
-    contour: Contour | None = field(default=None, compare=False)
-    s_under: NodeValues | None = field(default=None, compare=False)
+    f: TestFunction | None = field(default=None, compare=False)
+    s_under: CompanionTransform | None = field(default=None, compare=False)
     quadrature: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.case not in ("RG", "CG"):
             raise ValueError(f"case must be RG or CG, got {self.case!r}")
+
+    @property
+    def contour(self) -> Contour | None:
+        return None if self.s_under is None else self.s_under.contour
 
 
 def _atom_factors(s: np.ndarray, spectrum: PopulationSpectrum, y_n: float) -> np.ndarray:
@@ -150,27 +169,18 @@ def _mean_integrand(z, s, spectrum: PopulationSpectrum, y_n: float):
     return i3 / denom**2
 
 
-def _transform(c: Contour, spectrum: PopulationSpectrum, y_n: float) -> NodeValues:
-    return NodeValues(lambda z: s_under_grid(z, spectrum, y_n), c)
-
-
-def mean_correction(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
-                    c: Contour, rtol: float = 1e-9, *, s_under: NodeValues | None = None,
+def mean_correction(f: TestFunction, s: CompanionTransform, *,
                     report: dict | None = None) -> float:
-    """Asymptotic mean of the centered statistic (real-entry case).
+    """Asymptotic mean of the centered statistic (real-entry case) over the transform s.
 
-    ``s_under`` is the companion transform at the nodes of c when a caller
-    shares it with the variance; ``report["mean"]``, when a dict is given,
-    receives where the ladder stopped, with its error estimate in units of
-    the mean.
+    ``report["mean"]``, when a dict is given, receives where the ladder
+    stopped, with its error estimate in units of the mean.
     """
-    s = _transform(c, spectrum, y_n) if s_under is None else s_under
-
     def values(m):
-        z, _ = c.nodes(m)
-        return f(z) * _mean_integrand(z, s(m), spectrum, y_n)
+        z, _ = s.contour.nodes(m)
+        return f(z) * _mean_integrand(z, s(m), s.spectrum, s.y_n)
 
-    quad = trapezoid(values, c, rtol, "mean")
+    quad = trapezoid(values, s.contour, RTOL, "mean")
     value = -quad.value / (2.0j * np.pi)
     if abs(value.imag) > _IMAG_RTOL * (1.0 + abs(value.real)):
         raise QuadratureStall(f"mean kept imaginary residue {value.imag:.3e}")
@@ -179,27 +189,25 @@ def mean_correction(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     return float(value.real)
 
 
-def _variance_level(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
-                    c: Contour, m: int, s: np.ndarray | None = None
+def _variance_level(f: TestFunction, s: CompanionTransform, m: int
                     ) -> tuple[complex, complex, float]:
     """The rule at m nodes, the rule at m/2 and the largest |a| on the grid.
 
-    Both variables run over the m nodes of c, so a level is ``g @ L @ g``
-    with ``g = w f'(z)`` and ``L = -log(1 - a)`` on the node grid.  The m/2
-    rule is the even-index subgrid of the same kernel grid, which is formed
-    in blocks of at most 2^18 cells, so memory stays bounded however fine
-    the level.  ``s`` is the companion transform at the nodes, solved here
-    when not given.
+    Both variables run over the m nodes of the contour of s, so a level is
+    ``g @ L @ g`` with ``g = w f'(z)`` and ``L = -log(1 - a)`` on the node
+    grid.  The m/2 rule is the even-index subgrid of the same kernel grid,
+    which is formed in blocks of at most 2^18 cells, so memory stays
+    bounded however fine the level.
     """
-    z, w = c.nodes(m)
-    s = s_under_grid(z, spectrum, y_n) if s is None else s
+    z, w = s.contour.nodes(m)
+    sv = s(m)
     g = w * f.deriv(z)
     g_even = g[::2]
     rows = 2 * max(1, _BLOCK_CELLS // (2 * m))  # even, so blocks start on even rows
     fine = coarse = 0j
     amax = 0.0
     for i in range(0, m, rows):
-        a = kernel_from_s(s[i:i + rows, None], s[None, :], spectrum, y_n)
+        a = kernel_from_s(sv[i:i + rows, None], sv[None, :], s.spectrum, s.y_n)
         amax = max(amax, float(np.max(np.abs(a))))
         if amax >= 1.0:
             raise KernelOutOfDisk(f"|a| reached {amax:.6f} on the node grid")
@@ -209,21 +217,15 @@ def _variance_level(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     return complex(fine), 4.0 * complex(coarse), amax
 
 
-def variance_with_kernel(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
-                         c: Contour, rtol: float = 1e-9, *,
-                         s_under: NodeValues | None = None,
+def variance_with_kernel(f: TestFunction, s: CompanionTransform, *,
                          report: dict | None = None) -> tuple[float, float]:
-    """Variance plus the maximum kernel modulus seen on the accepted grid.
+    """Variance over the transform s plus the largest kernel modulus on the accepted grid.
 
-    Same doubling ladder as the contour engine, with the transform solved
-    once per node across levels.  ``s_under`` is the transform at the nodes
-    of c when a caller shares it with the mean; ``report["variance"]``,
-    when a dict is given, receives where the ladder stopped, with its error
-    estimate in units of the variance.
+    ``report["variance"]``, when a dict is given, receives where the ladder
+    stopped, with its error estimate in units of the variance.
     """
-    s = _transform(c, spectrum, y_n) if s_under is None else s_under
     quad, amax = _doubling_ladder(
-        lambda m: _variance_level(f, spectrum, y_n, c, m, s(m)), c.m, rtol, "variance")
+        lambda m: _variance_level(f, s, m), s.contour.m, RTOL, "variance")
     raw = -quad.value / (2.0 * np.pi**2)
     if abs(raw.imag) > _IMAG_RTOL * (1.0 + abs(raw.real)):
         raise QuadratureStall(f"variance kept imaginary residue {raw.imag:.3e}")
@@ -232,33 +234,25 @@ def variance_with_kernel(f: TestFunction, spectrum: PopulationSpectrum, y_n: flo
     return float(raw.real), amax
 
 
-def variance(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
-             c: Contour, rtol: float = 1e-9) -> float:
-    """Asymptotic variance of the centered statistic."""
-    return variance_with_kernel(f, spectrum, y_n, c, rtol)[0]
-
-
 def compute_moments(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
-                    case: str, *, eps: float | None = None, v_0: float = 1.0,
-                    m: int = 64, rtol: float = 1e-9) -> CltMoments:
+                    case: str, *, eps: float | None = None, v_0: float = DEFAULT_V0,
+                    m: int = DEFAULT_NODES) -> CltMoments:
     """Mean, variance and kernel diagnostic for one configuration.
 
     The mean correction applies to the real-entry case only; the circular
     complex case has zero asymptotic mean by construction and its
     normalization divides by sqrt(sigma / 2) instead.  The transform at
     the contour's nodes is solved once and shared by the variance and the
-    mean; the result keeps it as ``s_under`` for the centering of a run.
+    mean; the result keeps it, with f, for a run to center on.
     """
     if case not in ("RG", "CG"):
         raise ValueError(f"case must be RG or CG, got {case!r}")
-    c = build_contour(spectrum, y_n, eps, v_0, m, f=f)
-    s = _transform(c, spectrum, y_n)
+    s = CompanionTransform(spectrum, y_n, build_contour(spectrum, y_n, eps, v_0, m, f=f))
     report = {}
-    sigma, kernel_max = variance_with_kernel(f, spectrum, y_n, c, rtol, s_under=s,
-                                             report=report)
+    sigma, kernel_max = variance_with_kernel(f, s, report=report)
     mu = 0.0
     if case == "RG":
-        mu = mean_correction(f, spectrum, y_n, c, rtol, s_under=s, report=report)
+        mu = mean_correction(f, s, report=report)
     if not f.is_constant and sigma <= 0.0:
         raise ZeroVariance(
             f"sigma={sigma} for nonconstant f; contour orientation needs review"
@@ -266,7 +260,7 @@ def compute_moments(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     if f.is_constant:
         sigma = max(sigma, 0.0)
     return CltMoments(mu=mu, sigma=sigma, case=case, kernel_max_abs=kernel_max,
-                      contour=c, s_under=s, quadrature=report)
+                      f=f, s_under=s, quadrature=report)
 
 
 def normalize(lss_centered: float, m: CltMoments) -> float:

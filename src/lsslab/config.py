@@ -2,15 +2,18 @@
 
 Configs are UTF-8 JSON objects with nested sections.  Every field has a
 documented default except ``kind``; unknown keys are rejected with the path
-to the offending entry, as are type and constraint violations.
+to the offending entry, as are type and constraint violations and numbers
+a float cannot hold (``NaN``, ``Infinity``, ``1e999``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
+from .contour import DEFAULT_NODES, DEFAULT_V0, MAX_NODES, MIN_NODES
 from .errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
 from .simulator import MAX_ENTRIES
 from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
@@ -32,7 +35,7 @@ _DEFAULTS = {
     "y": 0.5,
     "ensemble": "RG",
     "f": "x^2",
-    "contour": {"eps": None, "v0": 1.0, "nodes": 64},
+    "contour": {"eps": None, "v0": DEFAULT_V0, "nodes": DEFAULT_NODES},
     "replicates": 200,
     "root_seed": 12345,
     "truncation": {"mode": "off", "eta": None},
@@ -73,7 +76,7 @@ def parse_test_function(value) -> TestFunction:
         m = _MONO_RE.match(term)
         if not m or (m.group("coeff") is None and m.group("x") is None):
             raise ConstraintViolation(f"cannot parse test function term {term!r} in {value!r}")
-        coeff = float(m.group("coeff")) if m.group("coeff") is not None else 1.0
+        coeff = float(_finite_number(m.group("coeff"))) if m.group("coeff") is not None else 1.0
         if m.group("sign") == "-":
             coeff = -coeff
         power = 0
@@ -126,9 +129,7 @@ def parse_ensemble(value) -> EntryEnsemble:
             extra = set(value) - {"name", "df"}
             if extra:
                 raise UnknownKey(f"unknown ensemble keys {sorted(extra)}")
-            df = value.get("df", 11.0)
-            if not isinstance(df, (int, float)) or isinstance(df, bool):
-                raise TypeMismatch("ensemble.df must be a number")
+            df = _expect(value.get("df", 11.0), (int, float), "ensemble.df")
             try:
                 return EntryEnsemble.student_t(float(df))
             except ValueError as exc:
@@ -142,16 +143,16 @@ def serialize_ensemble(e: EntryEnsemble):
         return e.variant
     if e.name == "rademacher":
         return {"name": "rademacher"}
-    if e.name.startswith("student_t_"):
-        return {"name": "student_t", "df": float(e.name.split("_")[-1])}
+    if e.df is not None:
+        return {"name": "student_t", "df": e.df}
     raise ValueError(f"ensemble {e.name!r} has no config form")
 
 
 @dataclass(frozen=True)
 class ContourParams:
-    eps: float | None = None
-    v0: float = 1.0
-    nodes: int = 64
+    eps: float | None
+    v0: float
+    nodes: int
 
 
 @dataclass(frozen=True)
@@ -222,10 +223,18 @@ def _positive(value, path: str) -> float:
     return value
 
 
+def _finite_number(text: str) -> int | float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise TypeMismatch(f"config number {text} is not finite; numbers must be finite")
+    return int(text) if text.lstrip("-").isdigit() else value
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON config, filling documented defaults."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_finite_number, parse_int=_finite_number,
+                         parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise TypeMismatch(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -265,7 +274,7 @@ def parse_config(text: str) -> RunConfig:
         if p < 1 or n < 1:
             raise ConstraintViolation("p and n must be positive")
         derived_y = p / n
-        if y is not None and abs(float(y) - derived_y) > 1e-12:
+        if y is not None and abs(_expect(y, (int, float), "y") - derived_y) > 1e-12:
             raise ConstraintViolation(f"y={y} inconsistent with p/n={derived_y}")
         y = derived_y
     else:
@@ -304,8 +313,8 @@ def parse_config(text: str) -> RunConfig:
         eps = _positive(eps, "contour.eps")
     v0 = _positive(contour_raw.get("v0", _DEFAULTS["contour"]["v0"]), "contour.v0")
     nodes = _expect(contour_raw.get("nodes", _DEFAULTS["contour"]["nodes"]), int, "contour.nodes")
-    if not 16 <= nodes <= 8192:
-        raise ConstraintViolation("contour.nodes must be between 16 and 8192")
+    if not MIN_NODES <= nodes <= MAX_NODES:
+        raise ConstraintViolation(f"contour.nodes must be between {MIN_NODES} and {MAX_NODES}")
 
     trunc_raw = get("truncation")
     _expect(trunc_raw, dict, "truncation")

@@ -34,8 +34,9 @@ from .spectral_model import PopulationSpectrum, TestFunction, support_interval
 
 DEFAULT_NODES = 64
 DEFAULT_V0 = 1.0
-_MIN_NODES = 16
-_MAX_NODES = 1 << 13  # c03's pole at 1.2 + 0.3j needs 2048
+MIN_NODES = 16
+MAX_NODES = 1 << 13  # c03's pole at 1.2 + 0.3j needs 2048
+RTOL = 1e-9  # relative tolerance of the mean, the variance and the centering
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,8 @@ class Contour:
             raise ValueError(f"need x_l < x_r, got [{self.x_l}, {self.x_r}]")
         if self.v_0 <= 0:
             raise ValueError("v_0 must be positive")
-        if not _MIN_NODES <= self.m <= _MAX_NODES:
-            raise ValueError(f"node count {self.m} outside [{_MIN_NODES}, {_MAX_NODES}]")
+        if not MIN_NODES <= self.m <= MAX_NODES:
+            raise ValueError(f"node count {self.m} outside [{MIN_NODES}, {MAX_NODES}]")
 
     @property
     def rho(self) -> float:
@@ -186,7 +187,7 @@ def _doubling_ladder(level, m: int, rtol: float, what: str) -> tuple[Quadrature,
         err = abs(fine - coarse)
         if err <= rtol * (1.0 + abs(fine)):
             return Quadrature(fine, m, err), info
-        if 2 * m > _MAX_NODES:
+        if 2 * m > MAX_NODES:
             raise QuadratureStall(
                 f"{what} error estimate {err:.3e} still above rtol={rtol} at {m} nodes"
             )
@@ -203,6 +204,6 @@ def trapezoid(values, c: Contour, rtol: float, what: str) -> Quadrature:
     return _doubling_ladder(level, c.m, rtol, what)[0]
 
 
-def integrate(g, c: Contour, rtol: float = 1e-9) -> complex:
+def integrate(g, c: Contour, rtol: float = RTOL) -> complex:
     """Closed-path integral of a vectorized complex function over c."""
     return trapezoid(NodeValues(g, c), c, rtol, "contour integral").value

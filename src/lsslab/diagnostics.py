@@ -22,6 +22,9 @@ from .stieltjes import s_under_grid
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+_CI_LEVEL = 0.90  # the rate exponent's bootstrap interval, "exponent_ci_90" in summaries
+_QFORM_CHUNK = 20_000  # probe replicates drawn per block
+_FD_STEP = 1e-6  # central-difference step of the Stein sweep
 
 
 def project_cost(unit, count: float, overhead: float, cap: float, what: str) -> None:
@@ -79,8 +82,8 @@ class RateFit:
     points: tuple[tuple[int, float], ...]
 
 
-def fit_rate(points, n_boot: int = 1000, seed: int = 0, ci_level: float = 0.90) -> RateFit:
-    """OLS of log ks on log n with a percentile bootstrap interval.
+def fit_rate(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
+    """OLS of log ks on log n with a 90% percentile bootstrap interval.
 
     The bootstrap resamples the (n, ks) points themselves - KS values at
     different n come from disjoint experiments - and the interval is
@@ -108,7 +111,7 @@ def fit_rate(points, n_boot: int = 1000, seed: int = 0, ci_level: float = 0.90) 
             continue
         s, _ = np.polyfit(log_n[idx], log_ks[idx], 1)
         slopes.append(s)
-    alpha = (1.0 - ci_level) / 2.0
+    alpha = (1.0 - _CI_LEVEL) / 2.0
     lo, hi = np.quantile(slopes, [alpha, 1.0 - alpha])
     lo, hi = min(lo, slope), max(hi, slope)
     return RateFit(exponent=float(slope), intercept=float(intercept),
@@ -213,9 +216,9 @@ def stein_solution(ctx: SteinContext, w: float) -> float:
             + nh * rb)
 
 
-def stein_residual(ctx: SteinContext, w: float, step: float = 1e-6) -> float:
+def stein_residual(ctx: SteinContext, w: float) -> float:
     """|g'(w) - w g(w) - (h(w) - Nh)| with g' by central difference."""
-    gp = (stein_solution(ctx, w + step) - stein_solution(ctx, w - step)) / (2.0 * step)
+    gp = (stein_solution(ctx, w + _FD_STEP) - stein_solution(ctx, w - _FD_STEP)) / (2 * _FD_STEP)
     return abs(gp - w * stein_solution(ctx, w) - (float(stein_h(ctx, w)) - ctx.Nh))
 
 
@@ -231,29 +234,28 @@ class SteinBoundReport:
     violations: int
 
 
-def stein_bound_report(ctx: SteinContext, n_grid: int = 10_000,
-                       w_range: tuple[float, float] = (-8.0, 8.0),
-                       fd_step: float = 1e-6, tol: float = 1e-9) -> SteinBoundReport:
-    """Sweep the bounds 0 <= g <= 1, |g'| <= 1, |g'(u) - g'(v)| <= 1.
+def stein_bound_report(ctx: SteinContext, n_grid: int = 10_000) -> SteinBoundReport:
+    """Sweep the bounds 0 <= g <= 1, |g'| <= 1, |g'(u) - g'(v)| <= 1 over [-8, 8].
 
     Derivatives use central differences; points within two steps of the two
     ramp kinks are excluded since h is not differentiable there and the
-    bounds hold for the a.e. derivative.  ``tol`` absorbs rounding in the
-    finite differences.
+    bounds hold for the a.e. derivative.  A tolerance of 1e-9 absorbs
+    rounding in the finite differences.
     """
-    ws = np.linspace(w_range[0], w_range[1], n_grid)
+    tol = 1e-9
+    ws = np.linspace(-8.0, 8.0, n_grid)
     kinks = (ctx.w0, ctx.w0 + ctx.theta)
     keep = np.ones(ws.shape, dtype=bool)
     for k in kinks:
-        keep &= np.abs(ws - k) > 2.0 * fd_step
+        keep &= np.abs(ws - k) > 2.0 * _FD_STEP
     ws = ws[keep]
     g = np.array([stein_solution(ctx, w) for w in ws])
     gp = np.array([
-        (stein_solution(ctx, w + fd_step) - stein_solution(ctx, w - fd_step)) / (2 * fd_step)
+        (stein_solution(ctx, w + _FD_STEP) - stein_solution(ctx, w - _FD_STEP)) / (2 * _FD_STEP)
         for w in ws
     ])
     spread = float(np.max(gp) - np.min(gp))
-    residual = max(stein_residual(ctx, w, fd_step) for w in ws[:: max(1, len(ws) // 500)])
+    residual = max(stein_residual(ctx, w) for w in ws[:: max(1, len(ws) // 500)])
     violations = int(np.sum(g < -tol) + np.sum(g > 1.0 + tol)
                      + np.sum(np.abs(gp) > 1.0 + tol) + (spread > 1.0 + tol))
     return SteinBoundReport(
@@ -276,7 +278,7 @@ class QformProbeResult:
 
 
 def _probe_matrix(spectrum: PopulationSpectrum, matrix_kind: str, p: int, n: int,
-                  seed: int, z: float | None) -> np.ndarray:
+                  seed: int) -> np.ndarray:
     from .simulator import population_diagonal, sample_entries
 
     diag_t = population_diagonal(spectrum, p)
@@ -287,28 +289,25 @@ def _probe_matrix(spectrum: PopulationSpectrum, matrix_kind: str, p: int, n: int
         x = sample_entries(EntryEnsemble.real_gaussian(), p, n, seed)
         b = (np.sqrt(diag_t)[:, None] * x)
         b = b @ b.T / n
-        if z is None:
-            _, hi = support_interval(spectrum, p / n)
-            z = hi + 1.0
-        return np.linalg.inv(b - z * np.eye(p))
+        _, hi = support_interval(spectrum, p / n)
+        return np.linalg.inv(b - (hi + 1.0) * np.eye(p))
     raise ValueError(f"unknown matrix kind {matrix_kind!r}")
 
 
 def qform_moment(spectrum: PopulationSpectrum, matrix_kind: str, n: int, y: float,
-                 k: int, replicates: int, seed: int, z: float | None = None,
-                 chunk: int = 20_000) -> float:
+                 k: int, replicates: int, seed: int) -> float:
     """Monte-Carlo estimate of E |r* A r - tr(T A)/n|^k at one grid point."""
     from .simulator import population_diagonal, replicate_seed, sample_entries
 
     p = int(round(y * n))
-    a = _probe_matrix(spectrum, matrix_kind, p, n, replicate_seed(seed, 0), z)
+    a = _probe_matrix(spectrum, matrix_kind, p, n, replicate_seed(seed, 0))
     diag_t = population_diagonal(spectrum, p)
     target = float(np.trace(np.diag(diag_t) @ a).real) / n
     acc = 0.0
     done = 0
     block = 1
     while done < replicates:
-        size = min(chunk, replicates - done)
+        size = min(_QFORM_CHUNK, replicates - done)
         x = sample_entries(EntryEnsemble.real_gaussian(), p, size, replicate_seed(seed, block))
         r = np.sqrt(diag_t)[:, None] * x / math.sqrt(n)
         q = np.einsum("ip,ip->p", r.conj(), a @ r).real - target
@@ -319,7 +318,7 @@ def qform_moment(spectrum: PopulationSpectrum, matrix_kind: str, n: int, y: floa
 
 
 def qform_probe(spectrum: PopulationSpectrum, matrix_kind: str, n_grid, y: float,
-                k: int, replicates: int, seed: int, z: float | None = None) -> QformProbeResult:
+                k: int, replicates: int, seed: int) -> QformProbeResult:
     """Log-log slope of the centered quadratic-form k-th moment in n.
 
     The aspect ratio stays fixed across the grid; the expected slope is
@@ -329,8 +328,7 @@ def qform_probe(spectrum: PopulationSpectrum, matrix_kind: str, n_grid, y: float
         raise ValueError("moment order k must be 2 or 4")
     points = []
     for i, n in enumerate(n_grid):
-        moment = qform_moment(spectrum, matrix_kind, int(n), y, k, replicates,
-                              seed + i, z)
+        moment = qform_moment(spectrum, matrix_kind, int(n), y, k, replicates, seed + i)
         points.append((int(n), moment))
     log_n = np.log([n for n, _ in points])
     log_m = np.log([m for _, m in points])

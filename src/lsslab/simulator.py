@@ -5,15 +5,14 @@ the 64-bit stream seed ``splitmix64(root_seed + (i+1) * GAMMA)`` (the i-th
 output of the splitmix64 generator seeded at ``root_seed``), independent of
 execution order.
 
-A run takes every deterministic input from its moment set: ``mu`` and
-``sigma`` normalize, the centering runs over the companion transform that
-``compute_moments`` solved on its contour, and that contour's margin sets
-the confinement band, so nothing is solved twice for one ``(f, y_n)``.
+A run takes f, the spectrum and every deterministic input from its moment
+set: ``mu`` and ``sigma`` normalize, the centering runs over the companion
+transform that ``compute_moments`` solved, whose ``y_n`` must be the run's
+``p/n``, and its contour's margin sets the confinement band.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
 import logging
 import math
 from dataclasses import dataclass
@@ -23,7 +22,8 @@ from scipy import integrate as _scipy_integrate
 
 from .clt_moments import CltMoments, normalize
 from .diagnostics import ks_to_normal
-from .errors import DegenerateTruncation, LabError, LogDomain, NonConvergence
+from .errors import (ConstraintViolation, DegenerateTruncation, LabError, LogDomain,
+                     NonConvergence)
 from .spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
                              TestFunction, support_interval)
 from .stieltjes import lss_centering
@@ -220,9 +220,7 @@ class TruncationPolicy:
 @dataclass(frozen=True)
 class SimConfig:
     ratio: AspectRatio
-    spectrum: PopulationSpectrum
     ensemble: EntryEnsemble
-    f: TestFunction
     replicates: int
     root_seed: int
     truncation: TruncationPolicy = TruncationPolicy()
@@ -245,14 +243,11 @@ class ReplicateRow:
 
 @dataclass
 class ExperimentRecord:
-    config: dict
     rows: list[ReplicateRow]
     ks: float
     mean: float
     variance: float
     confinement_violations: int
-    started_at: str
-    finished_at: str
 
     def values(self) -> np.ndarray:
         return np.array([r.value for r in self.rows])
@@ -266,30 +261,34 @@ def _one_replicate(cfg: SimConfig, moments: CltMoments, centering: float,
     x = sample_entries(cfg.ensemble, p, n, seed)
     if truncation is not None:
         x = _clip_restandardize(x, *truncation)
-    b = assemble_B(cfg.spectrum, x, n)
+    b = assemble_B(moments.s_under.spectrum, x, n)
     eigs = eigenvalues(b)
-    stat = lss_centered(cfg.f, eigs, centering)
+    stat = lss_centered(moments.f, eigs, centering)
     value = normalize(stat, moments)
     return ReplicateRow(index=index, seed=seed, value=float(value),
                         lam_min=float(eigs[0]), lam_max=float(eigs[-1]))
 
 
-def run_experiment(cfg: SimConfig, moments: CltMoments,
-                   config_snapshot: dict | None = None) -> ExperimentRecord:
+def run_experiment(cfg: SimConfig, moments: CltMoments) -> ExperimentRecord:
     """Replicated simulation of the normalized centered statistic.
 
-    ``moments`` comes from ``compute_moments`` at the run's ``y_n``: the
-    centering is integrated on its contour over the companion transform it
-    already solved there, so no further solve is needed, and its contour's
-    margin on the real axis sets the confinement band.  The centering and
-    the truncated moments are computed once per run; any replicate failure
-    is re-raised with its index attached.
+    f, the spectrum and the contour come from ``moments``, and the
+    centering is integrated over the transform they already solved; the
+    contour's margin on the real axis sets the confinement band.  Raises
+    ``ConstraintViolation`` before any draw when the moments carry no
+    transform or were solved at another ``y_n`` than the run's ``p/n``.
+    The centering and the truncated moments are computed once per run;
+    any replicate failure is re-raised with its index attached.
     """
-    started = _dt.datetime.now(_dt.timezone.utc).isoformat()
+    s = moments.s_under
+    if s is None or moments.f is None:
+        raise ConstraintViolation("moments carry no test function or companion transform; "
+                                  "compute them with compute_moments")
     y = cfg.ratio.y_n
-    contour = moments.contour
-    centering = lss_centering(cfg.f, cfg.spectrum, y, cfg.ratio.p, contour=contour,
-                              s_under=moments.s_under)
+    if y != s.y_n:
+        raise ConstraintViolation(f"moments were computed at y_n={s.y_n}, but the run has "
+                                  f"p/n = {cfg.ratio.p}/{cfg.ratio.n} = {y}")
+    centering = lss_centering(moments.f, cfg.ratio.p, s)
     truncation = None
     if cfg.truncation.mode == "on":
         n = cfg.ratio.n
@@ -303,8 +302,8 @@ def run_experiment(cfg: SimConfig, moments: CltMoments,
         except LabError as exc:
             raise type(exc)(f"replicate {i}: {exc}") from exc
 
-    lo, hi = support_interval(cfg.spectrum, y)
-    eps = contour.x_r - hi  # the contour's margin on the real axis
+    lo, hi = support_interval(s.spectrum, y)
+    eps = s.contour.x_r - hi  # the contour's margin on the real axis
     low, high = lo - eps / 2.0, hi + eps / 2.0
     violations = sum(1 for r in rows if r.lam_min < low or r.lam_max > high)
     if violations:
@@ -312,12 +311,9 @@ def run_experiment(cfg: SimConfig, moments: CltMoments,
 
     values = np.array([r.value for r in rows])
     return ExperimentRecord(
-        config=config_snapshot or {},
         rows=rows,
         ks=ks_to_normal(values),
         mean=float(np.mean(values)),
         variance=float(np.var(values, ddof=1)) if len(values) > 1 else 0.0,
         confinement_violations=violations,
-        started_at=started,
-        finished_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
     )

@@ -39,10 +39,10 @@ class PopulationSpectrum:
             raise ValueError("spectrum needs at least one atom")
         atoms = tuple((float(t), float(w)) for t, w in self.atoms)
         for t, w in atoms:
-            if t < 0:
-                raise ValueError(f"atom {t} is negative")
-            if w <= 0:
-                raise ValueError(f"weight {w} is not positive")
+            if not 0 <= t < math.inf:
+                raise ValueError(f"atom {t} is negative or not finite")
+            if not 0 < w < math.inf:
+                raise ValueError(f"weight {w} is not positive and finite")
         total = math.fsum(w for _, w in atoms)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"weights sum to {total}, expected 1 within {_WEIGHT_TOL}")
@@ -146,6 +146,7 @@ class EntryEnsemble:
     sampler: Callable | None = field(default=None, compare=False)
     pdf: Callable[[float], float] | None = field(default=None, compare=False)
     fourth_moment: float = 3.0
+    df: float | None = None  # Student t degrees of freedom, kept exactly for the config form
 
     def __post_init__(self):
         if self.variant not in ("RG", "CG", "custom_real"):
@@ -207,7 +208,7 @@ class EntryEnsemble:
 
         fourth = 3.0 * (df - 2.0) / (df - 4.0)
         return cls(variant="custom_real", name=f"student_t_{df:g}", sampler=sampler,
-                   pdf=pdf, fourth_moment=fourth)
+                   pdf=pdf, fourth_moment=fourth, df=df)
 
 
 # ---------------------------------------------------------------------------

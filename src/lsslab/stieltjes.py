@@ -20,12 +20,16 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .contour import Contour, NodeValues, build_contour, trapezoid
+from .contour import RTOL, trapezoid
 from .errors import BranchViolation, NonConvergence, OutsideSupport, PoleAtAtom
 from .spectral_model import PopulationSpectrum, TestFunction, support_interval
+
+if TYPE_CHECKING:
+    from .clt_moments import CompanionTransform
 
 _TOL = 1e-12  # certified fixed-point residual |F(s) - s| at every converged point
 _MAX_ITER = 10_000
@@ -223,29 +227,23 @@ def lsd_density(x, spectrum: PopulationSpectrum, y_n: float):
     return float(density) if density.ndim == 0 else density
 
 
-def lss_centering(f: TestFunction, spectrum: PopulationSpectrum, y_n: float, p: int,
-                  contour: Contour | None = None, *,
-                  s_under: NodeValues | None = None) -> float:
+def lss_centering(f: TestFunction, p: int, s_under: CompanionTransform) -> float:
     """Deterministic centering term of the linear spectral statistic.
 
     Computes ``-(p / 2 pi i) * contour integral of f(z) s(z) dz`` with the
-    transform of the primary law, by default on ``build_contour``'s ellipse,
-    by the nested trapezoid ladder over ``s_under``, the companion transform
-    at the contour's nodes: a run passes the one its moments solved
-    (``CltMoments.s_under``), and without one each node is solved once
-    here.  The imaginary part must vanish up to quadrature error (checked
-    against 1e-8 relative) and is discarded.
+    transform of the primary law, by the nested trapezoid ladder on the
+    contour of ``s_under`` over its values: the companion transform of the
+    run's ``(spectrum, y_n)``, which a run takes from its moments
+    (``CltMoments.s_under``).  The imaginary part must vanish up to
+    quadrature error (checked against 1e-8 relative) and is discarded.
     """
-    if contour is None:
-        contour = build_contour(spectrum, y_n, f=f)
-    if s_under is None:
-        s_under = NodeValues(lambda z: s_under_grid(z, spectrum, y_n), contour)
+    contour, y_n = s_under.contour, s_under.y_n
 
     def values(m):
         z, _ = contour.nodes(m)
         return f(z) * companion_to_primary(s_under(m), z, y_n)
 
-    raw = trapezoid(values, contour, 1e-9, "centering").value
+    raw = trapezoid(values, contour, RTOL, "centering").value
     value = -p / (2.0j * np.pi) * raw
     if abs(value.imag) > 1e-8 * (1.0 + abs(value.real)):
         raise NonConvergence(

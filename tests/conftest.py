@@ -28,3 +28,11 @@ def random_offbulk_points(spectrum, y, count, seed, im_range=(0.05, 2.0)):
     re = rng.uniform(lo - 2.0, hi + 2.0, size=count)
     im = rng.uniform(*im_range, size=count) * rng.choice([-1.0, 1.0], size=count)
     return re + 1j * im
+
+
+def companion(spectrum, y, f=None, **contour):
+    """The companion transform of (spectrum, y) at the nodes of ``build_contour``'s ellipse."""
+    from lsslab.clt_moments import CompanionTransform
+    from lsslab.contour import build_contour
+
+    return CompanionTransform(spectrum, y, build_contour(spectrum, y, f=f, **contour))

@@ -13,7 +13,8 @@ import pytest
 from scipy import integrate, stats
 
 from conftest import BATTERY, random_offbulk_points
-from lsslab.clt_moments import compute_moments, kernel_from_s, mean_correction, variance
+from lsslab.clt_moments import (CompanionTransform, compute_moments, kernel_from_s,
+                                mean_correction, variance_with_kernel)
 from lsslab.contour import Contour, build_contour
 from lsslab.diagnostics import (SteinContext, fit_rate, qform_probe,
                                 sigma0_nested_mc, stein_Nh, stein_bound_report,
@@ -83,16 +84,16 @@ def test_c03_contour_engine():
 def test_c04_moment_oracles():
     t0 = time.perf_counter()
     y = 0.5
-    c = build_contour(IDENTITY, y)
-    mu_const = mean_correction(TestFunction.polynomial([1.0]), IDENTITY, y, c)
-    mu_lin = mean_correction(F_X, IDENTITY, y, c)
+    s = CompanionTransform(IDENTITY, y, build_contour(IDENTITY, y))
+    mu_const = mean_correction(TestFunction.polynomial([1.0]), s)
+    mu_lin = mean_correction(F_X, s)
     # direct derivation: Var(tr B) = Var((1/n) sum x_ia^2) = 2p/n for T = I
-    sigma_lin = variance(F_X, IDENTITY, y, c)
+    sigma_lin = variance_with_kernel(F_X, s)[0]
     # moment counting for real Gaussian entries, T = I:
     #   E tr B^2 = p(n+p+1)/n,  p * second moment of the limit law = p(1+y)
     p_ref, n_ref = 500, 1000
     mu2_oracle = p_ref * (n_ref + p_ref + 1) / n_ref - p_ref * (1 + p_ref / n_ref)
-    mu_sq = mean_correction(F_X2, IDENTITY, y, c)
+    mu_sq = mean_correction(F_X2, s)
     dt = time.perf_counter() - t0
     ok = (abs(mu_const) <= 1e-8 and abs(mu_lin) <= 1e-8
           and abs(sigma_lin - 2 * y) <= 1e-6 * 2 * y
@@ -136,8 +137,8 @@ def test_c07_clt_normality_fixed_n():
     t0 = time.perf_counter()
     p, n = 256, 512
     mom = compute_moments(F_X2, IDENTITY, p / n, "RG")
-    cfg = SimConfig(ratio=AspectRatio(p=p, n=n), spectrum=IDENTITY, ensemble=RG,
-                    f=F_X2, replicates=2000, root_seed=20_240_701)
+    cfg = SimConfig(ratio=AspectRatio(p=p, n=n), ensemble=RG, replicates=2000,
+                    root_seed=20_240_701)
     rec = run_experiment(cfg, mom)
     dt = time.perf_counter() - t0
     ok = abs(rec.mean) <= 0.08 and abs(rec.variance - 1.0) <= 0.12 and rec.ks <= 0.05
@@ -160,8 +161,8 @@ def test_c08_rate_reproduction():
     for i, n in enumerate((128, 256, 512, 1024)):
         p = n // 4
         mom = compute_moments(f, IDENTITY, p / n, "RG")
-        cfg = SimConfig(ratio=AspectRatio(p=p, n=n), spectrum=IDENTITY, ensemble=RG,
-                        f=f, replicates=4000, root_seed=97 + i)
+        cfg = SimConfig(ratio=AspectRatio(p=p, n=n), ensemble=RG, replicates=4000,
+                        root_seed=97 + i)
         rec = run_experiment(cfg, mom)
         points.append((n, rec.ks))
     fit = fit_rate(points, seed=7)
@@ -177,8 +178,8 @@ def test_c09_cg_case_zero_mean():
     t0 = time.perf_counter()
     p, n = 256, 512
     mom = compute_moments(F_X2, IDENTITY, p / n, "CG")
-    cfg = SimConfig(ratio=AspectRatio(p=p, n=n), spectrum=IDENTITY, ensemble=CG,
-                    f=F_X2, replicates=2000, root_seed=20_240_702)
+    cfg = SimConfig(ratio=AspectRatio(p=p, n=n), ensemble=CG, replicates=2000,
+                    root_seed=20_240_702)
     rec = run_experiment(cfg, mom)
     dt = time.perf_counter() - t0
     ok = abs(rec.mean) <= 0.08 and abs(rec.variance - 1.0) <= 0.12

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from conftest import BATTERY
 from lsslab import clt_moments
-from lsslab.clt_moments import (CltMoments, _a_times_t_integral, _mean_integrand,
-                                _variance_level, compute_moments, kernel_from_s,
-                                mean_correction, normalize, variance, variance_with_kernel)
+from lsslab.clt_moments import (CltMoments, CompanionTransform, _a_times_t_integral,
+                                _mean_integrand, _variance_level, compute_moments,
+                                kernel_from_s, mean_correction, normalize,
+                                variance_with_kernel)
 from lsslab.contour import _confocal, _doubling_ladder, build_contour
 from lsslab.errors import ZeroVariance
 from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
@@ -167,13 +168,15 @@ class TestOneContour:
         # integral over one contour equals the one over nested contours
         f, sp = TestFunction.monomial(power), BATTERY[name]
         want = _nested_variance(f, sp, y)
-        assert variance(f, sp, y, build_contour(sp, y, f=f)) == pytest.approx(want, rel=1e-9)
+        s = CompanionTransform(sp, y, build_contour(sp, y, f=f))
+        assert variance_with_kernel(f, s)[0] == pytest.approx(want, rel=1e-9)
 
     def test_log_matches_nested_contours(self):
         f, y = TestFunction.log(), 0.5
         want = _nested_variance(f, IDENTITY, y)
         assert want == pytest.approx(-2.0 * np.log(1 - y), rel=1e-9)
-        got = variance(f, IDENTITY, y, build_contour(IDENTITY, y, f=f))
+        s = CompanionTransform(IDENTITY, y, build_contour(IDENTITY, y, f=f))
+        got = variance_with_kernel(f, s)[0]
         assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -185,7 +188,7 @@ class TestFusedLevel:
         f = TestFunction.monomial(power)
         sp = BATTERY[name]
         c = build_contour(sp, y, f=f)
-        got, coarse, amax = _variance_level(f, sp, y, c, 64)
+        got, coarse, amax = _variance_level(f, CompanionTransform(sp, y, c), 64)
         want = _textbook_level(f, sp, y, c, 64)
         assert abs(got - want) <= 1e-12 * abs(want)
         # the m/2 rule is the even-index subgrid of the same kernel grid
@@ -198,9 +201,9 @@ class TestFusedLevel:
         # once, on a contour whose levels are not powers of 2
         f, sp, y = TestFunction.monomial(3), BATTERY["five_atom"], 0.5
         c = build_contour(sp, y, m=30, f=f)
-        whole = _variance_level(f, sp, y, c, 30)
+        whole = _variance_level(f, CompanionTransform(sp, y, c), 30)
         monkeypatch.setattr(clt_moments, "_BLOCK_CELLS", 8 * 30)
-        blocked = _variance_level(f, sp, y, c, 30)
+        blocked = _variance_level(f, CompanionTransform(sp, y, c), 30)
         assert blocked[2] == whole[2]
         for b, w in zip(blocked[:2], whole[:2]):
             assert abs(b - w) <= 1e-13 * abs(w)
@@ -221,60 +224,60 @@ class TestMean:
 
     def test_constant_function_zero(self):
         c = build_contour(IDENTITY, 0.5)
-        assert abs(mean_correction(F_CONST, IDENTITY, 0.5, c)) <= 1e-8
+        assert abs(mean_correction(F_CONST, CompanionTransform(IDENTITY, 0.5, c))) <= 1e-8
 
     @pytest.mark.parametrize("name", ["identity", "two_atom", "five_atom"])
     def test_linear_function_zero(self, name):
         # tr B is exactly centered by p * m1, so the limit mean vanishes
         c = build_contour(BATTERY[name], 0.5)
-        assert abs(mean_correction(F_X, BATTERY[name], 0.5, c)) <= 1e-8
+        assert abs(mean_correction(F_X, CompanionTransform(BATTERY[name], 0.5, c))) <= 1e-8
 
     def test_square_identity_population(self):
         # moment-counting oracle for real Gaussian entries, T = I:
         # E tr B^2 = p (n + p + 1)/n and p * second moment of the limit law
         # is p (1 + y), leaving exactly y = p/n for every n
         y = 0.5
-        c = build_contour(IDENTITY, y)
-        assert mean_correction(F_X2, IDENTITY, y, c) == pytest.approx(y, rel=1e-8)
+        s = CompanionTransform(IDENTITY, y, build_contour(IDENTITY, y))
+        assert mean_correction(F_X2, s) == pytest.approx(y, rel=1e-8)
 
     def test_square_general_population(self):
         # same counting with diagonal T: E tr B^2 - p(m2 + y m1^2) = y m2
         sp = BATTERY["two_atom"]
         y = 0.5
-        c = build_contour(sp, y)
-        assert mean_correction(F_X2, sp, y, c) == pytest.approx(y * sp.moment(2), rel=1e-8)
+        s = CompanionTransform(sp, y, build_contour(sp, y))
+        assert mean_correction(F_X2, s) == pytest.approx(y * sp.moment(2), rel=1e-8)
 
     def test_log_identity_population(self):
         # classical closed form log(1 - y) / 2 for the MP bulk
         y = 0.25
         c = build_contour(IDENTITY, y, eps=0.04, v_0=0.8, f=TestFunction.log())
-        got = mean_correction(TestFunction.log(), IDENTITY, y, c)
+        got = mean_correction(TestFunction.log(), CompanionTransform(IDENTITY, y, c))
         assert got == pytest.approx(np.log(1 - y) / 2.0, rel=1e-9)
 
 
 class TestVariance:
     def test_constant_gives_zero(self):
         c = build_contour(IDENTITY, 0.5)
-        assert abs(variance(F_CONST, IDENTITY, 0.5, c)) <= 1e-12
+        assert abs(variance_with_kernel(F_CONST, CompanionTransform(IDENTITY, 0.5, c))[0]) <= 1e-12
 
     def test_linear_identity_population(self):
         # Var(tr B) = 2p/n for real Gaussian entries and T = I
         y = 0.5
-        c = build_contour(IDENTITY, y)
-        assert variance(F_X, IDENTITY, y, c) == pytest.approx(2 * y, rel=1e-10)
+        s = CompanionTransform(IDENTITY, y, build_contour(IDENTITY, y))
+        assert variance_with_kernel(F_X, s)[0] == pytest.approx(2 * y, rel=1e-10)
 
     def test_linear_general_population(self):
         # Var(tr B) = (2/n) tr T^2 = 2 y m2 for real Gaussian entries
         sp = BATTERY["five_atom"]
         y = 0.5
-        c = build_contour(sp, y)
-        assert variance(F_X, sp, y, c) == pytest.approx(2 * y * sp.moment(2), rel=1e-9)
+        s = CompanionTransform(sp, y, build_contour(sp, y))
+        assert variance_with_kernel(F_X, s)[0] == pytest.approx(2 * y * sp.moment(2), rel=1e-9)
 
     def test_log_identity_population(self):
         # classical closed form -2 log(1 - y)
         y = 0.25
         c = build_contour(IDENTITY, y, eps=0.04, v_0=0.8, f=TestFunction.log())
-        got = variance(TestFunction.log(), IDENTITY, y, c)
+        got = variance_with_kernel(TestFunction.log(), CompanionTransform(IDENTITY, y, c))[0]
         assert got == pytest.approx(-2.0 * np.log(1 - y), rel=1e-9)
 
     def test_small_kernel_series_limit(self):
@@ -344,7 +347,7 @@ class TestMomentsBundle:
     def test_kernel_max_abs_reported(self):
         mom = compute_moments(F_X, IDENTITY, 0.5, "RG")
         c = build_contour(IDENTITY, 0.5)
-        _, amax = variance_with_kernel(F_X, IDENTITY, 0.5, c)
+        _, amax = variance_with_kernel(F_X, CompanionTransform(IDENTITY, 0.5, c))
         assert mom.kernel_max_abs == pytest.approx(amax, rel=1e-12)
 
 

@@ -17,6 +17,7 @@ from lsslab.spectral_model import AspectRatio, PopulationSpectrum, support_inter
 from lsslab.stieltjes import lsd_density
 
 IDENTITY = PopulationSpectrum.identity()
+FIVE_ATOM = [{"atom": t, "weight": w} for t, w in BATTERY["five_atom"].atoms]
 
 
 class TestParseTestFunction:
@@ -120,6 +121,31 @@ class TestParseConfig:
         with pytest.raises(ConstraintViolation, match="inconsistent"):
             parse_config(json.dumps({"kind": "simulate", "p": 4, "n": 8, "y": 0.7}))
 
+    @pytest.mark.parametrize("text", [
+        '{"kind": "moments", "contour": {"eps": NaN}}',
+        '{"kind": "moments", "y": NaN}',
+        '{"kind": "moments", "y": Infinity}',
+        '{"kind": "moments", "y": 1e999}',
+        '{"kind": "moments", "spectrum": [{"atom": NaN, "weight": 1.0}]}',
+        '{"kind": "moments", "spectrum_allow_large": true,'
+        ' "spectrum": [{"atom": Infinity, "weight": 1.0}]}',
+        '{"kind": "moments", "spectrum": [{"atom": 1.0, "weight": NaN}]}',
+        '{"kind": "simulate", "p": 8, "n": 16, "truncation": {"mode": "on", "eta": NaN}}',
+        '{"kind": "simulate", "p": 8, "n": 16, "ensemble": {"name": "student_t", "df": NaN}}',
+        '{"kind": "simulate", "p": 8, "n": 16, "cost_cap_seconds": NaN}',
+        '{"kind": "moments", "f": {"poly": [0, -Infinity]}}',
+        '{"kind": "moments", "f": "1e999*x^2"}',
+        '{"kind": "moments", "y": 1%s}' % ("0" * 400),
+        '{"kind": "simulate", "p": 8, "n": 16, "cost_cap_seconds": 1%s}' % ("0" * 400),
+    ], ids=lambda text: text[:90])
+    def test_non_finite_numbers_rejected(self, text):
+        with pytest.raises(TypeMismatch, match="not finite"):
+            parse_config(text)
+
+    def test_y_type_checked_with_dims(self):
+        with pytest.raises(TypeMismatch, match="^y: "):
+            parse_config(json.dumps({"kind": "simulate", "p": 8, "n": 16, "y": "abc"}))
+
     def test_case_defaults_from_ensemble(self):
         cfg = parse_config(json.dumps({"kind": "moments", "ensemble": "CG"}))
         assert cfg.case == "CG"
@@ -191,7 +217,7 @@ class TestCliRuns:
         original = sim_mod.lss_centering
 
         def spy(*args, **kwargs):
-            seen.append((kwargs["contour"], original(*args, **kwargs)))
+            seen.append((args[2].contour, original(*args, **kwargs)))
             return seen[-1][1]
 
         monkeypatch.setattr(sim_mod, "lss_centering", spy)
@@ -258,6 +284,42 @@ class TestCliRuns:
         assert main(["moments", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "ConstraintViolation" in err and "ensemble.df" in err
+
+    def test_non_finite_config_exits_typed(self, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"kind": "simulate", "p": 8, "n": 16, "cost_cap_seconds": NaN}')
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "TypeMismatch" in err and "NaN is not finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [
+        {"kind": "lsd", "spectrum": FIVE_ATOM, "y": 0.3, "grid_points": 20},
+        {"kind": "simulate", "p": 8, "n": 16, "replicates": 4, "truncation": {"mode": "on"},
+         "ensemble": {"name": "student_t", "df": 11.123456789}},
+        {"kind": "ks-rate", "spectrum": FIVE_ATOM, "y": 0.3,
+         "n_grid": [16, 24, 32], "replicates": 3, "f": "log"},
+        {"kind": "stein-check", "contexts": 2, "grid_points": 50},
+        {"kind": "probe-qform", "y": 0.5, "n_grid": [8, 16], "replicates": 50},
+    ], ids=lambda raw: raw["kind"])
+    def test_summary_config_reproduces_the_csv(self, raw, tmp_path):
+        # the summary's resolved config reruns to the same CSV body; a student_t
+        # df rounded in the summary (11.123456789 as 11.1235) draws other entries
+        kind, stem = raw["kind"], raw["kind"].replace("-", "_")
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        assert main([kind, "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "a")]) == 0
+        doc = json.loads((tmp_path / "a" / f"{stem}_summary.json").read_text())
+        (tmp_path / "again.json").write_text(json.dumps(doc["config"]))
+        assert main([kind, "--config", str(tmp_path / "again.json"),
+                     "--out", str(tmp_path / "b")]) == 0
+        body = (tmp_path / "a" / f"{stem}_detail.csv").read_bytes()
+        assert (tmp_path / "b" / f"{stem}_detail.csv").read_bytes() == body
 
     @pytest.mark.parametrize("kind, extra", [
         ("simulate", {"p": 8192, "n": 8193}),

@@ -118,5 +118,5 @@ def test_contour_moments_match_the_residue(name, y, degree):
     assert abs(got.mu - float(mu)) <= 1e-9 * max(1.0, abs(float(mu)))
     assert got.sigma == pytest.approx(float(sigma), rel=1e-9)
     p = 64
-    centering = lss_centering(TestFunction.polynomial(coeffs), sp, float(y), p)
+    centering = lss_centering(TestFunction.polynomial(coeffs), p, got.s_under)
     assert centering == pytest.approx(p * float(moments[degree]), rel=1e-9)

@@ -1,13 +1,14 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import BATTERY
-from lsslab.clt_moments import compute_moments, normalize
+from conftest import BATTERY, companion
+from lsslab.clt_moments import CltMoments, compute_moments, normalize
 from lsslab.contour import default_margin
-from lsslab.errors import DegenerateTruncation, LogDomain
+from lsslab.errors import ConstraintViolation, DegenerateTruncation, LogDomain
 from lsslab.simulator import (SimConfig, TruncationPolicy, assemble_B, default_eta,
                               eigenvalues, lss_centered, population_diagonal,
                               replicate_seed, run_experiment, sample_entries,
@@ -172,13 +173,13 @@ class TestLssCentered:
     def test_constant_exactly_zero(self):
         f1 = TestFunction.polynomial([1.0])
         eigs = np.array([0.5, 1.0, 2.0])
-        centering = lss_centering(f1, IDENTITY, 0.5, 3)
+        centering = lss_centering(f1, 3, companion(IDENTITY, 0.5))
         assert lss_centered(f1, eigs, centering) == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_population_zero_statistic(self):
         sp0 = PopulationSpectrum.from_pairs([(0.0, 1.0)])
         eigs = np.zeros(4)
-        centering = lss_centering(F_X, sp0, 0.5, 4)
+        centering = lss_centering(F_X, 4, companion(sp0, 0.5))
         assert lss_centered(F_X, eigs, centering) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_matches_trace(self):
@@ -186,7 +187,7 @@ class TestLssCentered:
         x = sample_entries(RG, p, n, seed=12)
         b = assemble_B(IDENTITY, x, n)
         eigs = eigenvalues(b)
-        got = lss_centered(F_X, eigs, lss_centering(F_X, IDENTITY, p / n, p))
+        got = lss_centered(F_X, eigs, lss_centering(F_X, p, companion(IDENTITY, p / n)))
         assert got == pytest.approx(np.trace(b) - p * 1.0, abs=1e-8)
 
     def test_log_rejects_nonpositive_eigenvalues(self):
@@ -196,8 +197,8 @@ class TestLssCentered:
 
 class TestRunExperiment:
     def _config(self, **kw):
-        defaults = dict(ratio=AspectRatio(p=16, n=32), spectrum=IDENTITY, ensemble=RG,
-                        f=F_X, replicates=8, root_seed=777)
+        defaults = dict(ratio=AspectRatio(p=16, n=32), ensemble=RG, replicates=8,
+                        root_seed=777)
         defaults.update(kw)
         return SimConfig(**defaults)
 
@@ -252,9 +253,25 @@ class TestRunExperiment:
             mom = compute_moments(f, BATTERY["five_atom"], 0.5, "RG")
             with monkeypatch.context() as m:
                 m.setattr(stieltjes_mod, "s_under_grid", no_solve)
-                rec = run_experiment(self._config(f=f, spectrum=BATTERY["five_atom"],
-                                                  replicates=2), mom)
+                rec = run_experiment(self._config(replicates=2), mom)
             assert np.isfinite(rec.values()).all()
+
+    def test_moments_at_another_ratio_rejected_before_any_draw(self, monkeypatch):
+        # moments of f = x at y = 1/4 would center, normalize and band a run at
+        # p/n = 1/2 at the wrong law (mean about 45, every replicate flagged)
+        import lsslab.simulator as sim_mod
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an entry matrix was drawn")
+
+        monkeypatch.setattr(sim_mod, "sample_entries", no_draw)
+        cfg = self._config(ratio=AspectRatio(p=64, n=128))
+        with pytest.raises(ConstraintViolation, match="y_n=0.25.*64/128"):
+            run_experiment(cfg, compute_moments(F_X, IDENTITY, 0.25, "RG"))
+        # a hand-built moment set names no law to run
+        with pytest.raises(ConstraintViolation, match="compute_moments"):
+            run_experiment(cfg, CltMoments(0.0, 1.0, "RG", 0.3))
+        assert not {"f", "spectrum"} & {fl.name for fl in fields(SimConfig)}
 
     def test_memory_budget_enforced(self):
         with pytest.raises(ValueError, match="memory budget"):
@@ -277,7 +294,7 @@ class TestRunExperiment:
         cfg = self._config(ensemble=t11, truncation=TruncationPolicy("on", None),
                            replicates=5)
         mom = compute_moments(F_X, IDENTITY, 0.5, "RG")
-        centering = lss_centering(F_X, IDENTITY, 0.5, p)
+        centering = lss_centering(F_X, p, mom.s_under)
         expected = []
         for i in range(cfg.replicates):
             x = sample_entries(t11, p, n, replicate_seed(cfg.root_seed, i))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,11 @@ class TestPopulationSpectrum:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="not positive"):
             PopulationSpectrum(atoms=((1.0, 1.0), (0.5, 0.0)))
+
+    @pytest.mark.parametrize("pair", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_atom_or_weight_rejected(self, pair):
+        with pytest.raises(ValueError, match="finite"):
+            PopulationSpectrum.from_pairs([pair], allow_large_atoms=True)
 
     def test_norm_cap_default_and_override(self):
         with pytest.raises(ValueError, match="allow_large_atoms"):

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BATTERY, random_offbulk_points
-from lsslab.contour import build_contour
+from conftest import BATTERY, companion, random_offbulk_points
 from lsslab.errors import OutsideSupport, PoleAtAtom
 from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
 from lsslab.stieltjes import (companion_to_primary, inverse_map, lsd_density,
@@ -326,23 +325,23 @@ class TestCentering:
     def test_linear_statistic_is_population_mean(self, name):
         sp = BATTERY[name]
         p, y = 48, 0.5
-        val = lss_centering(TestFunction.monomial(1), sp, y, p)
+        val = lss_centering(TestFunction.monomial(1), p, companion(sp, y))
         assert val == pytest.approx(p * sp.moment(1), rel=1e-10)
 
     def test_constant_counts_dimension(self):
-        val = lss_centering(TestFunction.polynomial([1.0]), IDENTITY, 0.5, 37)
+        val = lss_centering(TestFunction.polynomial([1.0]), 37, companion(IDENTITY, 0.5))
         assert val == pytest.approx(37.0, rel=1e-10)
 
     def test_second_moment_identity_population(self):
         p, y = 32, 0.5
-        val = lss_centering(TestFunction.monomial(2), IDENTITY, y, p)
+        val = lss_centering(TestFunction.monomial(2), p, companion(IDENTITY, y))
         assert val == pytest.approx(p * (1 + y), rel=1e-10)
 
     def test_second_moment_general_population(self):
         # second moment of the limit law is m2 + y m1^2
         sp = BATTERY["two_atom"]
         p, y = 32, 0.5
-        val = lss_centering(TestFunction.monomial(2), sp, y, p)
+        val = lss_centering(TestFunction.monomial(2), p, companion(sp, y))
         expected = p * (sp.moment(2) + y * sp.moment(1) ** 2)
         assert val == pytest.approx(expected, rel=1e-10)
 
@@ -350,7 +349,7 @@ class TestCentering:
         # the primary law carries mass 1 - 1/y at zero when p > n
         p, y = 40, 2.0
         f = TestFunction.polynomial([1.0])
-        assert lss_centering(f, IDENTITY, y, p) == pytest.approx(p, rel=1e-9)
+        assert lss_centering(f, p, companion(IDENTITY, y)) == pytest.approx(p, rel=1e-9)
 
     @pytest.mark.parametrize("name", ["identity", "five_atom"])
     def test_small_margin_does_not_stall(self, name):
@@ -358,6 +357,5 @@ class TestCentering:
         # 3.0e-6 on the rectangle with one Gauss-Legendre panel per edge
         sp = BATTERY[name]
         p, y = 48, 0.5
-        c = build_contour(sp, y, eps=0.01)
-        val = lss_centering(TestFunction.monomial(1), sp, y, p, contour=c)
+        val = lss_centering(TestFunction.monomial(1), p, companion(sp, y, eps=0.01))
         assert val == pytest.approx(p * sp.moment(1), rel=1e-10)
