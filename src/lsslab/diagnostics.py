@@ -349,12 +349,16 @@ class Sigma0Result:
     p: int
     inner_reps: int
     outer_reps: int
+    # sampled eigenvalues outside [x_l, x_r], counted once per inner draw: the
+    # contour encloses only [x_l, x_r], so the column sums drop their terms
+    outside_contour: int
     # the per-column deterministic weight is the equivalent -z s0(z), whose
     # gap to the exact conditional version is an order n^{-1} effect
     b_equivalent: str = "-z*s_under"
 
 
 _SIGMA0_NODES = 128  # trapezoid nodes of the column sums on the default contour
+_SIGMA0_CELLS = 1 << 14  # (eigenvalue, node) cells of the resolvent sum per block
 
 
 def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
@@ -365,73 +369,85 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
 
     For each column j the conditional expectation over the not-yet-revealed
     columns is realized by redrawing them; two independent half-estimates
-    are multiplied so the inner noise cancels in expectation instead of
-    biasing the square.  Column weights use the deterministic equivalent
-    ``-z s_under(z)``.  The contour sum is one trapezoid rule of 128 nodes
-    on the default contour.  Work is projected from one timed p x p
-    eigendecomposition of a fixed matrix and the run aborts beforehand if
-    it exceeds the cap.
+    of ``inner_reps`` draws each are multiplied so the inner noise cancels
+    in expectation instead of biasing the square.  Column weights use the
+    deterministic equivalent ``-z s_under(z)``.  The contour sum is one
+    trapezoid rule of 128 nodes on the default contour.
+
+    A column works on all of its ``2 inner_reps`` draws at once: one batch
+    of fresh entries, one stacked Gram update and one stacked ``eigh``.
+    The contour sum is folded into ``g(lam) = Re sum_k W_k / (lam - z_k)``
+    per eigenvalue, evaluated in real arithmetic.  Work is projected from
+    one timed stacked eigendecomposition of ``2 inner_reps`` fixed p x p
+    matrices, the unit of a column, and the run aborts beforehand if
+    ``outer_reps n`` of them exceed the cap.  Sizes below 1 and
+    ``n_small > 64`` raise ``OutOfRange`` before any work.
     """
     from .simulator import draw_entries, population_diagonal, replicate_seed, sample_entries
 
     if n_small > 64:
-        raise ValueError("n_small is capped at 64 (cost grows like n^4)")
+        raise OutOfRange(f"n_small is capped at 64 (cost grows like n^4), got {n_small}")
     if ensemble is None:
         ensemble = EntryEnsemble.real_gaussian()
     n = int(n_small)
     p = int(round(y_n * n))
+    for name, value in (("n_small", n), ("p = round(y_n * n_small)", p),
+                        ("inner_reps", inner_reps), ("outer_reps", outer_reps)):
+        if value < 1:
+            raise OutOfRange(f"nested MC needs {name} >= 1, got {value}")
 
-    ops = outer_reps * n * 2 * inner_reps
-    # 2.5: each inner draw adds its node sums and assembly to the eigh
-    project_cost(lambda: np.linalg.eigh(np.eye(p) + 0.01 * np.ones((p, p))), ops, 2.5,
-                 work_cap_seconds, f"{ops} nested-MC inner draws")
+    reps = 2 * inner_reps
+    dtype = complex if ensemble.is_complex else float
+    # distinct eigenvalues: a degenerate matrix such as I + 0.01 solves about 1.7x faster
+    fixed = np.broadcast_to(np.diag(np.arange(1.0, p + 1.0)) + 0.01, (reps, p, p)).astype(dtype)
+    columns = outer_reps * n
+    # 2.5: each column adds its draw, Gram update and resolvent sums to the eigh
+    project_cost(lambda: np.linalg.eigh(fixed), columns, 2.5, work_cap_seconds,
+                 f"{columns} nested-MC columns of {reps} inner draws")
 
     c = build_contour(spectrum, y_n, m=_SIGMA0_NODES, f=f)
     z, w = c.nodes()
-    s_u = s_under_grid(z, spectrum, y_n)
-    b_hat = -z * s_u
-    weight = w * f.deriv(z) * b_hat  # quadrature weight folded with f' and b
+    # trapezoid weight folded with f', b = -z s_under and -1/(2 pi i)
+    big_w = w * f.deriv(z) * (-z * s_under_grid(z, spectrum, y_n)) / (-2.0j * math.pi)
+    x_k, w_re, w_im_y, y2 = z.real, big_w.real, big_w.imag * z.imag, z.imag ** 2
+    block = max(1, _SIGMA0_CELLS // z.size)
+
+    def g(lam: np.ndarray) -> np.ndarray:
+        """``Re sum_k W_k / (lam - z_k)`` as ``sum_k (Re W_k d - Im W_k y_k) / (d^2 + y_k^2)``."""
+        flat = lam.ravel()
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, block):
+            d = flat[start:start + block, None] - x_k
+            out[start:start + block] = ((w_re * d - w_im_y) / (d * d + y2)).sum(axis=1)
+        return out.reshape(lam.shape)
 
     diag_t = population_diagonal(spectrum, p)
     root_t = np.sqrt(diag_t)
-    complex_entries = ensemble.is_complex
-
-    def half_estimate(rng: np.random.Generator, base: np.ndarray, r_j: np.ndarray,
-                      fresh_count: int, reps: int) -> float:
-        """One inner-MC estimate of the conditional column fluctuation term."""
-        acc = np.zeros(z.shape, dtype=complex)
-        for _ in range(reps):
-            m_j = base
-            if fresh_count:
-                x = draw_entries(ensemble, rng, (p, fresh_count))
-                cols = root_t[:, None] * x / math.sqrt(n)
-                m_j = base + cols @ cols.conj().T
-            lam, q = np.linalg.eigh(m_j)
-            proj = q.conj().T @ r_j
-            tr_coef = (np.abs(q) ** 2 * diag_t[:, None]).sum(axis=0)
-            coef = np.abs(proj) ** 2 - tr_coef / n
-            # sum_i coef_i / (lam_i - z) over the node grid
-            acc += coef @ (1.0 / (lam[:, None] - z[None, :]))
-        raw = complex(np.sum(weight * (acc / reps)))
-        return (raw * (-1.0 / (2.0j * math.pi))).real
-
     totals = []
+    outside = 0
     for outer in range(outer_reps):
         rng = np.random.Generator(np.random.PCG64(replicate_seed(seed, 2 * outer)))
         x_full = sample_entries(ensemble, p, n, replicate_seed(seed, 2 * outer + 1))
         r_cols = root_t[:, None] * x_full / math.sqrt(n)
-        base = np.zeros((p, p), dtype=complex if complex_entries else float)
+        base = np.zeros((p, p), dtype=dtype)
         total = 0.0
         for j in range(n):
             r_j = r_cols[:, j]
             fresh = n - 1 - j
-            y_a = half_estimate(rng, base, r_j, fresh, inner_reps)
-            y_b = half_estimate(rng, base, r_j, fresh, inner_reps)
-            total += y_a * y_b
+            if fresh:
+                x = draw_entries(ensemble, rng, (reps, p, fresh))
+                cols = root_t[:, None] * x / math.sqrt(n)
+                lam, q = np.linalg.eigh(base + cols @ cols.conj().swapaxes(1, 2))
+            else:  # the last column draws nothing: every inner draw is base itself
+                lam, q = np.linalg.eigh(base[None])
+            coef = np.abs(r_j.conj() @ q) ** 2 - (diag_t @ np.abs(q) ** 2) / n
+            terms = np.broadcast_to((coef * g(lam)).sum(axis=1), (reps,))
+            total += terms[:inner_reps].mean() * terms[inner_reps:].mean()
+            outside += reps // len(lam) * int(np.count_nonzero((lam < c.x_l) | (lam > c.x_r)))
             base = base + np.outer(r_j, r_j.conj())
         totals.append(total)
     totals = np.array(totals)
     est = float(np.mean(totals))
     stderr = float(np.std(totals, ddof=1) / math.sqrt(len(totals))) if len(totals) > 1 else 0.0
-    return Sigma0Result(estimate=est, stderr=stderr, n=n, p=p,
-                        inner_reps=inner_reps, outer_reps=outer_reps)
+    return Sigma0Result(estimate=est, stderr=stderr, n=n, p=p, inner_reps=inner_reps,
+                        outer_reps=outer_reps, outside_contour=outside)

@@ -56,13 +56,19 @@ def draw_entries(ensemble: EntryEnsemble, rng: np.random.Generator, shape) -> np
     """i.i.d. entries of the given shape, drawn from an existing generator.
 
     Circular complex entries have real and imaginary parts i.i.d. normal
-    with variance one half, so E|x|^2 = 1; the real parts are drawn first.
+    with variance one half, so E|x|^2 = 1; the real parts of a matrix are
+    drawn before its imaginary parts.
+
+    Leading axes are consecutive draws: for ``shape = (k, p, m)`` entry
+    ``i`` equals the i-th of k sequential calls with shape ``(p, m)`` on
+    the same generator, so a batch reproduces the one-at-a-time stream.
     """
     if ensemble.variant == "RG":
         return rng.standard_normal(shape)
     if ensemble.variant == "CG":
-        re = rng.standard_normal(shape)
-        im = rng.standard_normal(shape)
+        shape = tuple(shape)
+        lead = max(len(shape) - 2, 0)
+        re, im = np.moveaxis(rng.standard_normal(shape[:lead] + (2,) + shape[lead:]), lead, 0)
         return (re + 1j * im) * math.sqrt(0.5)
     return np.asarray(ensemble.sampler(rng, shape), dtype=float)
 

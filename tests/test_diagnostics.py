@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from conftest import BATTERY
+from lsslab.contour import build_contour
 from lsslab.diagnostics import (QformProbeResult, RateFit, SteinContext,
                                 fit_rate, ks_to_normal, norm_cdf, qform_moment,
                                 qform_probe, sigma0_nested_mc, stein_Nh,
@@ -11,7 +16,10 @@ from lsslab.diagnostics import (QformProbeResult, RateFit, SteinContext,
                                 stein_solution)
 from lsslab.errors import (CostBudgetExceeded, EmptySample, NonPositiveKs,
                            OutOfRange, TooFewPoints)
+from lsslab.simulator import (draw_entries, population_diagonal, replicate_seed,
+                              sample_entries)
 from lsslab.spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
+from lsslab.stieltjes import s_under_grid
 
 IDENTITY = PopulationSpectrum.identity()
 
@@ -271,6 +279,95 @@ class TestSigma0:
                              work_cap_seconds=1.0)
 
     def test_n_small_capped(self):
-        with pytest.raises(ValueError, match="capped"):
+        with pytest.raises(OutOfRange, match="capped"):
             sigma0_nested_mc(TestFunction.monomial(1), IDENTITY, 0.5, n_small=128,
                              inner_reps=1, outer_reps=1, seed=0)
+
+    @pytest.mark.parametrize("sizes,name", [
+        ({"n_small": -3}, "n_small"),
+        ({"n_small": 1}, "p = round"),  # y = 0.5 rounds p down to 0
+        ({"inner_reps": 0}, "inner_reps"),
+        ({"outer_reps": 0}, "outer_reps"),
+    ], ids=["n_small", "p", "inner_reps", "outer_reps"])
+    def test_sizes_below_one_fail_before_the_projection(self, sizes, name):
+        # a zero cost cap fails any projection, so OutOfRange shows the check runs first
+        args = {"n_small": 8, "inner_reps": 2, "outer_reps": 2, **sizes}
+        with pytest.raises(OutOfRange, match=name):
+            sigma0_nested_mc(TestFunction.monomial(1), IDENTITY, 0.5, seed=0,
+                             work_cap_seconds=0.0, **args)
+
+    def test_projection_clears_the_cap_for_c12_in_a_fresh_process(self):
+        # the first eigh of a process is several times slower than a warm one;
+        # c12's projection must not trip the cap on that cold call
+        script = (
+            "import lsslab.diagnostics as d\n"
+            "from lsslab.spectral_model import PopulationSpectrum, TestFunction\n"
+            "class Sentinel(Exception): pass\n"
+            "def stop(*a, **k): raise Sentinel\n"
+            "d.build_contour = stop\n"
+            "try:\n"
+            "    d.sigma0_nested_mc(TestFunction.monomial(1), PopulationSpectrum.identity(),\n"
+            "                       0.5, n_small=32, inner_reps=96, outer_reps=96, seed=13)\n"
+            "except Sentinel:\n"
+            "    print('past the projection')\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "past the projection"
+
+    def test_outside_contour_counts_dropped_eigenvalues(self):
+        # 3 outer reps x 8 columns x 8 inner draws x p = 4 eigenvalues = 768 sampled
+        res = sigma0_nested_mc(TestFunction.monomial(2), IDENTITY, 0.5, n_small=8,
+                               inner_reps=4, outer_reps=3, seed=11)
+        assert res.outside_contour == 10
+        sp0 = PopulationSpectrum.from_pairs([(0.0, 1.0)])
+        res = sigma0_nested_mc(TestFunction.monomial(1), sp0, 0.5, n_small=8,
+                               inner_reps=4, outer_reps=3, seed=1)
+        assert res.outside_contour == 0
+
+    @pytest.mark.parametrize("y_n", [0.5, 2.0])
+    def test_matches_per_draw_loop(self, y_n):
+        f, sp, t11 = TestFunction.monomial(3), BATTERY["five_atom"], EntryEnsemble.student_t(11.0)
+        args = (f, sp, y_n, 6, 3, 2, 17)
+        res = sigma0_nested_mc(*args, ensemble=t11)
+        assert res.estimate == pytest.approx(_sigma0_per_draw(*args, t11), rel=1e-12)
+
+
+def _sigma0_per_draw(f, spectrum, y_n, n, inner_reps, outer_reps, seed, ensemble):
+    """Reference: the nested-MC estimate with one eigh and one complex node sum per draw."""
+    p = int(round(y_n * n))
+    z, w = build_contour(spectrum, y_n, m=128, f=f).nodes()
+    weight = w * f.deriv(z) * (-z * s_under_grid(z, spectrum, y_n))
+    diag_t = population_diagonal(spectrum, p)
+    root_t = np.sqrt(diag_t)
+
+    def half(rng, base, r_j, fresh):
+        acc = np.zeros(z.shape, dtype=complex)
+        for _ in range(inner_reps):
+            m_j = base
+            if fresh:
+                cols = root_t[:, None] * draw_entries(ensemble, rng, (p, fresh)) / math.sqrt(n)
+                m_j = base + cols @ cols.conj().T
+            lam, q = np.linalg.eigh(m_j)
+            coef = (np.abs(q.conj().T @ r_j) ** 2
+                    - (np.abs(q) ** 2 * diag_t[:, None]).sum(axis=0) / n)
+            acc += coef @ (1.0 / (lam[:, None] - z[None, :]))
+        return (complex(np.sum(weight * acc / inner_reps)) * (-1.0 / (2.0j * math.pi))).real
+
+    totals = []
+    for outer in range(outer_reps):
+        rng = np.random.Generator(np.random.PCG64(replicate_seed(seed, 2 * outer)))
+        x_full = sample_entries(ensemble, p, n, replicate_seed(seed, 2 * outer + 1))
+        r_cols = root_t[:, None] * x_full / math.sqrt(n)
+        base = np.zeros((p, p), dtype=complex if ensemble.is_complex else float)
+        total = 0.0
+        for j in range(n):
+            r_j = r_cols[:, j]
+            total += half(rng, base, r_j, n - 1 - j) * half(rng, base, r_j, n - 1 - j)
+            base = base + np.outer(r_j, r_j.conj())
+        totals.append(total)
+    return float(np.mean(totals))

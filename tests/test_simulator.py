@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import BATTERY, companion
@@ -10,7 +12,7 @@ from lsslab.clt_moments import CltMoments, compute_moments, normalize
 from lsslab.contour import default_margin
 from lsslab.errors import ConstraintViolation, DegenerateTruncation, LogDomain
 from lsslab.simulator import (SimConfig, TruncationPolicy, assemble_B, default_eta,
-                              eigenvalues, lss_centered, population_diagonal,
+                              draw_entries, eigenvalues, lss_centered, population_diagonal,
                               replicate_seed, run_experiment, sample_entries,
                               splitmix64, truncate_normalize, truncated_moments)
 from lsslab.spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
@@ -55,6 +57,23 @@ class TestSampleEntries:
     def test_custom_sampler_used(self):
         x = sample_entries(EntryEnsemble.rademacher(), 50, 50, seed=3)
         assert set(np.unique(x)) == {-1.0, 1.0}
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(ensemble=st.sampled_from([RG, CG, EntryEnsemble.rademacher(),
+                                     EntryEnsemble.student_t(11.0)]),
+           k=st.integers(1, 4), p=st.integers(1, 5), m=st.integers(1, 5),
+           seed=st.integers(0, 2**32))
+    def test_leading_axis_is_consecutive_draws(self, ensemble, k, p, m, seed):
+        batch = draw_entries(ensemble, np.random.default_rng(seed), (k, p, m))
+        rng = np.random.default_rng(seed)
+        one_by_one = np.stack([draw_entries(ensemble, rng, (p, m)) for _ in range(k)])
+        assert batch.tobytes() == one_by_one.tobytes()
+
+    def test_cg_matrix_draws_real_then_imaginary_parts(self):
+        # the stream of a (p, n) draw is unchanged by the batch contract
+        x = sample_entries(CG, 3, 4, seed=9)
+        parts = np.random.Generator(np.random.PCG64(9)).standard_normal((2, 3, 4))
+        assert x.tobytes() == ((parts[0] + 1j * parts[1]) * math.sqrt(0.5)).tobytes()
 
 
 class TestTruncateNormalize:
