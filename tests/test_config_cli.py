@@ -344,14 +344,14 @@ class TestCliRuns:
         from lsslab import diagnostics
 
         clock = [0.0]
-        eigenvalues = cli.eigenvalues
+        replicate = cli.replicate_eigenvalues
 
-        def one_second(b):
+        def one_second(*args):
             clock[0] += 1.0
-            return eigenvalues(b)
+            return replicate(*args)
 
         monkeypatch.setattr(diagnostics, "perf_counter", lambda: clock[0])
-        monkeypatch.setattr(cli, "eigenvalues", one_second)
+        monkeypatch.setattr(cli, "replicate_eigenvalues", one_second)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"kind": "ks-rate", "n_grid": [16, 24, 32],
                                        "replicates": 4, "y": 0.25,
@@ -408,6 +408,26 @@ class TestCliRuns:
             stem = kind.replace("-", "_")
             doc = json.loads((tmp_path / f"{stem}_summary.json").read_text())
             assert doc["summary"]["gaussian_matched"] is matched
+
+    @pytest.mark.parametrize("extra, sampler", [
+        ({"ensemble": "RG"}, "laguerre_bidiagonal"),
+        ({"ensemble": "CG", "spectrum": [{"atom": 0.5, "weight": 1.0}]}, "laguerre_bidiagonal"),
+        ({"ensemble": "RG", "truncation": {"mode": "on"}}, "dense"),
+        ({"ensemble": "RG", "spectrum": FIVE_ATOM}, "dense"),
+        ({"ensemble": {"name": "rademacher"}}, "dense"),
+    ], ids=["rg", "cg-half", "rg-truncated", "rg-five_atom", "rademacher"])
+    def test_summaries_name_the_sampler(self, extra, sampler, tmp_path):
+        runs = {"simulate": {"p": 8, "n": 16}, "ks-rate": {"n_grid": [16, 24, 32]}}
+        for kind, dims in runs.items():
+            cfgfile = tmp_path / f"{kind}.json"
+            cfgfile.write_text(json.dumps({"kind": kind, "f": "x", "replicates": 4,
+                                           **dims, **extra}))
+            assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+            stem = kind.replace("-", "_")
+            doc = json.loads((tmp_path / f"{stem}_summary.json").read_text())
+            assert doc["summary"]["sampler"] == sampler
+            header = (tmp_path / f"{stem}_detail.csv").read_text().splitlines()[0]
+            assert "sampler" not in header
 
     def test_threads_flag_rejected(self):
         with pytest.raises(SystemExit):

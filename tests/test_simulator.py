@@ -11,10 +11,12 @@ from conftest import BATTERY, companion
 from lsslab.clt_moments import CltMoments, compute_moments, normalize
 from lsslab.contour import default_margin
 from lsslab.errors import ConstraintViolation, DegenerateTruncation, LogDomain
-from lsslab.simulator import (SimConfig, TruncationPolicy, assemble_B, default_eta,
-                              draw_entries, eigenvalues, lss_centered, population_diagonal,
-                              replicate_seed, run_experiment, sample_entries,
-                              splitmix64, truncate_normalize, truncated_moments)
+from lsslab import simulator
+from lsslab.simulator import (CLIP_NOTHING, DENSE, SimConfig, TruncationPolicy, assemble_B,
+                              default_eta, draw_entries, eigenvalues, lss_centered,
+                              population_diagonal, replicate_eigenvalues, replicate_sampler,
+                              replicate_seed, run_experiment, sample_entries, splitmix64,
+                              truncate_normalize, truncated_moments)
 from lsslab.spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
                                    TestFunction, support_interval)
 from lsslab.stieltjes import lss_centering
@@ -183,9 +185,97 @@ class TestEigenvalues:
         rng = np.random.default_rng(10)
         a = rng.standard_normal((8, 8))
         b = (a + a.T) / 2
-        eigs = eigenvalues(b, check=True)
+        eigs = eigenvalues(b)
         assert np.sum(eigs) == pytest.approx(np.trace(b), abs=1e-10)
         assert all(x <= y for x, y in zip(eigs, eigs[1:]))
+        # the general (nonsymmetric) eigensolver as an independent oracle
+        np.testing.assert_allclose(eigs, np.sort(np.linalg.eigvals(b).real), atol=1e-12)
+
+    def test_tridiagonal_form_matches_the_dense_matrix(self):
+        rng = np.random.default_rng(11)
+        diag, off = rng.standard_normal(9), rng.standard_normal(8)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        np.testing.assert_allclose(eigenvalues(diag, off), eigenvalues(dense), atol=1e-12)
+
+
+def _dense_eigenvalues(ensemble, spectrum, p, n, seed):
+    """The dense replicate: entry matrix, Gram product, eigensolve."""
+    return eigenvalues(assemble_B(spectrum, sample_entries(ensemble, p, n, seed), n))
+
+
+class TestReplicateEigenvalues:
+    HALF = PopulationSpectrum.from_pairs([(0.5, 1.0)])
+    SHAPES = [(16, 32), (32, 16)]  # y = 0.5 and y = 2
+
+    @pytest.mark.parametrize("ensemble, spectrum", [
+        (RG, BATTERY["two_atom"]), (CG, BATTERY["five_atom"]),
+        (EntryEnsemble.rademacher(), IDENTITY), (EntryEnsemble.student_t(11.0), IDENTITY),
+    ], ids=["rg-two_atom", "cg-five_atom", "rademacher", "student_t"])
+    def test_other_laws_keep_the_dense_stream(self, ensemble, spectrum):
+        got = replicate_eigenvalues(ensemble, spectrum, 12, 20, 5)
+        assert got.tobytes() == _dense_eigenvalues(ensemble, spectrum, 12, 20, 5).tobytes()
+
+    def test_clip_nothing_is_the_untruncated_dense_stream(self):
+        assert replicate_sampler(RG, IDENTITY, CLIP_NOTHING) == DENSE
+        got = replicate_eigenvalues(RG, IDENTITY, 12, 20, 5, CLIP_NOTHING)
+        assert got.tobytes() == _dense_eigenvalues(RG, IDENTITY, 12, 20, 5).tobytes()
+
+    @pytest.mark.parametrize("spectrum, truncation", [
+        (IDENTITY, None), (BATTERY["two_atom"], None), (IDENTITY, CLIP_NOTHING),
+    ], ids=["laguerre", "dense", "dense-clipped"])
+    def test_each_replicate_solves_once_through_eigenvalues(self, spectrum, truncation,
+                                                            monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eigenvalues(*args)
+
+        monkeypatch.setattr(simulator, "eigenvalues", counted)
+        replicate_eigenvalues(RG, spectrum, 12, 20, 5, truncation)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("ensemble", [RG, CG], ids=["RG", "CG"])
+    @pytest.mark.parametrize("p, n", SHAPES)
+    def test_two_sample_ks_against_the_dense_path(self, ensemble, p, n):
+        # tr B^2, the largest and the smallest nonzero eigenvalue of 2000
+        # bidiagonal replicates against 2000 dense ones, on other streams
+        reps, first_nonzero = 2000, p - min(p, n)
+
+        def statistics(draw, root):
+            eigs = np.array([draw(ensemble, self.HALF, p, n, replicate_seed(root, i))
+                             for i in range(reps)])
+            return {"tr B^2": np.sum(eigs**2, axis=1), "lambda_max": eigs[:, -1],
+                    "smallest nonzero": eigs[:, first_nonzero]}
+
+        fast = statistics(replicate_eigenvalues, 1)
+        dense = statistics(_dense_eigenvalues, 2)
+        for name in fast:
+            assert stats.ks_2samp(fast[name], dense[name]).pvalue > 0.01, name
+
+    @pytest.mark.parametrize("ensemble", [RG, CG], ids=["RG", "CG"])
+    @pytest.mark.parametrize("p, n", SHAPES)
+    def test_trace_is_a_scaled_chi_square_on_both_paths(self, ensemble, p, n):
+        # tr B = t chi^2_{beta p n} / (beta n): the bidiagonal degrees of
+        # freedom sum to beta p n, as the beta p n squared normals of X do
+        beta, t, reps = (1 if ensemble is RG else 2), 0.5, 1500
+        law = stats.chi2(beta * p * n)
+        for draw in (replicate_eigenvalues, _dense_eigenvalues):
+            traces = np.array([np.sum(draw(ensemble, self.HALF, p, n, replicate_seed(3, i)))
+                               for i in range(reps)])
+            assert stats.kstest(traces * beta * n / t, law.cdf).pvalue > 0.01, draw.__name__
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @given(ensemble=st.sampled_from([RG, CG]), p=st.integers(1, 40), n=st.integers(1, 40),
+           t=st.floats(0.01, 1.0), seed=st.integers(0, 2**64 - 1))
+    def test_bidiagonal_shape_and_scale(self, ensemble, p, n, t, seed):
+        eigs = replicate_eigenvalues(ensemble, IDENTITY, p, n, seed)
+        assert eigs.shape == (p,)
+        assert np.all(np.diff(eigs) >= 0) and eigs[0] >= 0
+        assert np.count_nonzero(eigs == 0.0) == max(p - n, 0)
+        scaled = replicate_eigenvalues(ensemble, PopulationSpectrum.from_pairs([(t, 1.0)]),
+                                       p, n, seed)
+        np.testing.assert_allclose(scaled, t * eigs, rtol=1e-14, atol=0.0)
 
 
 class TestLssCentered:
@@ -251,11 +341,13 @@ class TestRunExperiment:
             return sum(r.lam_min < lo - margin / 2 or r.lam_max > hi + margin / 2
                        for r in rec.rows)
 
-        # a contour margin of 0.03 against the default 0.19: the narrow band
-        # is left by three of these replicates, the wide one by none
+        # contour margins of 0.01 and 0.03 against the default 0.19: the
+        # narrowest band is left by one of these replicates, the others by none
         cfg = self._config(ratio=AspectRatio(p=64, n=128), replicates=20)
+        rec = run_experiment(cfg, compute_moments(F_X, IDENTITY, 0.5, "RG", eps=0.01))
+        assert rec.confinement_violations == outside(rec, 0.01) == 1
         rec = run_experiment(cfg, compute_moments(F_X, IDENTITY, 0.5, "RG", eps=0.03))
-        assert rec.confinement_violations == outside(rec, 0.03) == 3
+        assert rec.confinement_violations == outside(rec, 0.03) == 0
         assert outside(rec, default_margin(IDENTITY, 0.5)) == 0
         # the default contour keeps the default band
         assert run_experiment(cfg, mom).confinement_violations == 0
