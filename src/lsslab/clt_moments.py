@@ -42,13 +42,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contour import (DEFAULT_NODES, DEFAULT_V0, RTOL, Contour, NodeValues,
-                      _doubling_ladder, build_contour, trapezoid)
-from .errors import DenominatorNearZero, KernelOutOfDisk, QuadratureStall, ZeroVariance
+from .contour import (DEFAULT_NODES, DEFAULT_V0, Contour, NodeValues, _doubling_ladder,
+                      build_contour, real_part, trapezoid)
+from .errors import DenominatorNearZero, KernelOutOfDisk, ZeroVariance
 from .spectral_model import PopulationSpectrum, TestFunction
 from .stieltjes import s_under_grid
 
-_IMAG_RTOL = 1e-8
 _BLOCK_CELLS = 1 << 18  # kernel cells formed at once in a variance level
 
 
@@ -180,13 +179,12 @@ def mean_correction(f: TestFunction, s: CompanionTransform, *,
         z, _ = s.contour.nodes(m)
         return f(z) * _mean_integrand(z, s(m), s.spectrum, s.y_n)
 
-    quad = trapezoid(values, s.contour, RTOL, "mean")
+    quad = trapezoid(values, s.contour, "mean")
     value = -quad.value / (2.0j * np.pi)
-    if abs(value.imag) > _IMAG_RTOL * (1.0 + abs(value.real)):
-        raise QuadratureStall(f"mean kept imaginary residue {value.imag:.3e}")
+    mean = real_part(value, "mean")
     if report is not None:
         report["mean"] = replace(quad, value=value, error=quad.error / (2.0 * np.pi))
-    return float(value.real)
+    return mean
 
 
 def _variance_level(f: TestFunction, s: CompanionTransform, m: int
@@ -225,13 +223,12 @@ def variance_with_kernel(f: TestFunction, s: CompanionTransform, *,
     stopped, with its error estimate in units of the variance.
     """
     quad, amax = _doubling_ladder(
-        lambda m: _variance_level(f, s, m), s.contour.m, RTOL, "variance")
+        lambda m: _variance_level(f, s, m), s.contour.m, "variance")
     raw = -quad.value / (2.0 * np.pi**2)
-    if abs(raw.imag) > _IMAG_RTOL * (1.0 + abs(raw.real)):
-        raise QuadratureStall(f"variance kept imaginary residue {raw.imag:.3e}")
+    variance = real_part(raw, "variance")
     if report is not None:
         report["variance"] = replace(quad, value=raw, error=quad.error / (2.0 * np.pi**2))
-    return float(raw.real), amax
+    return variance, amax
 
 
 def compute_moments(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,

@@ -37,6 +37,7 @@ DEFAULT_V0 = 1.0
 MIN_NODES = 16
 MAX_NODES = 1 << 13  # c03's pole at 1.2 + 0.3j needs 2048
 RTOL = 1e-9  # relative tolerance of the mean, the variance and the centering
+IMAG_RTOL = 1e-8  # largest imaginary residue of a real integral, relative to 1 + |real part|
 
 
 @dataclass(frozen=True)
@@ -173,37 +174,48 @@ class Quadrature:
     error: float
 
 
-def _doubling_ladder(level, m: int, rtol: float, what: str) -> tuple[Quadrature, object]:
+def _doubling_ladder(level, m: int, what: str) -> tuple[Quadrature, object]:
     """Node-doubling error control shared by every contour integral.
 
     ``level(k)`` returns ``(fine, coarse, info)``: the rule at k nodes and
     the rule at k/2, its even-index half.  Their difference is
     the error estimate; the first level whose estimate clears
-    ``rtol * (1 + |fine|)`` is returned with its ``info``.  Gives up with
+    ``RTOL * (1 + |fine|)`` is returned with its ``info``.  Gives up with
     QuadratureStall past 8192 nodes.
     """
     while True:
         fine, coarse, info = level(m)
         err = abs(fine - coarse)
-        if err <= rtol * (1.0 + abs(fine)):
+        if err <= RTOL * (1.0 + abs(fine)):
             return Quadrature(fine, m, err), info
         if 2 * m > MAX_NODES:
             raise QuadratureStall(
-                f"{what} error estimate {err:.3e} still above rtol={rtol} at {m} nodes"
+                f"{what} error estimate {err:.3e} still above rtol={RTOL} at {m} nodes"
             )
         m *= 2
 
 
-def trapezoid(values, c: Contour, rtol: float, what: str) -> Quadrature:
+def trapezoid(values, c: Contour, what: str) -> Quadrature:
     """Ladder of the closed-path integral whose integrand at ``c.nodes(m)`` is ``values(m)``."""
     def level(m):
         _, w = c.nodes(m)
         v = values(m)
         return complex(w @ v), complex(2.0 * (w[::2] @ v[::2])), None
 
-    return _doubling_ladder(level, c.m, rtol, what)[0]
+    return _doubling_ladder(level, c.m, what)[0]
 
 
-def integrate(g, c: Contour, rtol: float = RTOL) -> complex:
+def integrate(g, c: Contour) -> complex:
     """Closed-path integral of a vectorized complex function over c."""
-    return trapezoid(NodeValues(g, c), c, rtol, "contour integral").value
+    return trapezoid(NodeValues(g, c), c, "contour integral").value
+
+
+def real_part(value: complex, what: str) -> float:
+    """The real part of an integral that must be real.
+
+    Raises ``QuadratureStall`` when the imaginary residue exceeds
+    ``IMAG_RTOL * (1 + |real part|)``.
+    """
+    if abs(value.imag) > IMAG_RTOL * (1.0 + abs(value.real)):
+        raise QuadratureStall(f"{what} kept an imaginary residue {value.imag:.3e}")
+    return float(value.real)

@@ -1,5 +1,10 @@
 """Normality diagnostics: KS distance, rate fits, the Stein machinery,
 the quadratic-form moment probe, and the nested Monte-Carlo variance check.
+
+The Stein machinery smooths an indicator into a ramp h, solves Stein's
+equation ``g' - w g = h - Nh`` in closed form over whole arrays of w, and
+sweeps the bounds on g and g' that rate proofs for the martingale CLT use
+(Bolthausen 1982).
 """
 
 from __future__ import annotations
@@ -164,62 +169,56 @@ def stein_Nh(ctx: SteinContext) -> float:
     return cdf_a + (1.0 + a / th) * (cdf_b - cdf_a) - (phi_a - phi_b) / th
 
 
-def _scaled_left(t: float, w: float) -> float:
-    """exp(w^2/2) * integral over (-inf, t] of the normal kernel, t <= ... stable."""
-    return _SQRT_HALF_PI * float(special.erfcx(-t / _SQRT2)) * math.exp((w * w - t * t) / 2.0)
-
-
-def _scaled_right(t: float, w: float) -> float:
-    """exp(w^2/2) * integral over [t, inf) of the normal kernel."""
-    return _SQRT_HALF_PI * float(special.erfcx(t / _SQRT2)) * math.exp((w * w - t * t) / 2.0)
-
-
-def stein_solution(ctx: SteinContext, w: float) -> float:
+def stein_solution(ctx: SteinContext, w):
     """Bounded solution of ``g'(w) - w g(w) = h(w) - Nh`` for the ramp h.
 
-    Evaluated through scaled complementary-error-function terms so that no
-    exp(w^2/2) factor is ever formed: the left-tail representation serves
-    w <= 0 and the right-tail one w > 0, each combining exponents that are
-    all nonpositive.  Guaranteed for |w| <= 30.
+    ``g(w) = int_{-inf}^{w} (h - Nh) phi / phi(w)`` for w <= 0 and the equal
+    ``-int_{w}^{inf} (h - Nh) phi / phi(w)`` for w > 0.  h is the constant
+    h(w) between w and ``u = clip(w, a, b)`` (``a = w0``, ``b = w0 + theta``),
+    so each tail is a sum of terms at t among w, a, b and u of two kinds:
+    the scaled tail ``Phi(t) / phi(w)`` (left) or ``(1 - Phi(t)) / phi(w)``
+    (right), formed as ``sqrt(pi/2) erfcx(-+t/sqrt 2) e^{(w^2 - t^2)/2}``,
+    and ``phi(t) / phi(w) = e^{(w^2 - t^2)/2}``.  No exp(w^2/2) factor is
+    formed: in the tail that w uses every exponent is nonpositive, save in
+    differences that vanish exactly, and no term of either tail exceeds
+    about ``1/phi(30)``; so both tails are evaluated everywhere and one is
+    kept.  The ramp's two terms, each about ``|w0| phi / phi(w)``, cancel to
+    O(theta), so rounding costs about ``eps (1 + |w0|) / theta``.  Takes a
+    scalar (returns a float) or an array; any |w| > 30 raises ``OutOfRange``
+    before evaluation.
     """
-    if abs(w) > 30.0:
-        raise OutOfRange(f"stein_solution stable range is |w| <= 30, got {w}")
-    a = ctx.w0
-    b = ctx.w0 + ctx.theta
-    nh = ctx.Nh
-    ramp0 = 1.0 + a / ctx.theta - nh  # ramp value coefficient at x = 0 offset
+    w = np.asarray(w, dtype=float)
+    if np.any(np.abs(w) > 30.0):
+        raise OutOfRange(f"stein_solution stable range is |w| <= 30, got max |w| = "
+                         f"{np.max(np.abs(w))}")
+    a, th, nh = ctx.w0, ctx.theta, ctx.Nh
+    b = a + th
+    u = np.clip(w, a, b)
+    hw = stein_h(ctx, w)
 
-    if w <= 0.0:
-        if w <= a:
-            return (1.0 - nh) * _scaled_left(w, w)
-        la = _scaled_left(a, w)
-        if w <= b:
-            lw = _scaled_left(w, w)
-            x_piece = math.exp((w * w - a * a) / 2.0) - 1.0
-            return (1.0 - nh) * la + ramp0 * (lw - la) - x_piece / ctx.theta
-        lb = _scaled_left(b, w)
-        lw = _scaled_left(w, w)
-        x_piece = math.exp((w * w - a * a) / 2.0) - math.exp((w * w - b * b) / 2.0)
-        return ((1.0 - nh) * la + ramp0 * (lb - la) - x_piece / ctx.theta
-                - nh * (lw - lb))
+    def ratio(t):  # phi(t) / phi(w)
+        return np.exp((w * w - t * t) / 2.0)
 
-    if w > b:
-        return nh * _scaled_right(w, w)
-    rw = _scaled_right(w, w)
-    rb = _scaled_right(b, w)
-    if w > a:
-        x_piece = 1.0 - math.exp((w * w - b * b) / 2.0)
-        return -ramp0 * (rw - rb) + x_piece / ctx.theta + nh * rb
-    ra = _scaled_right(a, w)
-    x_piece = math.exp((w * w - a * a) / 2.0) - math.exp((w * w - b * b) / 2.0)
-    return (-(1.0 - nh) * (rw - ra) - ramp0 * (ra - rb) + x_piece / ctx.theta
-            + nh * rb)
+    def left(t):  # Phi(t) / phi(w)
+        return _SQRT_HALF_PI * special.erfcx(-t / _SQRT2) * ratio(t)
+
+    def right(t):  # (1 - Phi(t)) / phi(w)
+        return _SQRT_HALF_PI * special.erfcx(t / _SQRT2) * ratio(t)
+
+    g_left = ((hw - nh) * left(w) + (1.0 - hw) * left(u) + a / th * (left(u) - left(a))
+              - (ratio(a) - ratio(u)) / th)
+    g_right = ((nh - hw) * right(w) + hw * right(u) - (1.0 + a / th) * (right(u) - right(b))
+               + (ratio(u) - ratio(b)) / th)
+    g = np.where(w <= 0.0, g_left, g_right)
+    return g if g.shape else float(g)
 
 
-def stein_residual(ctx: SteinContext, w: float) -> float:
-    """|g'(w) - w g(w) - (h(w) - Nh)| with g' by central difference."""
+def stein_residual(ctx: SteinContext, w):
+    """|g'(w) - w g(w) - (h(w) - Nh)| with g' by central difference; scalar or array w."""
+    w = np.asarray(w, dtype=float)
     gp = (stein_solution(ctx, w + _FD_STEP) - stein_solution(ctx, w - _FD_STEP)) / (2 * _FD_STEP)
-    return abs(gp - w * stein_solution(ctx, w) - (float(stein_h(ctx, w)) - ctx.Nh))
+    r = np.abs(gp - w * stein_solution(ctx, w) - (stein_h(ctx, w) - ctx.Nh))
+    return r if r.shape else float(r)
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,8 @@ def stein_bound_report(ctx: SteinContext, n_grid: int = 10_000) -> SteinBoundRep
     Derivatives use central differences; points within two steps of the two
     ramp kinks are excluded since h is not differentiable there and the
     bounds hold for the a.e. derivative.  A tolerance of 1e-9 absorbs
-    rounding in the finite differences.
+    rounding in the finite differences.  g, g' and the residual (on every
+    ``len // 500``-th grid point) are each one array call.
     """
     tol = 1e-9
     ws = np.linspace(-8.0, 8.0, n_grid)
@@ -249,13 +249,10 @@ def stein_bound_report(ctx: SteinContext, n_grid: int = 10_000) -> SteinBoundRep
     for k in kinks:
         keep &= np.abs(ws - k) > 2.0 * _FD_STEP
     ws = ws[keep]
-    g = np.array([stein_solution(ctx, w) for w in ws])
-    gp = np.array([
-        (stein_solution(ctx, w + _FD_STEP) - stein_solution(ctx, w - _FD_STEP)) / (2 * _FD_STEP)
-        for w in ws
-    ])
+    g = stein_solution(ctx, ws)
+    gp = (stein_solution(ctx, ws + _FD_STEP) - stein_solution(ctx, ws - _FD_STEP)) / (2 * _FD_STEP)
     spread = float(np.max(gp) - np.min(gp))
-    residual = max(stein_residual(ctx, w) for w in ws[:: max(1, len(ws) // 500)])
+    residual = np.max(stein_residual(ctx, ws[:: max(1, len(ws) // 500)]))
     violations = int(np.sum(g < -tol) + np.sum(g > 1.0 + tol)
                      + np.sum(np.abs(gp) > 1.0 + tol) + (spread > 1.0 + tol))
     return SteinBoundReport(
@@ -277,18 +274,16 @@ class QformProbeResult:
     matrix_kind: str
 
 
-def _probe_matrix(spectrum: PopulationSpectrum, matrix_kind: str, p: int, n: int,
-                  seed: int) -> np.ndarray:
-    from .simulator import population_diagonal, sample_entries
+def _probe_matrix(spectrum: PopulationSpectrum, diag_t: np.ndarray, matrix_kind: str,
+                  n: int, seed: int) -> np.ndarray:
+    from .simulator import assemble_B, sample_entries
 
-    diag_t = population_diagonal(spectrum, p)
+    p = diag_t.size
     if matrix_kind == "fixed_psd":
         return np.diag(diag_t)
     if matrix_kind == "resolvent":
         # one fixed draw per grid point; the probed vector stays independent
-        x = sample_entries(EntryEnsemble.real_gaussian(), p, n, seed)
-        b = (np.sqrt(diag_t)[:, None] * x)
-        b = b @ b.T / n
+        b = assemble_B(spectrum, sample_entries(EntryEnsemble.real_gaussian(), p, n, seed), n)
         _, hi = support_interval(spectrum, p / n)
         return np.linalg.inv(b - (hi + 1.0) * np.eye(p))
     raise ValueError(f"unknown matrix kind {matrix_kind!r}")
@@ -300,9 +295,9 @@ def qform_moment(spectrum: PopulationSpectrum, matrix_kind: str, n: int, y: floa
     from .simulator import population_diagonal, replicate_seed, sample_entries
 
     p = int(round(y * n))
-    a = _probe_matrix(spectrum, matrix_kind, p, n, replicate_seed(seed, 0))
     diag_t = population_diagonal(spectrum, p)
-    target = float(np.trace(np.diag(diag_t) @ a).real) / n
+    a = _probe_matrix(spectrum, diag_t, matrix_kind, n, replicate_seed(seed, 0))
+    target = float(np.sum(diag_t * np.diag(a))) / n
     acc = 0.0
     done = 0
     block = 1

@@ -164,11 +164,6 @@ class EntryEnsemble:
         return 0.0 if self.variant in ("RG", "CG") else self.fourth_moment - 1.0 - 2.0
 
     @property
-    def alpha_x(self) -> float:
-        """|E x^2|^2: one for real entries, zero for circular complex ones."""
-        return 0.0 if self.variant == "CG" else 1.0
-
-    @property
     def violates_matching(self) -> bool:
         """True when the fourth moment breaks the Gaussian-matching condition."""
         return abs(self.beta_x) > 1e-12

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .contour import RTOL, trapezoid
+from .contour import real_part, trapezoid
 from .errors import BranchViolation, NonConvergence, OutsideSupport, PoleAtAtom
 from .spectral_model import PopulationSpectrum, TestFunction, support_interval
 
@@ -235,7 +235,8 @@ def lss_centering(f: TestFunction, p: int, s_under: CompanionTransform) -> float
     contour of ``s_under`` over its values: the companion transform of the
     run's ``(spectrum, y_n)``, which a run takes from its moments
     (``CltMoments.s_under``).  The imaginary part must vanish up to
-    quadrature error (checked against 1e-8 relative) and is discarded.
+    quadrature error (``contour.IMAG_RTOL``; ``QuadratureStall`` otherwise)
+    and is discarded.
     """
     contour, y_n = s_under.contour, s_under.y_n
 
@@ -243,13 +244,8 @@ def lss_centering(f: TestFunction, p: int, s_under: CompanionTransform) -> float
         z, _ = contour.nodes(m)
         return f(z) * companion_to_primary(s_under(m), z, y_n)
 
-    raw = trapezoid(values, contour, RTOL, "centering").value
-    value = -p / (2.0j * np.pi) * raw
-    if abs(value.imag) > 1e-8 * (1.0 + abs(value.real)):
-        raise NonConvergence(
-            f"centering integral kept an imaginary residue {value.imag:.3e}"
-        )
-    return float(value.real)
+    raw = trapezoid(values, contour, "centering").value
+    return real_part(-p / (2.0j * np.pi) * raw, "centering integral")
 
 
 def mp_quadratic_root(z: complex, y: float) -> complex:

@@ -10,10 +10,10 @@ from lsslab.clt_moments import (CltMoments, CompanionTransform, _a_times_t_integ
                                 _mean_integrand, _variance_level, compute_moments,
                                 kernel_from_s, mean_correction, normalize,
                                 variance_with_kernel)
-from lsslab.contour import _confocal, _doubling_ladder, build_contour
-from lsslab.errors import ZeroVariance
+from lsslab.contour import _confocal, build_contour
+from lsslab.errors import QuadratureStall, ZeroVariance
 from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
-from lsslab.stieltjes import inverse_map, s_under_grid, solve_s_under
+from lsslab.stieltjes import inverse_map, lss_centering, s_under_grid, solve_s_under
 
 IDENTITY = PopulationSpectrum.identity()
 DELTA0 = PopulationSpectrum.from_pairs([(0.0, 1.0)])
@@ -151,12 +151,12 @@ def _nested_variance(f, spectrum, y):
         margins = [eps, 2.0 * eps]
     inner, outer = (_confocal(lo, hi, e, cap, 64) for e, cap in zip(margins, (1.0, 2.0)))
 
-    def level(m):
-        return (_textbook_level(f, spectrum, y, inner, m, outer),
-                _textbook_level(f, spectrum, y, inner, m // 2, outer), None)
-
-    quad, _ = _doubling_ladder(level, 64, 1e-11, "nested variance")
-    return -quad.value.real / (2.0 * np.pi**2)
+    for m in (64 << k for k in range(8)):
+        fine = _textbook_level(f, spectrum, y, inner, m, outer)
+        coarse = _textbook_level(f, spectrum, y, inner, m // 2, outer)
+        if abs(fine - coarse) <= 1e-11 * (1.0 + abs(fine)):
+            return -fine.real / (2.0 * np.pi**2)
+    raise AssertionError("nested variance did not reach 1e-11 by 8192 nodes")
 
 
 class TestOneContour:
@@ -360,3 +360,31 @@ class TestNormalize:
     def test_zero_variance_rejected(self):
         with pytest.raises(ZeroVariance):
             normalize(1.0, CltMoments(0.0, 0.0, "RG", 0.0))
+
+
+class _Tilted(CompanionTransform):
+    """The transform with every node value multiplied by 1 + 1e-3j: each integral
+    over it keeps an imaginary part far above quadrature error."""
+
+    def __init__(self, spectrum, y_n, contour):
+        super().__init__(spectrum, y_n, contour)
+        exact = self.g
+        self.g = lambda z: exact(z) * (1.0 + 1e-3j)
+
+
+class TestImaginaryResidue:
+    @pytest.fixture
+    def tilted(self):
+        return _Tilted(IDENTITY, 0.5, build_contour(IDENTITY, 0.5, f=F_X2))
+
+    def test_mean(self, tilted):
+        with pytest.raises(QuadratureStall, match="mean kept an imaginary residue"):
+            mean_correction(F_X2, tilted)
+
+    def test_variance(self, tilted):
+        with pytest.raises(QuadratureStall, match="variance kept an imaginary residue"):
+            variance_with_kernel(F_X2, tilted)
+
+    def test_centering(self, tilted):
+        with pytest.raises(QuadratureStall, match="centering integral kept an imaginary residue"):
+            lss_centering(F_X2, 64, tilted)

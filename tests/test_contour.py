@@ -157,5 +157,5 @@ class TestIntegrate:
         # pole a hair outside the contour defeats node doubling
         c_out = complex(contour.x_r + 1e-10, 0.0)
         with pytest.raises(QuadratureStall):
-            integrate(lambda z: 1.0 / (z - c_out), contour, rtol=1e-12)
+            integrate(lambda z: 1.0 / (z - c_out), contour)
 

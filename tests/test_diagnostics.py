@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -196,6 +197,85 @@ class TestSteinSolution:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             stein_solution(SteinContext(0.0, 1.0), 31.0)
+
+    @pytest.mark.parametrize("bad", [30.5, -31.0, 1e300])
+    def test_array_out_of_range(self, bad):
+        with pytest.raises(OutOfRange):
+            stein_solution(SteinContext(0.0, 1.0), np.array([-1.0, 0.0, bad, 2.0]))
+
+    def test_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            ctx = SteinContext(float(rng.uniform(-6, 6)), float(10 ** rng.uniform(-3, 0.5)))
+            a, b = ctx.w0, ctx.w0 + ctx.theta
+            ws = np.concatenate([np.linspace(-30.0, 30.0, 241), [a, b, a - 1e-9, b + 1e-9]])
+            got = stein_solution(ctx, ws)
+            assert isinstance(got, np.ndarray) and got.shape == ws.shape
+            scalars = [stein_solution(ctx, float(w)) for w in ws]
+            assert all(isinstance(g, float) for g in scalars)
+            np.testing.assert_array_equal(got, scalars)
+            np.testing.assert_array_equal(stein_solution(ctx, ws.reshape(5, -1)),
+                                          got.reshape(5, -1))
+
+    def test_bound_report_matches_the_per_point_loop(self):
+        # the sweep's array expressions against one scalar call per grid point
+        step = 1e-6
+        for ctx in (SteinContext(-1.3, 0.02), SteinContext(0.4, 0.9), SteinContext(2.5, 0.3)):
+            rep = stein_bound_report(ctx, n_grid=3000)
+            ws = np.linspace(-8.0, 8.0, 3000)
+            ws = ws[(np.abs(ws - ctx.w0) > 2 * step) & (np.abs(ws - ctx.w0 - ctx.theta) > 2 * step)]
+            g = [stein_solution(ctx, float(w)) for w in ws]
+            gp = [(stein_solution(ctx, float(w) + step) - stein_solution(ctx, float(w) - step))
+                  / (2 * step) for w in ws]
+            resid = [stein_residual(ctx, float(w)) for w in ws[::len(ws) // 500]]
+            assert (rep.min_g, rep.max_g) == (min(g), max(g))
+            assert rep.max_abs_gprime == max(abs(v) for v in gp)
+            assert rep.max_gprime_spread == max(gp) - min(gp)
+            assert rep.max_residual == max(resid)
+            np.testing.assert_array_equal(stein_residual(ctx, ws[::len(ws) // 500]), resid)
+
+    def test_matches_mpmath_oracle(self):
+        # 60 contexts, theta down to 1e-3, |w| <= 30 with points within 1e-9 of
+        # both kinks.  The ramp's two terms are each about |w0| phi / phi(w) and
+        # cancel to O(theta), so rounding costs about eps (1 + |w0|) / theta on
+        # top of the floor set by the float Nh.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(12)
+        thetas = np.concatenate([rng.uniform(1e-3, 3.0, 29), 10 ** rng.uniform(-3, 0.5, 29),
+                                 [1e-3, 1e-3]])
+        worst = 0.0
+        for theta in thetas:
+            ctx = SteinContext(float(rng.uniform(-6, 6)), float(theta))
+            a, b = ctx.w0, ctx.w0 + ctx.theta
+            ws = np.concatenate([np.linspace(-30.0, 30.0, 121),
+                                 [k + d for k in (a, b) for d in (-1e-9, 0.0, 1e-9)]])
+            ws = ws[np.abs(ws) <= 30.0]
+            want = np.array([_stein_oracle(ctx, w) for w in ws])
+            err = np.max(np.abs(stein_solution(ctx, ws) - want))
+            assert err <= 2e-14 + 4.0 * eps * (1.0 + abs(ctx.w0)) / ctx.theta, (ctx, err)
+            if ctx.theta >= 0.25:
+                worst = max(worst, err)
+        assert worst <= 2e-14
+
+
+def _stein_oracle(ctx: SteinContext, w: float) -> float:
+    """The Stein solution for the ramp and the float ``ctx.Nh`` at 80 digits: the
+    left-tail integral for w <= 0, the right-tail one for w > 0, piece by piece."""
+    with mpmath.workdps(80):
+        a, theta, nh, w = (mpmath.mpf(v) for v in (ctx.w0, ctx.theta, ctx.Nh, w))
+        b = a + theta
+        cdf, pdf = mpmath.ncdf, mpmath.npdf
+
+        def ramp(lo, hi):  # integral of (1 + (a - x)/theta) phi over [lo, hi]
+            return ((1 + a / theta) * (cdf(hi) - cdf(lo))
+                    - (pdf(lo) - pdf(hi)) / theta) if lo < hi else 0
+
+        if w <= 0:
+            part = cdf(min(w, a)) + ramp(a, min(w, b)) - nh * cdf(w)
+        else:
+            below_a = cdf(-w) - cdf(-a) if w < a else 0  # integral of phi over [w, a]
+            part = nh * cdf(-w) - below_a - ramp(max(w, a), b)
+        return float(part / pdf(w))
 
 
 class TestQformProbe:

@@ -128,11 +128,11 @@ class TestTestFunction:
 class TestEntryEnsemble:
     def test_rg_moments(self):
         e = EntryEnsemble.real_gaussian()
-        assert e.beta_x == 0.0 and e.alpha_x == 1.0 and not e.is_complex
+        assert e.beta_x == 0.0 and not e.is_complex
 
     def test_cg_moments(self):
         e = EntryEnsemble.complex_gaussian()
-        assert e.beta_x == 0.0 and e.alpha_x == 0.0 and e.is_complex
+        assert e.beta_x == 0.0 and e.is_complex
 
     def test_custom_warning_flag(self):
         rad = EntryEnsemble.rademacher()
