@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as _dt
+import functools
 import json
 import os
 import sys
@@ -227,6 +228,7 @@ def run(cfg: RunConfig, flag_out: str | None = None) -> str:
     return _RUNNERS[cfg.kind](cfg, out, started)
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsslab",

@@ -15,7 +15,6 @@ from functools import cached_property
 from time import perf_counter
 
 import numpy as np
-from scipy import special
 
 from .contour import build_contour
 from .errors import (CostBudgetExceeded, EmptySample, NonPositiveKs, OutOfRange,
@@ -23,7 +22,8 @@ from .errors import (CostBudgetExceeded, EmptySample, NonPositiveKs, OutOfRange,
 from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction, support_interval
 from .stieltjes import s_under_grid
 
-# simulator imports ks_to_normal from here, so its helpers are imported where used
+# simulator imports ks_to_normal from here, so its helpers are imported where used;
+# scipy is too, so that a moments or lsd run, which never calls it, does not load it
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -48,6 +48,8 @@ def project_cost(unit, count: float, overhead: float, cap: float, what: str) -> 
 
 def norm_cdf(x):
     """Standard normal distribution function via the complementary error function."""
+    from scipy import special
+
     return 0.5 * special.erfc(-np.asarray(x, dtype=float) / _SQRT2)
 
 
@@ -187,6 +189,8 @@ def stein_solution(ctx: SteinContext, w):
     scalar (returns a float) or an array; any |w| > 30 raises ``OutOfRange``
     before evaluation.
     """
+    from scipy import special
+
     w = np.asarray(w, dtype=float)
     if np.any(np.abs(w) > 30.0):
         raise OutOfRange(f"stein_solution stable range is |w| <= 30, got max |w| = "

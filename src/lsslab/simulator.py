@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
-from scipy.linalg import eigvalsh_tridiagonal
 
+# scipy is imported where it is called: a moments or lsd run imports this module
+# but never samples, and loading scipy takes longer than such a run
 from .clt_moments import CltMoments, normalize
 from .diagnostics import ks_to_normal
 from .errors import (ConstraintViolation, DegenerateTruncation, LabError, LogDomain,
@@ -93,18 +93,20 @@ def truncated_moments(ensemble: EntryEnsemble, threshold: float) -> tuple[float,
     c = float(threshold)
     if c <= 0:
         return 0.0, 0.0
+    from scipy import integrate
+
     if ensemble.variant == "RG":
         ceff = min(c, 40.0)  # the normal density carries no float64 mass beyond
         def phi(x):
             return math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
-        mean, _ = _scipy_integrate.quad(lambda x: x * phi(x), -ceff, ceff)
-        second, _ = _scipy_integrate.quad(lambda x: x * x * phi(x), -ceff, ceff)
+        mean, _ = integrate.quad(lambda x: x * phi(x), -ceff, ceff)
+        second, _ = integrate.quad(lambda x: x * x * phi(x), -ceff, ceff)
         return mean, second - mean * mean
     if ensemble.variant == "CG":
         # |x| is Rayleigh with density 2 r exp(-r^2); the mean vanishes by
         # circular symmetry and the variance is E |x|^2 1{|x| < c}
         ceff = min(c, 40.0)
-        second, _ = _scipy_integrate.quad(
+        second, _ = integrate.quad(
             lambda r: r * r * 2.0 * r * math.exp(-r * r), 0.0, ceff)
         return 0.0, second
     if ensemble.name == "rademacher":
@@ -116,7 +118,7 @@ def truncated_moments(ensemble: EntryEnsemble, threshold: float) -> tuple[float,
     ceff = min(c, 1e3)
 
     def split(g):
-        return _scipy_integrate.quad(g, -ceff, 0.0)[0] + _scipy_integrate.quad(g, 0.0, ceff)[0]
+        return integrate.quad(g, -ceff, 0.0)[0] + integrate.quad(g, 0.0, ceff)[0]
 
     mean = split(lambda x: x * ensemble.pdf(x))
     second = split(lambda x: x * x * ensemble.pdf(x))
@@ -144,7 +146,9 @@ def _truncation(n: int, eta: float, ensemble: EntryEnsemble) -> tuple[float, flo
 def _clip_restandardize(entries: np.ndarray, threshold: float, mean: float,
                         var: float) -> np.ndarray:
     clipped = np.where(np.abs(entries) < threshold, entries, 0.0)
-    return (clipped - mean) / math.sqrt(var)
+    clipped -= mean  # in place on the array np.where made, never on the caller's entries
+    clipped /= math.sqrt(var)
+    return clipped
 
 
 def truncate_normalize(entries: np.ndarray, n: int, eta: float,
@@ -181,8 +185,11 @@ def assemble_B(spectrum: PopulationSpectrum, entries: np.ndarray, n: int) -> np.
         raise ValueError(f"entry matrix has {entries.shape[1]} columns, expected n={n}")
     root_t = np.sqrt(population_diagonal(spectrum, p))
     scaled = root_t[:, None] * entries
-    b = scaled @ scaled.conj().T / n
-    return (b + b.conj().T) / 2.0
+    b = scaled @ scaled.conj().T
+    b /= n  # in place, as below: each temporary a replicate frees costs page faults in the next
+    b = b + b.conj().T
+    b /= 2.0
+    return b
 
 
 def eigenvalues(b: np.ndarray, offdiag: np.ndarray | None = None) -> np.ndarray:
@@ -194,6 +201,8 @@ def eigenvalues(b: np.ndarray, offdiag: np.ndarray | None = None) -> np.ndarray:
     try:
         if offdiag is None:
             return np.linalg.eigvalsh(b)
+        from scipy.linalg import eigvalsh_tridiagonal
+
         return eigvalsh_tridiagonal(b, offdiag)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigensolver failed: {exc}") from exc

@@ -188,18 +188,31 @@ class EntryEnsemble:
 
     @classmethod
     def student_t(cls, df: float = 11.0) -> "EntryEnsemble":
-        """Unit-variance Student t entries; needs df > 10 for a finite tenth moment."""
+        """Unit-variance Student t entries; df must exceed 4, for a finite fourth moment.
+
+        The density is ``scale * t_df(x * scale)``, with the log density of
+        ``scipy.stats.t`` spelled out in the same numpy operations, so its
+        values are scipy's to the bit and no ``scipy.stats`` is loaded.
+        """
         if df <= 4:
             raise ValueError("df must exceed 4 for a finite fourth moment")
         scale = math.sqrt(df / (df - 2.0))  # t/scale has unit variance
 
         def sampler(rng: np.random.Generator, size):
-            return rng.standard_t(df, size=size) / scale
+            x = rng.standard_t(df, size=size)
+            x /= scale
+            return x
 
-        from scipy import stats
+        log_norm = None  # log of the t density's constant, formed on the first call
 
         def pdf(x: float) -> float:
-            return scale * stats.t.pdf(x * scale, df)
+            nonlocal log_norm
+            if log_norm is None:
+                from scipy.special import poch
+
+                log_norm = np.log(poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
+            u = x * scale
+            return scale * np.exp(log_norm - (df + 1) / 2 * np.log1p(u * u / df))
 
         fourth = 3.0 * (df - 2.0) / (df - 4.0)
         return cls(variant="custom_real", name=f"student_t_{df:g}", sampler=sampler,

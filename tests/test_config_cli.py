@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -443,6 +445,70 @@ class TestCliRuns:
               "--seed", "2"])
         assert ((tmp_path / "s1" / "simulate_detail.csv").read_bytes()
                 != (tmp_path / "s2" / "simulate_detail.csv").read_bytes())
+
+    def test_one_parser_serves_consecutive_runs(self, tmp_path):
+        # each call is made twice: once after clearing the parser cache, as in
+        # a fresh process, and once in a row with the others on one parser
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"kind": "simulate", "p": 8, "n": 16, "replicates": 4,
+                                   "f": "x"}))
+        calls = [["simulate", "--config", str(sim), "--seed", "7"],
+                 ["moments"],
+                 ["simulate", "--config", str(sim)],
+                 ["lsd", "--seed", "3"],
+                 ["stein-check"]]
+
+        def outputs(out):  # the summaries without their timestamps, and the CSV bodies
+            docs = {f.name: json.loads(f.read_text()) for f in out.glob("*_summary.json")}
+            return ({name: (doc["config"], doc["summary"]) for name, doc in docs.items()},
+                    {f.name: f.read_bytes() for f in out.glob("*_detail.csv")})
+
+        single, in_a_row = [], []
+        for i, argv in enumerate(calls):
+            cli._build_parser.cache_clear()
+            assert main(argv + ["--out", str(tmp_path / f"single{i}")]) == 0
+            single.append(outputs(tmp_path / f"single{i}"))
+        parser = cli._build_parser()
+        for i, argv in enumerate(calls):
+            assert main(argv + ["--out", str(tmp_path / f"row{i}")]) == 0
+            in_a_row.append(outputs(tmp_path / f"row{i}"))
+        assert cli._build_parser() is parser
+        assert in_a_row == single
+        seeded, unseeded = in_a_row[0][0], in_a_row[2][0]
+        assert seeded["simulate_summary.json"][0]["root_seed"] == 7
+        assert unseeded["simulate_summary.json"][0]["root_seed"] == parse_config(
+            sim.read_text()).root_seed
+
+    def test_fresh_process_loads_only_the_scipy_it_calls(self, tmp_path):
+        # a fresh process, since this one has scipy loaded already; scipy is
+        # imported only where it is called, and the t density needs no
+        # scipy.stats (scipy.integrate shows that the truncated run called it)
+        sim = tmp_path / "t11.json"
+        sim.write_text(json.dumps({"kind": "simulate", "p": 8, "n": 16, "replicates": 4,
+                                   "ensemble": {"name": "student_t", "df": 11},
+                                   "truncation": {"mode": "on"}}))
+        script = (
+            "import contextlib, io, sys\n"
+            "import lsslab\n"
+            "from lsslab.cli import main\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            "for kind in ('moments', 'lsd'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert main([kind, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['simulate', '--config', {str(sim)!r},\n"
+            f"                 '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["[]", "[]", "False True"]
 
     def test_ks_rate_csv_shape(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -133,6 +133,34 @@ class TestTruncateNormalize:
         clipped_value = (0.0 - mean) / math.sqrt(var)
         assert np.allclose(out[np.abs(x) >= threshold], clipped_value)
 
+    @pytest.mark.parametrize("df", [4.5, 11.0])
+    @pytest.mark.parametrize("threshold", [0.5, 0.76, 2.0, 10.0])
+    def test_student_t_truncated_moments_match_the_scipy_density(self, df, threshold):
+        from scipy import stats
+
+        t_df = EntryEnsemble.student_t(df)
+        scale = math.sqrt(df / (df - 2.0))
+        with_scipy = replace(t_df, pdf=lambda x: scale * stats.t.pdf(x * scale, df))
+        assert truncated_moments(t_df, threshold) == truncated_moments(with_scipy, threshold)
+
+    @pytest.mark.parametrize("ensemble", [RG, CG, EntryEnsemble.student_t(11.0)],
+                             ids=["rg", "cg", "student_t"])
+    def test_textbook_expression_bit_for_bit_input_kept(self, ensemble):
+        x = sample_entries(ensemble, 24, 40, seed=12)
+        kept = x.copy()
+        eta = default_eta(40)
+        mean, var = truncated_moments(ensemble, eta * 40 ** 0.25)
+        out = truncate_normalize(x, n=40, eta=eta, ensemble=ensemble)
+        expected = (np.where(np.abs(x) < eta * 40 ** 0.25, x, 0.0) - mean) / math.sqrt(var)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(x, kept)
+
+    def test_student_t_draw_is_the_scaled_standard_t(self):
+        df = 11.0
+        x = sample_entries(EntryEnsemble.student_t(df), 16, 24, seed=3)
+        ref = simulator._rng(3).standard_t(df, size=(16, 24)) / math.sqrt(df / (df - 2.0))
+        assert np.array_equal(x, ref)
+
 
 class TestAssemble:
     def test_one_by_one(self):
@@ -143,6 +171,17 @@ class TestAssemble:
         sp0 = PopulationSpectrum.from_pairs([(0.0, 1.0)])
         b = assemble_B(sp0, sample_entries(RG, 6, 8, seed=7), n=8)
         np.testing.assert_allclose(b, np.zeros((6, 6)))
+
+    @pytest.mark.parametrize("ensemble", [RG, CG], ids=["rg", "cg"])
+    @pytest.mark.parametrize("p, n", [(12, 20), (20, 12)])
+    def test_textbook_expression_bit_for_bit_input_kept(self, ensemble, p, n):
+        sp = BATTERY["five_atom"]
+        x = sample_entries(ensemble, p, n, seed=9)
+        kept = x.copy()
+        scaled = np.sqrt(population_diagonal(sp, p))[:, None] * x
+        b = scaled @ scaled.conj().T / n
+        assert np.array_equal(assemble_B(sp, x, n), (b + b.conj().T) / 2.0)
+        assert np.array_equal(x, kept)
 
     def test_hermitian_to_machine_precision(self):
         x = sample_entries(CG, 12, 20, seed=8)

@@ -141,3 +141,18 @@ class TestEntryEnsemble:
         t11 = EntryEnsemble.student_t(11.0)
         assert t11.beta_x == pytest.approx(3.0 * 9.0 / 7.0 - 3.0)
         assert t11.violates_matching
+
+    @pytest.mark.parametrize("df", [4.5, 5.5, 11.0, 30.0])
+    def test_student_t_density_is_scipys_to_the_bit(self, df):
+        # the closed form repeats scipy.stats.t's log density operation for
+        # operation; it is called with one float at a time, as quad calls it
+        from scipy import stats
+
+        ens = EntryEnsemble.student_t(df)
+        scale = math.sqrt(df / (df - 2.0))
+        rng = np.random.default_rng(int(df * 10))
+        xs = np.concatenate([rng.standard_normal(1000) * 3.0, rng.uniform(-1e3, 1e3, 990),
+                             [0.0, -0.0, 5e-324, 1e-8, 0.5, -2.0, 10.0, 1e3, -1e3, 1e6]])
+        ours = np.array([ens.pdf(float(x)) for x in xs])
+        ref = np.array([scale * stats.t.pdf(float(x) * scale, df) for x in xs])
+        assert np.array_equal(ours, ref)
