@@ -11,8 +11,8 @@ from .contour import Contour, build_contour, integrate
 from .clt_moments import (CltMoments, CompanionTransform, compute_moments, mean_correction,
                           normalize, variance_with_kernel)
 from .simulator import (ExperimentRecord, SimConfig, TruncationPolicy, assemble_B,
-                        eigenvalues, lss_centered, replicate_eigenvalues, run_experiment,
-                        sample_entries, truncate_normalize)
+                        eigenvalues, lss_centered, replicate_eigenvalues, replicate_statistic,
+                        run_experiment, sample_entries, truncate_normalize)
 from .diagnostics import (RateFit, SteinContext, fit_rate, ks_to_normal,
                           qform_probe, sigma0_nested_mc, stein_Nh, stein_h,
                           stein_solution)
@@ -23,7 +23,8 @@ __all__ = [
     "lss_centering", "solve_s_under", "Contour", "build_contour", "integrate", "CltMoments",
     "CompanionTransform", "compute_moments", "mean_correction", "normalize",
     "variance_with_kernel", "ExperimentRecord", "SimConfig", "TruncationPolicy", "assemble_B",
-    "eigenvalues", "lss_centered", "replicate_eigenvalues", "run_experiment", "sample_entries",
+    "eigenvalues", "lss_centered", "replicate_eigenvalues", "replicate_statistic",
+    "run_experiment", "sample_entries",
     "truncate_normalize", "RateFit", "SteinContext", "fit_rate", "ks_to_normal",
     "qform_probe", "sigma0_nested_mc", "stein_Nh", "stein_h", "stein_solution",
     "__version__",

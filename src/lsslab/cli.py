@@ -27,8 +27,8 @@ from .config import KINDS, RunConfig, parse_config
 from .diagnostics import (SteinContext, fit_rate, project_cost, qform_probe,
                           stein_bound_report)
 from .errors import LabError
-from .simulator import (CLIP_NOTHING, SimConfig, TruncationPolicy, replicate_eigenvalues,
-                        replicate_seed, run_experiment)
+from .simulator import (CLIP_NOTHING, SimConfig, TruncationPolicy, replicate_seed,
+                        replicate_statistic, run_experiment)
 from .spectral_model import AspectRatio, support_interval
 from .stieltjes import lsd_density
 
@@ -67,15 +67,16 @@ def _fmt(x: float) -> str:
 def _check_budget(cfg: RunConfig, shapes: list[tuple[int, int]]) -> None:
     """Fail before any work if ``cfg.replicates`` replicates at each (p, n) cost too much.
 
-    The timed unit is one replicate at each (p, n), drawn from seed 0, no run stream,
-    by the sampler the run takes.  Under truncation it clips with ``CLIP_NOTHING``:
-    the clip's cost, without the truncated moments' quadrature.
+    The timed unit is one replicate's statistic of the run's f at each (p, n), drawn
+    from seed 0, no run stream, by the sampler and reduction the run takes.  Under
+    truncation it clips with ``CLIP_NOTHING``: the clip's cost, without the truncated
+    moments' quadrature.
     """
     truncation = CLIP_NOTHING if cfg.truncation_mode == "on" else None
 
     def unit():
         for p, n in shapes:
-            replicate_eigenvalues(cfg.ensemble, cfg.spectrum, p, n, 0, truncation)
+            replicate_statistic(cfg.f, cfg.ensemble, cfg.spectrum, p, n, 0, truncation)
 
     where = ", ".join(f"p={p}, n={n}" for p, n in shapes)
     project_cost(unit, cfg.replicates, 1.5, cfg.cost_cap_seconds,
@@ -142,6 +143,7 @@ def run_simulate(cfg: RunConfig, out: Path, started: str) -> str:
         "replicates": cfg.replicates,
         "confinement_violations": record.confinement_violations,
         "sampler": record.sampler,
+        "statistic": record.statistic,
     }
     _write_json(out / "simulate_summary.json", cfg, summary, started)
     return (f"simulate p={cfg.p} n={cfg.n} x{cfg.replicates}: ks={record.ks:.4f} "
@@ -168,7 +170,8 @@ def run_ks_rate(cfg: RunConfig, out: Path, started: str) -> str:
         "exponent": fit.exponent, "intercept": fit.intercept,
         "exponent_ci_90": list(fit.exponent_ci),
         "gaussian_matched": not cfg.ensemble.violates_matching,
-        "sampler": record.sampler,  # the same for every n: one law, one truncation mode
+        # the same for every n: one f, one law, one truncation mode
+        "sampler": record.sampler, "statistic": record.statistic,
     }
     _write_json(out / "ks_rate_summary.json", cfg, summary, started)
     return (f"ks-rate over n={list(cfg.n_grid)}: exponent={fit.exponent:.3f} "

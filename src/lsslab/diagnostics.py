@@ -109,15 +109,18 @@ def fit_rate(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
     slope, intercept = np.polyfit(log_n, log_ks, 1)
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    slopes = []
+    resamples = []
     attempts = 0
-    while len(slopes) < n_boot and attempts < 50 * n_boot:
+    while len(resamples) < n_boot and attempts < 50 * n_boot:
         attempts += 1
         idx = rng.integers(0, len(pts), size=len(pts))
         if len(set(log_n[idx])) < 2:
             continue
-        s, _ = np.polyfit(log_n[idx], log_ks[idx], 1)
-        slopes.append(s)
+        resamples.append(idx)
+    # every accepted resample's OLS slope at once: sum dx dy / sum dx^2
+    x, y = log_n[resamples], log_ks[resamples]
+    dx = x - x.mean(axis=1, keepdims=True)
+    slopes = np.sum(dx * (y - y.mean(axis=1, keepdims=True)), axis=1) / np.sum(dx * dx, axis=1)
     alpha = (1.0 - _CI_LEVEL) / 2.0
     lo, hi = np.quantile(slopes, [alpha, 1.0 - alpha])
     lo, hi = min(lo, slope), max(hi, slope)

@@ -7,7 +7,12 @@ execution order.
 
 A replicate's eigenvalues come from the beta-Laguerre bidiagonal model
 when the entries are Gaussian, ``T = t I`` and truncation is off, and from
-a dense entry matrix otherwise (``replicate_sampler``).
+a dense entry matrix otherwise (``replicate_sampler``).  A run keeps three
+numbers per replicate, ``sum f(lambda)``, ``lambda_min`` and
+``lambda_max`` (``replicate_statistic``).  On the bidiagonal model, for
+f a polynomial of degree at most 2, it reads them off the bidiagonal
+factor: closed-form traces and two bisections, with no full spectrum.
+Every other replicate sums f over its spectrum (``replicate_reduction``).
 
 A run takes f, the spectrum and every deterministic input from its moment
 set: ``mu`` and ``sigma`` normalize, the centering runs over the companion
@@ -196,16 +201,42 @@ def eigenvalues(b: np.ndarray, offdiag: np.ndarray | None = None) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix ``b``.
 
     With ``offdiag``, ``b`` is the diagonal and ``offdiag`` the off-diagonal
-    of a real symmetric tridiagonal matrix, solved without forming it.
+    of a real symmetric tridiagonal matrix, solved without forming it by
+    LAPACK's ``dsterf``.
     """
-    try:
-        if offdiag is None:
+    if offdiag is None:
+        try:
             return np.linalg.eigvalsh(b)
-        from scipy.linalg import eigvalsh_tridiagonal
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"eigensolver failed: {exc}") from exc
+    return _tridiagonal_eigenvalues(b, offdiag)
 
-        return eigvalsh_tridiagonal(b, offdiag)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigensolver failed: {exc}") from exc
+
+def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray,
+                             extremes: bool = False) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal ``(diag, off)`` by SciPy's raw LAPACK.
+
+    All of them by ``dsterf``, or with ``extremes`` only the smallest and the
+    largest, by two ``dstebz`` bisections.  Order 1 is its own eigenvalue:
+    the wrappers reject an empty off-diagonal.
+    """
+    if len(diag) == 1:
+        return np.array(diag, dtype=float)
+    from scipy.linalg import lapack
+
+    if not extremes:
+        vals, info = lapack.dsterf(diag, off)
+        if info:
+            raise NonConvergence(f"dsterf left {info} off-diagonal entries unconverged")
+        return vals
+    ends = np.empty(2)
+    for j, k in enumerate((1, len(diag))):
+        # range 2 is SciPy's code for an index range: the k-th smallest eigenvalue only
+        _, w, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, k, k, 0.0, "E")
+        if info:
+            raise NonConvergence(f"dstebz failed to bisect eigenvalue {k} (info={info})")
+        ends[j] = w[0]
+    return ends
 
 
 LAGUERRE = "laguerre_bidiagonal"
@@ -230,25 +261,52 @@ def replicate_sampler(ensemble: EntryEnsemble, spectrum: PopulationSpectrum,
     return DENSE
 
 
-def _laguerre_eigenvalues(beta: int, t: float, p: int, n: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Eigenvalues of ``t X X* / n`` from the bidiagonal model (Dumitriu & Edelman 2002).
+def _laguerre_factor(ensemble: EntryEnsemble, p: int, n: int,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared diagonal and subdiagonal of the bidiagonal ``L`` (Dumitriu & Edelman 2002).
 
-    With ``small = min(p, n)`` and ``big = max(p, n)``, the lower-bidiagonal
-    ``L`` has diagonal ``chi_{beta (big - i)} / sqrt(beta)``, ``i < small``,
-    drawn first, and subdiagonal ``chi_{beta (small - 1 - i)} / sqrt(beta)``,
-    drawn next; ``L L^T`` is tridiagonal with diagonal ``d_i^2 + e_(i-1)^2``
-    and off-diagonal ``d_i e_i``.  For ``p > n`` the other ``p - n``
-    eigenvalues are exact zeros.
+    With ``small = min(p, n)``, ``big = max(p, n)`` and ``beta`` 1 (real) or
+    2 (complex), the lower-bidiagonal ``L`` has diagonal
+    ``chi_{beta (big - i)} / sqrt(beta)``, ``i < small``, drawn first from
+    stream ``seed``, and subdiagonal ``chi_{beta (small - 1 - i)} / sqrt(beta)``,
+    drawn next.  The nonzero eigenvalues of ``X X*`` are in law those of
+    ``L L^T``; for ``p > n`` the other ``p - n`` are exact zeros.
     """
+    beta = 2 if ensemble.is_complex else 1
+    rng = _rng(seed)
     small, big = min(p, n), max(p, n)
     i = np.arange(small)
     d2 = rng.chisquare(beta * (big - i)) / beta
     e2 = rng.chisquare(beta * (small - 1 - i[:-1])) / beta
+    return d2, e2
+
+
+def _tridiagonal(d2: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal ``d_i^2 + e_(i-1)^2`` and off-diagonal ``d_i e_i`` of ``L L^T``."""
     diag = d2.copy()
     diag[1:] += e2
-    vals = eigenvalues(diag, np.sqrt(d2[:-1] * e2))
-    return np.concatenate([np.zeros(p - small), vals * (t / n)])
+    return diag, np.sqrt(d2[:-1] * e2)
+
+
+def _laguerre_statistic(f: TestFunction, ensemble: EntryEnsemble, t: float, p: int, n: int,
+                        seed: int) -> tuple[float, float, float]:
+    """``replicate_statistic`` read off the bidiagonal factor, never its spectrum.
+
+    With ``scale = t/n`` and ``T = L L^T``: ``sum lambda = scale tr T`` and
+    ``sum lambda^2 = scale^2 (sum diag^2 + 2 sum off^2)``; the
+    ``p - min(p, n)`` zero eigenvalues add ``c0`` each.  The extremes come
+    from two bisections.
+    """
+    d2, e2 = _laguerre_factor(ensemble, p, n, seed)
+    scale = t / n
+    diag, off = _tridiagonal(d2, e2)
+    ends = _tridiagonal_eigenvalues(diag, off, extremes=True)
+    lam_min = 0.0 if p > n else float(ends[0]) * scale
+    lam_max = float(ends[-1]) * scale
+    c0, c1, c2 = (f.coeffs + (0.0, 0.0))[:3]
+    trace = float(np.sum(diag))
+    trace2 = float(diag @ diag + 2.0 * (d2[:-1] @ e2))
+    return c0 * p + c1 * scale * trace + c2 * scale * scale * trace2, lam_min, lam_max
 
 
 def replicate_eigenvalues(ensemble: EntryEnsemble, spectrum: PopulationSpectrum, p: int,
@@ -258,13 +316,14 @@ def replicate_eigenvalues(ensemble: EntryEnsemble, spectrum: PopulationSpectrum,
 
     ``truncation`` is ``(threshold, mean, variance)`` or None.  The sampler
     is ``replicate_sampler``'s: the bidiagonal model draws ``2 min(p, n) - 1``
-    chi variates and solves their tridiagonal ``L L^T``, the dense path a
+    chi variates and solves their tridiagonal ``L L^T``, scaled by ``t/n``
+    and padded with ``p - min(p, n)`` zeros, the dense path a
     ``p x n`` entry matrix, clipped and restandardized under truncation,
     whose Gram matrix it solves; both solve through ``eigenvalues``.
     """
     if replicate_sampler(ensemble, spectrum, truncation) == LAGUERRE:
-        beta = 2 if ensemble.is_complex else 1
-        return _laguerre_eigenvalues(beta, spectrum.atoms[0][0], p, n, _rng(seed))
+        vals = eigenvalues(*_tridiagonal(*_laguerre_factor(ensemble, p, n, seed)))
+        return np.concatenate([np.zeros(p - min(p, n)), vals * (spectrum.atoms[0][0] / n)])
     x = sample_entries(ensemble, p, n, seed)
     if truncation is not None:
         x = _clip_restandardize(x, *truncation)
@@ -274,9 +333,46 @@ def replicate_eigenvalues(ensemble: EntryEnsemble, spectrum: PopulationSpectrum,
 def lss_centered(f: TestFunction, eigs: np.ndarray, centering: float) -> float:
     """Sum of f over the eigenvalues minus the deterministic centering."""
     if f.kind == "log" and np.min(eigs) <= 0:
-        raise LogDomain(f"log statistic undefined at eigenvalue {np.min(eigs):.3e}")
+        raise LogDomain(f"log statistic undefined at eigenvalue {np.min(eigs):.3e}: f = log "
+                        f"needs every eigenvalue positive, so p <= n and no zero atom")
     total = float(np.sum(f(np.asarray(eigs, dtype=complex))).real)
     return total - centering
+
+
+CLOSED_FORM = "closed_form"
+SPECTRUM = "spectrum"
+
+
+def replicate_reduction(f: TestFunction, ensemble: EntryEnsemble, spectrum: PopulationSpectrum,
+                        truncation: tuple[float, float, float] | None) -> str:
+    """How a replicate's statistic is read: ``CLOSED_FORM`` or ``SPECTRUM``.
+
+    A ``laguerre_bidiagonal`` replicate with f a polynomial of degree at
+    most 2 is read off its bidiagonal factor; every other replicate, f = log
+    included, sums f over its full spectrum.
+    """
+    if (replicate_sampler(ensemble, spectrum, truncation) == LAGUERRE
+            and f.kind == "poly" and f.degree <= 2):
+        return CLOSED_FORM
+    return SPECTRUM
+
+
+def replicate_statistic(f: TestFunction, ensemble: EntryEnsemble, spectrum: PopulationSpectrum,
+                        p: int, n: int, seed: int,
+                        truncation: tuple[float, float, float] | None = None
+                        ) -> tuple[float, float, float]:
+    """``(sum f(lambda), lambda_min, lambda_max)`` of one replicate drawn from stream ``seed``.
+
+    Under ``replicate_reduction``'s ``CLOSED_FORM`` the sum comes from the
+    traces of the bidiagonal factor's ``L L^T`` and the extremes from two
+    bisections, in O(min(p, n)); they agree with the spectrum to rounding.
+    Otherwise it is ``lss_centered`` over ``replicate_eigenvalues``,
+    uncentered.  Both read the same draws.
+    """
+    if replicate_reduction(f, ensemble, spectrum, truncation) == CLOSED_FORM:
+        return _laguerre_statistic(f, ensemble, spectrum.atoms[0][0], p, n, seed)
+    eigs = replicate_eigenvalues(ensemble, spectrum, p, n, seed, truncation)
+    return lss_centered(f, eigs, 0.0), float(eigs[0]), float(eigs[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +421,7 @@ class ExperimentRecord:
     variance: float
     confinement_violations: int
     sampler: str  # replicate_sampler's name for the run's law
+    statistic: str  # replicate_reduction's name for the run's f and law
 
     def values(self) -> np.ndarray:
         return np.array([r.value for r in self.rows])
@@ -334,12 +431,12 @@ def _one_replicate(cfg: SimConfig, moments: CltMoments, centering: float,
                    truncation: tuple[float, float, float] | None,
                    index: int) -> ReplicateRow:
     seed = replicate_seed(cfg.root_seed, index)
-    eigs = replicate_eigenvalues(cfg.ensemble, moments.s_under.spectrum, cfg.ratio.p,
-                                 cfg.ratio.n, seed, truncation)
-    stat = lss_centered(moments.f, eigs, centering)
-    value = normalize(stat, moments)
+    total, lam_min, lam_max = replicate_statistic(moments.f, cfg.ensemble,
+                                                  moments.s_under.spectrum, cfg.ratio.p,
+                                                  cfg.ratio.n, seed, truncation)
+    value = normalize(total - centering, moments)
     return ReplicateRow(index=index, seed=seed, value=float(value),
-                        lam_min=float(eigs[0]), lam_max=float(eigs[-1]))
+                        lam_min=lam_min, lam_max=lam_max)
 
 
 def run_experiment(cfg: SimConfig, moments: CltMoments) -> ExperimentRecord:
@@ -351,9 +448,9 @@ def run_experiment(cfg: SimConfig, moments: CltMoments) -> ExperimentRecord:
     ``ConstraintViolation`` before any draw when the moments carry no
     transform or were solved at another ``y_n`` than the run's ``p/n``.
     The centering and the truncated moments are computed once per run;
-    each replicate draws through ``replicate_eigenvalues``, and the record
-    names the sampler.  Any replicate failure is re-raised with its index
-    attached.
+    each replicate draws through ``replicate_statistic``, and the record
+    names the sampler and the reduction.  Any replicate failure is
+    re-raised with its index attached.
     """
     s = moments.s_under
     if s is None or moments.f is None:
@@ -392,4 +489,5 @@ def run_experiment(cfg: SimConfig, moments: CltMoments) -> ExperimentRecord:
         variance=float(np.var(values, ddof=1)) if len(values) > 1 else 0.0,
         confinement_violations=violations,
         sampler=replicate_sampler(cfg.ensemble, s.spectrum, truncation),
+        statistic=replicate_reduction(moments.f, cfg.ensemble, s.spectrum, truncation),
     )

@@ -260,8 +260,15 @@ class TestFunction:
         return cls(kind="log")
 
     @property
+    def degree(self) -> int | None:
+        """Index of the last nonzero coefficient (0 for a zero polynomial); None for log."""
+        if self.kind == "log":
+            return None
+        return max((k for k, c in enumerate(self.coeffs) if c != 0.0), default=0)
+
+    @property
     def is_constant(self) -> bool:
-        return self.kind == "poly" and all(c == 0.0 for c in self.coeffs[1:])
+        return self.degree == 0
 
     @property
     def label(self) -> str:

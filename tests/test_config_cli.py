@@ -346,14 +346,14 @@ class TestCliRuns:
         from lsslab import diagnostics
 
         clock = [0.0]
-        replicate = cli.replicate_eigenvalues
+        replicate = cli.replicate_statistic
 
         def one_second(*args):
             clock[0] += 1.0
             return replicate(*args)
 
         monkeypatch.setattr(diagnostics, "perf_counter", lambda: clock[0])
-        monkeypatch.setattr(cli, "replicate_eigenvalues", one_second)
+        monkeypatch.setattr(cli, "replicate_statistic", one_second)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"kind": "ks-rate", "n_grid": [16, 24, 32],
                                        "replicates": 4, "y": 0.25,
@@ -411,14 +411,16 @@ class TestCliRuns:
             doc = json.loads((tmp_path / f"{stem}_summary.json").read_text())
             assert doc["summary"]["gaussian_matched"] is matched
 
-    @pytest.mark.parametrize("extra, sampler", [
-        ({"ensemble": "RG"}, "laguerre_bidiagonal"),
-        ({"ensemble": "CG", "spectrum": [{"atom": 0.5, "weight": 1.0}]}, "laguerre_bidiagonal"),
-        ({"ensemble": "RG", "truncation": {"mode": "on"}}, "dense"),
-        ({"ensemble": "RG", "spectrum": FIVE_ATOM}, "dense"),
-        ({"ensemble": {"name": "rademacher"}}, "dense"),
-    ], ids=["rg", "cg-half", "rg-truncated", "rg-five_atom", "rademacher"])
-    def test_summaries_name_the_sampler(self, extra, sampler, tmp_path):
+    @pytest.mark.parametrize("extra, sampler, statistic", [
+        ({"ensemble": "RG"}, "laguerre_bidiagonal", "closed_form"),
+        ({"ensemble": "CG", "spectrum": [{"atom": 0.5, "weight": 1.0}]}, "laguerre_bidiagonal",
+         "closed_form"),
+        ({"ensemble": "RG", "f": "x^3"}, "laguerre_bidiagonal", "spectrum"),
+        ({"ensemble": "RG", "truncation": {"mode": "on"}}, "dense", "spectrum"),
+        ({"ensemble": "RG", "spectrum": FIVE_ATOM}, "dense", "spectrum"),
+        ({"ensemble": {"name": "rademacher"}}, "dense", "spectrum"),
+    ], ids=["rg", "cg-half", "rg-x^3", "rg-truncated", "rg-five_atom", "rademacher"])
+    def test_summaries_name_the_sampler(self, extra, sampler, statistic, tmp_path):
         runs = {"simulate": {"p": 8, "n": 16}, "ks-rate": {"n_grid": [16, 24, 32]}}
         for kind, dims in runs.items():
             cfgfile = tmp_path / f"{kind}.json"
@@ -428,8 +430,9 @@ class TestCliRuns:
             stem = kind.replace("-", "_")
             doc = json.loads((tmp_path / f"{stem}_summary.json").read_text())
             assert doc["summary"]["sampler"] == sampler
+            assert doc["summary"]["statistic"] == statistic
             header = (tmp_path / f"{stem}_detail.csv").read_text().splitlines()[0]
-            assert "sampler" not in header
+            assert "sampler" not in header and "statistic" not in header
 
     def test_threads_flag_rejected(self):
         with pytest.raises(SystemExit):

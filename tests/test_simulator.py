@@ -10,13 +10,16 @@ from scipy import stats
 from conftest import BATTERY, companion
 from lsslab.clt_moments import CltMoments, compute_moments, normalize
 from lsslab.contour import default_margin
-from lsslab.errors import ConstraintViolation, DegenerateTruncation, LogDomain
+from lsslab.errors import (ConstraintViolation, DegenerateTruncation, LogDomain,
+                           NonConvergence)
 from lsslab import simulator
-from lsslab.simulator import (CLIP_NOTHING, DENSE, SimConfig, TruncationPolicy, assemble_B,
-                              default_eta, draw_entries, eigenvalues, lss_centered,
-                              population_diagonal, replicate_eigenvalues, replicate_sampler,
-                              replicate_seed, run_experiment, sample_entries, splitmix64,
-                              truncate_normalize, truncated_moments)
+from lsslab.simulator import (CLIP_NOTHING, CLOSED_FORM, DENSE, SPECTRUM, SimConfig,
+                              TruncationPolicy, assemble_B, default_eta, draw_entries,
+                              eigenvalues, lss_centered, population_diagonal,
+                              replicate_eigenvalues, replicate_reduction, replicate_sampler,
+                              replicate_seed, replicate_statistic, run_experiment,
+                              sample_entries, splitmix64, truncate_normalize,
+                              truncated_moments)
 from lsslab.spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
                                    TestFunction, support_interval)
 from lsslab.stieltjes import lss_centering
@@ -236,6 +239,17 @@ class TestEigenvalues:
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         np.testing.assert_allclose(eigenvalues(diag, off), eigenvalues(dense), atol=1e-12)
 
+    def test_tridiagonal_of_order_one(self):
+        got = eigenvalues(np.array([2.5]), np.array([]))
+        assert got.tolist() == [2.5]
+
+    def test_tridiagonal_failure_is_typed(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        monkeypatch.setattr(lapack, "dsterf", lambda d, e: (d, 2))
+        with pytest.raises(NonConvergence, match="2 off-diagonal"):
+            eigenvalues(np.ones(3), np.ones(2))
+
 
 def _dense_eigenvalues(ensemble, spectrum, p, n, seed):
     """The dense replicate: entry matrix, Gram product, eigensolve."""
@@ -315,6 +329,104 @@ class TestReplicateEigenvalues:
         scaled = replicate_eigenvalues(ensemble, PopulationSpectrum.from_pairs([(t, 1.0)]),
                                        p, n, seed)
         np.testing.assert_allclose(scaled, t * eigs, rtol=1e-14, atol=0.0)
+
+
+LOW_DEGREE = {"1": TestFunction.polynomial([1.0]), "x": F_X, "x^2": TestFunction.monomial(2),
+              "3-x+2x^2": TestFunction.polynomial([3.0, -1.0, 2.0])}
+
+
+def _check_against_the_spectrum(f, ensemble, spectrum, p, n, seed):
+    """The closed form against ``sum f`` over ``replicate_eigenvalues``'s spectrum.
+
+    The sum agrees within ``1e-12 (1 + |sum|)`` and the extremes within
+    ``1e-13 lambda_max``.
+    """
+    eigs = replicate_eigenvalues(ensemble, spectrum, p, n, seed)
+    total, lam_min, lam_max = replicate_statistic(f, ensemble, spectrum, p, n, seed)
+    want = lss_centered(f, eigs, 0.0)
+    assert abs(total - want) <= 1e-12 * (1.0 + abs(want))
+    assert abs(lam_min - eigs[0]) <= 1e-13 * eigs[-1]
+    assert abs(lam_max - eigs[-1]) <= 1e-13 * eigs[-1]
+    if p > n:
+        assert lam_min == 0.0
+
+
+def _no_spectrum(*args):
+    raise AssertionError("the closed form solved the full spectrum")
+
+
+class TestReplicateStatistic:
+    HALF = PopulationSpectrum.from_pairs([(0.5, 1.0)])
+
+    @pytest.mark.parametrize("ensemble", [RG, CG], ids=["RG", "CG"])
+    @pytest.mark.parametrize("p, n", [(12, 20), (20, 12), (15, 15), (1, 9), (9, 1), (1, 1)])
+    @pytest.mark.parametrize("name", list(LOW_DEGREE))
+    def test_closed_form_matches_the_spectrum(self, ensemble, p, n, name, monkeypatch):
+        f = LOW_DEGREE[name]
+        assert replicate_reduction(f, ensemble, self.HALF, None) == CLOSED_FORM
+        for seed in range(4):
+            _check_against_the_spectrum(f, ensemble, self.HALF, p, n, seed)
+        monkeypatch.setattr(simulator, "eigenvalues", _no_spectrum)
+        replicate_statistic(f, ensemble, self.HALF, p, n, 0)
+
+    @pytest.mark.parametrize("spectrum, p, n", [
+        (IDENTITY, 20, 12), (IDENTITY, 2, 1), (PopulationSpectrum.from_pairs([(0.0, 1.0)]), 8, 12),
+    ], ids=["p>n", "p>n=1", "t=0"])
+    def test_log_rejects_a_zero_eigenvalue(self, spectrum, p, n):
+        with pytest.raises(LogDomain, match="undefined at eigenvalue 0.000e"):
+            replicate_statistic(TestFunction.log(), RG, spectrum, p, n, 3)
+
+    def test_bisection_failure_is_typed(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        monkeypatch.setattr(lapack, "dstebz", lambda d, e, *args: (0, d, None, None, 1))
+        with pytest.raises(NonConvergence, match="dstebz"):
+            replicate_statistic(F_X, RG, IDENTITY, 12, 20, 5)
+
+    def test_trailing_zero_coefficients_keep_the_closed_form(self, monkeypatch):
+        padded = TestFunction.polynomial([0.0, 0.0, 1.0, 0.0])
+        assert replicate_reduction(padded, RG, IDENTITY, None) == CLOSED_FORM
+        monkeypatch.setattr(simulator, "eigenvalues", _no_spectrum)
+        assert (replicate_statistic(padded, RG, IDENTITY, 12, 20, 5)
+                == replicate_statistic(TestFunction.monomial(2), RG, IDENTITY, 12, 20, 5))
+
+    @pytest.mark.parametrize("f, ensemble, spectrum, truncation", [
+        (TestFunction.monomial(3), RG, IDENTITY, None),
+        (TestFunction.monomial(11), CG, HALF, None),
+        (TestFunction.monomial(2), RG, BATTERY["two_atom"], None),
+        (TestFunction.log(), RG, IDENTITY, None),
+        (TestFunction.log(), EntryEnsemble.rademacher(), IDENTITY, None),
+        (F_X, RG, IDENTITY, CLIP_NOTHING),
+    ], ids=["x^3-laguerre", "x^11-laguerre-cg", "x^2-dense", "log-laguerre", "log-rademacher",
+            "x-dense-clipped"])
+    def test_other_replicates_sum_f_over_the_spectrum_bit_for_bit(self, f, ensemble,
+                                                                   spectrum, truncation):
+        assert replicate_reduction(f, ensemble, spectrum, truncation) == SPECTRUM
+        eigs = replicate_eigenvalues(ensemble, spectrum, 12, 20, 5, truncation)
+        got = replicate_statistic(f, ensemble, spectrum, 12, 20, 5, truncation)
+        assert got == (lss_centered(f, eigs, 0.0), eigs[0], eigs[-1])
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=80)
+    @given(ensemble=st.sampled_from([RG, CG]), p=st.integers(1, 40), n=st.integers(1, 40),
+           t=st.floats(0.01, 1.0), seed=st.integers(0, 2**64 - 1),
+           name=st.sampled_from(list(LOW_DEGREE)))
+    def test_closed_form_property(self, ensemble, p, n, t, seed, name):
+        spectrum = PopulationSpectrum.from_pairs([(t, 1.0)])
+        _check_against_the_spectrum(LOW_DEGREE[name], ensemble, spectrum, p, n, seed)
+
+    def test_run_rows_match_the_spectrum(self):
+        f, p, n = TestFunction.monomial(2), 16, 32
+        mom = compute_moments(f, IDENTITY, p / n, "RG")
+        cfg = SimConfig(ratio=AspectRatio(p=p, n=n), ensemble=RG, replicates=6, root_seed=9)
+        rec = run_experiment(cfg, mom)
+        assert rec.statistic == CLOSED_FORM
+        centering = lss_centering(f, p, mom.s_under)
+        for row in rec.rows:
+            eigs = replicate_eigenvalues(RG, IDENTITY, p, n, row.seed)
+            want = normalize(lss_centered(f, eigs, centering), mom)
+            assert row.value == pytest.approx(want, rel=0, abs=1e-12)
+            assert (row.lam_min, row.lam_max) == pytest.approx((eigs[0], eigs[-1]),
+                                                               rel=1e-13)
 
 
 class TestLssCentered:

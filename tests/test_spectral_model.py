@@ -119,6 +119,13 @@ class TestTestFunction:
         assert not TestFunction.monomial(1).is_constant
         assert TestFunction.polynomial([0.0, 1.0, 1.0]).label == "x+x^2"
 
+    def test_degree_is_the_last_nonzero_coefficient(self):
+        assert TestFunction.polynomial([0.0, 0.0, 1.0, 0.0]).degree == 2
+        assert TestFunction.polynomial([0.0, 0.0]).degree == 0
+        assert TestFunction.monomial(11).degree == 11
+        assert TestFunction.log().degree is None
+        assert TestFunction.polynomial([2.0, 0.0]).is_constant
+
     def test_vectorized_evaluation(self):
         f = TestFunction.polynomial([1.0, 0.0, 1.0])  # 1 + x^2
         z = np.array([1.0 + 0j, 2.0 + 0j])
