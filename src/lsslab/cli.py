@@ -111,18 +111,17 @@ def run_moments(cfg: RunConfig, out: Path, started: str) -> str:
                        for name, q in mom.quadrature.items()},
     }
     _write_json(out / "moments_summary.json", cfg, summary, started)
-    return (f"moments[{cfg.case}] f={cfg.f.label}: mu={mom.mu:.6g} sigma={mom.sigma:.6g} "
+    return (f"moments[{mom.case}] f={cfg.f.label}: mu={mom.mu:.6g} sigma={mom.sigma:.6g} "
             f"max|a|={mom.kernel_max_abs:.4f}")
 
 
 def _moments(cfg: RunConfig, y_n: float):
-    return compute_moments(cfg.f, cfg.spectrum, y_n, cfg.case,
-                           eps=cfg.contour.eps, v_0=cfg.contour.v0, m=cfg.contour.nodes)
+    return compute_moments(cfg.f, cfg.spectrum, y_n, cfg.ensemble,
+                           eps=cfg.contour.eps, v_0=cfg.contour.v0)
 
 
 def _experiment(cfg: RunConfig, ratio: AspectRatio, mom, replicates: int, root_seed: int):
-    sim = SimConfig(ratio=ratio, ensemble=cfg.ensemble, replicates=replicates,
-                    root_seed=root_seed,
+    sim = SimConfig(ratio=ratio, replicates=replicates, root_seed=root_seed,
                     truncation=TruncationPolicy(cfg.truncation_mode, cfg.truncation_eta))
     return run_experiment(sim, mom)
 

@@ -24,12 +24,13 @@ singularity on ``z1 = z2``.  So both variables run over the same contour.
 That contour is one ellipse around the bulk (``contour.py``) with the
 nested trapezoid rule, whose levels share their nodes.  The mean, the
 variance and a run's centering read the law ``(spectrum, y_n)`` and the
-contour from one ``CompanionTransform``, solved once per node.  A variance
-level at m nodes costs a few passes over the m x m node grid, formed in row
-blocks of bounded size; the rule at m/2, against which the level is
-checked, is the grid's even-index subgrid.  Each block of the kernel is one
-real matrix product of small factor matrices (``kernel_from_s``).  The log
-is taken in real arithmetic,
+contour from one ``CompanionTransform``, solved once per node; the moment
+set also names the entry law it was computed for, and a run draws from
+that law.  A variance level at m nodes costs a few passes over the m x m
+node grid, formed in row blocks of bounded size; the rule at m/2, against
+which the level is checked, is the grid's even-index subgrid.  Each block
+of the kernel is one real matrix product of small factor matrices
+(``kernel_from_s``).  The log is taken in real arithmetic,
 ``-log(1 - a) = -log1p(ar (ar - 2) + ai^2) / 2 + i atan2(ai, 1 - ar)``,
 which is accurate to rounding for every ``|a| < 1``
 (``_a_times_t_integral``).  ``f'`` is folded into the quadrature weights,
@@ -42,10 +43,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contour import (DEFAULT_NODES, DEFAULT_V0, Contour, NodeValues, _doubling_ladder,
-                      build_contour, real_part, trapezoid)
+from .contour import (DEFAULT_V0, Contour, NodeValues, _doubling_ladder, build_contour,
+                      real_part, trapezoid)
 from .errors import DenominatorNearZero, KernelOutOfDisk, ZeroVariance
-from .spectral_model import PopulationSpectrum, TestFunction
+from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
 from .stieltjes import s_under_grid
 
 _BLOCK_CELLS = 1 << 18  # kernel cells formed at once in a variance level
@@ -65,11 +66,11 @@ class CompanionTransform(NodeValues):
 
 @dataclass(frozen=True)
 class CltMoments:
-    """Deterministic CLT ingredients for one (f, spectrum, y, case)."""
+    """Deterministic CLT ingredients for one (f, spectrum, y, entry law)."""
 
     mu: float
     sigma: float
-    case: str  # "RG" or "CG"
+    ensemble: EntryEnsemble  # the entry law: a run draws from it
     kernel_max_abs: float
     # provenance, not compared: the test function and the companion
     # transform the moments were integrated over (a run takes f, the
@@ -79,9 +80,10 @@ class CltMoments:
     s_under: CompanionTransform | None = field(default=None, compare=False)
     quadrature: dict = field(default_factory=dict, compare=False)
 
-    def __post_init__(self):
-        if self.case not in ("RG", "CG"):
-            raise ValueError(f"case must be RG or CG, got {self.case!r}")
+    @property
+    def case(self) -> str:
+        """The normalization case: ``"CG"`` for complex entries, ``"RG"`` for real ones."""
+        return "CG" if self.ensemble.is_complex else "RG"
 
     @property
     def contour(self) -> Contour | None:
@@ -109,14 +111,14 @@ def kernel_from_s(s1, s2, spectrum: PopulationSpectrum, y_n: float):
 
     with ``v(s1) = ar + i ai`` and ``v(s2) = br + i bi``.  Swapping s1 and
     s2 forms the same products in the same order, so the kernel is exactly
-    symmetric.  Any other broadcast of s1 against s2 takes the same product
-    one element at a time.
+    symmetric.  Any other shape raises ``ValueError``: a single value is a
+    cell of a 1 x 1 grid, ``a(z, conj z)`` the diagonal of an outer one.
     """
     s1 = np.asarray(s1, dtype=complex)
     s2 = np.asarray(s2, dtype=complex)
-    outer = s1.ndim >= 2 and s2.ndim >= 2 and s1.shape[-1] == 1 and s2.shape[-2] == 1
-    if not outer:
-        s1, s2 = s1[..., None, None], s2[..., None, None]
+    if not (s1.ndim >= 2 and s2.ndim >= 2 and s1.shape[-1] == 1 and s2.shape[-2] == 1):
+        raise ValueError(f"kernel_from_s takes an outer grid, s1 (..., n1, 1) against "
+                         f"s2 (..., 1, n2); got {s1.shape} and {s2.shape}")
     a = _atom_factors(s1[..., 0], spectrum, y_n)  # (..., n1, K)
     b = _atom_factors(s2[..., 0, :], spectrum, y_n)  # (..., n2, K)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
@@ -124,10 +126,7 @@ def kernel_from_s(s1, s2, spectrum: PopulationSpectrum, y_n: float):
     right = np.stack([np.concatenate([br, -bi, np.zeros_like(br)], axis=-1),
                       np.concatenate([-br, -bi, br + bi], axis=-1)], axis=-2)
     right = right.reshape(right.shape[:-3] + (-1, left.shape[-1]))  # (..., 2 n2, 3K)
-    grid = np.matmul(left, np.swapaxes(right, -1, -2)).view(complex)
-    if not outer:
-        grid = grid[..., 0, 0]
-    return grid if grid.shape else complex(grid)
+    return np.matmul(left, np.swapaxes(right, -1, -2)).view(complex)
 
 
 def _a_times_t_integral(a):
@@ -232,23 +231,22 @@ def variance_with_kernel(f: TestFunction, s: CompanionTransform, *,
 
 
 def compute_moments(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
-                    case: str, *, eps: float | None = None, v_0: float = DEFAULT_V0,
-                    m: int = DEFAULT_NODES) -> CltMoments:
+                    ensemble: EntryEnsemble, *, eps: float | None = None,
+                    v_0: float = DEFAULT_V0) -> CltMoments:
     """Mean, variance and kernel diagnostic for one configuration.
 
-    The mean correction applies to the real-entry case only; the circular
-    complex case has zero asymptotic mean by construction and its
+    The mean correction applies to real entries only; circular complex
+    entries have zero asymptotic mean by construction and their
     normalization divides by sqrt(sigma / 2) instead.  The transform at
     the contour's nodes is solved once and shared by the variance and the
-    mean; the result keeps it, with f, for a run to center on.
+    mean; the result keeps it, with f and the entry law, for a run to
+    draw, center and normalize with.
     """
-    if case not in ("RG", "CG"):
-        raise ValueError(f"case must be RG or CG, got {case!r}")
-    s = CompanionTransform(spectrum, y_n, build_contour(spectrum, y_n, eps, v_0, m, f=f))
+    s = CompanionTransform(spectrum, y_n, build_contour(spectrum, y_n, eps, v_0, f=f))
     report = {}
     sigma, kernel_max = variance_with_kernel(f, s, report=report)
     mu = 0.0
-    if case == "RG":
+    if not ensemble.is_complex:
         mu = mean_correction(f, s, report=report)
     if not f.is_constant and sigma <= 0.0:
         raise ZeroVariance(
@@ -256,7 +254,7 @@ def compute_moments(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
         )
     if f.is_constant:
         sigma = max(sigma, 0.0)
-    return CltMoments(mu=mu, sigma=sigma, case=case, kernel_max_abs=kernel_max,
+    return CltMoments(mu=mu, sigma=sigma, ensemble=ensemble, kernel_max_abs=kernel_max,
                       f=f, s_under=s, quadrature=report)
 
 

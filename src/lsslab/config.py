@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .contour import DEFAULT_NODES, DEFAULT_V0, MAX_NODES, MIN_NODES
+from .contour import DEFAULT_V0
 from .errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
 from .simulator import MAX_ENTRIES
 from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
@@ -22,11 +22,11 @@ KINDS = ("lsd", "moments", "simulate", "ks-rate", "stein-check", "probe-qform")
 
 _TOP_KEYS = {
     "kind", "spectrum", "spectrum_allow_large", "y", "p", "n", "n_grid",
-    "ensemble", "case", "f", "contour", "replicates", "root_seed",
+    "ensemble", "f", "contour", "replicates", "root_seed",
     "truncation", "out", "cost_cap_seconds",
     "grid_points", "contexts", "k", "matrix_kind",
 }
-_CONTOUR_KEYS = {"eps", "v0", "nodes"}
+_CONTOUR_KEYS = {"eps", "v0"}
 _TRUNCATION_KEYS = {"mode", "eta"}
 
 _DEFAULTS = {
@@ -35,7 +35,7 @@ _DEFAULTS = {
     "y": 0.5,
     "ensemble": "RG",
     "f": "x^2",
-    "contour": {"eps": None, "v0": DEFAULT_V0, "nodes": DEFAULT_NODES},
+    "contour": {"eps": None, "v0": DEFAULT_V0},
     "replicates": 200,
     "root_seed": 12345,
     "truncation": {"mode": "off", "eta": None},
@@ -152,7 +152,6 @@ def serialize_ensemble(e: EntryEnsemble):
 class ContourParams:
     eps: float | None
     v0: float
-    nodes: int
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,6 @@ class RunConfig:
     n: int | None
     n_grid: tuple[int, ...] | None
     ensemble: EntryEnsemble
-    case: str
     f: TestFunction
     contour: ContourParams
     replicates: int
@@ -189,10 +187,8 @@ class RunConfig:
             "n": self.n,
             "n_grid": list(self.n_grid) if self.n_grid is not None else None,
             "ensemble": serialize_ensemble(self.ensemble),
-            "case": self.case,
             "f": serialize_test_function(self.f),
-            "contour": {"eps": self.contour.eps, "v0": self.contour.v0,
-                        "nodes": self.contour.nodes},
+            "contour": {"eps": self.contour.eps, "v0": self.contour.v0},
             "replicates": self.replicates,
             "root_seed": self.root_seed,
             "truncation": {"mode": self.truncation_mode, "eta": self.truncation_eta},
@@ -257,12 +253,6 @@ def parse_config(text: str) -> RunConfig:
     ensemble = parse_ensemble(get("ensemble"))
     f = parse_test_function(get("f"))
 
-    case = raw.get("case")
-    if case is None:
-        case = "CG" if ensemble.is_complex else "RG"
-    elif case not in ("RG", "CG"):
-        raise ConstraintViolation(f"case: must be 'RG' or 'CG', got {case!r}")
-
     p = raw.get("p")
     n = raw.get("n")
     y = raw.get("y")
@@ -312,9 +302,6 @@ def parse_config(text: str) -> RunConfig:
     if eps is not None:
         eps = _positive(eps, "contour.eps")
     v0 = _positive(contour_raw.get("v0", _DEFAULTS["contour"]["v0"]), "contour.v0")
-    nodes = _expect(contour_raw.get("nodes", _DEFAULTS["contour"]["nodes"]), int, "contour.nodes")
-    if not MIN_NODES <= nodes <= MAX_NODES:
-        raise ConstraintViolation(f"contour.nodes must be between {MIN_NODES} and {MAX_NODES}")
 
     trunc_raw = get("truncation")
     _expect(trunc_raw, dict, "truncation")
@@ -353,8 +340,8 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(
         kind=kind, spectrum=spectrum, y=float(y), p=p, n=n, n_grid=n_grid,
-        ensemble=ensemble, case=case, f=f,
-        contour=ContourParams(eps=eps, v0=v0, nodes=nodes),
+        ensemble=ensemble, f=f,
+        contour=ContourParams(eps=eps, v0=v0),
         replicates=replicates, root_seed=root_seed,
         truncation_mode=trunc_mode, truncation_eta=trunc_eta,
         out=out, cost_cap_seconds=cost_cap,

@@ -14,8 +14,9 @@ f a polynomial of degree at most 2, it reads them off the bidiagonal
 factor: closed-form traces and two bisections, with no full spectrum.
 Every other replicate sums f over its spectrum (``replicate_reduction``).
 
-A run takes f, the spectrum and every deterministic input from its moment
-set: ``mu`` and ``sigma`` normalize, the centering runs over the companion
+A run takes f, the spectrum, the entry law and every deterministic input
+from its moment set: it draws from the law the moments were computed for,
+``mu`` and ``sigma`` normalize, the centering runs over the companion
 transform that ``compute_moments`` solved, whose ``y_n`` must be the run's
 ``p/n``, and its contour's margin sets the confinement band.
 """
@@ -392,7 +393,6 @@ class TruncationPolicy:
 @dataclass(frozen=True)
 class SimConfig:
     ratio: AspectRatio
-    ensemble: EntryEnsemble
     replicates: int
     root_seed: int
     truncation: TruncationPolicy = TruncationPolicy()
@@ -431,7 +431,7 @@ def _one_replicate(cfg: SimConfig, moments: CltMoments, centering: float,
                    truncation: tuple[float, float, float] | None,
                    index: int) -> ReplicateRow:
     seed = replicate_seed(cfg.root_seed, index)
-    total, lam_min, lam_max = replicate_statistic(moments.f, cfg.ensemble,
+    total, lam_min, lam_max = replicate_statistic(moments.f, moments.ensemble,
                                                   moments.s_under.spectrum, cfg.ratio.p,
                                                   cfg.ratio.n, seed, truncation)
     value = normalize(total - centering, moments)
@@ -442,9 +442,10 @@ def _one_replicate(cfg: SimConfig, moments: CltMoments, centering: float,
 def run_experiment(cfg: SimConfig, moments: CltMoments) -> ExperimentRecord:
     """Replicated simulation of the normalized centered statistic.
 
-    f, the spectrum and the contour come from ``moments``, and the
-    centering is integrated over the transform they already solved; the
-    contour's margin on the real axis sets the confinement band.  Raises
+    f, the entry law, the spectrum and the contour come from ``moments``,
+    and the centering is integrated over the transform they already
+    solved; the contour's margin on the real axis sets the confinement
+    band.  Raises
     ``ConstraintViolation`` before any draw when the moments carry no
     transform or were solved at another ``y_n`` than the run's ``p/n``.
     The centering and the truncated moments are computed once per run;
@@ -465,7 +466,7 @@ def run_experiment(cfg: SimConfig, moments: CltMoments) -> ExperimentRecord:
     if cfg.truncation.mode == "on":
         n = cfg.ratio.n
         eta = cfg.truncation.eta if cfg.truncation.eta is not None else default_eta(n)
-        truncation = _truncation(n, eta, cfg.ensemble)
+        truncation = _truncation(n, eta, moments.ensemble)
 
     rows = []
     for i in range(cfg.replicates):
@@ -488,6 +489,6 @@ def run_experiment(cfg: SimConfig, moments: CltMoments) -> ExperimentRecord:
         mean=float(np.mean(values)),
         variance=float(np.var(values, ddof=1)) if len(values) > 1 else 0.0,
         confinement_violations=violations,
-        sampler=replicate_sampler(cfg.ensemble, s.spectrum, truncation),
-        statistic=replicate_reduction(moments.f, cfg.ensemble, s.spectrum, truncation),
+        sampler=replicate_sampler(moments.ensemble, s.spectrum, truncation),
+        statistic=replicate_reduction(moments.f, moments.ensemble, s.spectrum, truncation),
     )

@@ -58,19 +58,9 @@ class PopulationSpectrum:
         return cls(atoms=((1.0, 1.0),))
 
     @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[float, float]], *, renormalize: bool = False,
+    def from_pairs(cls, pairs: Sequence[tuple[float, float]], *,
                    allow_large_atoms: bool = False) -> "PopulationSpectrum":
-        """Build a spectrum, optionally renormalizing raw weights to sum 1.
-
-        Renormalization is idempotent: applying it to an already-valid
-        spectrum reproduces the same atoms.
-        """
-        pairs = [(float(t), float(w)) for t, w in pairs]
-        if renormalize:
-            total = math.fsum(w for _, w in pairs)
-            if total <= 0:
-                raise ValueError("total weight must be positive")
-            pairs = [(t, w / total) for t, w in pairs]
+        """Build a spectrum from ``(eigenvalue, weight)`` pairs whose weights sum to 1."""
         return cls(atoms=tuple(pairs), allow_large_atoms=allow_large_atoms)
 
     @property

@@ -108,7 +108,7 @@ def test_c05_contour_invariance():
     t0 = time.perf_counter()
     y = 0.5
     settings = [(0.05, 1.0), (0.1, 0.5), (0.2, 1.5)]
-    moments = [compute_moments(F_X2, IDENTITY, y, "RG", eps=e, v_0=v)
+    moments = [compute_moments(F_X2, IDENTITY, y, RG, eps=e, v_0=v)
                for e, v in settings]
     mu0, s0 = moments[0].mu, moments[0].sigma
     dmu = max(abs(m.mu - mu0) for m in moments[1:]) / max(1.0, abs(mu0))
@@ -136,9 +136,8 @@ def test_c06_kernel_disk_bound():
 def test_c07_clt_normality_fixed_n():
     t0 = time.perf_counter()
     p, n = 256, 512
-    mom = compute_moments(F_X2, IDENTITY, p / n, "RG")
-    cfg = SimConfig(ratio=AspectRatio(p=p, n=n), ensemble=RG, replicates=2000,
-                    root_seed=20_240_701)
+    mom = compute_moments(F_X2, IDENTITY, p / n, RG)
+    cfg = SimConfig(ratio=AspectRatio(p=p, n=n), replicates=2000, root_seed=20_240_701)
     rec = run_experiment(cfg, mom)
     dt = time.perf_counter() - t0
     ok = abs(rec.mean) <= 0.08 and abs(rec.variance - 1.0) <= 0.12 and rec.ks <= 0.05
@@ -160,9 +159,8 @@ def test_c08_rate_reproduction():
     points = []
     for i, n in enumerate((128, 256, 512, 1024)):
         p = n // 4
-        mom = compute_moments(f, IDENTITY, p / n, "RG")
-        cfg = SimConfig(ratio=AspectRatio(p=p, n=n), ensemble=RG, replicates=4000,
-                        root_seed=97 + i)
+        mom = compute_moments(f, IDENTITY, p / n, RG)
+        cfg = SimConfig(ratio=AspectRatio(p=p, n=n), replicates=4000, root_seed=97 + i)
         rec = run_experiment(cfg, mom)
         points.append((n, rec.ks))
     fit = fit_rate(points, seed=7)
@@ -177,9 +175,8 @@ def test_c08_rate_reproduction():
 def test_c09_cg_case_zero_mean():
     t0 = time.perf_counter()
     p, n = 256, 512
-    mom = compute_moments(F_X2, IDENTITY, p / n, "CG")
-    cfg = SimConfig(ratio=AspectRatio(p=p, n=n), ensemble=CG, replicates=2000,
-                    root_seed=20_240_702)
+    mom = compute_moments(F_X2, IDENTITY, p / n, CG)
+    cfg = SimConfig(ratio=AspectRatio(p=p, n=n), replicates=2000, root_seed=20_240_702)
     rec = run_experiment(cfg, mom)
     dt = time.perf_counter() - t0
     ok = abs(rec.mean) <= 0.08 and abs(rec.variance - 1.0) <= 0.12
@@ -226,7 +223,7 @@ def test_c11_qform_probe_slopes():
 def test_c12_sigma0_consistency():
     t0 = time.perf_counter()
     y = 0.5
-    mom = compute_moments(F_X, IDENTITY, y, "RG")
+    mom = compute_moments(F_X, IDENTITY, y, RG)
     res = sigma0_nested_mc(F_X, IDENTITY, y, n_small=32, inner_reps=96,
                            outer_reps=96, seed=13)
     rel = abs(res.estimate - mom.sigma) / mom.sigma

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,10 +14,13 @@ from lsslab.clt_moments import (CltMoments, CompanionTransform, _a_times_t_integ
                                 variance_with_kernel)
 from lsslab.contour import _confocal, build_contour
 from lsslab.errors import QuadratureStall, ZeroVariance
-from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
+from lsslab.spectral_model import (EntryEnsemble, PopulationSpectrum, TestFunction,
+                                   support_interval)
 from lsslab.stieltjes import inverse_map, lss_centering, s_under_grid, solve_s_under
 
 IDENTITY = PopulationSpectrum.identity()
+RG = EntryEnsemble.real_gaussian()
+CG = EntryEnsemble.complex_gaussian()
 DELTA0 = PopulationSpectrum.from_pairs([(0.0, 1.0)])
 F_X = TestFunction.monomial(1)
 F_X2 = TestFunction.monomial(2)
@@ -24,9 +29,10 @@ F_CUBIC_MIX = TestFunction.polynomial([0.0, 1.0, 0.0, 1.0])  # x^3 + x
 
 
 def _kernel_at(z1, z2, spectrum, y):
+    """a(z1, z2), the one cell of a 1 x 1 outer grid."""
     s1 = solve_s_under(z1, spectrum, y).s_under
     s2 = solve_s_under(z2, spectrum, y).s_under
-    return kernel_from_s(s1, s2, spectrum, y)
+    return kernel_from_s(np.array([[s1]]), np.array([[s2]]), spectrum, y)[0, 0]
 
 
 class TestKernel:
@@ -46,6 +52,12 @@ class TestKernel:
         a = kernel_from_s(s[:, None], s[None, :], IDENTITY, y)
         assert float(np.max(np.abs(a))) < 1.0
 
+    @pytest.mark.parametrize("shapes", [((), ()), ((3,), (3,)), ((3, 2), (1, 3))])
+    def test_only_outer_grids(self, shapes):
+        s1, s2 = (np.full(shape, 0.5 + 0.5j) for shape in shapes)
+        with pytest.raises(ValueError, match="outer grid"):
+            kernel_from_s(s1, s2, IDENTITY, 0.5)
+
 
 def _textbook_kernel(s1, s2, spectrum, y):
     """``y sum_k w_k u_k(s1) u_k(s2)``, ``u_k(s) = t_k s / (1 + t_k s)``, in complex arithmetic,
@@ -64,7 +76,8 @@ def _kernel_grids(draw):
     k = draw(st.integers(1, 5))
     ts = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
     ws = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
-    spectrum = PopulationSpectrum.from_pairs(list(zip(ts, ws)), renormalize=True)
+    total = math.fsum(ws)
+    spectrum = PopulationSpectrum.from_pairs([(t, w / total) for t, w in zip(ts, ws)])
     y = draw(st.floats(0.05, 4.0))
     lo, hi = support_interval(spectrum, y)
     point = st.builds(complex, st.floats(lo - 2.0, hi + 2.0),
@@ -97,7 +110,8 @@ class TestKernelProperties:
         # transform is s to rounding: at the drawn z it would also carry the
         # solver's 1e-12 residual, divided by Im s
         spectrum, y, _, s1, _, s2 = problem
-        d1, d2 = (kernel_from_s(s, s.conj(), spectrum, y) for s in (s1, s2))
+        d1, d2 = (np.diagonal(kernel_from_s(s[:, None], s.conj()[None, :], spectrum, y))
+                  for s in (s1, s2))
         for s, d in ((s1, d1), (s2, d2)):
             z = np.array([inverse_map(v, spectrum, y) for v in s])
             assert np.all(np.abs(d - (1.0 - z.imag * np.abs(s) ** 2 / s.imag)) <= 1e-12)
@@ -295,8 +309,8 @@ class TestVariance:
 class TestMomentsBundle:
     def test_scaling_linear_in_f(self):
         y = 0.5
-        base = compute_moments(F_X2, IDENTITY, y, "RG")
-        scaled = compute_moments(TestFunction.polynomial([0.0, 0.0, 3.0]), IDENTITY, y, "RG")
+        base = compute_moments(F_X2, IDENTITY, y, RG)
+        scaled = compute_moments(TestFunction.polynomial([0.0, 0.0, 3.0]), IDENTITY, y, RG)
         assert scaled.mu == pytest.approx(3.0 * base.mu, rel=1e-9)
         assert scaled.sigma == pytest.approx(9.0 * base.sigma, rel=1e-9)
 
@@ -304,14 +318,14 @@ class TestMomentsBundle:
         for f in (F_X, F_X2, F_CUBIC_MIX):
             for name in ("identity", "two_atom"):
                 for y in (0.25, 0.5):
-                    mom = compute_moments(f, BATTERY[name], y, "RG")
+                    mom = compute_moments(f, BATTERY[name], y, RG)
                     assert mom.sigma > 0
                     assert mom.kernel_max_abs < 1
 
     def test_contour_invariance(self):
         y = 0.5
         settings = [(0.05, 1.0), (0.1, 0.5), (0.2, 1.5)]
-        moments = [compute_moments(F_X2, IDENTITY, y, "RG", eps=e, v_0=v)
+        moments = [compute_moments(F_X2, IDENTITY, y, RG, eps=e, v_0=v)
                    for e, v in settings]
         mus = [m.mu for m in moments]
         sigmas = [m.sigma for m in moments]
@@ -324,7 +338,7 @@ class TestMomentsBundle:
         # sigma(x) = 2y and mu(x) = 0 on the identity; at eps = 0.03 the mean
         # stalled at 9.5e-7 on the rectangle with one Gauss-Legendre panel
         # per edge
-        mom = compute_moments(F_X, IDENTITY, 0.5, "RG", eps=0.03)
+        mom = compute_moments(F_X, IDENTITY, 0.5, RG, eps=0.03)
         assert abs(mom.mu) <= 1e-9
         assert mom.sigma == pytest.approx(1.0, rel=1e-9)
 
@@ -333,19 +347,25 @@ class TestMomentsBundle:
         # second ellipse at 2 eps would cross 0); closed forms log(1 - y)/2
         # and -2 log(1 - y)
         y = 0.25
-        mom = compute_moments(TestFunction.log(), IDENTITY, y, "RG", eps=0.15)
+        mom = compute_moments(TestFunction.log(), IDENTITY, y, RG, eps=0.15)
         assert mom.contour.x_l > 0
         assert abs(mom.mu - np.log(1 - y) / 2.0) <= 1e-12
         assert abs(mom.sigma + 2.0 * np.log(1 - y)) <= 1e-12
 
     def test_cg_case_zero_mean_same_sigma(self):
-        rg = compute_moments(F_X2, IDENTITY, 0.5, "RG")
-        cg = compute_moments(F_X2, IDENTITY, 0.5, "CG")
+        rg = compute_moments(F_X2, IDENTITY, 0.5, RG)
+        cg = compute_moments(F_X2, IDENTITY, 0.5, CG)
+        assert (rg.ensemble, rg.case) == (RG, "RG")
+        assert (cg.ensemble, cg.case) == (CG, "CG")
         assert cg.mu == 0.0
         assert cg.sigma == pytest.approx(rg.sigma, rel=1e-12)
+        # every real law normalizes as RG
+        for law in (EntryEnsemble.rademacher(), EntryEnsemble.student_t(11.0)):
+            mom = compute_moments(F_X2, IDENTITY, 0.5, law)
+            assert (mom.ensemble, mom.case) == (law, "RG")
 
     def test_kernel_max_abs_reported(self):
-        mom = compute_moments(F_X, IDENTITY, 0.5, "RG")
+        mom = compute_moments(F_X, IDENTITY, 0.5, RG)
         c = build_contour(IDENTITY, 0.5)
         _, amax = variance_with_kernel(F_X, CompanionTransform(IDENTITY, 0.5, c))
         assert mom.kernel_max_abs == pytest.approx(amax, rel=1e-12)
@@ -353,13 +373,13 @@ class TestMomentsBundle:
 
 class TestNormalize:
     def test_trivial_cases(self):
-        assert normalize(0.0, CltMoments(0.0, 1.0, "RG", 0.3)) == 0.0
-        assert normalize(3.0, CltMoments(1.0, 4.0, "RG", 0.3)) == pytest.approx(1.0)
-        assert normalize(1.0, CltMoments(0.0, 2.0, "CG", 0.3)) == pytest.approx(1.0)
+        assert normalize(0.0, CltMoments(0.0, 1.0, RG, 0.3)) == 0.0
+        assert normalize(3.0, CltMoments(1.0, 4.0, RG, 0.3)) == pytest.approx(1.0)
+        assert normalize(1.0, CltMoments(0.0, 2.0, CG, 0.3)) == pytest.approx(1.0)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ZeroVariance):
-            normalize(1.0, CltMoments(0.0, 0.0, "RG", 0.0))
+            normalize(1.0, CltMoments(0.0, 0.0, RG, 0.0))
 
 
 class _Tilted(CompanionTransform):

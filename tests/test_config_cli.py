@@ -57,9 +57,9 @@ class TestParseConfig:
     def test_minimal_fills_defaults(self):
         cfg = parse_config(json.dumps({
             "kind": "moments", "spectrum": "identity", "y": 0.5,
-            "f": "x^2", "case": "RG"}))
+            "f": "x^2"}))
         assert cfg.replicates == 200
-        assert cfg.contour.nodes == 64
+        assert (cfg.contour.eps, cfg.contour.v0) == (None, 1.0)
         assert cfg.root_seed == 12345
         assert cfg.truncation_mode == "off"
 
@@ -95,11 +95,6 @@ class TestParseConfig:
             parse_config(json.dumps({"kind": kind, "y": 0.001, "n_grid": [64, 128, 256]}))
         with pytest.raises(ConstraintViolation, match=r"n=\[32\]"):
             parse_config(json.dumps({"kind": kind, "y": 0.01, "n_grid": [32, 64]}))
-
-    @pytest.mark.parametrize("nodes", [8, 8193])
-    def test_contour_nodes_out_of_range_rejected(self, nodes):
-        with pytest.raises(ConstraintViolation, match="between 16 and 8192"):
-            parse_config(json.dumps({"kind": "moments", "contour": {"nodes": nodes}}))
 
     def test_student_t_df_at_most_four_rejected(self):
         with pytest.raises(ConstraintViolation, match="ensemble.df"):
@@ -148,9 +143,10 @@ class TestParseConfig:
         with pytest.raises(TypeMismatch, match="^y: "):
             parse_config(json.dumps({"kind": "simulate", "p": 8, "n": 16, "y": "abc"}))
 
-    def test_case_defaults_from_ensemble(self):
-        cfg = parse_config(json.dumps({"kind": "moments", "ensemble": "CG"}))
-        assert cfg.case == "CG"
+    def test_contour_nodes_key_rejected(self):
+        # the node-doubling ladder starts at 64 and measures its own error
+        with pytest.raises(UnknownKey, match="nodes"):
+            parse_config(json.dumps({"kind": "moments", "contour": {"nodes": 64}}))
 
     def test_spectrum_pairs(self):
         cfg = parse_config(json.dumps({
@@ -169,8 +165,7 @@ class TestParseConfig:
                    "f": {"poly": [float(round(c, 6)) for c in rng.standard_normal(
                        int(rng.integers(1, 5)))]},
                    "contour": {"eps": float(round(rng.uniform(0.01, 0.3), 6)),
-                               "v0": float(round(rng.uniform(0.3, 2.0), 6)),
-                               "nodes": int(rng.integers(16, 128))}}
+                               "v0": float(round(rng.uniform(0.3, 2.0), 6))}}
             if rng.random() < 0.5:
                 w = float(round(rng.uniform(0.2, 0.8), 6))
                 doc["spectrum"] = [{"atom": 0.5, "weight": w},
@@ -278,6 +273,26 @@ class TestCliRuns:
         for q in doc["quadrature"].values():
             assert q["nodes"] in (64, 128, 256)
             assert 0.0 <= q["error"] <= 1e-9 * (1.0 + 10.0)
+
+    def test_mismatched_case_exits_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        # RG draws normalized with CG moments read variance 2.03 and KS 0.147;
+        # a run now takes its law from its moments, and the config has no case
+        import lsslab.simulator as sim_mod
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(sim_mod, "replicate_statistic", no_draw)
+        monkeypatch.setattr(cli, "replicate_statistic", no_draw)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": "simulate", "ensemble": "RG", "case": "CG",
+                                       "p": 64, "n": 128, "replicates": 400,
+                                       "root_seed": 5}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "UnknownKey" in err and "'case'" in err
+        assert not out.exists()
 
     def test_student_t_df_at_most_four_exits_typed(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
@@ -410,6 +425,8 @@ class TestCliRuns:
             stem = kind.replace("-", "_")
             doc = json.loads((tmp_path / f"{stem}_summary.json").read_text())
             assert doc["summary"]["gaussian_matched"] is matched
+            if kind != "ks-rate":  # the moments' case follows the entry law
+                assert doc["summary"]["case"] == ("CG" if ensemble == "CG" else "RG")
 
     @pytest.mark.parametrize("extra, sampler, statistic", [
         ({"ensemble": "RG"}, "laguerre_bidiagonal", "closed_form"),

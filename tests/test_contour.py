@@ -8,7 +8,8 @@ from lsslab import clt_moments
 from lsslab.clt_moments import compute_moments
 from lsslab.contour import Contour, NodeValues, build_contour, default_margin, integrate
 from lsslab.errors import LogDomain, NodeSingularity, QuadratureStall
-from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
+from lsslab.spectral_model import (EntryEnsemble, PopulationSpectrum, TestFunction,
+                                   support_interval)
 
 IDENTITY = PopulationSpectrum.identity()
 
@@ -64,7 +65,8 @@ class TestBuild:
 
         monkeypatch.setattr(clt_moments, "s_under_grid", no_solve)
         with pytest.raises(LogDomain):
-            compute_moments(TestFunction.log(), IDENTITY, 0.25, "RG", eps=0.3)
+            compute_moments(TestFunction.log(), IDENTITY, 0.25, EntryEnsemble.real_gaussian(),
+                            eps=0.3)
 
     @pytest.mark.parametrize("m0", [16, 17, 64])
     def test_levels_nest_off_the_real_axis(self, m0):

@@ -24,7 +24,7 @@ import pytest
 
 from conftest import BATTERY
 from lsslab.clt_moments import compute_moments
-from lsslab.spectral_model import TestFunction
+from lsslab.spectral_model import EntryEnsemble, TestFunction
 from lsslab.stieltjes import lss_centering
 
 
@@ -114,7 +114,8 @@ def test_contour_moments_match_the_residue(name, y, degree):
     sp = BATTERY[name]
     coeffs = [0.0] * degree + [1.0]
     mu, sigma, moments = exact_moments(sp, y, coeffs)
-    got = compute_moments(TestFunction.polynomial(coeffs), sp, float(y), "RG")
+    got = compute_moments(TestFunction.polynomial(coeffs), sp, float(y),
+                          EntryEnsemble.real_gaussian())
     assert abs(got.mu - float(mu)) <= 1e-9 * max(1.0, abs(float(mu)))
     assert got.sigma == pytest.approx(float(sigma), rel=1e-9)
     p = 64

@@ -1,10 +1,12 @@
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 
 import lsslab
+from lsslab import config
 
 
 def test_all_has_no_duplicates():
@@ -22,11 +24,36 @@ def test_star_import():
     assert set(lsslab.__all__) <= set(namespace)
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_sketch() -> str:
     """The ``python`` block under the README's "Library sketch" heading."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library sketch", 1)[1]
+    section = _readme().split("## Library sketch", 1)[1]
     return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _strip_line_comment(line: str) -> str:
+    """``line`` up to its first ``//`` outside a JSON string (the block escapes no quote)."""
+    in_string = False
+    for i, ch in enumerate(line):
+        if ch == '"':
+            in_string = not in_string
+        elif not in_string and line.startswith("//", i):
+            return line[:i]
+    return line
+
+
+def test_readme_config_block_is_the_schema():
+    # the README's jsonc block lists every config key with its default, so a
+    # key the parser drops or a default it changes shows here
+    block = _readme().split("```jsonc\n", 1)[1].split("```", 1)[0]
+    doc = json.loads("\n".join(_strip_line_comment(line) for line in block.splitlines()))
+    assert set(doc) == config._TOP_KEYS - {"p", "n"}
+    assert set(doc["contour"]) == config._CONTOUR_KEYS
+    assert set(doc["truncation"]) == config._TRUNCATION_KEYS
+    assert {key: doc[key] for key in config._DEFAULTS} == config._DEFAULTS
 
 
 def test_readme_sketch_runs_and_prints_its_commented_values():

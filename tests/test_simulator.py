@@ -416,8 +416,8 @@ class TestReplicateStatistic:
 
     def test_run_rows_match_the_spectrum(self):
         f, p, n = TestFunction.monomial(2), 16, 32
-        mom = compute_moments(f, IDENTITY, p / n, "RG")
-        cfg = SimConfig(ratio=AspectRatio(p=p, n=n), ensemble=RG, replicates=6, root_seed=9)
+        mom = compute_moments(f, IDENTITY, p / n, RG)
+        cfg = SimConfig(ratio=AspectRatio(p=p, n=n), replicates=6, root_seed=9)
         rec = run_experiment(cfg, mom)
         assert rec.statistic == CLOSED_FORM
         centering = lss_centering(f, p, mom.s_under)
@@ -457,14 +457,13 @@ class TestLssCentered:
 
 class TestRunExperiment:
     def _config(self, **kw):
-        defaults = dict(ratio=AspectRatio(p=16, n=32), ensemble=RG, replicates=8,
-                        root_seed=777)
+        defaults = dict(ratio=AspectRatio(p=16, n=32), replicates=8, root_seed=777)
         defaults.update(kw)
         return SimConfig(**defaults)
 
     def test_deterministic_record(self):
         cfg = self._config()
-        mom = compute_moments(F_X, IDENTITY, 0.5, "RG")
+        mom = compute_moments(F_X, IDENTITY, 0.5, RG)
         r1 = run_experiment(cfg, mom)
         r2 = run_experiment(cfg, mom)
         assert [r.value for r in r1.rows] == [r.value for r in r2.rows]
@@ -475,7 +474,7 @@ class TestRunExperiment:
         # the unit-variance statistic within 0.1 of 1
         cfg = self._config(ratio=AspectRatio(p=128, n=256), replicates=2000,
                            root_seed=2024)
-        mom = compute_moments(F_X, IDENTITY, 0.5, "RG")
+        mom = compute_moments(F_X, IDENTITY, 0.5, RG)
         rec = run_experiment(cfg, mom)
         assert abs(rec.variance - 1.0) <= 0.1
         assert abs(rec.mean) <= 0.1
@@ -485,7 +484,7 @@ class TestRunExperiment:
         assert rec.confinement_violations <= 0.05 * cfg.replicates
 
     def test_confinement_band_follows_the_run_contour(self):
-        mom = compute_moments(F_X, IDENTITY, 0.5, "RG")
+        mom = compute_moments(F_X, IDENTITY, 0.5, RG)
         lo, hi = support_interval(IDENTITY, 0.5)
 
         def outside(rec, margin):
@@ -495,9 +494,9 @@ class TestRunExperiment:
         # contour margins of 0.01 and 0.03 against the default 0.19: the
         # narrowest band is left by one of these replicates, the others by none
         cfg = self._config(ratio=AspectRatio(p=64, n=128), replicates=20)
-        rec = run_experiment(cfg, compute_moments(F_X, IDENTITY, 0.5, "RG", eps=0.01))
+        rec = run_experiment(cfg, compute_moments(F_X, IDENTITY, 0.5, RG, eps=0.01))
         assert rec.confinement_violations == outside(rec, 0.01) == 1
-        rec = run_experiment(cfg, compute_moments(F_X, IDENTITY, 0.5, "RG", eps=0.03))
+        rec = run_experiment(cfg, compute_moments(F_X, IDENTITY, 0.5, RG, eps=0.03))
         assert rec.confinement_violations == outside(rec, 0.03) == 0
         assert outside(rec, default_margin(IDENTITY, 0.5)) == 0
         # the default contour keeps the default band
@@ -512,7 +511,7 @@ class TestRunExperiment:
             raise AssertionError("the transform was solved")
 
         for f in (F_X, TestFunction.monomial(11), TestFunction.log()):
-            mom = compute_moments(f, BATTERY["five_atom"], 0.5, "RG")
+            mom = compute_moments(f, BATTERY["five_atom"], 0.5, RG)
             with monkeypatch.context() as m:
                 m.setattr(stieltjes_mod, "s_under_grid", no_solve)
                 rec = run_experiment(self._config(replicates=2), mom)
@@ -529,11 +528,11 @@ class TestRunExperiment:
         monkeypatch.setattr(sim_mod, "sample_entries", no_draw)
         cfg = self._config(ratio=AspectRatio(p=64, n=128))
         with pytest.raises(ConstraintViolation, match="y_n=0.25.*64/128"):
-            run_experiment(cfg, compute_moments(F_X, IDENTITY, 0.25, "RG"))
+            run_experiment(cfg, compute_moments(F_X, IDENTITY, 0.25, RG))
         # a hand-built moment set names no law to run
         with pytest.raises(ConstraintViolation, match="compute_moments"):
-            run_experiment(cfg, CltMoments(0.0, 1.0, "RG", 0.3))
-        assert not {"f", "spectrum"} & {fl.name for fl in fields(SimConfig)}
+            run_experiment(cfg, CltMoments(0.0, 1.0, RG, 0.3))
+        assert not {"f", "spectrum", "ensemble"} & {fl.name for fl in fields(SimConfig)}
 
     def test_memory_budget_enforced(self):
         with pytest.raises(ValueError, match="memory budget"):
@@ -541,9 +540,8 @@ class TestRunExperiment:
 
     def test_truncation_policy_applies(self):
         t11 = EntryEnsemble.student_t(11.0)
-        cfg = self._config(ensemble=t11, truncation=TruncationPolicy("on", None),
-                           replicates=4)
-        mom = compute_moments(F_X, IDENTITY, 0.5, "RG")
+        cfg = self._config(truncation=TruncationPolicy("on", None), replicates=4)
+        mom = compute_moments(F_X, IDENTITY, 0.5, t11)
         rec = run_experiment(cfg, mom)
         assert len(rec.rows) == 4
         assert np.isfinite(rec.values()).all()
@@ -553,9 +551,8 @@ class TestRunExperiment:
 
         t11 = EntryEnsemble.student_t(11.0)
         p, n = 16, 32
-        cfg = self._config(ensemble=t11, truncation=TruncationPolicy("on", None),
-                           replicates=5)
-        mom = compute_moments(F_X, IDENTITY, 0.5, "RG")
+        cfg = self._config(truncation=TruncationPolicy("on", None), replicates=5)
+        mom = compute_moments(F_X, IDENTITY, 0.5, t11)
         centering = lss_centering(F_X, p, mom.s_under)
         expected = []
         for i in range(cfg.replicates):

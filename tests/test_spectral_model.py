@@ -33,12 +33,6 @@ class TestPopulationSpectrum:
         sp = PopulationSpectrum(atoms=((2.0, 1.0),), allow_large_atoms=True)
         assert sp.max_eigenvalue == 2.0
 
-    def test_renormalization_idempotent(self):
-        sp1 = PopulationSpectrum.from_pairs([(1.0, 2.0), (0.5, 6.0)], renormalize=True)
-        sp2 = PopulationSpectrum.from_pairs(sp1.atoms, renormalize=True)
-        assert sp1.atoms == sp2.atoms
-        assert abs(sum(w for _, w in sp1.atoms) - 1.0) < 1e-15
-
     def test_moments(self):
         sp = PopulationSpectrum.from_pairs([(0.4, 0.5), (1.0, 0.5)])
         assert sp.moment(1) == pytest.approx(0.7, abs=1e-15)

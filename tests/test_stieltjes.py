@@ -89,7 +89,8 @@ def _problems(draw):
     if k > 1 and draw(st.booleans()):
         ts[0] = 0.0
     ws = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
-    spectrum = PopulationSpectrum.from_pairs(list(zip(ts, ws)), renormalize=True)
+    total = math.fsum(ws)
+    spectrum = PopulationSpectrum.from_pairs([(t, w / total) for t, w in zip(ts, ws)])
     y = draw(st.floats(0.05, 4.0))
     lo, hi = support_interval(spectrum, y)
     point = st.builds(complex, st.floats(lo - 2.0, hi + 2.0),
@@ -302,7 +303,8 @@ def _density_problems(draw):
     if k > 2 and draw(st.booleans()):
         ts[-1] = ts[-2]
     ws = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
-    spectrum = PopulationSpectrum.from_pairs(list(zip(ts, ws)), renormalize=True)
+    total = math.fsum(ws)
+    spectrum = PopulationSpectrum.from_pairs([(t, w / total) for t, w in zip(ts, ws)])
     y = draw(st.floats(0.05, 4.0))
     lo, hi = support_interval(spectrum, y)
     fractions = draw(st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=1, max_size=3))
