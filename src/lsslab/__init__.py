@@ -10,9 +10,9 @@ from .stieltjes import (StieltjesSolution, inverse_map, lsd_density,
 from .contour import Contour, build_contour, integrate
 from .clt_moments import (CltMoments, CompanionTransform, compute_moments, mean_correction,
                           normalize, variance_with_kernel)
-from .simulator import (ExperimentRecord, SimConfig, TruncationPolicy, assemble_B,
-                        eigenvalues, lss_centered, replicate_eigenvalues, replicate_statistic,
-                        run_experiment, sample_entries, truncate_normalize)
+from .simulator import (ExperimentRecord, SimConfig, assemble_B, eigenvalues, lss_centered,
+                        replicate_eigenvalues, replicate_statistic, run_experiment,
+                        sample_entries, truncate_normalize, truncated_law)
 from .diagnostics import (RateFit, SteinContext, fit_rate, ks_to_normal,
                           qform_probe, sigma0_nested_mc, stein_Nh, stein_h,
                           stein_solution)
@@ -22,10 +22,10 @@ __all__ = [
     "support_interval", "StieltjesSolution", "inverse_map", "lsd_density",
     "lss_centering", "solve_s_under", "Contour", "build_contour", "integrate", "CltMoments",
     "CompanionTransform", "compute_moments", "mean_correction", "normalize",
-    "variance_with_kernel", "ExperimentRecord", "SimConfig", "TruncationPolicy", "assemble_B",
+    "variance_with_kernel", "ExperimentRecord", "SimConfig", "assemble_B",
     "eigenvalues", "lss_centered", "replicate_eigenvalues", "replicate_statistic",
-    "run_experiment", "sample_entries",
-    "truncate_normalize", "RateFit", "SteinContext", "fit_rate", "ks_to_normal",
+    "run_experiment", "sample_entries", "truncate_normalize", "truncated_law", "RateFit",
+    "SteinContext", "fit_rate", "ks_to_normal",
     "qform_probe", "sigma0_nested_mc", "stein_Nh", "stein_h", "stein_solution",
     "__version__",
 ]

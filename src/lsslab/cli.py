@@ -27,9 +27,9 @@ from .config import KINDS, RunConfig, parse_config
 from .diagnostics import (SteinContext, fit_rate, project_cost, qform_probe,
                           stein_bound_report)
 from .errors import LabError
-from .simulator import (CLIP_NOTHING, SimConfig, TruncationPolicy, replicate_seed,
-                        replicate_statistic, run_experiment)
-from .spectral_model import AspectRatio, support_interval
+from .simulator import (SimConfig, default_eta, replicate_seed, replicate_statistic,
+                        run_experiment, truncated_law)
+from .spectral_model import AspectRatio, EntryEnsemble, support_interval
 from .stieltjes import lsd_density
 
 ENV_OUT = "LSSLAB_OUT"
@@ -64,21 +64,26 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _check_budget(cfg: RunConfig, shapes: list[tuple[int, int]]) -> None:
-    """Fail before any work if ``cfg.replicates`` replicates at each (p, n) cost too much.
+def _law(cfg: RunConfig, n: int) -> EntryEnsemble:
+    """The law a run at sample size n draws: the config's, truncated when truncation is on."""
+    if cfg.truncation_mode == "off":
+        return cfg.ensemble
+    eta = cfg.truncation_eta if cfg.truncation_eta is not None else default_eta(n)
+    return truncated_law(cfg.ensemble, n, eta)
 
-    The timed unit is one replicate's statistic of the run's f at each (p, n), drawn
-    from seed 0, no run stream, by the sampler and reduction the run takes.  Under
-    truncation it clips with ``CLIP_NOTHING``: the clip's cost, without the truncated
-    moments' quadrature.
+
+def _check_budget(cfg: RunConfig, runs: list[tuple[EntryEnsemble, int, int]]) -> None:
+    """Fail before any solve or draw if ``cfg.replicates`` replicates of each run cost too much.
+
+    A run is ``(law, p, n)``.  The timed unit is one replicate's statistic of the
+    run's f for each, drawn from seed 0, no run stream, by the sampler and reduction
+    the run takes.
     """
-    truncation = CLIP_NOTHING if cfg.truncation_mode == "on" else None
-
     def unit():
-        for p, n in shapes:
-            replicate_statistic(cfg.f, cfg.ensemble, cfg.spectrum, p, n, 0, truncation)
+        for law, p, n in runs:
+            replicate_statistic(cfg.f, law, cfg.spectrum, p, n, 0)
 
-    where = ", ".join(f"p={p}, n={n}" for p, n in shapes)
+    where = ", ".join(f"p={p}, n={n}" for _, p, n in runs)
     project_cost(unit, cfg.replicates, 1.5, cfg.cost_cap_seconds,
                  f"{cfg.replicates} replicates at each of ({where})")
 
@@ -97,13 +102,13 @@ def run_lsd(cfg: RunConfig, out: Path, started: str) -> str:
 
 
 def run_moments(cfg: RunConfig, out: Path, started: str) -> str:
-    mom = _moments(cfg, cfg.y)
+    mom = _moments(cfg, cfg.y, cfg.ensemble)  # draws nothing, so never truncated
     c = mom.contour
     summary = {
         "mu": mom.mu, "sigma": mom.sigma, "case": mom.case,
         # the moments carry no fourth-cumulant term: they hold for entries
         # with the Gaussian fourth moment only
-        "gaussian_matched": not cfg.ensemble.violates_matching,
+        "gaussian_matched": not mom.ensemble.violates_matching,
         "kernel_max_abs": mom.kernel_max_abs,
         "contour": {"x_l": c.x_l, "x_r": c.x_r, "v_0": c.v_0, "nodes": c.m, "rho": c.rho},
         # accepted node count and the last error estimate, per integral
@@ -115,29 +120,24 @@ def run_moments(cfg: RunConfig, out: Path, started: str) -> str:
             f"max|a|={mom.kernel_max_abs:.4f}")
 
 
-def _moments(cfg: RunConfig, y_n: float):
-    return compute_moments(cfg.f, cfg.spectrum, y_n, cfg.ensemble,
+def _moments(cfg: RunConfig, y_n: float, law: EntryEnsemble):
+    return compute_moments(cfg.f, cfg.spectrum, y_n, law,
                            eps=cfg.contour.eps, v_0=cfg.contour.v0)
 
 
-def _experiment(cfg: RunConfig, ratio: AspectRatio, mom, replicates: int, root_seed: int):
-    sim = SimConfig(ratio=ratio, replicates=replicates, root_seed=root_seed,
-                    truncation=TruncationPolicy(cfg.truncation_mode, cfg.truncation_eta))
-    return run_experiment(sim, mom)
-
-
 def run_simulate(cfg: RunConfig, out: Path, started: str) -> str:
-    _check_budget(cfg, [(cfg.p, cfg.n)])
+    law = _law(cfg, cfg.n)
+    _check_budget(cfg, [(law, cfg.p, cfg.n)])
     ratio = AspectRatio(p=cfg.p, n=cfg.n)
-    mom = _moments(cfg, ratio.y_n)
-    record = _experiment(cfg, ratio, mom, cfg.replicates, cfg.root_seed)
+    mom = _moments(cfg, ratio.y_n, law)
+    record = run_experiment(SimConfig(ratio, cfg.replicates, cfg.root_seed), mom)
     rows = [(r.index, r.seed, _fmt(r.value), _fmt(r.lam_min), _fmt(r.lam_max))
             for r in record.rows]
     _write_csv(out / "simulate_detail.csv",
                ["index", "seed", "value", "lambda_min", "lambda_max"], rows)
     summary = {
         "mu": mom.mu, "sigma": mom.sigma, "case": mom.case,
-        "gaussian_matched": not cfg.ensemble.violates_matching,
+        "gaussian_matched": not mom.ensemble.violates_matching,
         "ks": record.ks, "mean": record.mean, "variance": record.variance,
         "replicates": cfg.replicates,
         "confinement_violations": record.confinement_violations,
@@ -150,16 +150,18 @@ def run_simulate(cfg: RunConfig, out: Path, started: str) -> str:
 
 
 def run_ks_rate(cfg: RunConfig, out: Path, started: str) -> str:
-    _check_budget(cfg, [(int(round(cfg.y * n)), n) for n in cfg.n_grid])
+    runs = [(_law(cfg, n), int(round(cfg.y * n)), n) for n in cfg.n_grid]
+    _check_budget(cfg, runs)
     rows = []
     points = []
-    moments = {}  # by y_n: p = round(y n) often gives the same ratio at every n
-    for i, n in enumerate(cfg.n_grid):
-        ratio = AspectRatio(p=int(round(cfg.y * n)), n=n)
-        if ratio.y_n not in moments:
-            moments[ratio.y_n] = _moments(cfg, ratio.y_n)
+    moments = {}  # by (y_n, law): p = round(y n) often gives the same ratio at every n
+    for i, (law, p, n) in enumerate(runs):
+        ratio = AspectRatio(p=p, n=n)
+        key = (ratio.y_n, law)
+        if key not in moments:
+            moments[key] = _moments(cfg, ratio.y_n, law)
         seed_n = replicate_seed(cfg.root_seed, i)
-        record = _experiment(cfg, ratio, moments[ratio.y_n], cfg.replicates, seed_n)
+        record = run_experiment(SimConfig(ratio, cfg.replicates, seed_n), moments[key])
         rows.append((n, _fmt(record.ks), cfg.replicates, seed_n))
         points.append((n, record.ks))
     fit = fit_rate(points, seed=cfg.root_seed)
@@ -168,8 +170,8 @@ def run_ks_rate(cfg: RunConfig, out: Path, started: str) -> str:
         "points": [{"n": n, "ks": ks} for n, ks in points],
         "exponent": fit.exponent, "intercept": fit.intercept,
         "exponent_ci_90": list(fit.exponent_ci),
-        "gaussian_matched": not cfg.ensemble.violates_matching,
-        # the same for every n: one f, one law, one truncation mode
+        "gaussian_matched": not any(law.violates_matching for law, _, _ in runs),
+        # the same for every n: one f, and the laws of all n truncated or none
         "sampler": record.sampler, "statistic": record.statistic,
     }
     _write_json(out / "ks_rate_summary.json", cfg, summary, started)

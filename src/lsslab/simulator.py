@@ -6,8 +6,8 @@ output of the splitmix64 generator seeded at ``root_seed``), independent of
 execution order.
 
 A replicate's eigenvalues come from the beta-Laguerre bidiagonal model
-when the entries are Gaussian, ``T = t I`` and truncation is off, and from
-a dense entry matrix otherwise (``replicate_sampler``).  A run keeps three
+when the law is an untruncated Gaussian and ``T = t I``, and from a dense
+entry matrix otherwise (``replicate_sampler``).  A run keeps three
 numbers per replicate, ``sum f(lambda)``, ``lambda_min`` and
 ``lambda_max`` (``replicate_statistic``).  On the bidiagonal model, for
 f a polynomial of degree at most 2, it reads them off the bidiagonal
@@ -15,7 +15,8 @@ factor: closed-form traces and two bisections, with no full spectrum.
 Every other replicate sums f over its spectrum (``replicate_reduction``).
 
 A run takes f, the spectrum, the entry law and every deterministic input
-from its moment set: it draws from the law the moments were computed for,
+from its moment set: it draws from the law the moments were computed for
+(``truncated_law`` clips at ``eta n^(1/4)`` and restandardizes a law),
 ``mu`` and ``sigma`` normalize, the centering runs over the companion
 transform that ``compute_moments`` solved, whose ``y_n`` must be the run's
 ``p/n``, and its contour's margin sets the confinement band.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,15 +74,18 @@ def draw_entries(ensemble: EntryEnsemble, rng: np.random.Generator, shape) -> np
     Leading axes are consecutive draws: for ``shape = (k, p, m)`` entry
     ``i`` equals the i-th of k sequential calls with shape ``(p, m)`` on
     the same generator, so a batch reproduces the one-at-a-time stream.
+    A truncated law's draws are clipped and restandardized after drawing.
     """
     if ensemble.variant == "RG":
-        return rng.standard_normal(shape)
-    if ensemble.variant == "CG":
+        x = rng.standard_normal(shape)
+    elif ensemble.variant == "CG":
         shape = tuple(shape)
         lead = max(len(shape) - 2, 0)
         re, im = np.moveaxis(rng.standard_normal(shape[:lead] + (2,) + shape[lead:]), lead, 0)
-        return (re + 1j * im) * math.sqrt(0.5)
-    return np.asarray(ensemble.sampler(rng, shape), dtype=float)
+        x = (re + 1j * im) * math.sqrt(0.5)
+    else:
+        x = np.asarray(ensemble.sampler(rng, shape), dtype=float)
+    return x if ensemble.truncation is None else _clip_restandardize(x, *ensemble.truncation)
 
 
 def sample_entries(ensemble: EntryEnsemble, p: int, n: int, seed: int) -> np.ndarray:
@@ -89,8 +93,8 @@ def sample_entries(ensemble: EntryEnsemble, p: int, n: int, seed: int) -> np.nda
     return draw_entries(ensemble, _rng(seed), (p, n))
 
 
-def truncated_moments(ensemble: EntryEnsemble, threshold: float) -> tuple[float, float]:
-    """Distributional mean and variance of ``x * 1{|x| < c}``.
+def truncated_moments(ensemble: EntryEnsemble, threshold: float) -> tuple[float, float, float]:
+    """Distributional mean, variance and central fourth moment of ``x * 1{|x| < c}``.
 
     These are population quantities of the entry law, computed by adaptive
     quadrature of its density (radial density for the circular complex
@@ -98,7 +102,7 @@ def truncated_moments(ensemble: EntryEnsemble, threshold: float) -> tuple[float,
     """
     c = float(threshold)
     if c <= 0:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     from scipy import integrate
 
     if ensemble.variant == "RG":
@@ -107,16 +111,18 @@ def truncated_moments(ensemble: EntryEnsemble, threshold: float) -> tuple[float,
             return math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
         mean, _ = integrate.quad(lambda x: x * phi(x), -ceff, ceff)
         second, _ = integrate.quad(lambda x: x * x * phi(x), -ceff, ceff)
-        return mean, second - mean * mean
+        fourth, _ = integrate.quad(lambda x: x ** 4 * phi(x), -ceff, ceff)  # mean 0 by symmetry
+        return mean, second - mean * mean, fourth
     if ensemble.variant == "CG":
         # |x| is Rayleigh with density 2 r exp(-r^2); the mean vanishes by
-        # circular symmetry and the variance is E |x|^2 1{|x| < c}
+        # circular symmetry and the moments are E |x|^k 1{|x| < c}
         ceff = min(c, 40.0)
         second, _ = integrate.quad(
             lambda r: r * r * 2.0 * r * math.exp(-r * r), 0.0, ceff)
-        return 0.0, second
+        fourth, _ = integrate.quad(lambda r: r ** 4 * 2.0 * r * math.exp(-r * r), 0.0, ceff)
+        return 0.0, second, fourth
     if ensemble.name == "rademacher":
-        return (0.0, 1.0) if c > 1.0 else (0.0, 0.0)
+        return (0.0, 1.0, 1.0) if c > 1.0 else (0.0, 0.0, 0.0)
     if ensemble.pdf is None:
         raise ValueError(f"ensemble {ensemble.name!r} has no density for truncated moments")
     # split at zero so the adaptive rule finds the central mass even for
@@ -128,7 +134,9 @@ def truncated_moments(ensemble: EntryEnsemble, threshold: float) -> tuple[float,
 
     mean = split(lambda x: x * ensemble.pdf(x))
     second = split(lambda x: x * x * ensemble.pdf(x))
-    return mean, second - mean * mean
+    # E (z - mean)^4, the clipped mass 1 - P(|x| < c) at 0 folded into one quad
+    fourth = split(lambda x: ((x - mean) ** 4 - mean ** 4) * ensemble.pdf(x)) + mean ** 4
+    return mean, second - mean * mean, fourth
 
 
 def default_eta(n: int) -> float:
@@ -136,17 +144,25 @@ def default_eta(n: int) -> float:
     return 1.0 / math.log(n) if n > 1 else 1.0
 
 
-def _truncation(n: int, eta: float, ensemble: EntryEnsemble) -> tuple[float, float, float]:
-    """Threshold ``eta * n^(1/4)`` with the truncated mean and variance there."""
+def truncated_law(ensemble: EntryEnsemble, n: int, eta: float) -> EntryEnsemble:
+    """``ensemble`` zeroed at ``|x| >= eta n^(1/4)`` and restandardized.
+
+    The law carries ``truncation = (threshold, mean, variance)`` and the
+    fourth moment of the restandardized draws, all from one
+    ``truncated_moments`` call.  Raises ``DegenerateTruncation`` when the
+    truncated variance is below 1e-6.
+    """
+    if ensemble.truncation is not None:
+        raise ValueError(f"ensemble {ensemble.name!r} is truncated already")
     threshold = eta * n ** 0.25
     if threshold <= 0:
         raise ValueError("truncation threshold must be positive")
-    mean, var = truncated_moments(ensemble, threshold)
+    mean, var, fourth = truncated_moments(ensemble, threshold)
     if var < 1e-6:
         raise DegenerateTruncation(
-            f"truncated variance {var:.3e} below 1e-6 at threshold {threshold:.3e}"
-        )
-    return threshold, mean, var
+            f"at n = {n} the threshold eta n^(1/4) = {eta:.3g} * {n}^(1/4) = {threshold:.3e} "
+            f"leaves truncated variance {var:.3e}, below 1e-6: raise truncation.eta")
+    return replace(ensemble, truncation=(threshold, mean, var), fourth_moment=fourth / var**2)
 
 
 def _clip_restandardize(entries: np.ndarray, threshold: float, mean: float,
@@ -164,7 +180,7 @@ def truncate_normalize(entries: np.ndarray, n: int, eta: float,
     Entries are removed by indicator, not clamped, and the recentering and
     rescaling use the distributional truncated moments of the ensemble.
     """
-    return _clip_restandardize(entries, *_truncation(n, eta, ensemble))
+    return _clip_restandardize(entries, *truncated_law(ensemble, n, eta).truncation)
 
 
 def population_diagonal(spectrum: PopulationSpectrum, p: int) -> np.ndarray:
@@ -242,21 +258,16 @@ def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray,
 
 LAGUERRE = "laguerre_bidiagonal"
 DENSE = "dense"
-# a truncation that clips nothing at the clip's cost: always the dense sampler,
-# with no truncated-moment quadrature to solve
-CLIP_NOTHING = (math.inf, 0.0, 1.0)
 
 
-def replicate_sampler(ensemble: EntryEnsemble, spectrum: PopulationSpectrum,
-                      truncation: tuple[float, float, float] | None) -> str:
+def replicate_sampler(ensemble: EntryEnsemble, spectrum: PopulationSpectrum) -> str:
     """How a replicate's eigenvalues are drawn: ``LAGUERRE`` or ``DENSE``.
 
-    Gaussian entries (``RG`` or ``CG``) with ``T = t I`` and no truncation
-    sample the beta-Laguerre bidiagonal model, whose eigenvalue law is that
-    of the sample covariance matrix; every other law samples the entry
-    matrix.
+    Untruncated Gaussian entries (``RG`` or ``CG``) with ``T = t I`` sample
+    the beta-Laguerre bidiagonal model, whose eigenvalue law is that of the
+    sample covariance matrix; every other law samples the entry matrix.
     """
-    if (ensemble.variant in ("RG", "CG") and truncation is None
+    if (ensemble.variant in ("RG", "CG") and ensemble.truncation is None
             and len({t for t, _ in spectrum.atoms}) == 1):
         return LAGUERRE
     return DENSE
@@ -311,24 +322,20 @@ def _laguerre_statistic(f: TestFunction, ensemble: EntryEnsemble, t: float, p: i
 
 
 def replicate_eigenvalues(ensemble: EntryEnsemble, spectrum: PopulationSpectrum, p: int,
-                          n: int, seed: int,
-                          truncation: tuple[float, float, float] | None = None) -> np.ndarray:
+                          n: int, seed: int) -> np.ndarray:
     """Ascending eigenvalues of one replicate's ``B``, drawn from stream ``seed``.
 
-    ``truncation`` is ``(threshold, mean, variance)`` or None.  The sampler
-    is ``replicate_sampler``'s: the bidiagonal model draws ``2 min(p, n) - 1``
-    chi variates and solves their tridiagonal ``L L^T``, scaled by ``t/n``
-    and padded with ``p - min(p, n)`` zeros, the dense path a
-    ``p x n`` entry matrix, clipped and restandardized under truncation,
-    whose Gram matrix it solves; both solve through ``eigenvalues``.
+    The sampler is ``replicate_sampler``'s: the bidiagonal model draws
+    ``2 min(p, n) - 1`` chi variates and solves their tridiagonal ``L L^T``,
+    scaled by ``t/n`` and padded with ``p - min(p, n)`` zeros, the dense
+    path a ``p x n`` entry matrix of the law, truncated ones clipped and
+    restandardized, whose Gram matrix it solves; both solve through
+    ``eigenvalues``.
     """
-    if replicate_sampler(ensemble, spectrum, truncation) == LAGUERRE:
+    if replicate_sampler(ensemble, spectrum) == LAGUERRE:
         vals = eigenvalues(*_tridiagonal(*_laguerre_factor(ensemble, p, n, seed)))
         return np.concatenate([np.zeros(p - min(p, n)), vals * (spectrum.atoms[0][0] / n)])
-    x = sample_entries(ensemble, p, n, seed)
-    if truncation is not None:
-        x = _clip_restandardize(x, *truncation)
-    return eigenvalues(assemble_B(spectrum, x, n))
+    return eigenvalues(assemble_B(spectrum, sample_entries(ensemble, p, n, seed), n))
 
 
 def lss_centered(f: TestFunction, eigs: np.ndarray, centering: float) -> float:
@@ -344,24 +351,22 @@ CLOSED_FORM = "closed_form"
 SPECTRUM = "spectrum"
 
 
-def replicate_reduction(f: TestFunction, ensemble: EntryEnsemble, spectrum: PopulationSpectrum,
-                        truncation: tuple[float, float, float] | None) -> str:
+def replicate_reduction(f: TestFunction, ensemble: EntryEnsemble,
+                        spectrum: PopulationSpectrum) -> str:
     """How a replicate's statistic is read: ``CLOSED_FORM`` or ``SPECTRUM``.
 
     A ``laguerre_bidiagonal`` replicate with f a polynomial of degree at
     most 2 is read off its bidiagonal factor; every other replicate, f = log
     included, sums f over its full spectrum.
     """
-    if (replicate_sampler(ensemble, spectrum, truncation) == LAGUERRE
+    if (replicate_sampler(ensemble, spectrum) == LAGUERRE
             and f.kind == "poly" and f.degree <= 2):
         return CLOSED_FORM
     return SPECTRUM
 
 
 def replicate_statistic(f: TestFunction, ensemble: EntryEnsemble, spectrum: PopulationSpectrum,
-                        p: int, n: int, seed: int,
-                        truncation: tuple[float, float, float] | None = None
-                        ) -> tuple[float, float, float]:
+                        p: int, n: int, seed: int) -> tuple[float, float, float]:
     """``(sum f(lambda), lambda_min, lambda_max)`` of one replicate drawn from stream ``seed``.
 
     Under ``replicate_reduction``'s ``CLOSED_FORM`` the sum comes from the
@@ -370,9 +375,9 @@ def replicate_statistic(f: TestFunction, ensemble: EntryEnsemble, spectrum: Popu
     Otherwise it is ``lss_centered`` over ``replicate_eigenvalues``,
     uncentered.  Both read the same draws.
     """
-    if replicate_reduction(f, ensemble, spectrum, truncation) == CLOSED_FORM:
+    if replicate_reduction(f, ensemble, spectrum) == CLOSED_FORM:
         return _laguerre_statistic(f, ensemble, spectrum.atoms[0][0], p, n, seed)
-    eigs = replicate_eigenvalues(ensemble, spectrum, p, n, seed, truncation)
+    eigs = replicate_eigenvalues(ensemble, spectrum, p, n, seed)
     return lss_centered(f, eigs, 0.0), float(eigs[0]), float(eigs[-1])
 
 
@@ -381,21 +386,10 @@ def replicate_statistic(f: TestFunction, ensemble: EntryEnsemble, spectrum: Popu
 
 
 @dataclass(frozen=True)
-class TruncationPolicy:
-    mode: str = "off"  # "off" or "on"
-    eta: float | None = None  # None selects 1 / log n
-
-    def __post_init__(self):
-        if self.mode not in ("off", "on"):
-            raise ValueError(f"truncation mode must be off/on, got {self.mode!r}")
-
-
-@dataclass(frozen=True)
 class SimConfig:
     ratio: AspectRatio
     replicates: int
     root_seed: int
-    truncation: TruncationPolicy = TruncationPolicy()
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -428,12 +422,11 @@ class ExperimentRecord:
 
 
 def _one_replicate(cfg: SimConfig, moments: CltMoments, centering: float,
-                   truncation: tuple[float, float, float] | None,
                    index: int) -> ReplicateRow:
     seed = replicate_seed(cfg.root_seed, index)
     total, lam_min, lam_max = replicate_statistic(moments.f, moments.ensemble,
                                                   moments.s_under.spectrum, cfg.ratio.p,
-                                                  cfg.ratio.n, seed, truncation)
+                                                  cfg.ratio.n, seed)
     value = normalize(total - centering, moments)
     return ReplicateRow(index=index, seed=seed, value=float(value),
                         lam_min=lam_min, lam_max=lam_max)
@@ -442,16 +435,15 @@ def _one_replicate(cfg: SimConfig, moments: CltMoments, centering: float,
 def run_experiment(cfg: SimConfig, moments: CltMoments) -> ExperimentRecord:
     """Replicated simulation of the normalized centered statistic.
 
-    f, the entry law, the spectrum and the contour come from ``moments``,
-    and the centering is integrated over the transform they already
-    solved; the contour's margin on the real axis sets the confinement
-    band.  Raises
-    ``ConstraintViolation`` before any draw when the moments carry no
-    transform or were solved at another ``y_n`` than the run's ``p/n``.
-    The centering and the truncated moments are computed once per run;
-    each replicate draws through ``replicate_statistic``, and the record
-    names the sampler and the reduction.  Any replicate failure is
-    re-raised with its index attached.
+    f, the entry law (truncated or not), the spectrum and the contour come
+    from ``moments``, and the centering is integrated over the transform
+    they already solved; the contour's margin on the real axis sets the
+    confinement band.  Raises ``ConstraintViolation`` before any draw when
+    the moments carry no transform or were solved at another ``y_n`` than
+    the run's ``p/n``.  The centering is computed once per run; each
+    replicate draws through ``replicate_statistic``, and the record names
+    the sampler and the reduction.  Any replicate failure is re-raised with
+    its index attached.
     """
     s = moments.s_under
     if s is None or moments.f is None:
@@ -462,16 +454,11 @@ def run_experiment(cfg: SimConfig, moments: CltMoments) -> ExperimentRecord:
         raise ConstraintViolation(f"moments were computed at y_n={s.y_n}, but the run has "
                                   f"p/n = {cfg.ratio.p}/{cfg.ratio.n} = {y}")
     centering = lss_centering(moments.f, cfg.ratio.p, s)
-    truncation = None
-    if cfg.truncation.mode == "on":
-        n = cfg.ratio.n
-        eta = cfg.truncation.eta if cfg.truncation.eta is not None else default_eta(n)
-        truncation = _truncation(n, eta, moments.ensemble)
 
     rows = []
     for i in range(cfg.replicates):
         try:
-            rows.append(_one_replicate(cfg, moments, centering, truncation, i))
+            rows.append(_one_replicate(cfg, moments, centering, i))
         except LabError as exc:
             raise type(exc)(f"replicate {i}: {exc}") from exc
 
@@ -489,6 +476,6 @@ def run_experiment(cfg: SimConfig, moments: CltMoments) -> ExperimentRecord:
         mean=float(np.mean(values)),
         variance=float(np.var(values, ddof=1)) if len(values) > 1 else 0.0,
         confinement_violations=violations,
-        sampler=replicate_sampler(moments.ensemble, s.spectrum, truncation),
-        statistic=replicate_reduction(moments.f, moments.ensemble, s.spectrum, truncation),
+        sampler=replicate_sampler(moments.ensemble, s.spectrum),
+        statistic=replicate_reduction(moments.f, moments.ensemble, s.spectrum),
     )

@@ -128,7 +128,8 @@ class EntryEnsemble:
     ``"CG"`` (complex, circular, E|x|^4 = 2), or ``"custom_real"``.  Custom
     real families carry a unit-variance sampler plus a density used for the
     distributional truncated moments; ``fourth_moment`` must be the exact
-    E x^4 of the standardized entries.
+    E|x|^4 of the standardized entries.  A truncated law draws the base law
+    zeroed at ``|x| >= threshold``, less ``mean``, over ``sqrt(variance)``.
     """
 
     variant: str
@@ -137,6 +138,7 @@ class EntryEnsemble:
     pdf: Callable[[float], float] | None = field(default=None, compare=False)
     fourth_moment: float = 3.0
     df: float | None = None  # Student t degrees of freedom, kept exactly for the config form
+    truncation: tuple[float, float, float] | None = None  # see simulator.truncated_law
 
     def __post_init__(self):
         if self.variant not in ("RG", "CG", "custom_real"):
@@ -150,8 +152,8 @@ class EntryEnsemble:
 
     @property
     def beta_x(self) -> float:
-        """Fourth-cumulant-style excess E|x|^4 - |E x^2|^2 - 2."""
-        return 0.0 if self.variant in ("RG", "CG") else self.fourth_moment - 1.0 - 2.0
+        """Excess E|x|^4 - |E x^2|^2 - 2, where |E x^2|^2 is 1 (real) or 0 (circular)."""
+        return self.fourth_moment - (0.0 if self.is_complex else 1.0) - 2.0
 
     @property
     def violates_matching(self) -> bool:
@@ -164,7 +166,7 @@ class EntryEnsemble:
 
     @classmethod
     def complex_gaussian(cls) -> "EntryEnsemble":
-        return cls(variant="CG", name="complex_gaussian")
+        return cls(variant="CG", name="complex_gaussian", fourth_moment=2.0)
 
     @classmethod
     def rademacher(cls) -> "EntryEnsemble":

@@ -14,7 +14,7 @@ from lsslab.cli import main, run
 from lsslab.config import (RunConfig, parse_config, parse_test_function,
                            serialize_spectrum, serialize_test_function)
 from lsslab.errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
-from lsslab.simulator import replicate_seed
+from lsslab.simulator import SimConfig, replicate_seed, run_experiment
 from lsslab.spectral_model import AspectRatio, PopulationSpectrum, support_interval
 from lsslab.stieltjes import lsd_density
 
@@ -410,23 +410,71 @@ class TestCliRuns:
         for nodes in solved.values():
             assert len(nodes) == len(set(nodes))
 
-    @pytest.mark.parametrize("ensemble, matched", [
-        ("RG", True), ("CG", True), ({"name": "rademacher"}, False),
-        ({"name": "student_t", "df": 11}, False),
-    ])
-    def test_summaries_flag_gaussian_matching(self, ensemble, matched, tmp_path):
+    @pytest.mark.parametrize("ensemble, truncation, matched", [
+        ("RG", "off", True), ("CG", "off", True), ({"name": "rademacher"}, "off", False),
+        ({"name": "student_t", "df": 11}, "off", False),
+        ("RG", "on", False), ("CG", "on", False),
+    ], ids=["rg", "cg", "rademacher", "student_t", "rg-truncated", "cg-truncated"])
+    def test_summaries_flag_gaussian_matching(self, ensemble, truncation, matched, tmp_path):
+        # a truncated run draws the truncated law (beta_x 0.54 for RG and 1.44 for
+        # CG at the default eta); a moments run draws nothing and keeps the base law
         runs = {"moments": {}, "simulate": {"p": 8, "n": 16},
                 "ks-rate": {"n_grid": [16, 24, 32]}}
         for kind, extra in runs.items():
             cfgfile = tmp_path / f"{kind}.json"
             cfgfile.write_text(json.dumps({"kind": kind, "ensemble": ensemble, "f": "x",
-                                           "replicates": 4, **extra}))
+                                           "replicates": 4, "truncation": {"mode": truncation},
+                                           **extra}))
             assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
             stem = kind.replace("-", "_")
             doc = json.loads((tmp_path / f"{stem}_summary.json").read_text())
-            assert doc["summary"]["gaussian_matched"] is matched
+            want = matched or (kind == "moments" and ensemble in ("RG", "CG"))
+            assert doc["summary"]["gaussian_matched"] is want
             if kind != "ks-rate":  # the moments' case follows the entry law
                 assert doc["summary"]["case"] == ("CG" if ensemble == "CG" else "RG")
+
+    def test_ks_rate_flags_a_match_only_at_every_n(self, tmp_path):
+        # RG clipped at 3 n^(1/4): beta_x is -2.4e-6 at n = 16, but -1.1e-13 at
+        # n = 64 and 4e-16 at n = 256, within the 1e-12 matching tolerance
+        flags = {}
+        for kind, extra in {"simulate": {"p": 128, "n": 256},
+                            "ks-rate": {"n_grid": [16, 64, 256]}}.items():
+            cfgfile = tmp_path / f"{kind}.json"
+            cfgfile.write_text(json.dumps({"kind": kind, "f": "x", "replicates": 2,
+                                           "truncation": {"mode": "on", "eta": 3.0},
+                                           **extra}))
+            assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+            doc = json.loads((tmp_path / f"{kind.replace('-', '_')}_summary.json").read_text())
+            flags[kind] = doc["summary"]["gaussian_matched"]
+        assert flags == {"simulate": True, "ks-rate": False}
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("simulate", {"p": 8, "n": 16}),
+        ("ks-rate", {"n_grid": [16, 24, 32]}),
+    ])
+    def test_degenerate_truncation_fails_before_any_solve(self, kind, extra, tmp_path,
+                                                          monkeypatch, capsys):
+        # eta = 1e-6 clips every entry: the law is built, and fails, before the
+        # moments solve and the budget check
+        solves = []
+
+        def no_budget(*args, **kwargs):
+            raise AssertionError("the budget check ran")
+
+        monkeypatch.setattr(cli, "compute_moments",
+                            lambda *args, **kwargs: solves.append(args))
+        monkeypatch.setattr(cli, "_check_budget", no_budget)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": kind, "truncation": {"mode": "on", "eta": 1e-6},
+                                       **extra}))
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "DegenerateTruncation" in err
+        assert "at n = 16 the threshold eta n^(1/4) = 1e-06 * 16^(1/4) = 2.000e-06" in err
+        assert "raise truncation.eta" in err
+        assert solves == []
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("extra, sampler, statistic", [
         ({"ensemble": "RG"}, "laguerre_bidiagonal", "closed_form"),
@@ -563,11 +611,18 @@ class TestCliRuns:
         for i, n in enumerate(cfg.n_grid):
             ratio = AspectRatio(p=int(round(cfg.y * n)), n=n)
             seed = replicate_seed(cfg.root_seed, i)
-            record = cli._experiment(cfg, ratio, cli._moments(cfg, ratio.y_n),
-                                     cfg.replicates, seed)
+            mom = cli._moments(cfg, ratio.y_n, cfg.ensemble)
+            record = run_experiment(SimConfig(ratio, cfg.replicates, seed), mom)
             expected.append([str(n), repr(record.ks), str(cfg.replicates), str(seed)])
         with open(tmp_path / "ks_rate_detail.csv", newline="") as fh:
             assert list(csv.reader(fh)) == expected
+        # a truncated law differs at every n, and so does its moment set
+        calls.clear()
+        cfgfile.write_text(json.dumps({"kind": "ks-rate", "n_grid": [16, 24, 32],
+                                       "replicates": 4, "y": 0.25,
+                                       "truncation": {"mode": "on"}}))
+        assert main(["ks-rate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        assert calls == [0.25, 0.25, 0.25]
 
     def test_lsd_emits_density(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

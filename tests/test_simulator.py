@@ -13,13 +13,12 @@ from lsslab.contour import default_margin
 from lsslab.errors import (ConstraintViolation, DegenerateTruncation, LogDomain,
                            NonConvergence)
 from lsslab import simulator
-from lsslab.simulator import (CLIP_NOTHING, CLOSED_FORM, DENSE, SPECTRUM, SimConfig,
-                              TruncationPolicy, assemble_B, default_eta, draw_entries,
-                              eigenvalues, lss_centered, population_diagonal,
-                              replicate_eigenvalues, replicate_reduction, replicate_sampler,
-                              replicate_seed, replicate_statistic, run_experiment,
-                              sample_entries, splitmix64, truncate_normalize,
-                              truncated_moments)
+from lsslab.simulator import (CLOSED_FORM, DENSE, SPECTRUM, SimConfig, assemble_B,
+                              default_eta, draw_entries, eigenvalues, lss_centered,
+                              population_diagonal, replicate_eigenvalues, replicate_reduction,
+                              replicate_sampler, replicate_seed, replicate_statistic,
+                              run_experiment, sample_entries, splitmix64, truncate_normalize,
+                              truncated_law, truncated_moments)
 from lsslab.spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
                                    TestFunction, support_interval)
 from lsslab.stieltjes import lss_centering
@@ -28,6 +27,7 @@ IDENTITY = PopulationSpectrum.identity()
 RG = EntryEnsemble.real_gaussian()
 CG = EntryEnsemble.complex_gaussian()
 F_X = TestFunction.monomial(1)
+RG_TRUNCATED = truncated_law(RG, 20, 1.0)  # clips at 20^(1/4) = 2.11
 
 
 class TestSeeds:
@@ -97,7 +97,7 @@ class TestTruncateNormalize:
         # closed-form truncated-normal second moment as the independent
         # oracle: E X^2 1{|X| < c} = (2 Phi(c) - 1) - 2 c phi(c)
         c = 2.0
-        mean, var = truncated_moments(RG, c)
+        mean, var, _ = truncated_moments(RG, c)
         closed = (2 * stats.norm.cdf(c) - 1) - 2 * c * stats.norm.pdf(c)
         assert mean == pytest.approx(0.0, abs=1e-14)
         assert var == pytest.approx(closed, abs=1e-10)
@@ -105,18 +105,55 @@ class TestTruncateNormalize:
     def test_cg_truncated_variance_closed_form(self):
         # |x|^2 is exponential, so E |x|^2 1{|x| < c} = 1 - (1 + c^2) e^{-c^2}
         c = 1.5
-        _, var = truncated_moments(CG, c)
+        _, var, _ = truncated_moments(CG, c)
         assert var == pytest.approx(1 - (1 + c * c) * math.exp(-c * c), abs=1e-10)
 
     def test_degenerate_truncation(self):
-        with pytest.raises(DegenerateTruncation):
+        with pytest.raises(DegenerateTruncation, match="at n = 4 .* raise truncation.eta"):
             truncate_normalize(np.ones((4, 4)), n=4, eta=1e-6, ensemble=RG)
+
+    @pytest.mark.parametrize("c", [0.5, 0.72, 2.0, 50.0])
+    def test_truncated_gaussian_laws_match_closed_forms(self, c):
+        # RG: E x^2 1{|x| < c} = (2 Phi(c) - 1) - 2 c phi(c) and
+        # E x^4 1{|x| < c} = 3 (2 Phi(c) - 1) - 2 phi(c) (c^3 + 3 c);
+        # CG, u = c^2: E |x|^2 1 = 1 - (1 + u) e^-u, E |x|^4 1 = 2 - (2 + 2u + u^2) e^-u
+        mass, density = 2 * stats.norm.cdf(c) - 1, stats.norm.pdf(c)
+        u = c * c
+        closed = {
+            "rg": (RG, mass - 2 * c * density, 3 * mass - 2 * density * (c**3 + 3 * c), 1.0),
+            "cg": (CG, 1 - (1 + u) * math.exp(-u), 2 - (2 + 2 * u + u * u) * math.exp(-u), 0.0),
+        }
+        for ensemble, var, fourth_raw, pseudo in closed.values():
+            law = truncated_law(ensemble, 1, c)  # threshold c * 1^(1/4) = c
+            assert law.truncation[0] == c
+            assert law.truncation[2] == pytest.approx(var, rel=1e-10, abs=1e-10)
+            fourth = fourth_raw / (var * var)
+            assert law.fourth_moment == pytest.approx(fourth, rel=1e-10, abs=1e-10)
+            assert law.beta_x == pytest.approx(fourth - pseudo - 2.0, rel=1e-10, abs=1e-10)
+            assert law.violates_matching == (c < 50.0)
+
+    def test_truncated_rademacher_law(self):
+        rad = EntryEnsemble.rademacher()
+        law = truncated_law(rad, 1, 1.5)
+        assert law.truncation == (1.5, 0.0, 1.0)
+        assert law.fourth_moment == 1.0 and law.beta_x == -2.0
+        with pytest.raises(DegenerateTruncation):
+            truncated_law(rad, 1, 1.0)  # |x| = 1 is not below the threshold
+
+    def test_truncated_law_is_the_base_law_plus_its_truncation(self):
+        t11 = EntryEnsemble.student_t(11.0)
+        law = truncated_law(t11, 64, 0.5)
+        assert (law.variant, law.name, law.df, law.sampler) == (
+            t11.variant, t11.name, t11.df, t11.sampler)
+        assert law != t11 and law == truncated_law(t11, 64, 0.5)
+        with pytest.raises(ValueError, match="truncated already"):
+            truncated_law(law, 64, 0.5)
 
     def test_entries_clipped_out_not_clamped(self):
         x = np.array([[0.5, 3.0], [-2.5, 0.1]])
         c = 1.0  # eta * n^(1/4) with eta=1, n=1
         out = truncate_normalize(x, n=1, eta=1.0, ensemble=RG)
-        mean, var = truncated_moments(RG, c)
+        mean, var, _ = truncated_moments(RG, c)
         expected = (np.where(np.abs(x) < c, x, 0.0) - mean) / math.sqrt(var)
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
@@ -132,7 +169,7 @@ class TestTruncateNormalize:
         assert (np.abs(x) >= threshold).any()  # heavy tails really clip here
         out = truncate_normalize(x, n=128, eta=eta, ensemble=t11)
         assert np.isfinite(out).all()
-        mean, var = truncated_moments(t11, threshold)
+        mean, var, _ = truncated_moments(t11, threshold)
         clipped_value = (0.0 - mean) / math.sqrt(var)
         assert np.allclose(out[np.abs(x) >= threshold], clipped_value)
 
@@ -144,7 +181,13 @@ class TestTruncateNormalize:
         t_df = EntryEnsemble.student_t(df)
         scale = math.sqrt(df / (df - 2.0))
         with_scipy = replace(t_df, pdf=lambda x: scale * stats.t.pdf(x * scale, df))
-        assert truncated_moments(t_df, threshold) == truncated_moments(with_scipy, threshold)
+        moments = truncated_moments(t_df, threshold)
+        assert moments == truncated_moments(with_scipy, threshold)
+        # the fourth moment against scipy's own expectation over the t law
+        fourth = stats.t.expect(lambda u: (u / scale) ** 4, args=(df,),
+                                lb=-threshold * scale, ub=threshold * scale)
+        assert moments[0] == 0.0
+        assert moments[2] == pytest.approx(fourth, rel=1e-9)
 
     @pytest.mark.parametrize("ensemble", [RG, CG, EntryEnsemble.student_t(11.0)],
                              ids=["rg", "cg", "student_t"])
@@ -152,7 +195,7 @@ class TestTruncateNormalize:
         x = sample_entries(ensemble, 24, 40, seed=12)
         kept = x.copy()
         eta = default_eta(40)
-        mean, var = truncated_moments(ensemble, eta * 40 ** 0.25)
+        mean, var, _ = truncated_moments(ensemble, eta * 40 ** 0.25)
         out = truncate_normalize(x, n=40, eta=eta, ensemble=ensemble)
         expected = (np.where(np.abs(x) < eta * 40 ** 0.25, x, 0.0) - mean) / math.sqrt(var)
         assert np.array_equal(out, expected)
@@ -268,15 +311,16 @@ class TestReplicateEigenvalues:
         got = replicate_eigenvalues(ensemble, spectrum, 12, 20, 5)
         assert got.tobytes() == _dense_eigenvalues(ensemble, spectrum, 12, 20, 5).tobytes()
 
-    def test_clip_nothing_is_the_untruncated_dense_stream(self):
-        assert replicate_sampler(RG, IDENTITY, CLIP_NOTHING) == DENSE
-        got = replicate_eigenvalues(RG, IDENTITY, 12, 20, 5, CLIP_NOTHING)
-        assert got.tobytes() == _dense_eigenvalues(RG, IDENTITY, 12, 20, 5).tobytes()
+    def test_a_truncated_gaussian_law_takes_the_dense_stream(self):
+        assert replicate_sampler(RG_TRUNCATED, IDENTITY) == DENSE
+        got = replicate_eigenvalues(RG_TRUNCATED, IDENTITY, 12, 20, 5)
+        x = truncate_normalize(sample_entries(RG, 12, 20, 5), 20, 1.0, RG)
+        assert got.tobytes() == eigenvalues(assemble_B(IDENTITY, x, 20)).tobytes()
 
-    @pytest.mark.parametrize("spectrum, truncation", [
-        (IDENTITY, None), (BATTERY["two_atom"], None), (IDENTITY, CLIP_NOTHING),
+    @pytest.mark.parametrize("ensemble, spectrum", [
+        (RG, IDENTITY), (RG, BATTERY["two_atom"]), (RG_TRUNCATED, IDENTITY),
     ], ids=["laguerre", "dense", "dense-clipped"])
-    def test_each_replicate_solves_once_through_eigenvalues(self, spectrum, truncation,
+    def test_each_replicate_solves_once_through_eigenvalues(self, ensemble, spectrum,
                                                             monkeypatch):
         calls = []
 
@@ -285,7 +329,7 @@ class TestReplicateEigenvalues:
             return eigenvalues(*args)
 
         monkeypatch.setattr(simulator, "eigenvalues", counted)
-        replicate_eigenvalues(RG, spectrum, 12, 20, 5, truncation)
+        replicate_eigenvalues(ensemble, spectrum, 12, 20, 5)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("ensemble", [RG, CG], ids=["RG", "CG"])
@@ -363,7 +407,7 @@ class TestReplicateStatistic:
     @pytest.mark.parametrize("name", list(LOW_DEGREE))
     def test_closed_form_matches_the_spectrum(self, ensemble, p, n, name, monkeypatch):
         f = LOW_DEGREE[name]
-        assert replicate_reduction(f, ensemble, self.HALF, None) == CLOSED_FORM
+        assert replicate_reduction(f, ensemble, self.HALF) == CLOSED_FORM
         for seed in range(4):
             _check_against_the_spectrum(f, ensemble, self.HALF, p, n, seed)
         monkeypatch.setattr(simulator, "eigenvalues", _no_spectrum)
@@ -385,25 +429,25 @@ class TestReplicateStatistic:
 
     def test_trailing_zero_coefficients_keep_the_closed_form(self, monkeypatch):
         padded = TestFunction.polynomial([0.0, 0.0, 1.0, 0.0])
-        assert replicate_reduction(padded, RG, IDENTITY, None) == CLOSED_FORM
+        assert replicate_reduction(padded, RG, IDENTITY) == CLOSED_FORM
         monkeypatch.setattr(simulator, "eigenvalues", _no_spectrum)
         assert (replicate_statistic(padded, RG, IDENTITY, 12, 20, 5)
                 == replicate_statistic(TestFunction.monomial(2), RG, IDENTITY, 12, 20, 5))
 
-    @pytest.mark.parametrize("f, ensemble, spectrum, truncation", [
-        (TestFunction.monomial(3), RG, IDENTITY, None),
-        (TestFunction.monomial(11), CG, HALF, None),
-        (TestFunction.monomial(2), RG, BATTERY["two_atom"], None),
-        (TestFunction.log(), RG, IDENTITY, None),
-        (TestFunction.log(), EntryEnsemble.rademacher(), IDENTITY, None),
-        (F_X, RG, IDENTITY, CLIP_NOTHING),
+    @pytest.mark.parametrize("f, ensemble, spectrum", [
+        (TestFunction.monomial(3), RG, IDENTITY),
+        (TestFunction.monomial(11), CG, HALF),
+        (TestFunction.monomial(2), RG, BATTERY["two_atom"]),
+        (TestFunction.log(), RG, IDENTITY),
+        (TestFunction.log(), EntryEnsemble.rademacher(), IDENTITY),
+        (F_X, RG_TRUNCATED, IDENTITY),
     ], ids=["x^3-laguerre", "x^11-laguerre-cg", "x^2-dense", "log-laguerre", "log-rademacher",
             "x-dense-clipped"])
     def test_other_replicates_sum_f_over_the_spectrum_bit_for_bit(self, f, ensemble,
-                                                                   spectrum, truncation):
-        assert replicate_reduction(f, ensemble, spectrum, truncation) == SPECTRUM
-        eigs = replicate_eigenvalues(ensemble, spectrum, 12, 20, 5, truncation)
-        got = replicate_statistic(f, ensemble, spectrum, 12, 20, 5, truncation)
+                                                                   spectrum):
+        assert replicate_reduction(f, ensemble, spectrum) == SPECTRUM
+        eigs = replicate_eigenvalues(ensemble, spectrum, 12, 20, 5)
+        got = replicate_statistic(f, ensemble, spectrum, 12, 20, 5)
         assert got == (lss_centered(f, eigs, 0.0), eigs[0], eigs[-1])
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=80)
@@ -532,44 +576,52 @@ class TestRunExperiment:
         # a hand-built moment set names no law to run
         with pytest.raises(ConstraintViolation, match="compute_moments"):
             run_experiment(cfg, CltMoments(0.0, 1.0, RG, 0.3))
-        assert not {"f", "spectrum", "ensemble"} & {fl.name for fl in fields(SimConfig)}
+        assert [fl.name for fl in fields(SimConfig)] == ["ratio", "replicates", "root_seed"]
 
     def test_memory_budget_enforced(self):
         with pytest.raises(ValueError, match="memory budget"):
             self._config(ratio=AspectRatio(p=1 << 14, n=1 << 14))
 
-    def test_truncation_policy_applies(self):
-        t11 = EntryEnsemble.student_t(11.0)
-        cfg = self._config(truncation=TruncationPolicy("on", None), replicates=4)
-        mom = compute_moments(F_X, IDENTITY, 0.5, t11)
-        rec = run_experiment(cfg, mom)
-        assert len(rec.rows) == 4
-        assert np.isfinite(rec.values()).all()
+    @pytest.mark.parametrize("base", [RG, CG, EntryEnsemble.student_t(11.0)],
+                             ids=["rg", "cg", "student_t"])
+    def test_truncated_run_draws_the_law_of_its_moments(self, base, monkeypatch):
+        law = truncated_law(base, 32, default_eta(32))
+        mom = compute_moments(F_X, IDENTITY, 0.5, law)
+        assert mom.ensemble is law and mom.ensemble.violates_matching
+        drawn = []
 
-    def test_truncated_run_matches_reference_loop(self, monkeypatch):
-        import lsslab.simulator as sim_mod
+        def recording(ensemble, p, n, seed):
+            drawn.append(ensemble)
+            return sample_entries(ensemble, p, n, seed)
 
-        t11 = EntryEnsemble.student_t(11.0)
+        monkeypatch.setattr(simulator, "sample_entries", recording)
+        rec = run_experiment(self._config(replicates=4), mom)
+        assert len(drawn) == 4 and all(e is mom.ensemble for e in drawn)
+        assert rec.sampler == DENSE and np.isfinite(rec.values()).all()
+
+    @pytest.mark.parametrize("base", [EntryEnsemble.student_t(11.0), RG, CG],
+                             ids=["student_t", "rg", "cg"])
+    def test_truncated_run_matches_reference_loop(self, base, monkeypatch):
         p, n = 16, 32
-        cfg = self._config(truncation=TruncationPolicy("on", None), replicates=5)
-        mom = compute_moments(F_X, IDENTITY, 0.5, t11)
-        centering = lss_centering(F_X, p, mom.s_under)
-        expected = []
-        for i in range(cfg.replicates):
-            x = sample_entries(t11, p, n, replicate_seed(cfg.root_seed, i))
-            x = truncate_normalize(x, n, default_eta(n), t11)
-            eigs = eigenvalues(assemble_B(IDENTITY, x, n))
-            stat = lss_centered(F_X, eigs, centering)
-            expected.append((normalize(stat, mom), eigs[0], eigs[-1]))
-
+        cfg = self._config(replicates=5)
         calls = []
-        original = sim_mod.truncated_moments
+        original = simulator.truncated_moments
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(sim_mod, "truncated_moments", counting)
+        monkeypatch.setattr(simulator, "truncated_moments", counting)
+        mom = compute_moments(F_X, IDENTITY, 0.5, truncated_law(base, n, default_eta(n)))
         rec = run_experiment(cfg, mom)
+        assert len(calls) == 1  # one law, one quadrature, for every replicate
+
+        centering = lss_centering(F_X, p, mom.s_under)
+        expected = []
+        for i in range(cfg.replicates):
+            x = sample_entries(base, p, n, replicate_seed(cfg.root_seed, i))
+            x = truncate_normalize(x, n, default_eta(n), base)
+            eigs = eigenvalues(assemble_B(IDENTITY, x, n))
+            stat = lss_centered(F_X, eigs, centering)
+            expected.append((normalize(stat, mom), eigs[0], eigs[-1]))
         assert [(r.value, r.lam_min, r.lam_max) for r in rec.rows] == expected
-        assert len(calls) == 1  # the threshold is the same for every replicate

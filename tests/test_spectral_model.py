@@ -129,11 +129,13 @@ class TestTestFunction:
 class TestEntryEnsemble:
     def test_rg_moments(self):
         e = EntryEnsemble.real_gaussian()
-        assert e.beta_x == 0.0 and not e.is_complex
+        assert e.fourth_moment == 3.0 and e.beta_x == 0.0 and not e.is_complex
 
     def test_cg_moments(self):
+        # E|x|^4 = 2 for the circular law, |E x^2|^2 = 0
         e = EntryEnsemble.complex_gaussian()
-        assert e.beta_x == 0.0 and e.is_complex
+        assert e.fourth_moment == 2.0 and e.beta_x == 0.0 and e.is_complex
+        assert not e.violates_matching
 
     def test_custom_warning_flag(self):
         rad = EntryEnsemble.rademacher()
