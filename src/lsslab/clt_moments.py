@@ -26,10 +26,13 @@ nested trapezoid rule, whose levels share their nodes.  The mean, the
 variance and a run's centering read the law ``(spectrum, y_n)`` and the
 contour from one ``CompanionTransform``, solved once per node; the moment
 set also names the entry law it was computed for, and a run draws from
-that law.  A variance level at m nodes costs a few passes over the m x m
-node grid, formed in row blocks of bounded size; the rule at m/2, against
-which the level is checked, is the grid's even-index subgrid.  Each block
-of the kernel is one real matrix product of small factor matrices
+that law.  The variance's first level forms the whole m x m node grid,
+in row blocks of bounded size, and reads the rule at m/2, against which
+it is checked, off the grid's even-index subgrid.  Each finer level forms
+only the m^2/2 cells of its odd-index rows: its even-index quarter is the
+grid of the level below, and the kernel is exactly symmetric.  So a
+ladder that ends at M nodes forms about M^2/2 cells.  Each block of the
+kernel is one real matrix product of small factor matrices
 (``kernel_from_s``).  The log is taken in real arithmetic,
 ``-log(1 - a) = -log1p(ar (ar - 2) + ai^2) / 2 + i atan2(ai, 1 - ar)``,
 which is accurate to rounding for every ``|a| < 1``
@@ -56,12 +59,18 @@ class CompanionTransform(NodeValues):
     """The companion transform of one ``(spectrum, y_n)`` at the nested nodes of one contour.
 
     ``s(m)`` is ``s_under`` at ``contour.nodes(m)``, each node solved once
-    however many levels and integrals ask for it.
+    however many levels and integrals ask for it.  ``g(z, start)`` solves
+    at the nodes z: the first level from the solver's mean-atom start,
+    each new node of a finer level from the midpoint of its two solved
+    neighbours.
     """
 
     def __init__(self, spectrum: PopulationSpectrum, y_n: float, contour: Contour):
-        super().__init__(lambda z: s_under_grid(z, spectrum, y_n), contour)
+        super().__init__(lambda z, start=None: s_under_grid(z, spectrum, y_n, start), contour)
         self.spectrum, self.y_n = spectrum, y_n
+
+    def _evaluate(self, z: np.ndarray, near: np.ndarray | None) -> np.ndarray:
+        return self.g(z, near)
 
 
 @dataclass(frozen=True)
@@ -186,43 +195,67 @@ def mean_correction(f: TestFunction, s: CompanionTransform, *,
     return mean
 
 
-def _variance_level(f: TestFunction, s: CompanionTransform, m: int
+def _variance_level(f: TestFunction, s: CompanionTransform, m: int,
+                    below: tuple[complex, float] | None = None
                     ) -> tuple[complex, complex, float]:
-    """The rule at m nodes, the rule at m/2 and the largest |a| on the grid.
+    """The rule at m nodes, the rule at m/2 and the largest |a| on the m x m node grid.
 
     Both variables run over the m nodes of the contour of s, so a level is
-    ``g @ L @ g`` with ``g = w f'(z)`` and ``L = -log(1 - a)`` on the node
-    grid.  The m/2 rule is the even-index subgrid of the same kernel grid,
-    which is formed in blocks of at most 2^18 cells, so memory stays
-    bounded however fine the level.
+    ``Q_m = g @ L @ g`` with ``g = w f'(z)`` and ``L = -log(1 - a)`` on the
+    node grid.  Without ``below`` the whole grid is formed and the m/2 rule
+    is its even-index subgrid.  With ``below = (Q_{m/2}, amax)``, the rule
+    and the largest |a| of the level below, only the strip of odd-index
+    rows against all m columns is formed: the even-index quarter of the
+    grid is the level below, whose weights are twice these, and L is
+    exactly symmetric, so ``Q_m = Q_{m/2}/4 + g_odd @ L_strip @ h`` with h
+    the g with its even entries doubled.  Rows go in blocks of at most
+    2^18 cells, so memory stays bounded however fine the level.
     """
     z, w = s.contour.nodes(m)
     sv = s(m)
     g = w * f.deriv(z)
-    g_even = g[::2]
-    rows = 2 * max(1, _BLOCK_CELLS // (2 * m))  # even, so blocks start on even rows
-    fine = coarse = 0j
-    amax = 0.0
-    for i in range(0, m, rows):
-        a = kernel_from_s(sv[i:i + rows, None], sv[None, :], s.spectrum, s.y_n)
+    if below is None:
+        first, stride, h = 0, 1, g
+        rows = 2 * max(1, _BLOCK_CELLS // (2 * m))  # even, so blocks start on even rows
+        fine = coarse = 0j
+        amax = 0.0
+    else:
+        first, stride, h = 1, 2, g.copy()
+        h[::2] *= 2.0
+        rows = max(1, _BLOCK_CELLS // m)
+        coarse, amax = below
+        fine = coarse / 4.0
+    for i in range(first, m, stride * rows):
+        cut = slice(i, i + stride * rows, stride)
+        a = kernel_from_s(sv[cut, None], sv[None, :], s.spectrum, s.y_n)
         amax = max(amax, float(np.max(np.abs(a))))
         if amax >= 1.0:
             raise KernelOutOfDisk(f"|a| reached {amax:.6f} on the node grid")
         log = _a_times_t_integral(a)
-        fine += g[i:i + rows] @ (log @ g)
-        coarse += g[i:i + rows:2] @ (log[::2, ::2] @ g_even)
-    return complex(fine), 4.0 * complex(coarse), amax
+        fine += g[cut] @ (log @ h)
+        if below is None:
+            coarse += 4.0 * (g[i:i + rows:2] @ (log[::2, ::2] @ g[::2]))
+    return complex(fine), complex(coarse), amax
 
 
 def variance_with_kernel(f: TestFunction, s: CompanionTransform, *,
                          report: dict | None = None) -> tuple[float, float]:
     """Variance over the transform s plus the largest kernel modulus on the accepted grid.
 
+    The ladder's first level forms its whole kernel grid; each finer level
+    forms only the cells its new nodes add (``_variance_level``).
     ``report["variance"]``, when a dict is given, receives where the ladder
     stopped, with its error estimate in units of the variance.
     """
-    quad, amax = _doubling_ladder(
-        lambda m: _variance_level(f, s, m), s.contour.m, "variance")
+    below = None
+
+    def level(m):
+        nonlocal below
+        fine, coarse, amax = _variance_level(f, s, m, below)
+        below = fine, amax
+        return fine, coarse, amax
+
+    quad, amax = _doubling_ladder(level, s.contour.m, "variance")
     raw = -quad.value / (2.0 * np.pi**2)
     variance = real_part(raw, "variance")
     if report is not None:

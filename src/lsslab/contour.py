@@ -127,8 +127,8 @@ def build_contour(spectrum: PopulationSpectrum, y: float, eps: float | None = No
     return c
 
 
-def _eval_nodes(g, z: np.ndarray) -> np.ndarray:
-    vals = np.asarray(g(z), dtype=complex)
+def _checked(vals, z: np.ndarray) -> np.ndarray:
+    vals = np.asarray(vals, dtype=complex)
     if vals.shape != z.shape:
         raise ValueError("integrand must return one value per node")
     if not np.all(np.isfinite(vals)):
@@ -143,12 +143,19 @@ class NodeValues:
     ``values(m)`` is g at ``c.nodes(m)``.  Asking for a finer level
     evaluates g at the new nodes only; a coarser one is a stride of the
     values already held.  Levels must be the contour's ``m`` times powers
-    of 2.
+    of 2.  The new nodes go through ``_evaluate(z, near)``, where ``near``
+    is the held values interpolated linearly between each new node's two
+    neighbours on the periodic contour (their midpoint after one doubling),
+    and None at the first level; it calls g and drops ``near``, and a
+    subclass that solves an equation per node starts there.
     """
 
     def __init__(self, g, c: Contour):
         self.g, self.contour = g, c
         self._values = np.empty(0, dtype=complex)
+
+    def _evaluate(self, z: np.ndarray, near: np.ndarray | None) -> np.ndarray:
+        return self.g(z)
 
     def __call__(self, m: int) -> np.ndarray:
         have = self._values.size
@@ -157,10 +164,14 @@ class NodeValues:
         z, _ = self.contour.nodes(m)
         values = np.empty(m, dtype=complex)
         new = np.ones(m, dtype=bool)
+        near = None
         if have:
-            new[::m // have] = False
-            values[::m // have] = self._values
-        values[new] = _eval_nodes(self.g, z[new])
+            step = m // have
+            new[::step] = False
+            values[::step] = held = self._values
+            frac = np.arange(1, step) / step
+            near = (held[:, None] + frac * (np.roll(held, -1) - held)[:, None]).ravel()
+        values[new] = _checked(self._evaluate(z[new], near), z[new])
         self._values = values
         return values
 

@@ -9,10 +9,14 @@ whose Herglotz branch (Im s_under has the sign of Im z) is the one with
 probabilistic meaning.  Equivalently ``z(s_under) = z`` for the rational
 inverse map ``z(s) = -1/s + y sum_k w_k t_k / (1 + t_k s)`` (Silverstein &
 Choi 1995).  Every solve off the real axis runs Newton on that equation,
-safeguarded by the plain step ``F`` and certified by the fixed-point
-residual ``|F(s) - s|``; on the axis the density is read off the
-eigenvalues of an arrowhead matrix.  The transform of the primary law
-follows from the companion relation ``s = (s_under + (1 - y)/z) / y``.
+safeguarded by the plain step ``F``, certified by the fixed-point residual
+``|F(s) - s|`` and polished by one last Newton step.  A solve starts at
+the Herglotz root of the one-atom equation at the mean atom, which is the
+root itself on a one-atom spectrum, or at given starts (the nested contour
+nodes start from their solved neighbours); on the axis the density is
+read off the eigenvalues of an arrowhead matrix.  The transform of the
+primary law follows from the companion relation
+``s = (s_under + (1 - y)/z) / y``.
 """
 
 from __future__ import annotations
@@ -65,14 +69,20 @@ def _solve(z: np.ndarray, s0: np.ndarray, spectrum: PopulationSpectrum,
     and lowers the fixed-point residual ``|F(s) - s|`` of
     ``F(s) = -1/(z - y g(s))``; elsewhere the plain step ``F(s)`` is taken,
     which maps each half plane into itself.  A point is done once its
-    residual is at most 1e-12.  Returns ``(s, residual, iterations)`` per
-    point, where ``iterations`` counts the iterates checked, the start
-    included.  Raises ``NonConvergence`` when points are left after
-    10,000 steps and ``BranchViolation`` when a converged point lies in the
-    wrong half plane.
+    residual is at most 1e-12.  One more Newton step then polishes every
+    point, kept where it is finite, stays in the half plane of z and does
+    not raise the residual: it takes s from the 1e-12 certificate to the
+    root's rounding, so a value does not depend on its start or on which
+    points were solved together.  Returns ``(s, residual, iterations)`` per
+    point, where ``iterations`` counts the iterates checked against the
+    stopping test, the start included and the polish not.  Raises
+    ``NonConvergence`` when points are left after 10,000 steps and
+    ``BranchViolation`` when a converged point lies in the wrong half plane.
     """
     z_all, s = z, s0
     s_out = np.empty_like(z_all)
+    f_out = np.empty_like(z_all)
+    dg_out = np.empty_like(z_all)
     res_out = np.empty(z_all.shape)
     it_out = np.empty(z_all.shape, dtype=int)
     idx = np.arange(z_all.size)
@@ -82,23 +92,29 @@ def _solve(z: np.ndarray, s0: np.ndarray, spectrum: PopulationSpectrum,
         f = -1.0 / (z - y * g)
         return f, dg, np.abs(f - s)
 
+    def newton_step(s, f, dg):
+        # h(s) = 1/F(s) - 1/s, since z - y g(s) = -1/F(s)
+        return s - (1.0 / f - 1.0 / s) / (1.0 / (s * s) + y * dg)
+
+    def in_half_plane(z, s):
+        return np.isfinite(s) & ((z.imag == 0.0) | (s.imag * z.imag > 0.0))
+
     with np.errstate(all="ignore"):
         f, dg, res = evaluate(z, s)
         for it in range(1, _MAX_ITER + 1):
             done = res <= _TOL
             if done.any():
-                s_out[idx[done]] = s[done]
-                res_out[idx[done]] = res[done]
-                it_out[idx[done]] = it
+                out = idx[done]
+                s_out[out], f_out[out], dg_out[out] = s[done], f[done], dg[done]
+                res_out[out] = res[done]
+                it_out[out] = it
                 live = ~done
                 idx, z, s, f, dg, res = (a[live] for a in (idx, z, s, f, dg, res))
             if not idx.size:
                 break
-            # h(s) = 1/F(s) - 1/s, since z - y g(s) = -1/F(s)
-            newton = s - (1.0 / f - 1.0 / s) / (1.0 / (s * s) + y * dg)
+            newton = newton_step(s, f, dg)
             f_new, dg_new, res_new = evaluate(z, newton)
-            keep = (np.isfinite(newton) & (res_new < res)
-                    & ((z.imag == 0.0) | (newton.imag * z.imag > 0.0)))
+            keep = in_half_plane(z, newton) & (res_new < res)
             s = np.where(keep, newton, f)
             plain = ~keep
             if plain.any():
@@ -110,6 +126,11 @@ def _solve(z: np.ndarray, s0: np.ndarray, spectrum: PopulationSpectrum,
                 f"Stieltjes solve left {idx.size} points above residual {_TOL:.0e} after "
                 f"{_MAX_ITER} steps; worst z={z[worst]} at residual {res[worst]:.3e}"
             )
+        polished = newton_step(s_out, f_out, dg_out)
+        _, _, res_new = evaluate(z_all, polished)
+        keep = in_half_plane(z_all, polished) & (res_new <= res_out)
+        s_out = np.where(keep, polished, s_out)
+        res_out = np.where(keep, res_new, res_out)
     bad = s_out.imag * z_all.imag < 0.0
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -117,19 +138,40 @@ def _solve(z: np.ndarray, s0: np.ndarray, spectrum: PopulationSpectrum,
     return s_out, res_out, it_out
 
 
+def _mean_atom_start(z: np.ndarray, spectrum: PopulationSpectrum, y: float) -> np.ndarray:
+    """Start of the solve at every point of 1-D z: the one-atom root at the mean atom.
+
+    With ``tbar = sum_k w_k t_k`` this is the Herglotz root of
+    ``z tbar s^2 + (z + tbar (1 - y)) s + 1 = 0``, the companion transform
+    of the one-atom spectrum at ``tbar``, so on a one-atom spectrum the
+    start is the root.  Where that root is not finite or not in the half
+    plane of z (``tbar = 0``, or real z), the start is ``-1/z``.
+    """
+    tbar = float(spectrum.weights @ spectrum.eigenvalues)
+    with np.errstate(all="ignore"):
+        a, b = z * tbar, z + tbar * (1.0 - y)
+        disc = np.sqrt(b * b - 4.0 * a)
+        # q takes the sign that avoids cancellation; the roots are q/a and 1/q
+        q = -0.5 * np.where((b.conj() * disc).real >= 0.0, b + disc, b - disc)
+        r1, r2 = q / a, 1.0 / q
+        root = np.where(r1.imag * z.imag > 0.0, r1, r2)
+        good = np.isfinite(root) & (root.imag * z.imag > 0.0)
+        return np.where(good, root, -1.0 / z)
+
+
 def solve_s_under(z: complex, spectrum: PopulationSpectrum, y_n: float, *,
                   s0: complex | None = None) -> StieltjesSolution:
     """Solve for the companion transform at one point off the spectral bulk.
 
     Runs the safeguarded Newton solve on a single point, from ``s0`` or
-    ``-1/z``.  Real ``z`` (off support only) is handled by continuity: the
-    equation is first solved at ``z + 1e-9j`` and the result warm-starts
-    the solve on the real axis, which selects the boundary-value branch
-    without sign ambiguity.  ``residual`` is the certified ``|F(s) - s|``
-    (at most 1e-12) and ``iterations`` counts the iterates checked, the
-    start included.  Raises ``NonConvergence`` if the step cap runs out
-    and ``BranchViolation`` if the converged point lands on the wrong half
-    plane.
+    the mean-atom start of ``s_under_grid``.  Real ``z`` (off support only)
+    is handled by continuity: the equation is first solved at
+    ``z + 1e-9j`` and the result warm-starts the solve on the real axis,
+    which selects the boundary-value branch without sign ambiguity.
+    ``residual`` is the certified ``|F(s) - s|`` (at most 1e-12) and
+    ``iterations`` counts the iterates checked, the start included.  Raises
+    ``NonConvergence`` if the step cap runs out and ``BranchViolation`` if
+    the converged point lands on the wrong half plane.
     """
     z = complex(z)
     if z == 0:
@@ -142,7 +184,8 @@ def solve_s_under(z: complex, spectrum: PopulationSpectrum, y_n: float, *,
         if s0 is None:
             s0 = solve_s_under(z + 1j * _REAL_Z_LIFT, spectrum, y).s_under
     z_arr = np.array([z])
-    start = -1.0 / z_arr if s0 is None else np.array([s0], dtype=complex)
+    start = (_mean_atom_start(z_arr, spectrum, y) if s0 is None
+             else np.array([s0], dtype=complex))
     s, res, it = _solve(z_arr, start, spectrum, y)
     s = complex(s[0])
     s_primary = (s + (1.0 - y) / z) / y
@@ -150,18 +193,25 @@ def solve_s_under(z: complex, spectrum: PopulationSpectrum, y_n: float, *,
                              iterations=int(it[0]))
 
 
-def s_under_grid(z: np.ndarray, spectrum: PopulationSpectrum, y_n: float) -> np.ndarray:
+def s_under_grid(z: np.ndarray, spectrum: PopulationSpectrum, y_n: float,
+                 start: np.ndarray | None = None) -> np.ndarray:
     """Companion transform over an array of strictly complex points.
 
-    One safeguarded Newton solve over the flattened grid, started at
-    ``-1/z``, with the same residual certificate and branch check as
-    ``solve_s_under``.
+    One safeguarded Newton solve over the flattened grid, with the same
+    residual certificate, polish and branch check as ``solve_s_under``.
+    Each point starts from ``start`` (same shape as z) when given, else
+    from the Herglotz root of the one-atom equation at the mean atom
+    ``sum_k w_k t_k``, falling back to ``-1/z`` where that root is not
+    finite or not in the half plane of z.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     if np.any(flat.imag == 0.0):
         raise ValueError("grid solver expects Im z != 0 at every point; use solve_s_under")
-    s, _, _ = _solve(flat, -1.0 / flat, spectrum, float(y_n))
+    y = float(y_n)
+    s0 = (_mean_atom_start(flat, spectrum, y) if start is None
+          else np.asarray(start, dtype=complex).ravel())
+    s, _, _ = _solve(flat, s0, spectrum, y)
     return s.reshape(z.shape)
 
 

@@ -222,6 +222,58 @@ class TestFusedLevel:
         for b, w in zip(blocked[:2], whole[:2]):
             assert abs(b - w) <= 1e-13 * abs(w)
 
+    @pytest.mark.parametrize("name", ["identity", "two_atom", "five_atom"])
+    @pytest.mark.parametrize("y", [0.5, 2.0])
+    @pytest.mark.parametrize("power", [2, 11])
+    def test_strip_matches_whole_grid(self, name, y, power):
+        # the level at 128 from its odd-row strip and the level at 64 against
+        # the whole 128 x 128 grid
+        f, sp = TestFunction.monomial(power), BATTERY[name]
+        s = CompanionTransform(sp, y, build_contour(sp, y, f=f))
+        fine, _, amax = _variance_level(f, s, 64)
+        strip = _variance_level(f, s, 128, (fine, amax))
+        whole = _variance_level(f, s, 128)
+        assert abs(strip[0] - whole[0]) <= 1e-12 * abs(whole[0])
+        assert strip[1] == fine
+        assert strip[2] == pytest.approx(whole[2], rel=1e-14)
+
+    def test_strip_row_blocks_match_one_block(self, monkeypatch):
+        # the 30 odd rows of the level at 60 in blocks of 8, 8, 8 and 6 rows
+        f, sp, y = TestFunction.monomial(3), BATTERY["five_atom"], 0.5
+        s = CompanionTransform(sp, y, build_contour(sp, y, m=30, f=f))
+        fine, _, amax = _variance_level(f, s, 30)
+        whole = _variance_level(f, s, 60, (fine, amax))
+        monkeypatch.setattr(clt_moments, "_BLOCK_CELLS", 8 * 60)
+        blocked = _variance_level(f, s, 60, (fine, amax))
+        assert blocked[1:] == whole[1:]
+        assert abs(blocked[0] - whole[0]) <= 1e-13 * abs(whole[0])
+
+
+class TestLadderCells:
+    @pytest.mark.parametrize("f, sp, y, nodes, cells", [
+        (TestFunction.monomial(11), BATTERY["two_atom"], 0.5, 128, 64**2 + 128**2 // 2),
+        (TestFunction.log(), IDENTITY, 0.9, 2048, 2_797_568),
+    ], ids=["two_atom-x^11", "identity-log"])
+    def test_each_cell_formed_once(self, f, sp, y, nodes, cells, monkeypatch):
+        # the first level forms its whole 64 x 64 grid and each finer level m
+        # only its m^2/2 new cells: 20,480 and 5,591,040 cells when every
+        # level formed its whole grid
+        formed = []
+
+        def counting(s1, s2, spectrum, y_n):
+            a = kernel_from_s(s1, s2, spectrum, y_n)
+            formed.append(a.size)
+            return a
+
+        monkeypatch.setattr(clt_moments, "kernel_from_s", counting)
+        mom = compute_moments(f, sp, y, RG)
+        assert mom.quadrature["variance"].nodes == nodes
+        assert sum(formed) == cells
+        # the accepted level against its whole grid, formed at once
+        fine, _, amax = _variance_level(f, mom.s_under, nodes)
+        assert mom.sigma == pytest.approx(-fine.real / (2.0 * np.pi**2), rel=1e-12)
+        assert mom.kernel_max_abs == pytest.approx(amax, rel=1e-14)
+
 
 class TestMean:
     @pytest.mark.parametrize("name", ["identity", "with_zero", "five_atom"])
@@ -389,7 +441,7 @@ class _Tilted(CompanionTransform):
     def __init__(self, spectrum, y_n, contour):
         super().__init__(spectrum, y_n, contour)
         exact = self.g
-        self.g = lambda z: exact(z) * (1.0 + 1e-3j)
+        self.g = lambda z, start=None: exact(z, start) * (1.0 + 1e-3j)
 
 
 class TestImaginaryResidue:

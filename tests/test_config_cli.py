@@ -396,9 +396,9 @@ class TestCliRuns:
         solved = {}
         original = stieltjes_mod.s_under_grid
 
-        def recording(z, spectrum, y_n):
+        def recording(z, spectrum, y_n, start=None):
             solved.setdefault(y_n, []).extend(np.ravel(z).tolist())
-            return original(z, spectrum, y_n)
+            return original(z, spectrum, y_n, start)
 
         monkeypatch.setattr(stieltjes_mod, "s_under_grid", recording)
         monkeypatch.setattr(clt_moments_mod, "s_under_grid", recording)

@@ -95,6 +95,27 @@ class TestBuild:
         assert [len(z) for z in seen] == [16, 16, 96]
         assert np.unique(np.concatenate(seen)).size == 128
 
+    def test_new_nodes_get_their_neighbours_interpolated(self):
+        # after one doubling each new node sees the midpoint of its two
+        # neighbours; after two, the quarter points; the contour is periodic
+        c = build_contour(IDENTITY, 0.5, m=16)
+        seen = []
+
+        class Recording(NodeValues):
+            def _evaluate(self, z, near):
+                seen.append(near)
+                return self.g(z)
+
+        values = Recording(lambda z: z * z, c)
+        for m in (16, 32, 128):
+            values(m)
+        assert seen[0] is None
+        for near, m, step in ((seen[1], 16, 2), (seen[2], 32, 4)):
+            held = c.nodes(m)[0] ** 2
+            nxt = np.roll(held, -1)
+            want = np.stack([held + k / step * (nxt - held) for k in range(1, step)], axis=1)
+            assert np.allclose(near, want.ravel(), rtol=1e-15, atol=0.0)
+
     def test_minimum_node_count(self):
         with pytest.raises(ValueError, match="node count"):
             Contour(0.0, 1.0, 1.0, m=8)

@@ -9,12 +9,20 @@ from hypothesis import strategies as st
 from conftest import BATTERY, companion, random_offbulk_points
 from lsslab.errors import OutsideSupport, PoleAtAtom
 from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
-from lsslab.stieltjes import (companion_to_primary, inverse_map, lsd_density,
-                              lss_centering, mp_quadratic_root, s_under_grid,
+from lsslab.clt_moments import CompanionTransform
+from lsslab.contour import build_contour
+from lsslab.stieltjes import (_mean_atom_start, _solve, companion_to_primary, inverse_map,
+                              lsd_density, lss_centering, mp_quadratic_root, s_under_grid,
                               solve_s_under)
 
 DELTA0 = PopulationSpectrum.from_pairs([(0.0, 1.0)])
 IDENTITY = PopulationSpectrum.identity()
+# the spectra of the benchmark's moments workload
+BENCH_SPECTRA = {
+    "identity": IDENTITY,
+    "two_atom": PopulationSpectrum.from_pairs([(0.1, 0.5), (1.0, 0.5)]),
+    "five_atom": PopulationSpectrum.from_pairs([(t, 0.2) for t in (0.2, 0.4, 0.6, 0.8, 1.0)]),
+}
 
 
 class TestSolver:
@@ -79,6 +87,67 @@ class TestSolver:
         grid = s_under_grid(zs, BATTERY["five_atom"], 0.5)
         for z, s in zip(zs[:10], grid[:10]):
             assert abs(s - solve_s_under(complex(z), BATTERY["five_atom"], 0.5).s_under) < 1e-11
+
+
+class TestStarts:
+    @pytest.mark.parametrize("y", [0.25, 1.0, 2.0])
+    def test_newton_from_minus_one_over_z_matches_quadratic_root(self, y):
+        # on the identity the default start is the quadratic root itself, so
+        # the oracle check runs the solver from -1/z instead
+        z = random_offbulk_points(IDENTITY, y, 200, seed=int(40 * y))
+        assert (z.imag > 0).any() and (z.imag < 0).any()
+        s, res, it = _solve(z, -1.0 / z, IDENTITY, y)
+        assert np.all(res <= 1e-12)
+        assert it.max() > 1
+        exact = np.array([mp_quadratic_root(complex(p), y) for p in z])
+        assert np.all(np.abs(s - exact) <= 1e-13 * np.abs(exact))
+
+    @pytest.mark.parametrize("t, y", [(1.0, 0.5), (0.5, 2.0), (0.3, 0.9)])
+    def test_one_atom_start_is_the_root(self, t, y):
+        sp = PopulationSpectrum.from_pairs([(t, 1.0)])
+        z = random_offbulk_points(sp, y, 100, seed=3)
+        _, res, it = _solve(z, _mean_atom_start(z, sp, y), sp, y)
+        assert np.all(res <= 1e-12)
+        assert np.all(it == 1)
+        assert solve_s_under(complex(z[0]), sp, y).iterations == 1
+
+    def test_zero_population_starts_at_minus_one_over_z(self):
+        z = random_offbulk_points(DELTA0, 0.5, 20, seed=4)
+        assert np.array_equal(_mean_atom_start(z, DELTA0, 0.5), -1.0 / z)
+        assert np.array_equal(s_under_grid(z, DELTA0, 0.5), -1.0 / z)
+
+    @pytest.mark.parametrize("name", sorted(BENCH_SPECTRA))
+    @pytest.mark.parametrize("y", [0.5, 2.0])
+    def test_value_independent_of_start_and_grouping(self, name, y):
+        # a transform climbing from 32 nodes and one from 64 (new nodes start
+        # at their neighbours' midpoint), one whole-grid solve from the
+        # mean-atom start and one from -1/z: the polishing Newton step takes
+        # each to the root's rounding
+        sp = BENCH_SPECTRA[name]
+        c = build_contour(sp, y, m=32)
+        z, _ = c.nodes(4096)
+        from_32, from_64 = CompanionTransform(sp, y, c), CompanionTransform(sp, y, c)
+        for k in range(8):
+            from_32(32 << k)
+        from_64(64)
+        from_64(4096)
+        whole = s_under_grid(z, sp, y)
+        cold, _, _ = _solve(z, -1.0 / z, sp, y)
+        for other in (from_32(4096), from_64(4096), cold):
+            assert np.all(np.abs(other - whole) <= 1e-14 * np.abs(whole))
+
+    @pytest.mark.parametrize("t, y, z", [
+        (1.0, 2.0, 0.4264702774204529 + 0.001j),
+        (0.9510505996744115, 3.7542941405053143, 1.4436829186170184 - 0.02128399847709397j),
+    ])
+    def test_points_where_newton_from_minus_one_over_z_stalls(self, t, y, z):
+        # from -1/z the safeguarded Newton solve ran out of steps at both
+        sp = PopulationSpectrum.from_pairs([(t, 1.0)])
+        grid = s_under_grid(np.array([z]), sp, y)[0]
+        sol = solve_s_under(z, sp, y)
+        for s in (grid, sol.s_under):
+            assert s.imag * z.imag > 0
+            assert abs(inverse_map(s, sp, y) - z) <= 1e-14 * abs(z)
 
 
 @st.composite
