@@ -26,12 +26,15 @@ nested trapezoid rule, whose levels share their nodes.  The mean, the
 variance and a run's centering read the law ``(spectrum, y_n)`` and the
 contour from one ``CompanionTransform``, solved once per node; the moment
 set also names the entry law it was computed for, and a run draws from
-that law.  The variance's first level forms the whole m x m node grid,
-in row blocks of bounded size, and reads the rule at m/2, against which
-it is checked, off the grid's even-index subgrid.  Each finer level forms
-only the m^2/2 cells of its odd-index rows: its even-index quarter is the
-grid of the level below, and the kernel is exactly symmetric.  So a
-ladder that ends at M nodes forms about M^2/2 cells.  Each block of the
+that law.  All three integrals climb the same ladder
+(``contour._doubling_ladder``): it starts from the whole rule at half the
+contour's node count, and each finer level adds only what its new
+odd-index nodes bring to the level below.  For the mean and the centering
+that is the integrand at those nodes, so each node is evaluated once.  For
+the variance it is the m^2/2 kernel cells of the odd-index rows: the
+even-index quarter of the m x m grid is the grid of the level below, and
+the kernel is exactly symmetric.  So a ladder that ends at M nodes forms
+about M^2/2 cells, in row blocks of bounded size.  Each block of the
 kernel is one real matrix product of small factor matrices
 (``kernel_from_s``).  The log is taken in real arithmetic,
 ``-log(1 - a) = -log1p(ar (ar - 2) + ai^2) / 2 + i atan2(ai, 1 - ar)``,
@@ -46,8 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contour import (DEFAULT_V0, Contour, NodeValues, _doubling_ladder, build_contour,
-                      real_part, trapezoid)
+from .contour import DEFAULT_V0, Contour, _doubling_ladder, build_contour, real_part, trapezoid
 from .errors import DenominatorNearZero, KernelOutOfDisk, ZeroVariance
 from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
 from .stieltjes import s_under_grid
@@ -55,22 +57,35 @@ from .stieltjes import s_under_grid
 _BLOCK_CELLS = 1 << 18  # kernel cells formed at once in a variance level
 
 
-class CompanionTransform(NodeValues):
+class CompanionTransform:
     """The companion transform of one ``(spectrum, y_n)`` at the nested nodes of one contour.
 
-    ``s(m)`` is ``s_under`` at ``contour.nodes(m)``, each node solved once
-    however many levels and integrals ask for it.  ``g(z, start)`` solves
-    at the nodes z: the first level from the solver's mean-atom start,
-    each new node of a finer level from the midpoint of its two solved
-    neighbours.
+    ``s(m)`` is ``s_under`` at ``contour.nodes(m)``, for m the contour's
+    ``m`` times a power of 2, each node solved once however many levels and
+    integrals ask for it.  The first fill solves the contour's m nodes from
+    the solver's mean-atom start; each doubling solves only its new
+    odd-index nodes, each from the midpoint of its two solved neighbours on
+    the periodic contour.  A coarser level is a stride of the values held.
     """
 
     def __init__(self, spectrum: PopulationSpectrum, y_n: float, contour: Contour):
-        super().__init__(lambda z, start=None: s_under_grid(z, spectrum, y_n, start), contour)
-        self.spectrum, self.y_n = spectrum, y_n
+        self.spectrum, self.y_n, self.contour = spectrum, y_n, contour
+        self._values = np.empty(0, dtype=complex)
 
-    def _evaluate(self, z: np.ndarray, near: np.ndarray | None) -> np.ndarray:
-        return self.g(z, near)
+    def __call__(self, m: int) -> np.ndarray:
+        while self._values.size < m:
+            self._values = self._refined()
+        return self._values[::self._values.size // m]
+
+    def _refined(self) -> np.ndarray:
+        held = self._values
+        if not held.size:
+            return s_under_grid(self.contour.nodes()[0], self.spectrum, self.y_n)
+        z, _ = self.contour.nodes(2 * held.size)
+        values = np.repeat(held, 2)
+        values[1::2] = s_under_grid(z[1::2], self.spectrum, self.y_n,
+                                    held + 0.5 * (np.roll(held, -1) - held))
+        return values
 
 
 @dataclass(frozen=True)
@@ -183,11 +198,10 @@ def mean_correction(f: TestFunction, s: CompanionTransform, *,
     ``report["mean"]``, when a dict is given, receives where the ladder
     stopped, with its error estimate in units of the mean.
     """
-    def values(m):
-        z, _ = s.contour.nodes(m)
-        return f(z) * _mean_integrand(z, s(m), s.spectrum, s.y_n)
+    def integrand(z, m, new):
+        return f(z) * _mean_integrand(z, s(m)[new], s.spectrum, s.y_n)
 
-    quad = trapezoid(values, s.contour, "mean")
+    quad = trapezoid(integrand, s.contour, "mean")
     value = -quad.value / (2.0j * np.pi)
     mean = real_part(value, "mean")
     if report is not None:
@@ -196,46 +210,38 @@ def mean_correction(f: TestFunction, s: CompanionTransform, *,
 
 
 def _variance_level(f: TestFunction, s: CompanionTransform, m: int,
-                    below: tuple[complex, float] | None = None
-                    ) -> tuple[complex, complex, float]:
-    """The rule at m nodes, the rule at m/2 and the largest |a| on the m x m node grid.
+                    below: tuple[complex, float] | None = None) -> tuple[complex, float]:
+    """The rule at m nodes and the largest |a| on the m x m node grid.
 
     Both variables run over the m nodes of the contour of s, so a level is
     ``Q_m = g @ L @ g`` with ``g = w f'(z)`` and ``L = -log(1 - a)`` on the
-    node grid.  Without ``below`` the whole grid is formed and the m/2 rule
-    is its even-index subgrid.  With ``below = (Q_{m/2}, amax)``, the rule
-    and the largest |a| of the level below, only the strip of odd-index
-    rows against all m columns is formed: the even-index quarter of the
-    grid is the level below, whose weights are twice these, and L is
-    exactly symmetric, so ``Q_m = Q_{m/2}/4 + g_odd @ L_strip @ h`` with h
-    the g with its even entries doubled.  Rows go in blocks of at most
-    2^18 cells, so memory stays bounded however fine the level.
+    node grid.  Without ``below`` the whole grid is formed.  With
+    ``below = (Q_{m/2}, amax)``, the rule and the largest |a| of the level
+    below, only the strip of odd-index rows against all m columns is formed:
+    the even-index quarter of the grid is the level below, whose weights
+    are twice these, and L is exactly symmetric, so
+    ``Q_m = Q_{m/2}/4 + g_odd @ L_strip @ h`` with h the g with its even
+    entries doubled.  Rows go in blocks of at most 2^18 cells, so memory
+    stays bounded however fine the level.
     """
     z, w = s.contour.nodes(m)
     sv = s(m)
     g = w * f.deriv(z)
     if below is None:
-        first, stride, h = 0, 1, g
-        rows = 2 * max(1, _BLOCK_CELLS // (2 * m))  # even, so blocks start on even rows
-        fine = coarse = 0j
-        amax = 0.0
+        first, stride, h, fine, amax = 0, 1, g, 0j, 0.0
     else:
         first, stride, h = 1, 2, g.copy()
         h[::2] *= 2.0
-        rows = max(1, _BLOCK_CELLS // m)
-        coarse, amax = below
-        fine = coarse / 4.0
+        fine, amax = below[0] / 4.0, below[1]
+    rows = max(1, _BLOCK_CELLS // m)
     for i in range(first, m, stride * rows):
         cut = slice(i, i + stride * rows, stride)
         a = kernel_from_s(sv[cut, None], sv[None, :], s.spectrum, s.y_n)
         amax = max(amax, float(np.max(np.abs(a))))
         if amax >= 1.0:
             raise KernelOutOfDisk(f"|a| reached {amax:.6f} on the node grid")
-        log = _a_times_t_integral(a)
-        fine += g[cut] @ (log @ h)
-        if below is None:
-            coarse += 4.0 * (g[i:i + rows:2] @ (log[::2, ::2] @ g[::2]))
-    return complex(fine), complex(coarse), amax
+        fine += g[cut] @ (_a_times_t_integral(a) @ h)
+    return complex(fine), amax
 
 
 def variance_with_kernel(f: TestFunction, s: CompanionTransform, *,
@@ -247,15 +253,8 @@ def variance_with_kernel(f: TestFunction, s: CompanionTransform, *,
     ``report["variance"]``, when a dict is given, receives where the ladder
     stopped, with its error estimate in units of the variance.
     """
-    below = None
-
-    def level(m):
-        nonlocal below
-        fine, coarse, amax = _variance_level(f, s, m, below)
-        below = fine, amax
-        return fine, coarse, amax
-
-    quad, amax = _doubling_ladder(level, s.contour.m, "variance")
+    quad, amax = _doubling_ladder(lambda m, below: _variance_level(f, s, m, below),
+                                  s.contour, "variance")
     raw = -quad.value / (2.0 * np.pi**2)
     variance = real_part(raw, "variance")
     if report is not None:
@@ -286,7 +285,7 @@ def compute_moments(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
             f"sigma={sigma} for nonconstant f; contour orientation needs review"
         )
     if f.is_constant:
-        sigma = max(sigma, 0.0)
+        sigma = 0.0  # f' = 0 sums exact zeros, which may carry a minus sign
     return CltMoments(mu=mu, sigma=sigma, ensemble=ensemble, kernel_max_abs=kernel_max,
                       f=f, s_under=s, quadrature=report)
 

@@ -281,12 +281,20 @@ def parse_config(text: str) -> RunConfig:
         n_grid = tuple(n_grid)
     if kind == "simulate" and (p is None or n is None):
         raise MissingRequired("simulate needs explicit p and n")
+    if kind in ("simulate", "ks-rate") and f.is_constant:
+        raise ConstraintViolation(f"{kind} needs a nonconstant f: a constant statistic "
+                                  f"has variance 0 and cannot be normalized")
     if kind in ("ks-rate", "probe-qform"):
         if n_grid is None:
             raise MissingRequired(f"{kind} needs n_grid")
         empty = [n for n in n_grid if round(y * n) < 1]
         if empty:
             raise ConstraintViolation(f"n_grid: p = round(y*n) is 0 at n={empty} for y={y}")
+        # the rate fit needs 3 points for its bootstrap, the slope 2 for a line
+        least = 3 if kind == "ks-rate" else 2
+        if len(n_grid) < least:
+            raise ConstraintViolation(f"n_grid: {kind} needs at least {least} sizes, "
+                                      f"got {len(n_grid)}")
     # replicates hold p x n entries, p = round(y*n) at each n of a ks-rate grid
     dims = {"simulate": [(p, n)], "ks-rate": [(round(y * m), m) for m in n_grid or ()]}
     large = [(q, m) for q, m in dims.get(kind, []) if q * m > MAX_ENTRIES]
@@ -314,6 +322,9 @@ def parse_config(text: str) -> RunConfig:
     trunc_eta = trunc_raw.get("eta")
     if trunc_eta is not None:
         trunc_eta = _positive(trunc_eta, "truncation.eta")
+        if trunc_mode == "off":
+            raise ConstraintViolation("truncation.eta is set but truncation.mode is 'off'; "
+                                      "set mode 'on' or drop eta")
 
     replicates = _expect(get("replicates"), int, "replicates")
     if replicates < 1:

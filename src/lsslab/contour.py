@@ -15,11 +15,14 @@ Rev. 56, 2014).  One contour serves every integral of the lab: the mean,
 the centering and both variables of the variance's double integral, whose
 integrand is analytic off the bulk in each variable (``clt_moments``).
 Every ``theta`` is shifted by ``pi / (3 m0)`` for the starting node count
-``m0``: the levels ``m0 2^k`` then nest, so the rule at m nodes holds the
-rule at m/2 as its even-index half, and no node lands on the real axis.
-Quadrature error is controlled by comparing the two and doubling m until
-their difference clears the tolerance; each node is evaluated once however
-many levels run.
+``m0``, which is even: the levels ``m0 2^k``, from ``m0 / 2`` on, then
+nest, so the rule at m nodes holds the rule at m/2 as its even-index half,
+and no node lands on the real axis.  One ladder (``_doubling_ladder``)
+serves every integral: it starts from the whole rule at ``m0 / 2``, and
+each finer level adds only its new odd-index nodes to the level below,
+``Q_m = Q_{m/2} / 2 + w_odd . v_odd``.  The difference of the two is the
+error estimate, and m doubles until it clears the tolerance; each node is
+evaluated once however many levels run.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ IMAG_RTOL = 1e-8  # largest imaginary residue of a real integral, relative to 1 
 class Contour:
     """Ellipse inscribed in ``[x_l, x_r] x [-v_0, v_0]``, traversed counterclockwise.
 
-    ``m`` is the starting node count of the ladder; it also fixes the
-    angular shift that makes the levels ``m 2^k`` nest.
+    ``m`` is the node count of the ladder's first checked level; it is even,
+    so that the ladder can start at m/2, and it fixes the angular shift that
+    makes the levels ``m 2^k`` nest.
     """
 
     x_l: float
@@ -58,8 +62,8 @@ class Contour:
             raise ValueError(f"need x_l < x_r, got [{self.x_l}, {self.x_r}]")
         if self.v_0 <= 0:
             raise ValueError("v_0 must be positive")
-        if not MIN_NODES <= self.m <= MAX_NODES:
-            raise ValueError(f"node count {self.m} outside [{MIN_NODES}, {MAX_NODES}]")
+        if not MIN_NODES <= self.m <= MAX_NODES or self.m % 2:
+            raise ValueError(f"node count {self.m} must be even and in [{MIN_NODES}, {MAX_NODES}]")
 
     @property
     def rho(self) -> float:
@@ -137,45 +141,6 @@ def _checked(vals, z: np.ndarray) -> np.ndarray:
     return vals
 
 
-class NodeValues:
-    """A vectorized function at the nested nodes of one contour, each node evaluated once.
-
-    ``values(m)`` is g at ``c.nodes(m)``.  Asking for a finer level
-    evaluates g at the new nodes only; a coarser one is a stride of the
-    values already held.  Levels must be the contour's ``m`` times powers
-    of 2.  The new nodes go through ``_evaluate(z, near)``, where ``near``
-    is the held values interpolated linearly between each new node's two
-    neighbours on the periodic contour (their midpoint after one doubling),
-    and None at the first level; it calls g and drops ``near``, and a
-    subclass that solves an equation per node starts there.
-    """
-
-    def __init__(self, g, c: Contour):
-        self.g, self.contour = g, c
-        self._values = np.empty(0, dtype=complex)
-
-    def _evaluate(self, z: np.ndarray, near: np.ndarray | None) -> np.ndarray:
-        return self.g(z)
-
-    def __call__(self, m: int) -> np.ndarray:
-        have = self._values.size
-        if m <= have:
-            return self._values[::have // m]
-        z, _ = self.contour.nodes(m)
-        values = np.empty(m, dtype=complex)
-        new = np.ones(m, dtype=bool)
-        near = None
-        if have:
-            step = m // have
-            new[::step] = False
-            values[::step] = held = self._values
-            frac = np.arange(1, step) / step
-            near = (held[:, None] + frac * (np.roll(held, -1) - held)[:, None]).ravel()
-        values[new] = _checked(self._evaluate(z[new], near), z[new])
-        self._values = values
-        return values
-
-
 @dataclass(frozen=True)
 class Quadrature:
     """Where a ladder stopped: the accepted sum, its node count and error estimate."""
@@ -185,40 +150,52 @@ class Quadrature:
     error: float
 
 
-def _doubling_ladder(level, m: int, what: str) -> tuple[Quadrature, object]:
+def _doubling_ladder(level, c: Contour, what: str) -> tuple[Quadrature, object]:
     """Node-doubling error control shared by every contour integral.
 
-    ``level(k)`` returns ``(fine, coarse, info)``: the rule at k nodes and
-    the rule at k/2, its even-index half.  Their difference is
-    the error estimate; the first level whose estimate clears
-    ``RTOL * (1 + |fine|)`` is returned with its ``info``.  Gives up with
+    ``level(m, below)`` returns ``(rule, info)`` at m nodes of c: the whole
+    rule when ``below`` is None, at the first level ``c.m / 2``, and else
+    the rule formed from ``below``, the ``(rule, info)`` of level m/2, and
+    the new odd-index nodes only.  The difference of a level's rule and the
+    one below is its error estimate; the first level whose estimate clears
+    ``RTOL * (1 + |rule|)`` is returned with its ``info``.  Gives up with
     QuadratureStall past 8192 nodes.
     """
+    m = c.m // 2
+    below = level(m, None)
     while True:
-        fine, coarse, info = level(m)
-        err = abs(fine - coarse)
+        m *= 2
+        fine, info = level(m, below)
+        err = abs(fine - below[0])
         if err <= RTOL * (1.0 + abs(fine)):
             return Quadrature(fine, m, err), info
         if 2 * m > MAX_NODES:
             raise QuadratureStall(
                 f"{what} error estimate {err:.3e} still above rtol={RTOL} at {m} nodes"
             )
-        m *= 2
+        below = fine, info
 
 
-def trapezoid(values, c: Contour, what: str) -> Quadrature:
-    """Ladder of the closed-path integral whose integrand at ``c.nodes(m)`` is ``values(m)``."""
-    def level(m):
-        _, w = c.nodes(m)
-        v = values(m)
-        return complex(w @ v), complex(2.0 * (w[::2] @ v[::2])), None
+def trapezoid(integrand, c: Contour, what: str) -> Quadrature:
+    """Ladder of the closed-path integral over c of ``integrand(z, m, new)``.
 
-    return _doubling_ladder(level, c.m, what)[0]
+    ``integrand`` gets the nodes ``z = c.nodes(m)[0][new]`` that level m
+    adds, with ``new`` their index slice: all ``c.m / 2`` nodes at the first
+    level, the odd-index ones after it, which go to half the rule below.
+    """
+    def level(m, below):
+        new = slice(None) if below is None else slice(1, None, 2)
+        z, w = c.nodes(m)
+        z = z[new]
+        rule = complex(w[new] @ _checked(integrand(z, m, new), z))
+        return (rule if below is None else below[0] / 2.0 + rule), None
+
+    return _doubling_ladder(level, c, what)[0]
 
 
 def integrate(g, c: Contour) -> complex:
     """Closed-path integral of a vectorized complex function over c."""
-    return trapezoid(NodeValues(g, c), c, "contour integral").value
+    return trapezoid(lambda z, m, new: g(z), c, "contour integral").value
 
 
 def real_part(value: complex, what: str) -> float:

@@ -288,13 +288,10 @@ def lss_centering(f: TestFunction, p: int, s_under: CompanionTransform) -> float
     quadrature error (``contour.IMAG_RTOL``; ``QuadratureStall`` otherwise)
     and is discarded.
     """
-    contour, y_n = s_under.contour, s_under.y_n
+    def integrand(z, m, new):
+        return f(z) * companion_to_primary(s_under(m)[new], z, s_under.y_n)
 
-    def values(m):
-        z, _ = contour.nodes(m)
-        return f(z) * companion_to_primary(s_under(m), z, y_n)
-
-    raw = trapezoid(values, contour, "centering").value
+    raw = trapezoid(integrand, s_under.contour, "centering").value
     return real_part(-p / (2.0j * np.pi) * raw, "centering integral")
 
 

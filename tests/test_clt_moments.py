@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BATTERY
-from lsslab import clt_moments
+from conftest import BATTERY, companion
+from lsslab import clt_moments, stieltjes
 from lsslab.clt_moments import (CltMoments, CompanionTransform, _a_times_t_integral,
                                 _mean_integrand, _variance_level, compute_moments,
                                 kernel_from_s, mean_correction, normalize,
@@ -199,16 +199,18 @@ class TestFusedLevel:
     @pytest.mark.parametrize("y", [0.5, 2.0])
     @pytest.mark.parametrize("power", [2, 11])
     def test_matches_textbook_assembly(self, name, y, power):
+        # the ladder's first level, whole, and the level above it from its
+        # odd-row strip
         f = TestFunction.monomial(power)
         sp = BATTERY[name]
         c = build_contour(sp, y, f=f)
-        got, coarse, amax = _variance_level(f, CompanionTransform(sp, y, c), 64)
-        want = _textbook_level(f, sp, y, c, 64)
-        assert abs(got - want) <= 1e-12 * abs(want)
-        # the m/2 rule is the even-index subgrid of the same kernel grid
-        want = _textbook_level(f, sp, y, c, 32)
-        assert abs(coarse - want) <= 1e-12 * abs(want)
-        assert 0.0 < amax < 1.0
+        s = CompanionTransform(sp, y, c)
+        below = _variance_level(f, s, 32)
+        strip = _variance_level(f, s, 64, below)
+        for (got, amax), m in ((below, 32), (strip, 64)):
+            want = _textbook_level(f, sp, y, c, m)
+            assert abs(got - want) <= 1e-12 * abs(want)
+            assert 0.0 < amax < 1.0
 
     def test_row_blocks_match_one_block(self, monkeypatch):
         # blocks of 8, 8, 8 and 6 rows against the whole 30 x 30 grid at
@@ -218,45 +220,45 @@ class TestFusedLevel:
         whole = _variance_level(f, CompanionTransform(sp, y, c), 30)
         monkeypatch.setattr(clt_moments, "_BLOCK_CELLS", 8 * 30)
         blocked = _variance_level(f, CompanionTransform(sp, y, c), 30)
-        assert blocked[2] == whole[2]
-        for b, w in zip(blocked[:2], whole[:2]):
-            assert abs(b - w) <= 1e-13 * abs(w)
+        assert blocked[1] == whole[1]
+        assert abs(blocked[0] - whole[0]) <= 1e-13 * abs(whole[0])
 
     @pytest.mark.parametrize("name", ["identity", "two_atom", "five_atom"])
     @pytest.mark.parametrize("y", [0.5, 2.0])
     @pytest.mark.parametrize("power", [2, 11])
     def test_strip_matches_whole_grid(self, name, y, power):
-        # the level at 128 from its odd-row strip and the level at 64 against
-        # the whole 128 x 128 grid
+        # the level at 128 from its odd-row strip, against the whole 128 x 128
+        # grid and the textbook assembly
         f, sp = TestFunction.monomial(power), BATTERY[name]
-        s = CompanionTransform(sp, y, build_contour(sp, y, f=f))
-        fine, _, amax = _variance_level(f, s, 64)
-        strip = _variance_level(f, s, 128, (fine, amax))
+        c = build_contour(sp, y, f=f)
+        s = CompanionTransform(sp, y, c)
+        strip = _variance_level(f, s, 128, _variance_level(f, s, 64))
         whole = _variance_level(f, s, 128)
+        want = _textbook_level(f, sp, y, c, 128)
         assert abs(strip[0] - whole[0]) <= 1e-12 * abs(whole[0])
-        assert strip[1] == fine
-        assert strip[2] == pytest.approx(whole[2], rel=1e-14)
+        assert abs(strip[0] - want) <= 1e-12 * abs(want)
+        assert strip[1] == pytest.approx(whole[1], rel=1e-14)
 
     def test_strip_row_blocks_match_one_block(self, monkeypatch):
         # the 30 odd rows of the level at 60 in blocks of 8, 8, 8 and 6 rows
         f, sp, y = TestFunction.monomial(3), BATTERY["five_atom"], 0.5
         s = CompanionTransform(sp, y, build_contour(sp, y, m=30, f=f))
-        fine, _, amax = _variance_level(f, s, 30)
-        whole = _variance_level(f, s, 60, (fine, amax))
+        below = _variance_level(f, s, 30)
+        whole = _variance_level(f, s, 60, below)
         monkeypatch.setattr(clt_moments, "_BLOCK_CELLS", 8 * 60)
-        blocked = _variance_level(f, s, 60, (fine, amax))
-        assert blocked[1:] == whole[1:]
+        blocked = _variance_level(f, s, 60, below)
+        assert blocked[1] == whole[1]
         assert abs(blocked[0] - whole[0]) <= 1e-13 * abs(whole[0])
 
 
 class TestLadderCells:
     @pytest.mark.parametrize("f, sp, y, nodes, cells", [
-        (TestFunction.monomial(11), BATTERY["two_atom"], 0.5, 128, 64**2 + 128**2 // 2),
-        (TestFunction.log(), IDENTITY, 0.9, 2048, 2_797_568),
+        (TestFunction.monomial(11), BATTERY["two_atom"], 0.5, 128, 32**2 + (64**2 + 128**2) // 2),
+        (TestFunction.log(), IDENTITY, 0.9, 2048, 2_796_544),
     ], ids=["two_atom-x^11", "identity-log"])
     def test_each_cell_formed_once(self, f, sp, y, nodes, cells, monkeypatch):
-        # the first level forms its whole 64 x 64 grid and each finer level m
-        # only its m^2/2 new cells: 20,480 and 5,591,040 cells when every
+        # the first level forms its whole 32 x 32 grid and each finer level m
+        # only its m^2/2 new cells: 21,504 and 5,592,064 cells when every
         # level formed its whole grid
         formed = []
 
@@ -270,9 +272,80 @@ class TestLadderCells:
         assert mom.quadrature["variance"].nodes == nodes
         assert sum(formed) == cells
         # the accepted level against its whole grid, formed at once
-        fine, _, amax = _variance_level(f, mom.s_under, nodes)
+        fine, amax = _variance_level(f, mom.s_under, nodes)
         assert mom.sigma == pytest.approx(-fine.real / (2.0 * np.pi**2), rel=1e-12)
         assert mom.kernel_max_abs == pytest.approx(amax, rel=1e-14)
+
+
+def _evaluated_points(monkeypatch, module, name, at=0):
+    """The nodes z that ``module.name`` is called at, passed as its positional
+    argument ``at``, one array per call."""
+    seen, original = [], getattr(module, name)
+
+    def recording(*args):
+        seen.append(np.asarray(args[at]))
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return seen
+
+
+class TestEachNodeOnce:
+    # two_atom, x^11, y = 0.5: the mean's and the centering's ladders both
+    # pass their first level and accept 128 nodes; each level evaluates its
+    # integrand at its new nodes only, so the points evaluated are the 128
+    # nodes, each once
+    F_X11, SPECTRUM = TestFunction.monomial(11), BATTERY["two_atom"]
+
+    def _assert_one_level(self, seen, c, nodes):
+        z = np.concatenate(seen)
+        assert z.size == nodes
+        assert np.array_equal(np.sort_complex(z), np.sort_complex(c.nodes(nodes)[0]))
+
+    def test_mean_integrand(self, monkeypatch):
+        seen = _evaluated_points(monkeypatch, clt_moments, "_mean_integrand")
+        mom = compute_moments(self.F_X11, self.SPECTRUM, 0.5, RG)
+        assert mom.quadrature["mean"].nodes == 128
+        self._assert_one_level(seen, mom.contour, 128)
+
+    def test_centering_integrand(self, monkeypatch):
+        mom = compute_moments(self.F_X11, self.SPECTRUM, 0.5, RG)
+        seen = _evaluated_points(monkeypatch, stieltjes, "companion_to_primary", at=1)
+        lss_centering(self.F_X11, 64, mom.s_under)
+        self._assert_one_level(seen, mom.contour, 128)
+
+
+class TestCompanionTransform:
+    def test_each_node_solved_once(self, monkeypatch):
+        c = build_contour(IDENTITY, 0.5, m=16)
+        seen = _evaluated_points(monkeypatch, clt_moments, "s_under_grid")
+        s = CompanionTransform(IDENTITY, 0.5, c)
+        got = {m: s(m) for m in (8, 32, 128, 64, 16)}
+        for m, values in got.items():
+            assert np.array_equal(values, s(128)[::128 // m])
+        # the first fill is the contour's 16 nodes, then one doubling at a time
+        assert [z.size for z in seen] == [16, 16, 32, 64]
+        assert np.unique(np.concatenate(seen)).size == 128
+        z, _ = c.nodes(128)
+        assert np.all(np.abs(s(128) - s_under_grid(z, IDENTITY, 0.5)) <= 1e-14)
+
+    def test_new_nodes_start_at_their_neighbours_midpoint(self, monkeypatch):
+        # the first fill starts from the solver's mean-atom start; each new
+        # node of a doubling from the midpoint of its two solved neighbours on
+        # the periodic contour
+        starts, exact = [], clt_moments.s_under_grid
+
+        def recording(z, spectrum, y_n, start=None):
+            starts.append(start)
+            return exact(z, spectrum, y_n, start)
+
+        monkeypatch.setattr(clt_moments, "s_under_grid", recording)
+        s = CompanionTransform(IDENTITY, 0.5, build_contour(IDENTITY, 0.5, m=16))
+        s(64)
+        assert starts[0] is None
+        for start, m in ((starts[1], 16), (starts[2], 32)):
+            held = s(m)
+            assert np.array_equal(start, held + 0.5 * (np.roll(held, -1) - held))
 
 
 class TestMean:
@@ -434,20 +507,15 @@ class TestNormalize:
             normalize(1.0, CltMoments(0.0, 0.0, RG, 0.0))
 
 
-class _Tilted(CompanionTransform):
-    """The transform with every node value multiplied by 1 + 1e-3j: each integral
-    over it keeps an imaginary part far above quadrature error."""
-
-    def __init__(self, spectrum, y_n, contour):
-        super().__init__(spectrum, y_n, contour)
-        exact = self.g
-        self.g = lambda z, start=None: exact(z, start) * (1.0 + 1e-3j)
-
-
 class TestImaginaryResidue:
     @pytest.fixture
-    def tilted(self):
-        return _Tilted(IDENTITY, 0.5, build_contour(IDENTITY, 0.5, f=F_X2))
+    def tilted(self, monkeypatch):
+        # every node value multiplied by 1 + 1e-3j: each integral over the
+        # transform keeps an imaginary part far above quadrature error
+        exact = clt_moments.s_under_grid
+        monkeypatch.setattr(clt_moments, "s_under_grid",
+                            lambda *args: exact(*args) * (1.0 + 1e-3j))
+        return companion(IDENTITY, 0.5, F_X2)
 
     def test_mean(self, tilted):
         with pytest.raises(QuadratureStall, match="mean kept an imaginary residue"):

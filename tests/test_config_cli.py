@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -96,6 +97,33 @@ class TestParseConfig:
         with pytest.raises(ConstraintViolation, match=r"n=\[32\]"):
             parse_config(json.dumps({"kind": kind, "y": 0.01, "n_grid": [32, 64]}))
 
+    @pytest.mark.parametrize("kind, least", [("ks-rate", 3), ("probe-qform", 2)])
+    def test_n_grid_too_short_rejected(self, kind, least):
+        # the rate fit needs 3 sizes and the slope 2; a shorter ks-rate grid
+        # used to run every replicate and then fail, a one-size probe to fit
+        # a "slope" through one point
+        with pytest.raises(ConstraintViolation, match=f"at least {least} sizes, got {least - 1}"):
+            parse_config(json.dumps({"kind": kind, "n_grid": [16, 32, 64][:least - 1]}))
+        parse_config(json.dumps({"kind": kind, "n_grid": [16, 32, 64][:least]}))
+
+    @pytest.mark.parametrize("kind, extra", [("simulate", {"p": 8, "n": 16}),
+                                             ("ks-rate", {"n_grid": [16, 24, 32]})],
+                             ids=["simulate", "ks-rate"])
+    @pytest.mark.parametrize("f", ["3", {"poly": [2.0, 0.0, 0.0]}], ids=["string", "poly"])
+    def test_constant_f_rejected_for_runs(self, kind, extra, f):
+        # a constant statistic has variance 0, so no replicate can be normalized
+        with pytest.raises(ConstraintViolation, match="nonconstant f"):
+            parse_config(json.dumps({"kind": kind, "f": f, **extra}))
+        parse_config(json.dumps({"kind": "moments", "f": f}))
+
+    @pytest.mark.parametrize("truncation", [{"eta": 0.5}, {"mode": "off", "eta": 0.5}],
+                             ids=["default-mode", "mode-off"])
+    def test_eta_without_truncation_rejected(self, truncation):
+        # the untruncated sampler would run and the resolved config keep the eta
+        with pytest.raises(ConstraintViolation, match="truncation.eta is set"):
+            parse_config(json.dumps({"kind": "simulate", "p": 8, "n": 16,
+                                     "truncation": truncation}))
+
     def test_student_t_df_at_most_four_rejected(self):
         with pytest.raises(ConstraintViolation, match="ensemble.df"):
             parse_config(json.dumps({"kind": "moments",
@@ -107,8 +135,8 @@ class TestParseConfig:
             parse_config(json.dumps({"kind": "simulate", "p": 8192, "n": 8193}))
         parse_config(json.dumps({"kind": "simulate", "p": 8192, "n": 8192}))
         with pytest.raises(ConstraintViolation, match=r"memory budget .* \[\(8193, 8193\)\]"):
-            parse_config(json.dumps({"kind": "ks-rate", "y": 1.0, "n_grid": [64, 8193]}))
-        parse_config(json.dumps({"kind": "ks-rate", "y": 1.0, "n_grid": [64, 8192]}))
+            parse_config(json.dumps({"kind": "ks-rate", "y": 1.0, "n_grid": [32, 64, 8193]}))
+        parse_config(json.dumps({"kind": "ks-rate", "y": 1.0, "n_grid": [32, 64, 8192]}))
 
     def test_simulate_needs_dims(self):
         with pytest.raises(MissingRequired):
@@ -175,6 +203,8 @@ class TestParseConfig:
                 doc["p"] = doc["n"] // 2
             if kind in ("ks-rate", "probe-qform"):
                 doc["n_grid"] = [64, 128, 256]
+            if kind in ("simulate", "ks-rate") and len(doc["f"]["poly"]) == 1:
+                doc["f"]["poly"].append(1.0)  # a run needs a nonconstant f
             cfg1 = parse_config(json.dumps(doc))
             cfg2 = parse_config(cfg1.to_json())
             assert cfg1 == cfg2, f"round trip failed for config {i}"
@@ -260,6 +290,31 @@ class TestCliRuns:
         assert "LogDomain" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfgfile]
 
+    def test_constant_f_moments_sigma_is_plus_zero(self, tmp_path, capsys):
+        # the variance of a constant f sums exact zeros, and max(-0.0, 0.0)
+        # kept the sign: "sigma=-0" printed and -0.0 written
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": "moments", "f": "3"}))
+        assert main(["moments", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        assert " sigma=0 " in capsys.readouterr().out
+        text = (tmp_path / "moments_summary.json").read_text()
+        assert '"sigma": 0.0' in text
+        assert math.copysign(1.0, json.loads(text)["summary"]["sigma"]) == 1.0
+
+    @pytest.mark.parametrize("kind, grid", [("ks-rate", [16, 32]), ("probe-qform", [16])],
+                             ids=["ks-rate", "probe-qform"])
+    def test_short_grid_fails_before_any_work(self, kind, grid, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "_check_budget", no_work)
+        monkeypatch.setattr(cli, "qform_probe", no_work)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": kind, "n_grid": grid, "replicates": 4}))
+        assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert "ConstraintViolation" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
     def test_moments_summary_reports_quadrature(self, tmp_path):
         assert main(["moments", "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "moments_summary.json").read_text())["summary"]
@@ -340,7 +395,7 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("kind, extra", [
         ("simulate", {"p": 8192, "n": 8193}),
-        ("ks-rate", {"y": 1.0, "n_grid": [16, 8193]}),
+        ("ks-rate", {"y": 1.0, "n_grid": [8, 16, 8193]}),
     ])
     def test_memory_budget_fails_before_the_cost_probe(self, kind, extra, tmp_path,
                                                        monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 from conftest import BATTERY
 from lsslab import clt_moments
 from lsslab.clt_moments import compute_moments
-from lsslab.contour import Contour, NodeValues, build_contour, default_margin, integrate
+from lsslab.contour import Contour, build_contour, default_margin, integrate
 from lsslab.errors import LogDomain, NodeSingularity, QuadratureStall
 from lsslab.spectral_model import (EntryEnsemble, PopulationSpectrum, TestFunction,
                                    support_interval)
@@ -68,11 +68,12 @@ class TestBuild:
             compute_moments(TestFunction.log(), IDENTITY, 0.25, EntryEnsemble.real_gaussian(),
                             eps=0.3)
 
-    @pytest.mark.parametrize("m0", [16, 17, 64])
+    @pytest.mark.parametrize("m0", [16, 24, 64])
     def test_levels_nest_off_the_real_axis(self, m0):
+        # from the ladder's first level m0/2 on
         c = build_contour(IDENTITY, 0.5, m=m0)
-        coarse_z, coarse_w = c.nodes()
-        for k in range(1, 10):
+        coarse_z, coarse_w = c.nodes(m0 // 2)
+        for k in range(10):
             z, w = c.nodes(m0 * 2**k)
             assert np.all(z.imag != 0.0)
             # the rule at m holds the rule at m/2 as its even-index half
@@ -80,45 +81,14 @@ class TestBuild:
             assert np.array_equal(2.0 * w[::2], coarse_w)
             coarse_z, coarse_w = z, w
 
-    def test_node_values_evaluate_each_node_once(self):
-        c = build_contour(IDENTITY, 0.5, m=16)
-        seen = []
-
-        def g(z):
-            seen.append(z.copy())
-            return z * z
-
-        values = NodeValues(g, c)
-        for m in (16, 32, 128, 64, 16):
-            z, _ = c.nodes(m)
-            assert np.array_equal(values(m), z * z)
-        assert [len(z) for z in seen] == [16, 16, 96]
-        assert np.unique(np.concatenate(seen)).size == 128
-
-    def test_new_nodes_get_their_neighbours_interpolated(self):
-        # after one doubling each new node sees the midpoint of its two
-        # neighbours; after two, the quarter points; the contour is periodic
-        c = build_contour(IDENTITY, 0.5, m=16)
-        seen = []
-
-        class Recording(NodeValues):
-            def _evaluate(self, z, near):
-                seen.append(near)
-                return self.g(z)
-
-        values = Recording(lambda z: z * z, c)
-        for m in (16, 32, 128):
-            values(m)
-        assert seen[0] is None
-        for near, m, step in ((seen[1], 16, 2), (seen[2], 32, 4)):
-            held = c.nodes(m)[0] ** 2
-            nxt = np.roll(held, -1)
-            want = np.stack([held + k / step * (nxt - held) for k in range(1, step)], axis=1)
-            assert np.allclose(near, want.ravel(), rtol=1e-15, atol=0.0)
-
     def test_minimum_node_count(self):
         with pytest.raises(ValueError, match="node count"):
             Contour(0.0, 1.0, 1.0, m=8)
+
+    def test_odd_node_count_rejected(self):
+        # the ladder starts at m/2, which only an even m has
+        with pytest.raises(ValueError, match="node count 17 must be even"):
+            Contour(0.0, 1.0, 1.0, m=17)
 
 
 class TestIntegrate:
@@ -142,6 +112,20 @@ class TestIntegrate:
         cc = Contour(contour.x_l, contour.x_r, contour.v_0, m=m)
         val = integrate(lambda z: 1.0 / (z - (4.0 + 0.2j)), cc)
         assert abs(val) <= 1e-10
+
+    def test_each_node_evaluated_once(self, contour):
+        # a pole near the contour takes the ladder past its first levels; the
+        # points evaluated are the nodes of the accepted level, each once
+        seen = []
+
+        def g(z):
+            seen.append(z)
+            return 1.0 / (z - (contour.x_r + 0.08))
+
+        integrate(g, contour)
+        z = np.concatenate(seen)
+        assert len(seen) > 2 and z.size > contour.m
+        assert np.array_equal(np.sort_complex(z), np.sort_complex(contour.nodes(z.size)[0]))
 
     def test_orientation_positive(self, contour):
         val = integrate(lambda z: 1.0 / (z - 1.0), contour)

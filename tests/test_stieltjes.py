@@ -119,21 +119,17 @@ class TestStarts:
     @pytest.mark.parametrize("name", sorted(BENCH_SPECTRA))
     @pytest.mark.parametrize("y", [0.5, 2.0])
     def test_value_independent_of_start_and_grouping(self, name, y):
-        # a transform climbing from 32 nodes and one from 64 (new nodes start
-        # at their neighbours' midpoint), one whole-grid solve from the
-        # mean-atom start and one from -1/z: the polishing Newton step takes
-        # each to the root's rounding
+        # a transform climbing from 32 nodes to 4096 one doubling at a time
+        # (new nodes start at their neighbours' midpoint), one whole-grid
+        # solve from the mean-atom start and one from -1/z: the polishing
+        # Newton step takes each to the root's rounding
         sp = BENCH_SPECTRA[name]
         c = build_contour(sp, y, m=32)
         z, _ = c.nodes(4096)
-        from_32, from_64 = CompanionTransform(sp, y, c), CompanionTransform(sp, y, c)
-        for k in range(8):
-            from_32(32 << k)
-        from_64(64)
-        from_64(4096)
+        climbed = CompanionTransform(sp, y, c)
         whole = s_under_grid(z, sp, y)
         cold, _, _ = _solve(z, -1.0 / z, sp, y)
-        for other in (from_32(4096), from_64(4096), cold):
+        for other in (climbed(4096), cold):
             assert np.all(np.abs(other - whole) <= 1e-14 * np.abs(whole))
 
     @pytest.mark.parametrize("t, y, z", [
