@@ -23,13 +23,13 @@ singularity on ``z1 = z2``.  So both variables run over the same contour.
 
 That contour is one ellipse around the bulk (``contour.py``) with the
 nested trapezoid rule, whose levels share their nodes.  The mean, the
-variance and a run's centering read the law ``(spectrum, y_n)`` and the
-contour from one ``CompanionTransform``, solved once per node; the moment
-set also names the entry law it was computed for, and a run draws from
-that law.  All three integrals climb the same ladder
-(``contour._doubling_ladder``): it starts from the whole rule at half the
-contour's node count, and each finer level adds only what its new
-odd-index nodes bring to the level below.  For the mean and the centering
+variance and a run's centering read the law ``(spectrum, y_n)``, the
+contour and each level's ``(z, w, s)`` from one ``CompanionTransform``,
+solved once per node; the moment set also names the entry law it was
+computed for, and a run draws from that law.  All three integrals climb
+one ladder (``contour._doubling_ladder``): it starts from the whole rule
+at half the contour's node count, and each finer level adds only what
+its new odd-index nodes bring to the level below.  For the mean and the centering
 that is the integrand at those nodes, so each node is evaluated once.  For
 the variance it is the m^2/2 kernel cells of the odd-index rows: the
 even-index quarter of the m x m grid is the grid of the level below, and
@@ -60,32 +60,36 @@ _BLOCK_CELLS = 1 << 18  # kernel cells formed at once in a variance level
 class CompanionTransform:
     """The companion transform of one ``(spectrum, y_n)`` at the nested nodes of one contour.
 
-    ``s(m)`` is ``s_under`` at ``contour.nodes(m)``, for m the contour's
-    ``m`` times a power of 2, each node solved once however many levels and
-    integrals ask for it.  The first fill solves the contour's m nodes from
-    the solver's mean-atom start; each doubling solves only its new
-    odd-index nodes, each from the midpoint of its two solved neighbours on
-    the periodic contour.  A coarser level is a stride of the values held.
+    ``s(m)`` is the level ``(z, w, s)``: ``contour.nodes(m)`` and ``s_under``
+    there, for m only the contour's ``m`` times a power of 2.  It holds its
+    finest filled level, and a coarser one is a stride of it (weights times
+    the stride), so each level is formed once.  The first fill solves the
+    contour's m nodes from the solver's mean-atom start; each doubling only
+    its new odd-index nodes, each from the midpoint of its two neighbours.
     """
 
     def __init__(self, spectrum: PopulationSpectrum, y_n: float, contour: Contour):
         self.spectrum, self.y_n, self.contour = spectrum, y_n, contour
-        self._values = np.empty(0, dtype=complex)
+        self._z = self._w = self._values = np.empty(0, dtype=complex)
 
-    def __call__(self, m: int) -> np.ndarray:
+    def __call__(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if m < 1 or np.frexp(m / self.contour.m)[0] != 0.5:  # not a power of 2 apart
+            raise ValueError(f"no level of {m} nodes: the levels are {self.contour.m} * 2^k")
         while self._values.size < m:
-            self._values = self._refined()
-        return self._values[::self._values.size // m]
+            self._refine()
+        k = self._values.size // m
+        return self._z[::k], self._w[::k] * k, self._values[::k]
 
-    def _refined(self) -> np.ndarray:
+    def _refine(self) -> None:
         held = self._values
-        if not held.size:
-            return s_under_grid(self.contour.nodes()[0], self.spectrum, self.y_n)
-        z, _ = self.contour.nodes(2 * held.size)
-        values = np.repeat(held, 2)
-        values[1::2] = s_under_grid(z[1::2], self.spectrum, self.y_n,
-                                    held + 0.5 * (np.roll(held, -1) - held))
-        return values
+        z, w = self.contour.nodes(2 * held.size or self.contour.m)
+        if held.size:
+            values = np.repeat(held, 2)
+            values[1::2] = s_under_grid(z[1::2], self.spectrum, self.y_n,
+                                        held + 0.5 * (np.roll(held, -1) - held))
+        else:
+            values = s_under_grid(z, self.spectrum, self.y_n)
+        self._z, self._w, self._values = z, w, values
 
 
 @dataclass(frozen=True)
@@ -198,10 +202,8 @@ def mean_correction(f: TestFunction, s: CompanionTransform, *,
     ``report["mean"]``, when a dict is given, receives where the ladder
     stopped, with its error estimate in units of the mean.
     """
-    def integrand(z, m, new):
-        return f(z) * _mean_integrand(z, s(m)[new], s.spectrum, s.y_n)
-
-    quad = trapezoid(integrand, s.contour, "mean")
+    quad = trapezoid(lambda z, sv: f(z) * _mean_integrand(z, sv, s.spectrum, s.y_n),
+                     s, s.contour.m, "mean")
     value = -quad.value / (2.0j * np.pi)
     mean = real_part(value, "mean")
     if report is not None:
@@ -213,7 +215,7 @@ def _variance_level(f: TestFunction, s: CompanionTransform, m: int,
                     below: tuple[complex, float] | None = None) -> tuple[complex, float]:
     """The rule at m nodes and the largest |a| on the m x m node grid.
 
-    Both variables run over the m nodes of the contour of s, so a level is
+    Both variables run over the level ``(z, w, s) = s(m)``, so a level is
     ``Q_m = g @ L @ g`` with ``g = w f'(z)`` and ``L = -log(1 - a)`` on the
     node grid.  Without ``below`` the whole grid is formed.  With
     ``below = (Q_{m/2}, amax)``, the rule and the largest |a| of the level
@@ -224,8 +226,7 @@ def _variance_level(f: TestFunction, s: CompanionTransform, m: int,
     entries doubled.  Rows go in blocks of at most 2^18 cells, so memory
     stays bounded however fine the level.
     """
-    z, w = s.contour.nodes(m)
-    sv = s(m)
+    z, w, sv = s(m)
     g = w * f.deriv(z)
     if below is None:
         first, stride, h, fine, amax = 0, 1, g, 0j, 0.0
@@ -254,7 +255,7 @@ def variance_with_kernel(f: TestFunction, s: CompanionTransform, *,
     stopped, with its error estimate in units of the variance.
     """
     quad, amax = _doubling_ladder(lambda m, below: _variance_level(f, s, m, below),
-                                  s.contour, "variance")
+                                  s.contour.m, "variance")
     raw = -quad.value / (2.0 * np.pi**2)
     variance = real_part(raw, "variance")
     if report is not None:

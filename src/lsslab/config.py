@@ -281,6 +281,8 @@ def parse_config(text: str) -> RunConfig:
         n_grid = tuple(n_grid)
     if kind == "simulate" and (p is None or n is None):
         raise MissingRequired("simulate needs explicit p and n")
+    if kind in ("moments", "simulate", "ks-rate", "probe-qform") and spectrum.max_eigenvalue == 0.0:
+        raise ConstraintViolation(f"{kind} needs a nonzero atom: B = 0 makes each statistic p f(0)")
     if kind in ("simulate", "ks-rate") and f.is_constant:
         raise ConstraintViolation(f"{kind} needs a nonconstant f: a constant statistic "
                                   f"has variance 0 and cannot be normalized")

@@ -20,9 +20,9 @@ nest, so the rule at m nodes holds the rule at m/2 as its even-index half,
 and no node lands on the real axis.  One ladder (``_doubling_ladder``)
 serves every integral: it starts from the whole rule at ``m0 / 2``, and
 each finer level adds only its new odd-index nodes to the level below,
-``Q_m = Q_{m/2} / 2 + w_odd . v_odd``.  The difference of the two is the
-error estimate, and m doubles until it clears the tolerance; each node is
-evaluated once however many levels run.
+``Q_m = Q_{m/2} / 2 + w_odd . v_odd``, and m doubles until the difference
+of the two, the error estimate, clears the tolerance.  Each node is
+evaluated once; the CLT's levels are formed once, in a ``CompanionTransform``.
 """
 
 from __future__ import annotations
@@ -150,18 +150,18 @@ class Quadrature:
     error: float
 
 
-def _doubling_ladder(level, c: Contour, what: str) -> tuple[Quadrature, object]:
+def _doubling_ladder(level, m0: int, what: str) -> tuple[Quadrature, object]:
     """Node-doubling error control shared by every contour integral.
 
-    ``level(m, below)`` returns ``(rule, info)`` at m nodes of c: the whole
-    rule when ``below`` is None, at the first level ``c.m / 2``, and else
-    the rule formed from ``below``, the ``(rule, info)`` of level m/2, and
-    the new odd-index nodes only.  The difference of a level's rule and the
-    one below is its error estimate; the first level whose estimate clears
+    ``level(m, below)`` returns ``(rule, info)`` at m nodes: the whole rule
+    when ``below`` is None, at the first level ``m0 / 2``, and else the rule
+    formed from ``below``, the ``(rule, info)`` of level m/2, and the new
+    odd-index nodes only.  The difference of a level's rule and the one
+    below is its error estimate; the first level whose estimate clears
     ``RTOL * (1 + |rule|)`` is returned with its ``info``.  Gives up with
     QuadratureStall past 8192 nodes.
     """
-    m = c.m // 2
+    m = m0 // 2
     below = level(m, None)
     while True:
         m *= 2
@@ -176,26 +176,26 @@ def _doubling_ladder(level, c: Contour, what: str) -> tuple[Quadrature, object]:
         below = fine, info
 
 
-def trapezoid(integrand, c: Contour, what: str) -> Quadrature:
-    """Ladder of the closed-path integral over c of ``integrand(z, m, new)``.
+def trapezoid(integrand, nodes, m0: int, what: str) -> Quadrature:
+    """Ladder of the closed-path integral of ``integrand(z, *values)`` from m0 / 2 nodes.
 
-    ``integrand`` gets the nodes ``z = c.nodes(m)[0][new]`` that level m
-    adds, with ``new`` their index slice: all ``c.m / 2`` nodes at the first
-    level, the odd-index ones after it, which go to half the rule below.
+    ``nodes(m) -> (z, w, *values)`` is a level (``Contour.nodes``, or a
+    ``CompanionTransform`` with its values s).  ``integrand`` gets only the
+    nodes a level adds and their values: all of the first level, the
+    odd-index ones after it, which go to half the rule below.
     """
     def level(m, below):
         new = slice(None) if below is None else slice(1, None, 2)
-        z, w = c.nodes(m)
-        z = z[new]
-        rule = complex(w[new] @ _checked(integrand(z, m, new), z))
+        z, w, *values = (a[new] for a in nodes(m))
+        rule = complex(w @ _checked(integrand(z, *values), z))
         return (rule if below is None else below[0] / 2.0 + rule), None
 
-    return _doubling_ladder(level, c, what)[0]
+    return _doubling_ladder(level, m0, what)[0]
 
 
 def integrate(g, c: Contour) -> complex:
     """Closed-path integral of a vectorized complex function over c."""
-    return trapezoid(lambda z, m, new: g(z), c, "contour integral").value
+    return trapezoid(g, c.nodes, c.m, "contour integral").value
 
 
 def real_part(value: complex, what: str) -> float:

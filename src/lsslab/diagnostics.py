@@ -16,11 +16,11 @@ from time import perf_counter
 
 import numpy as np
 
+from .clt_moments import CompanionTransform
 from .contour import build_contour
 from .errors import (CostBudgetExceeded, EmptySample, NonPositiveKs, OutOfRange,
                      TooFewPoints)
 from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction, support_interval
-from .stieltjes import s_under_grid
 
 # simulator imports ks_to_normal from here, so its helpers are imported where used;
 # scipy is too, so that a moments or lsd run, which never calls it, does not load it
@@ -408,9 +408,9 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
                  f"{columns} nested-MC columns of {reps} inner draws")
 
     c = build_contour(spectrum, y_n, m=_SIGMA0_NODES, f=f)
-    z, w = c.nodes()
+    z, w, s_under = CompanionTransform(spectrum, y_n, c)(c.m)
     # trapezoid weight folded with f', b = -z s_under and -1/(2 pi i)
-    big_w = w * f.deriv(z) * (-z * s_under_grid(z, spectrum, y_n)) / (-2.0j * math.pi)
+    big_w = w * f.deriv(z) * (-z * s_under) / (-2.0j * math.pi)
     x_k, w_re, w_im_y, y2 = z.real, big_w.real, big_w.imag * z.imag, z.imag ** 2
     block = max(1, _SIGMA0_CELLS // z.size)
 

@@ -281,17 +281,14 @@ def lss_centering(f: TestFunction, p: int, s_under: CompanionTransform) -> float
     """Deterministic centering term of the linear spectral statistic.
 
     Computes ``-(p / 2 pi i) * contour integral of f(z) s(z) dz`` with the
-    transform of the primary law, by the nested trapezoid ladder on the
-    contour of ``s_under`` over its values: the companion transform of the
-    run's ``(spectrum, y_n)``, which a run takes from its moments
+    transform of the primary law, by the nested trapezoid ladder over the
+    levels of ``s_under``: the companion transform of the run's
+    ``(spectrum, y_n)``, which a run takes from its moments
     (``CltMoments.s_under``).  The imaginary part must vanish up to
-    quadrature error (``contour.IMAG_RTOL``; ``QuadratureStall`` otherwise)
-    and is discarded.
+    quadrature error (``contour.IMAG_RTOL``; ``QuadratureStall`` otherwise).
     """
-    def integrand(z, m, new):
-        return f(z) * companion_to_primary(s_under(m)[new], z, s_under.y_n)
-
-    raw = trapezoid(integrand, s_under.contour, "centering").value
+    raw = trapezoid(lambda z, sv: f(z) * companion_to_primary(sv, z, s_under.y_n),
+                    s_under, s_under.contour.m, "centering").value
     return real_part(-p / (2.0j * np.pi) * raw, "centering integral")
 
 

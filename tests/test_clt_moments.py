@@ -12,7 +12,7 @@ from lsslab.clt_moments import (CltMoments, CompanionTransform, _a_times_t_integ
                                 _mean_integrand, _variance_level, compute_moments,
                                 kernel_from_s, mean_correction, normalize,
                                 variance_with_kernel)
-from lsslab.contour import _confocal, build_contour
+from lsslab.contour import Contour, _confocal, build_contour, trapezoid
 from lsslab.errors import QuadratureStall, ZeroVariance
 from lsslab.spectral_model import (EntryEnsemble, PopulationSpectrum, TestFunction,
                                    support_interval)
@@ -315,19 +315,60 @@ class TestEachNodeOnce:
         self._assert_one_level(seen, mom.contour, 128)
 
 
+class TestNodeTable:
+    # a ladder reads each level's nodes, weights and transform values from
+    # the transform, which forms a level's nodes once per fill
+    F_X11, SPECTRUM = TestFunction.monomial(11), BATTERY["two_atom"]
+
+    def test_integrand_gets_the_new_nodes_of_each_level(self):
+        c = build_contour(self.SPECTRUM, 0.5, f=self.F_X11)
+        s = CompanionTransform(self.SPECTRUM, 0.5, c)
+        seen = []
+
+        def integrand(z, sv):
+            seen.append((z, sv))
+            return self.F_X11(z) * clt_moments._mean_integrand(z, sv, self.SPECTRUM, 0.5)
+
+        assert trapezoid(integrand, s, c.m, "mean").nodes == 128
+        assert len(seen) == 3
+        for k, (z, sv) in enumerate(seen):
+            new = slice(None) if k == 0 else slice(1, None, 2)
+            assert np.array_equal(z, c.nodes(32 << k)[0][new])
+            assert np.all(np.abs(sv - s_under_grid(z, self.SPECTRUM, 0.5)) <= 1e-14)
+
+    def test_moments_form_each_level_once(self, monkeypatch):
+        # the transform's two fills are the only node sets formed; the mean's
+        # and the variance's levels 32, 64 and 128 are strides of them
+        levels, nodes = [], Contour.nodes
+
+        def recording(self, m=None):
+            levels.append(m)
+            return nodes(self, m)
+
+        monkeypatch.setattr(Contour, "nodes", recording)
+        mom = compute_moments(self.F_X11, self.SPECTRUM, 0.5, RG)
+        assert {q.nodes for q in mom.quadrature.values()} == {128}
+        assert levels == [64, 128]
+
+
 class TestCompanionTransform:
     def test_each_node_solved_once(self, monkeypatch):
         c = build_contour(IDENTITY, 0.5, m=16)
         seen = _evaluated_points(monkeypatch, clt_moments, "s_under_grid")
         s = CompanionTransform(IDENTITY, 0.5, c)
-        got = {m: s(m) for m in (8, 32, 128, 64, 16)}
+        got = {m: s(m)[2] for m in (8, 32, 128, 64, 16)}
         for m, values in got.items():
-            assert np.array_equal(values, s(128)[::128 // m])
+            assert np.array_equal(values, s(128)[2][::128 // m])
         # the first fill is the contour's 16 nodes, then one doubling at a time
         assert [z.size for z in seen] == [16, 16, 32, 64]
         assert np.unique(np.concatenate(seen)).size == 128
         z, _ = c.nodes(128)
-        assert np.all(np.abs(s(128) - s_under_grid(z, IDENTITY, 0.5)) <= 1e-14)
+        assert np.all(np.abs(s(128)[2] - s_under_grid(z, IDENTITY, 0.5)) <= 1e-14)
+        # the levels are 16 * 2^k; a stride of the held values used to hand
+        # back the wrong level (128 values for 96, 64 for 48, 43 for 40)
+        for m in (40, 48, 96):
+            with pytest.raises(ValueError, match="the levels are 16 \\* 2\\^k"):
+                s(m)
 
     def test_new_nodes_start_at_their_neighbours_midpoint(self, monkeypatch):
         # the first fill starts from the solver's mean-atom start; each new
@@ -344,7 +385,7 @@ class TestCompanionTransform:
         s(64)
         assert starts[0] is None
         for start, m in ((starts[1], 16), (starts[2], 32)):
-            held = s(m)
+            held = s(m)[2]
             assert np.array_equal(start, held + 0.5 * (np.roll(held, -1) - held))
 
 

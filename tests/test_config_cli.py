@@ -315,6 +315,27 @@ class TestCliRuns:
         assert "ConstraintViolation" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfgfile]
 
+    @pytest.mark.parametrize("kind", ["moments", "simulate", "ks-rate", "probe-qform"])
+    def test_all_zero_spectrum_fails_before_any_work(self, kind, tmp_path, monkeypatch, capsys):
+        # B = 0 makes every statistic the constant p f(0): the runs used to
+        # solve the moments and then fail with ZeroVariance, and probe-qform
+        # wrote slope=NaN
+        import lsslab.stieltjes as stieltjes_mod
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for owner, name in ((stieltjes_mod, "s_under_grid"), (clt_moments_mod, "s_under_grid"),
+                            (cli, "_check_budget"), (cli, "qform_probe")):
+            monkeypatch.setattr(owner, name, no_work)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": kind, "spectrum": [{"atom": 0, "weight": 1}],
+                                       "p": 8, "n": 16, "n_grid": [8, 16, 32],
+                                       "replicates": 2}))
+        assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert "ConstraintViolation: " + kind + " needs a nonzero atom" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
     def test_moments_summary_reports_quadrature(self, tmp_path):
         assert main(["moments", "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "moments_summary.json").read_text())["summary"]
