@@ -110,7 +110,10 @@ def run_moments(cfg: RunConfig, out: Path, started: str) -> str:
         # with the Gaussian fourth moment only
         "gaussian_matched": not mom.ensemble.violates_matching,
         "kernel_max_abs": mom.kernel_max_abs,
-        "contour": {"x_l": c.x_l, "x_r": c.x_r, "v_0": c.v_0, "nodes": c.m, "rho": c.rho},
+        # x_l and x_r are in z; with sqrt_map (f = log), v_0 and rho are the
+        # ellipse's in w = sqrt(z)
+        "contour": {"x_l": c.x_l, "x_r": c.x_r, "v_0": c.v_0, "nodes": c.m, "rho": c.rho,
+                    "sqrt_map": c.sqrt_map},
         # accepted node count and the last error estimate, per integral
         "quadrature": {name: {"nodes": q.nodes, "error": q.error}
                        for name, q in mom.quadrature.items()},

@@ -21,7 +21,8 @@ branch), and that log is analytic in each variable off the bulk: unlike
 the double pole ``s1' s2' / (s1 - s2)^2`` it came from by parts, it has no
 singularity on ``z1 = z2``.  So both variables run over the same contour.
 
-That contour is one ellipse around the bulk (``contour.py``) with the
+That contour is one ellipse around the bulk, or for ``f = log`` the image
+under ``z = w^2`` of one in ``w = sqrt(z)`` (``contour.py``), with the
 nested trapezoid rule, whose levels share their nodes.  The mean, the
 variance and a run's centering read the law ``(spectrum, y_n)``, the
 contour and each level's ``(z, w, s)`` from one ``CompanionTransform``,

@@ -1,6 +1,6 @@
 """The elliptic integration contour with the nested trapezoid rule.
 
-The contour is the ellipse inscribed in the rectangle
+The contour is an ellipse inscribed in the rectangle
 ``[x_l, x_r] x [-v_0, v_0]``, traversed counterclockwise.  The builder
 makes it confocal with the enclosing interval ``[lo, hi]`` of the bulk:
 with centre ``c`` and half-width ``h`` of that interval its nodes are
@@ -11,9 +11,20 @@ at equally spaced ``theta``, where ``rho > 1`` is the ellipse's conformal
 radius.  The trapezoid rule on it converges geometrically, at a rate set by
 ``rho`` against 1 (the bulk) and against the conformal radius of the
 nearest singularity of the integrand outside it (Trefethen & Weideman, SIAM
-Rev. 56, 2014).  One contour serves every integral of the lab: the mean,
-the centering and both variables of the variance's double integral, whose
-integrand is analytic off the bulk in each variable (``clt_moments``).
+Rev. 56, 2014).  For ``f = log`` that singularity is 0, whose radius in z
+tends to 1 as the bulk's lower edge ``lo`` does (``y -> 1``), so the rule
+there runs on the square-root map instead: the ellipse lies in
+``w = sqrt(z)``, confocal with ``[sqrt(lo), sqrt(hi)]``, and the nodes are
+``z = w^2`` with ``dz = 2 w dw``.  In w, 0 sits at radius
+``(hi^(1/4) + lo^(1/4)) / (hi^(1/4) - lo^(1/4))``, which tends to 1 only
+like the fourth root of ``lo``.  ``z = w^2`` is one-to-one on ``Re w > 0``,
+so the mapped curve is a simple closed curve around the bulk that crosses
+the real axis at ``x_l`` and ``x_r``, the squares of the w-ellipse's
+crossings; ``v_0`` and ``rho`` are then the w-ellipse's.
+
+One contour serves every integral of the lab: the mean, the centering and
+both variables of the variance's double integral, whose integrand is
+analytic off the bulk in each variable (``clt_moments``).
 Every ``theta`` is shifted by ``pi / (3 m0)`` for the starting node count
 ``m0``, which is even: the levels ``m0 2^k``, from ``m0 / 2`` on, then
 nest, so the rule at m nodes holds the rule at m/2 as its even-index half,
@@ -28,7 +39,7 @@ evaluated once; the CLT's levels are formed once, in a ``CompanionTransform``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,13 +60,16 @@ class Contour:
 
     ``m`` is the node count of the ladder's first checked level; it is even,
     so that the ladder can start at m/2, and it fixes the angular shift that
-    makes the levels ``m 2^k`` nest.
+    makes the levels ``m 2^k`` nest.  With ``sqrt_map`` the ellipse lies in
+    ``w = sqrt(z)``, inscribed in ``[sqrt(x_l), sqrt(x_r)] x [-v_0, v_0]``,
+    and the contour is its image under ``z = w^2``, which needs ``x_l > 0``.
     """
 
     x_l: float
     x_r: float
     v_0: float
     m: int = DEFAULT_NODES
+    sqrt_map: bool = False
 
     def __post_init__(self):
         if not self.x_l < self.x_r:
@@ -64,11 +78,21 @@ class Contour:
             raise ValueError("v_0 must be positive")
         if not MIN_NODES <= self.m <= MAX_NODES or self.m % 2:
             raise ValueError(f"node count {self.m} must be even and in [{MIN_NODES}, {MAX_NODES}]")
+        if self.sqrt_map and self.x_l <= 0:
+            raise ValueError(f"the square-root map needs x_l > 0, got {self.x_l}")
+
+    def _semi_axis(self) -> tuple[float, float]:
+        """Centre and real semi-axis of the ellipse, in w for ``sqrt_map`` and in z else."""
+        left, right = self.x_l, self.x_r
+        if self.sqrt_map:
+            left, right = math.sqrt(left), math.sqrt(right)
+        a = (right - left) / 2.0
+        return left + a, a
 
     @property
     def rho(self) -> float:
         """Conformal radius: ``(a + b) / sqrt(|a^2 - b^2|)`` for semi-axes a and b."""
-        a = (self.x_r - self.x_l) / 2.0
+        a = self._semi_axis()[1]
         focal = math.sqrt(abs(a * a - self.v_0 * self.v_0))
         return (a + self.v_0) / focal if focal else math.inf
 
@@ -76,10 +100,13 @@ class Contour:
         """Quadrature nodes z and trapezoid weights ``(2 pi / m) dz/dtheta``."""
         m = self.m if m is None else m
         theta = 2.0 * np.pi * np.arange(m) / m + np.pi / (3.0 * self.m)
-        a = (self.x_r - self.x_l) / 2.0
+        centre, a = self._semi_axis()
         cos, sin = np.cos(theta), np.sin(theta)
-        z = (self.x_l + a) + a * cos + 1j * self.v_0 * sin
-        return z, (2.0 * np.pi / m) * (-a * sin + 1j * self.v_0 * cos)
+        pts = centre + a * cos + 1j * self.v_0 * sin  # on the ellipse: z, or w with sqrt_map
+        dpts = (2.0 * np.pi / m) * (-a * sin + 1j * self.v_0 * cos)
+        if self.sqrt_map:  # z = w^2, dz = 2 w dw
+            return pts * pts, 2.0 * pts * dpts
+        return pts, dpts
 
 
 def default_margin(spectrum: PopulationSpectrum, y: float) -> float:
@@ -101,34 +128,42 @@ def _confocal(lo: float, hi: float, eps: float, v_0: float, m: int) -> Contour:
 def build_contour(spectrum: PopulationSpectrum, y: float, eps: float | None = None,
                   v_0: float = DEFAULT_V0, m: int = DEFAULT_NODES,
                   f: TestFunction | None = None) -> Contour:
-    """The ellipse confocal with the enclosing interval ``[lo, hi]`` of the bulk.
+    """The contour around the enclosing interval ``[lo, hi]`` of the bulk.
 
-    It reaches ``hi + eps`` on the real axis, shrunk if needed so that its
-    half-height stays at most ``v_0``.  ``eps`` defaults to
-    ``0.05 (hi - lo + 1)``; for ``f = log``, whose singularity 0 sits at
-    conformal radius ``R0 = (sqrt(hi) + sqrt(lo)) / (sqrt(hi) - sqrt(lo))``,
-    the default radius is ``R0^(1/2)`` instead, which balances the
-    convergence rate against the bulk (radius 1) with the rate against 0.
-    Raises ``LogDomain`` before any work when log is asked for and the
-    ellipse reaches ``Re z <= 0`` (always so when ``lo = 0``).
+    It reaches ``x_r = hi + eps`` on the real axis, shrunk if needed so that
+    its ellipse's half-height stays at most ``v_0``; ``eps`` defaults to
+    ``0.05 (hi - lo + 1)``.  For every f but log it is the ellipse confocal
+    with ``[lo, hi]``.  For ``f = log`` it is the square-root-mapped one
+    (``Contour.sqrt_map``): the ellipse in ``w = sqrt(z)`` confocal with
+    ``[sqrt(lo), sqrt(hi)]`` through ``sqrt(hi + eps)``.  Its default
+    radius there is ``R_w^(1/2)``, where
+    ``R_w = (hi^(1/4) + lo^(1/4)) / (hi^(1/4) - lo^(1/4))`` is the radius of
+    log's singularity ``w = 0``: it balances the convergence rate against
+    the bulk (radius 1) with the rate against 0.  Raises ``LogDomain``
+    before any work when log is asked for and ``lo <= 0`` or the w-ellipse
+    reaches ``Re w <= 0``.
     """
     if (eps is not None and eps <= 0) or v_0 <= 0:
         raise ValueError("eps and v_0 must be positive")
     lo, hi = support_interval(spectrum, y)
-    log = f is not None and f.kind == "log"
-    if log and eps is None and lo > 0:
-        r = math.sqrt((math.sqrt(hi) + math.sqrt(lo)) / (math.sqrt(hi) - math.sqrt(lo)))
-        eps = (hi - lo) / 2.0 * ((r + 1.0 / r) / 2.0 - 1.0)
-    elif eps is None:
-        eps = default_margin(spectrum, y)
-    c = _confocal(lo, hi, eps, v_0, m)
-    if log and not (lo > 0 and c.x_l > 0):
+    margin = default_margin(spectrum, y) if eps is None else eps
+    if f is None or f.kind != "log":
+        return _confocal(lo, hi, margin, v_0, m)
+    w_lo, w_hi = math.sqrt(lo), math.sqrt(hi)
+    if eps is None and lo > 0:
+        q_lo, q_hi = math.sqrt(w_lo), math.sqrt(w_hi)
+        r = math.sqrt((q_hi + q_lo) / (q_hi - q_lo))
+        eps_w = (w_hi - w_lo) / 2.0 * ((r + 1.0 / r) / 2.0 - 1.0)
+    else:
+        eps_w = math.sqrt(hi + margin) - w_hi
+    c = _confocal(w_lo, w_hi, eps_w, v_0, m)
+    if not (lo > 0 and c.x_l > 0):
         raise LogDomain(
             f"log test function needs the contour in Re z > 0, but the bulk lower edge "
-            f"is {lo} and the contour reaches x_l={c.x_l}; the bulk must stay away from "
-            f"0 (y < 1, no zero atom) and contour.eps below it"
+            f"is {lo} and the contour's ellipse in w = sqrt(z) reaches Re w = {c.x_l}; the "
+            f"bulk must stay away from 0 (y < 1, no zero atom) and contour.eps below it"
         )
-    return c
+    return replace(c, x_l=c.x_l * c.x_l, x_r=c.x_r * c.x_r, sqrt_map=True)
 
 
 def _checked(vals, z: np.ndarray) -> np.ndarray:

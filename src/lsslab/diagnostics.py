@@ -283,11 +283,12 @@ class QformProbeResult:
 
 def _probe_matrix(spectrum: PopulationSpectrum, diag_t: np.ndarray, matrix_kind: str,
                   n: int, seed: int) -> np.ndarray:
+    """The probed matrix A; ``fixed_psd``'s ``diag(T)`` comes as its p x 1 column."""
     from .simulator import assemble_B, sample_entries
 
     p = diag_t.size
     if matrix_kind == "fixed_psd":
-        return np.diag(diag_t)
+        return diag_t[:, None]
     if matrix_kind == "resolvent":
         # one fixed draw per grid point; the probed vector stays independent
         b = assemble_B(spectrum, sample_entries(EntryEnsemble.real_gaussian(), p, n, seed), n)
@@ -304,7 +305,8 @@ def qform_moment(spectrum: PopulationSpectrum, matrix_kind: str, n: int, y: floa
     p = int(round(y * n))
     diag_t = population_diagonal(spectrum, p)
     a = _probe_matrix(spectrum, diag_t, matrix_kind, n, replicate_seed(seed, 0))
-    target = float(np.sum(diag_t * np.diag(a))) / n
+    column = a.shape[1] == 1  # a diagonal A scales rows: the same products as diag(a) @ r
+    target = float(np.sum(diag_t * (a[:, 0] if column else np.diag(a)))) / n
     acc = 0.0
     done = 0
     block = 1
@@ -312,7 +314,7 @@ def qform_moment(spectrum: PopulationSpectrum, matrix_kind: str, n: int, y: floa
         size = min(_QFORM_CHUNK, replicates - done)
         x = sample_entries(EntryEnsemble.real_gaussian(), p, size, replicate_seed(seed, block))
         r = np.sqrt(diag_t)[:, None] * x / math.sqrt(n)
-        q = np.einsum("ip,ip->p", r.conj(), a @ r).real - target
+        q = np.einsum("ip,ip->p", r.conj(), a * r if column else a @ r).real - target
         acc += float(np.sum(np.abs(q) ** k))
         done += size
         block += 1

@@ -19,7 +19,7 @@ from its moment set: it draws from the law the moments were computed for
 (``truncated_law`` clips at ``eta n^(1/4)`` and restandardizes a law),
 ``mu`` and ``sigma`` normalize, the centering runs over the companion
 transform that ``compute_moments`` solved, whose ``y_n`` must be the run's
-``p/n``, and its contour's margin sets the confinement band.
+``p/n``, and its contour's real-axis crossings set the confinement band.
 """
 
 from __future__ import annotations
@@ -437,8 +437,8 @@ def run_experiment(cfg: SimConfig, moments: CltMoments) -> ExperimentRecord:
 
     f, the entry law (truncated or not), the spectrum and the contour come
     from ``moments``, and the centering is integrated over the transform
-    they already solved; the contour's margin on the real axis sets the
-    confinement band.  Raises ``ConstraintViolation`` before any draw when
+    they already solved; the confinement band runs halfway from the bulk's
+    edges ``lo`` and ``hi`` to the contour's crossings ``x_l`` and ``x_r``.  Raises ``ConstraintViolation`` before any draw when
     the moments carry no transform or were solved at another ``y_n`` than
     the run's ``p/n``.  The centering is computed once per run; each
     replicate draws through ``replicate_statistic``, and the record names
@@ -463,8 +463,8 @@ def run_experiment(cfg: SimConfig, moments: CltMoments) -> ExperimentRecord:
             raise type(exc)(f"replicate {i}: {exc}") from exc
 
     lo, hi = support_interval(s.spectrum, y)
-    eps = s.contour.x_r - hi  # the contour's margin on the real axis
-    low, high = lo - eps / 2.0, hi + eps / 2.0
+    # halfway from the bulk's edges to the contour's real-axis crossings
+    low, high = (lo + s.contour.x_l) / 2.0, (hi + s.contour.x_r) / 2.0
     violations = sum(1 for r in rows if r.lam_min < low or r.lam_max > high)
     if violations:
         logger.warning("eigenvalue confinement violated in %d replicates", violations)

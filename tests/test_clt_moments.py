@@ -254,11 +254,11 @@ class TestFusedLevel:
 class TestLadderCells:
     @pytest.mark.parametrize("f, sp, y, nodes, cells", [
         (TestFunction.monomial(11), BATTERY["two_atom"], 0.5, 128, 32**2 + (64**2 + 128**2) // 2),
-        (TestFunction.log(), IDENTITY, 0.9, 2048, 2_796_544),
+        (TestFunction.log(), IDENTITY, 0.9, 512, 32**2 + (64**2 + 128**2 + 256**2 + 512**2) // 2),
     ], ids=["two_atom-x^11", "identity-log"])
     def test_each_cell_formed_once(self, f, sp, y, nodes, cells, monkeypatch):
         # the first level forms its whole 32 x 32 grid and each finer level m
-        # only its m^2/2 new cells: 21,504 and 5,592,064 cells when every
+        # only its m^2/2 new cells: 21,504 and 349,184 cells when every
         # level formed its whole grid
         formed = []
 

@@ -260,19 +260,43 @@ class TestCliRuns:
         assert centering == pytest.approx(expected, rel=1e-9)
         assert contour.x_r == pytest.approx(support_interval(IDENTITY, y)[1] + 0.03)
 
-    @pytest.mark.parametrize("y", [0.25, 0.5, 0.9])
-    def test_log_moments_match_closed_forms(self, y, tmp_path):
+    @pytest.mark.parametrize("name", ["identity", "two_atom", "five_atom"])
+    @pytest.mark.parametrize("y", [0.25, 0.5, 0.9, 0.98, 0.99])
+    def test_log_moments_match_closed_forms(self, y, name, tmp_path, monkeypatch):
         # Bai & Silverstein (2004): mu(log) = log(1 - y)/2, sigma(log) = -2 log(1 - y)
+        # for every T, since sum log lambda(B) = log det T + sum log lambda(XX*/n);
+        # so the centering is p ((y - 1)/y log(1 - y) - 1 + sum_k w_k log t_k)
+        import lsslab.simulator as sim_mod
+
+        sp = BATTERY[name]
+        n = 200
+        p = round(y * n)
         mu, sigma = np.log(1.0 - y) / 2.0, -2.0 * np.log(1.0 - y)
-        n = 40
-        runs = {"moments": {"y": y}, "simulate": {"p": round(y * n), "n": n, "replicates": 3}}
+        centering = p * ((y - 1.0) / y * np.log(1.0 - y) - 1.0
+                         + sp.weights @ np.log(sp.eigenvalues))
+        seen = []
+        original = sim_mod.lss_centering
+
+        def spy(*args):
+            seen.append(original(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(sim_mod, "lss_centering", spy)
+        spectrum = [{"atom": t, "weight": w} for t, w in sp.atoms]
+        runs = {"moments": {"y": y}, "simulate": {"p": p, "n": n, "replicates": 3}}
         for kind, extra in runs.items():
             cfgfile = tmp_path / f"{kind}.json"
-            cfgfile.write_text(json.dumps({"kind": kind, "f": "log", **extra}))
+            cfgfile.write_text(json.dumps({"kind": kind, "f": "log", "spectrum": spectrum,
+                                           **extra}))
             assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
             doc = json.loads((tmp_path / f"{kind}_summary.json").read_text())["summary"]
-            assert doc["mu"] == pytest.approx(mu, rel=1e-9)
-            assert doc["sigma"] == pytest.approx(sigma, rel=1e-9)
+            assert abs(doc["mu"] - mu) <= 1e-12
+            assert abs(doc["sigma"] - sigma) <= 1e-12
+        [got] = seen
+        assert got == pytest.approx(centering, rel=1e-12)
+        # the summary says its v_0 and rho belong to the ellipse in w = sqrt(z)
+        doc = json.loads((tmp_path / "moments_summary.json").read_text())["summary"]
+        assert doc["contour"]["sqrt_map"] is True
 
     @pytest.mark.parametrize("kind", ["moments", "simulate"])
     def test_log_above_one_fails_before_any_solve(self, kind, tmp_path, monkeypatch, capsys):
@@ -340,8 +364,9 @@ class TestCliRuns:
         assert main(["moments", "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "moments_summary.json").read_text())["summary"]
         contour = doc["contour"]
-        assert set(contour) == {"x_l", "x_r", "v_0", "nodes", "rho"}
+        assert set(contour) == {"x_l", "x_r", "v_0", "nodes", "rho", "sqrt_map"}
         assert contour["nodes"] == 64
+        assert contour["sqrt_map"] is False
         assert contour["rho"] > 1.0
         assert set(doc["quadrature"]) == {"mean", "variance"}
         # accepted estimates stay below rtol = 1e-9 times 1 + |moment|

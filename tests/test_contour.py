@@ -39,39 +39,56 @@ class TestBuild:
         assert default_margin(IDENTITY, 0.5) == pytest.approx(0.05 * (hi - lo + 1.0))
 
     def test_log_default_radii(self):
-        # R0 = (sqrt(hi) + sqrt(lo)) / (sqrt(hi) - sqrt(lo)) = 2 at y = 0.25;
-        # the radius sqrt(R0) balances the bulk against 0
+        # in w = sqrt(z) the bulk is [1/2, 3/2] at y = 0.25, and log's
+        # singularity w = 0 sits at radius R_w = (hi^(1/4) + lo^(1/4)) /
+        # (hi^(1/4) - lo^(1/4)); the radius sqrt(R_w) balances the bulk against 0
+        lo, hi = support_interval(IDENTITY, 0.25)
         c = build_contour(IDENTITY, 0.25, f=TestFunction.log())
-        assert c.rho == pytest.approx(math.sqrt(2.0))
-        # confocal with lo = 0.25 and hi = 2.25
-        a = (c.x_r - c.x_l) / 2
-        assert a * a - c.v_0 * c.v_0 == pytest.approx(1.0)
-        assert c.x_l > 0
+        r_w = (hi**0.25 + lo**0.25) / (hi**0.25 - lo**0.25)
+        assert c.sqrt_map
+        assert c.rho == pytest.approx(math.sqrt(r_w))
+        # confocal in w with 1/2 and 3/2; x_l and x_r are the squares of its crossings
+        w_l, w_r = math.sqrt(c.x_l), math.sqrt(c.x_r)
+        assert (w_l + w_r) / 2 == pytest.approx(1.0)
+        a = (w_r - w_l) / 2
+        assert a * a - c.v_0 * c.v_0 == pytest.approx(0.25)
+        assert 0 < c.x_l < lo and c.x_r > hi
+
+    def test_sqrt_map_crosses_the_real_axis_at_x_l_and_x_r(self):
+        # z = w^2 maps the w-ellipse one to one: the contour winds once around
+        # every real point in (x_l, x_r), around none outside it, and not around 0
+        c = build_contour(IDENTITY, 0.5, f=TestFunction.log())
+        for x, winding in ((0.0, 0), (c.x_l - 0.01, 0), (c.x_l + 0.01, 1),
+                           (1.0, 1), (c.x_r - 0.01, 1), (c.x_r + 0.01, 0)):
+            val = integrate(lambda z: 1.0 / (z - x), c)
+            assert abs(val - 2j * np.pi * winding) <= 1e-9
 
     def test_log_rejected_when_left_edge_nonpositive(self):
         with pytest.raises(LogDomain):
             build_contour(IDENTITY, 4.0, eps=0.05, v_0=1.0, f=TestFunction.log())
         with pytest.raises(LogDomain):
             build_contour(IDENTITY, 1.0, f=TestFunction.log())
-        # lo = 0.25 at y = 0.25; eps larger than lo pushes x_l below 0
+        # sqrt(lo) = 0.5 and sqrt(hi) = 1.5 at y = 0.25: eps = 2 takes the
+        # ellipse in w = sqrt(z) out to sqrt(4.25) and its left crossing below 0
         with pytest.raises(LogDomain):
-            build_contour(IDENTITY, 0.25, eps=0.3, v_0=1.0, f=TestFunction.log())
+            build_contour(IDENTITY, 0.25, eps=2.0, v_0=1.0, f=TestFunction.log())
 
     def test_log_domain_checked_before_any_solve(self, monkeypatch):
-        # lo = 0.25 at y = 0.25: eps = 0.3 takes the contour across 0 (eps =
-        # 0.15 stays inside and runs, see test_clt_moments)
+        # sqrt(lo) = 0.5 at y = 0.25: eps = 2 takes the ellipse in w = sqrt(z)
+        # across 0 (eps = 0.15 stays inside and runs, see test_clt_moments)
         def no_solve(*args, **kwargs):
             raise AssertionError("the transform was solved")
 
         monkeypatch.setattr(clt_moments, "s_under_grid", no_solve)
         with pytest.raises(LogDomain):
             compute_moments(TestFunction.log(), IDENTITY, 0.25, EntryEnsemble.real_gaussian(),
-                            eps=0.3)
+                            eps=2.0)
 
+    @pytest.mark.parametrize("f", [None, TestFunction.log()], ids=["ellipse", "sqrt_map"])
     @pytest.mark.parametrize("m0", [16, 24, 64])
-    def test_levels_nest_off_the_real_axis(self, m0):
+    def test_levels_nest_off_the_real_axis(self, m0, f):
         # from the ladder's first level m0/2 on
-        c = build_contour(IDENTITY, 0.5, m=m0)
+        c = build_contour(IDENTITY, 0.5, m=m0, f=f)
         coarse_z, coarse_w = c.nodes(m0 // 2)
         for k in range(10):
             z, w = c.nodes(m0 * 2**k)
@@ -84,6 +101,10 @@ class TestBuild:
     def test_minimum_node_count(self):
         with pytest.raises(ValueError, match="node count"):
             Contour(0.0, 1.0, 1.0, m=8)
+
+    def test_sqrt_map_needs_positive_left_crossing(self):
+        with pytest.raises(ValueError, match="needs x_l > 0"):
+            Contour(0.0, 1.0, 1.0, sqrt_map=True)
 
     def test_odd_node_count_rejected(self):
         # the ladder starts at m/2, which only an even m has

@@ -545,6 +545,18 @@ class TestRunExperiment:
         assert outside(rec, default_margin(IDENTITY, 0.5)) == 0
         # the default contour keeps the default band
         assert run_experiment(cfg, mom).confinement_violations == 0
+        # log's mapped contour has a narrower margin at lo than at hi, so the
+        # band takes each edge halfway to its own crossing: at contour.eps =
+        # 0.03 one replicate's lam_min lies between x_l and (lo + x_l) / 2,
+        # inside lo - eps / 2
+        log_mom = compute_moments(TestFunction.log(), IDENTITY, 0.5, RG, eps=0.03)
+        c = log_mom.contour
+        rec = run_experiment(cfg, log_mom)
+        flagged = [r for r in rec.rows
+                   if r.lam_min < (lo + c.x_l) / 2 or r.lam_max > (hi + c.x_r) / 2]
+        assert rec.confinement_violations == len(flagged) == 1
+        assert c.x_l < flagged[0].lam_min < (lo + c.x_l) / 2
+        assert flagged[0].lam_min > lo - 0.03 / 2
 
     def test_run_solves_no_transform_past_its_moments(self, monkeypatch):
         # the centering runs over the transform compute_moments solved on
