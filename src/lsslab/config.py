@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass, field
 
 from .contour import DEFAULT_V0
-from .errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
-from .simulator import MAX_ENTRIES
-from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
+from .errors import ConstraintViolation, LogDomain, MissingRequired, TypeMismatch, UnknownKey
+from .simulator import MAX_ENTRIES, population_diagonal
+from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction, support_interval
 
 KINDS = ("lsd", "moments", "simulate", "ks-rate", "stein-check", "probe-qform")
 
@@ -292,6 +292,13 @@ def parse_config(text: str) -> RunConfig:
         empty = [n for n in n_grid if round(y * n) < 1]
         if empty:
             raise ConstraintViolation(f"n_grid: p = round(y*n) is 0 at n={empty} for y={y}")
+        if kind == "probe-qform":
+            # the probe's T is population_diagonal at each n: all zero, its moment is 0
+            zero = [n for n in n_grid if not population_diagonal(spectrum, round(y * n)).any()]
+            if zero:
+                raise ConstraintViolation(f"n_grid: all p = round(y*n) population entries are "
+                                          f"0 at n={zero} for y={y}, so the probed moment is 0 "
+                                          f"and its log undefined")
         # the rate fit needs 3 points for its bootstrap, the slope 2 for a line
         least = 3 if kind == "ks-rate" else 2
         if len(n_grid) < least:
@@ -302,6 +309,13 @@ def parse_config(text: str) -> RunConfig:
     large = [(q, m) for q, m in dims.get(kind, []) if q * m > MAX_ENTRIES]
     if large:
         raise ConstraintViolation(f"p*n over the memory budget {MAX_ENTRIES} at (p, n) = {large}")
+    if f.kind == "log":
+        # the bulk reaches 0 when p >= n or an atom is 0, and log's contour cannot enclose it
+        at_zero = [(q, m) for q, m in dims.get(kind, [])
+                   if support_interval(spectrum, q / m)[0] <= 0]
+        if at_zero:
+            raise LogDomain(f"f = log needs the bulk away from 0, so p < n and no zero atom, "
+                            f"but (p, n) = {at_zero} puts it at 0")
 
     contour_raw = get("contour")
     _expect(contour_raw, dict, "contour")

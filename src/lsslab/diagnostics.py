@@ -29,6 +29,7 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _CI_LEVEL = 0.90  # the rate exponent's bootstrap interval, "exponent_ci_90" in summaries
 _QFORM_CHUNK = 20_000  # probe replicates drawn per block
+_QFORM_CELLS = 1 << 18  # (row, replicate) cells of r and A r formed per column slice
 _FD_STEP = 1e-6  # central-difference step of the Stein sweep
 
 
@@ -299,7 +300,13 @@ def _probe_matrix(spectrum: PopulationSpectrum, diag_t: np.ndarray, matrix_kind:
 
 def qform_moment(spectrum: PopulationSpectrum, matrix_kind: str, n: int, y: float,
                  k: int, replicates: int, seed: int) -> float:
-    """Monte-Carlo estimate of E |r* A r - tr(T A)/n|^k at one grid point."""
+    """Monte-Carlo estimate of E |r* A r - tr(T A)/n|^k at one grid point.
+
+    Each block of up to 20,000 replicates is one draw of p x size entries.
+    ``r``, ``A r`` and the forms are made on column slices of that draw, of
+    at most ``_QFORM_CELLS`` cells each, so the block's entries are the
+    only array of its full size; the k-th powers are summed once per block.
+    """
     from .simulator import population_diagonal, replicate_seed, sample_entries
 
     p = int(round(y * n))
@@ -307,15 +314,19 @@ def qform_moment(spectrum: PopulationSpectrum, matrix_kind: str, n: int, y: floa
     a = _probe_matrix(spectrum, diag_t, matrix_kind, n, replicate_seed(seed, 0))
     column = a.shape[1] == 1  # a diagonal A scales rows: the same products as diag(a) @ r
     target = float(np.sum(diag_t * (a[:, 0] if column else np.diag(a)))) / n
+    root_t = np.sqrt(diag_t)[:, None]
+    width = max(1, _QFORM_CELLS // max(p, 1))
     acc = 0.0
     done = 0
     block = 1
     while done < replicates:
         size = min(_QFORM_CHUNK, replicates - done)
         x = sample_entries(EntryEnsemble.real_gaussian(), p, size, replicate_seed(seed, block))
-        r = np.sqrt(diag_t)[:, None] * x / math.sqrt(n)
-        q = np.einsum("ip,ip->p", r.conj(), a * r if column else a @ r).real - target
-        acc += float(np.sum(np.abs(q) ** k))
+        q = np.empty(size)
+        for start in range(0, size, width):
+            r = root_t * x[:, start:start + width] / math.sqrt(n)
+            q[start:start + width] = np.einsum("ip,ip->p", r, a * r if column else a @ r)
+        acc += float(np.sum(np.abs(q - target) ** k))
         done += size
         block += 1
     return acc / replicates

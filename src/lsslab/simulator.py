@@ -24,6 +24,7 @@ transform that ``compute_moments`` solved, whose ``y_n`` must be the run's
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -93,49 +94,74 @@ def sample_entries(ensemble: EntryEnsemble, p: int, n: int, seed: int) -> np.nda
     return draw_entries(ensemble, _rng(seed), (p, n))
 
 
+_GL_NODES = 32  # Gauss-Legendre nodes per panel of the truncated-moment rule
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # formed on first use: importing numpy.polynomial slows every lsslab import
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(_GL_NODES)
+
+
+def _half_line_rule(c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule on ``[0, c]``.
+
+    The panels are ``[0, 1/2], [1/2, 1], [1, 2], ...``, doubling, and the last
+    one ends at c, so each panel is short against the scale of the
+    integrand it holds, from the central mass out to a thin tail.
+    """
+    edges = [0.0]
+    edge = 0.5
+    while edge < c:
+        edges.append(edge)
+        edge *= 2.0
+    edges.append(c)
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    t, v = _gauss_legendre()
+    half = ((hi - lo) / 2.0)[:, None]
+    return (((hi + lo) / 2.0)[:, None] + half * t).ravel(), (half * v).ravel()
+
+
 def truncated_moments(ensemble: EntryEnsemble, threshold: float) -> tuple[float, float, float]:
     """Distributional mean, variance and central fourth moment of ``x * 1{|x| < c}``.
 
-    These are population quantities of the entry law, computed by adaptive
-    quadrature of its density (radial density for the circular complex
-    family), never from the sampled matrix.
+    These are population quantities of the entry law, never read from the
+    sampled matrix: one composite Gauss-Legendre rule (``_half_line_rule``)
+    integrates the density on ``[0, c]`` and its mirror image, the radial
+    density for the circular complex family.  Symmetric laws give mean 0.
     """
     c = float(threshold)
     if c <= 0:
         return 0.0, 0.0, 0.0
-    from scipy import integrate
-
-    if ensemble.variant == "RG":
-        ceff = min(c, 40.0)  # the normal density carries no float64 mass beyond
-        def phi(x):
-            return math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
-        mean, _ = integrate.quad(lambda x: x * phi(x), -ceff, ceff)
-        second, _ = integrate.quad(lambda x: x * x * phi(x), -ceff, ceff)
-        fourth, _ = integrate.quad(lambda x: x ** 4 * phi(x), -ceff, ceff)  # mean 0 by symmetry
-        return mean, second - mean * mean, fourth
-    if ensemble.variant == "CG":
-        # |x| is Rayleigh with density 2 r exp(-r^2); the mean vanishes by
-        # circular symmetry and the moments are E |x|^k 1{|x| < c}
-        ceff = min(c, 40.0)
-        second, _ = integrate.quad(
-            lambda r: r * r * 2.0 * r * math.exp(-r * r), 0.0, ceff)
-        fourth, _ = integrate.quad(lambda r: r ** 4 * 2.0 * r * math.exp(-r * r), 0.0, ceff)
-        return 0.0, second, fourth
+    if ensemble.variant in ("RG", "CG"):
+        # the Gaussian densities carry no float64 mass beyond 40
+        x, w = _half_line_rule(min(c, 40.0))
+        x2 = x * x
+        if ensemble.variant == "RG":
+            # twice the half line; the mean vanishes by symmetry
+            weighted = 2.0 * w * np.exp(-x2 / 2.0) / math.sqrt(2.0 * math.pi)
+        else:
+            # |x| is Rayleigh with density 2 r exp(-r^2); the mean vanishes by
+            # circular symmetry and the moments are E |x|^k 1{|x| < c}
+            weighted = w * 2.0 * x * np.exp(-x2)
+        return 0.0, float(np.sum(x2 * weighted)), float(np.sum(x2 * x2 * weighted))
     if ensemble.name == "rademacher":
         return (0.0, 1.0, 1.0) if c > 1.0 else (0.0, 0.0, 0.0)
     if ensemble.pdf is None:
         raise ValueError(f"ensemble {ensemble.name!r} has no density for truncated moments")
-    # split at zero so the adaptive rule finds the central mass even for
-    # thresholds far out in a thin tail
-    ceff = min(c, 1e3)
+    x, w = _half_line_rule(min(c, 1e3))
+    # each half line summed on its own, so a symmetric density's mean is exactly 0
+    halves = [(u, w * ensemble.pdf(u)) for u in (-x, x)]
 
-    def split(g):
-        return integrate.quad(g, -ceff, 0.0)[0] + integrate.quad(g, 0.0, ceff)[0]
+    def integral(g):
+        return sum(float(np.sum(g(u) * weighted)) for u, weighted in halves)
 
-    mean = split(lambda x: x * ensemble.pdf(x))
-    second = split(lambda x: x * x * ensemble.pdf(x))
-    # E (z - mean)^4, the clipped mass 1 - P(|x| < c) at 0 folded into one quad
-    fourth = split(lambda x: ((x - mean) ** 4 - mean ** 4) * ensemble.pdf(x)) + mean ** 4
+    mean = integral(lambda u: u)
+    second = integral(lambda u: u * u)
+    # E (z - mean)^4, the clipped mass 1 - P(|x| < c) at 0 folded into one sum
+    fourth = integral(lambda u: (u - mean) ** 4 - mean ** 4) + mean ** 4
     return mean, second - mean * mean, fourth
 
 

@@ -126,16 +126,17 @@ class EntryEnsemble:
 
     ``variant`` is ``"RG"`` (real, Gaussian-matched fourth moment),
     ``"CG"`` (complex, circular, E|x|^4 = 2), or ``"custom_real"``.  Custom
-    real families carry a unit-variance sampler plus a density used for the
-    distributional truncated moments; ``fourth_moment`` must be the exact
-    E|x|^4 of the standardized entries.  A truncated law draws the base law
-    zeroed at ``|x| >= threshold``, less ``mean``, over ``sqrt(variance)``.
+    real families carry a unit-variance sampler plus a density, evaluated on
+    arrays, used for the distributional truncated moments; ``fourth_moment``
+    must be the exact E|x|^4 of the standardized entries.  A truncated law
+    draws the base law zeroed at ``|x| >= threshold``, less ``mean``, over
+    ``sqrt(variance)``.
     """
 
     variant: str
     name: str = ""
     sampler: Callable | None = field(default=None, compare=False)
-    pdf: Callable[[float], float] | None = field(default=None, compare=False)
+    pdf: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
     fourth_moment: float = 3.0
     df: float | None = None  # Student t degrees of freedom, kept exactly for the config form
     truncation: tuple[float, float, float] | None = None  # see simulator.truncated_law
@@ -184,7 +185,9 @@ class EntryEnsemble:
 
         The density is ``scale * t_df(x * scale)``, with the log density of
         ``scipy.stats.t`` spelled out in the same numpy operations, so its
-        values are scipy's to the bit and no ``scipy.stats`` is loaded.
+        values are scipy's to the bit and no ``scipy.stats`` is loaded.  It
+        takes a float or an array; ``truncated_moments`` calls it on the
+        nodes of its rule.
         """
         if df <= 4:
             raise ValueError("df must exceed 4 for a finite fourth moment")

@@ -10,12 +10,12 @@ probabilistic meaning.  Equivalently ``z(s_under) = z`` for the rational
 inverse map ``z(s) = -1/s + y sum_k w_k t_k / (1 + t_k s)`` (Silverstein &
 Choi 1995).  Every solve off the real axis runs Newton on that equation,
 safeguarded by the plain step ``F``, certified by the fixed-point residual
-``|F(s) - s|`` and polished by one last Newton step.  A solve starts at
-the Herglotz root of the one-atom equation at the mean atom, which is the
-root itself on a one-atom spectrum, or at given starts (the nested contour
-nodes start from their solved neighbours); on the axis the density is
-read off the eigenvalues of an arrowhead matrix.  The transform of the
-primary law follows from the companion relation
+``|F(s) - s| <= 1e-12 max(1, |s|)`` and polished by one last Newton step.
+A solve starts at the Herglotz root of the one-atom equation at the mean
+atom, which is the root itself on a one-atom spectrum, or at given starts
+(the nested contour nodes start from their solved neighbours); on the axis
+the density is read off the eigenvalues of an arrowhead matrix.  The
+transform of the primary law follows from the companion relation
 ``s = (s_under + (1 - y)/z) / y``.
 """
 
@@ -35,7 +35,9 @@ from .spectral_model import PopulationSpectrum, TestFunction, support_interval
 if TYPE_CHECKING:
     from .clt_moments import CompanionTransform
 
-_TOL = 1e-12  # certified fixed-point residual |F(s) - s| at every converged point
+# certified fixed-point residual |F(s) - s| <= _TOL max(1, |s|) at every converged point:
+# relative once |s| > 1, where the rounding floor of F(s) - s grows with |s|
+_TOL = 1e-12
 _MAX_ITER = 10_000
 _REAL_Z_LIFT = 1e-9  # imaginary offset used to select the branch at real z
 
@@ -69,15 +71,18 @@ def _solve(z: np.ndarray, s0: np.ndarray, spectrum: PopulationSpectrum,
     and lowers the fixed-point residual ``|F(s) - s|`` of
     ``F(s) = -1/(z - y g(s))``; elsewhere the plain step ``F(s)`` is taken,
     which maps each half plane into itself.  A point is done once its
-    residual is at most 1e-12.  One more Newton step then polishes every
-    point, kept where it is finite, stays in the half plane of z and does
-    not raise the residual: it takes s from the 1e-12 certificate to the
-    root's rounding, so a value does not depend on its start or on which
-    points were solved together.  Returns ``(s, residual, iterations)`` per
-    point, where ``iterations`` counts the iterates checked against the
-    stopping test, the start included and the polish not.  Raises
-    ``NonConvergence`` when points are left after 10,000 steps and
-    ``BranchViolation`` when a converged point lies in the wrong half plane.
+    residual is at most ``1e-12 max(1, |s|)``: near the hard edge of a
+    small-scale spectrum ``|s|`` reaches 1e4, and an absolute 1e-12 would
+    lie below the rounding floor of ``F(s) - s`` there.  One more Newton
+    step then polishes every point, kept where it is finite, stays in the
+    half plane of z and does not raise the residual: it takes s from the
+    certificate to the root's rounding, so a value does not depend on its
+    start or on which points were solved together.  Returns
+    ``(s, residual, iterations)`` per point, where ``iterations`` counts
+    the iterates checked against the stopping test, the start included and
+    the polish not.  Raises ``NonConvergence`` when points are left after
+    10,000 steps and ``BranchViolation`` when a converged point lies in the
+    wrong half plane.
     """
     z_all, s = z, s0
     s_out = np.empty_like(z_all)
@@ -102,7 +107,7 @@ def _solve(z: np.ndarray, s0: np.ndarray, spectrum: PopulationSpectrum,
     with np.errstate(all="ignore"):
         f, dg, res = evaluate(z, s)
         for it in range(1, _MAX_ITER + 1):
-            done = res <= _TOL
+            done = res <= _TOL * np.maximum(1.0, np.abs(s))
             if done.any():
                 out = idx[done]
                 s_out[out], f_out[out], dg_out[out] = s[done], f[done], dg[done]
@@ -123,8 +128,8 @@ def _solve(z: np.ndarray, s0: np.ndarray, spectrum: PopulationSpectrum,
         else:
             worst = int(np.argmax(res))
             raise NonConvergence(
-                f"Stieltjes solve left {idx.size} points above residual {_TOL:.0e} after "
-                f"{_MAX_ITER} steps; worst z={z[worst]} at residual {res[worst]:.3e}"
+                f"Stieltjes solve left {idx.size} points above residual {_TOL:.0e} max(1, |s|) "
+                f"after {_MAX_ITER} steps; worst z={z[worst]} at residual {res[worst]:.3e}"
             )
         polished = newton_step(s_out, f_out, dg_out)
         _, _, res_new = evaluate(z_all, polished)
@@ -168,10 +173,11 @@ def solve_s_under(z: complex, spectrum: PopulationSpectrum, y_n: float, *,
     is handled by continuity: the equation is first solved at
     ``z + 1e-9j`` and the result warm-starts the solve on the real axis,
     which selects the boundary-value branch without sign ambiguity.
-    ``residual`` is the certified ``|F(s) - s|`` (at most 1e-12) and
-    ``iterations`` counts the iterates checked, the start included.  Raises
-    ``NonConvergence`` if the step cap runs out and ``BranchViolation`` if
-    the converged point lands on the wrong half plane.
+    ``residual`` is the certified ``|F(s) - s|`` (at most
+    ``1e-12 max(1, |s|)``) and ``iterations`` counts the iterates checked,
+    the start included.  Raises ``NonConvergence`` if the step cap runs out
+    and ``BranchViolation`` if the converged point lands on the wrong half
+    plane.
     """
     z = complex(z)
     if z == 0:

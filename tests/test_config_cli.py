@@ -15,7 +15,7 @@ from lsslab.cli import main, run
 from lsslab.config import (RunConfig, parse_config, parse_test_function,
                            serialize_spectrum, serialize_test_function)
 from lsslab.errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
-from lsslab.simulator import SimConfig, replicate_seed, run_experiment
+from lsslab.simulator import SimConfig, replicate_seed, replicate_statistic, run_experiment
 from lsslab.spectral_model import AspectRatio, PopulationSpectrum, support_interval
 from lsslab.stieltjes import lsd_density
 
@@ -312,6 +312,43 @@ class TestCliRuns:
                                        "replicates": 2}))
         assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
         assert "LogDomain" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
+    @pytest.mark.parametrize("extra", [
+        {"kind": "simulate", "p": 32, "n": 16},
+        {"kind": "simulate", "p": 8, "n": 16,
+         "spectrum": [{"atom": 0, "weight": 0.5}, {"atom": 1, "weight": 0.5}]},
+        {"kind": "ks-rate", "y": 0.98, "n_grid": [16, 64, 128]},  # p = n at n = 16
+    ], ids=["p_above_n", "zero_atom", "ks_rate_p_equals_n"])
+    def test_log_at_the_bulk_edge_fails_before_any_draw(self, extra, tmp_path, monkeypatch,
+                                                         capsys):
+        # the budget check used to draw a replicate first, and the run then
+        # failed in the statistic or in the contour
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return replicate_statistic(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "replicate_statistic", counting)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"f": "log", "replicates": 2, **extra}))
+        assert main([extra["kind"], "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert "LogDomain: f = log needs the bulk away from 0" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
+    def test_probe_on_an_all_zero_population_diagonal_fails(self, tmp_path, capsys):
+        # at n = 2, p = 1 and population_diagonal gives that entry to the
+        # zero atom: the moment was 0, and the run wrote "slope": NaN
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "kind": "probe-qform", "y": 0.5, "n_grid": [2, 37, 40], "replicates": 100,
+            "spectrum": [{"atom": 0, "weight": 0.92}, {"atom": 0.3, "weight": 0.08}]}))
+        assert main(["probe-qform", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "ConstraintViolation: n_grid: all p = round(y*n) population entries" in err
+        assert "n=[2]" in err
         assert list(tmp_path.iterdir()) == [cfgfile]
 
     def test_constant_f_moments_sigma_is_plus_zero(self, tmp_path, capsys):
@@ -650,8 +687,8 @@ class TestCliRuns:
 
     def test_fresh_process_loads_only_the_scipy_it_calls(self, tmp_path):
         # a fresh process, since this one has scipy loaded already; scipy is
-        # imported only where it is called, and the t density needs no
-        # scipy.stats (scipy.integrate shows that the truncated run called it)
+        # imported only where it is called, the t density needs no scipy.stats
+        # and the truncated moments' fixed rule no scipy.integrate
         sim = tmp_path / "t11.json"
         sim.write_text(json.dumps({"kind": "simulate", "p": 8, "n": 16, "replicates": 4,
                                    "ensemble": {"name": "student_t", "df": 11},
@@ -677,7 +714,7 @@ class TestCliRuns:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env=env, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["[]", "[]", "False True"]
+        assert out.stdout.splitlines() == ["[]", "[]", "False False"]
 
     def test_ks_rate_csv_shape(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from scipy import integrate, stats
 
 from conftest import BATTERY
+from lsslab import diagnostics
 from lsslab.contour import build_contour
 from lsslab.diagnostics import (QformProbeResult, RateFit, SteinContext,
                                 fit_rate, ks_to_normal, norm_cdf, qform_moment,
@@ -310,6 +312,40 @@ class TestQformProbe:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             qform_probe(IDENTITY, "fixed_psd", [64, 128, 256], 0.5, 3, 100, 0)
+
+    @pytest.mark.parametrize("matrix_kind, seed", [("fixed_psd", 2), ("resolvent", 8)])
+    def test_column_slices_give_the_one_shot_moment(self, matrix_kind, seed):
+        # p = 24 slices a block into 10,922 columns, and 25,000 replicates
+        # draw two blocks: the sliced forms and one sum per block keep the
+        # bits of forming every block's forms at once (at these seeds a sum
+        # per slice moves the last bit)
+        sp = PopulationSpectrum.from_pairs([(0.25, 0.5), (1.0, 0.5)])
+        n, y, k, reps = 48, 0.5, 4, 25_000
+        assert reps > diagnostics._QFORM_CHUNK > diagnostics._QFORM_CELLS // round(y * n)
+        diag_t = population_diagonal(sp, round(y * n))
+        a = diagnostics._probe_matrix(sp, diag_t, matrix_kind, n, replicate_seed(seed, 0))
+        column = matrix_kind == "fixed_psd"
+        target = float(np.sum(diag_t * (a[:, 0] if column else np.diag(a)))) / n
+        acc = 0.0
+        for block, size in ((1, diagnostics._QFORM_CHUNK), (2, reps - diagnostics._QFORM_CHUNK)):
+            x = sample_entries(EntryEnsemble.real_gaussian(), diag_t.size, size,
+                               replicate_seed(seed, block))
+            r = np.sqrt(diag_t)[:, None] * x / math.sqrt(n)
+            q = np.einsum("ip,ip->p", r, a * r if column else a @ r) - target
+            acc += float(np.sum(np.abs(q) ** k))
+        assert qform_moment(sp, matrix_kind, n, y, k, reps, seed) == acc / reps
+
+    def test_peak_memory_is_about_one_entry_block(self):
+        # fixed_psd at n = 512 draws a 256 x 10,000 block of 20.5 MB; the
+        # full-width r, A r and forms took the traced peak to 61.5 MB
+        qform_moment(IDENTITY, "fixed_psd", 16, 0.5, 4, 10, 0)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            qform_moment(IDENTITY, "fixed_psd", 512, 0.5, 4, 10_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 256 * 10_000 * 8
 
 
 class TestSigma0:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import BATTERY, companion, random_offbulk_points
 from lsslab.errors import OutsideSupport, PoleAtAtom
-from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
-from lsslab.clt_moments import CompanionTransform
+from lsslab.spectral_model import (EntryEnsemble, PopulationSpectrum, TestFunction,
+                                   support_interval)
+from lsslab.clt_moments import CompanionTransform, compute_moments
 from lsslab.contour import build_contour
 from lsslab.stieltjes import (_mean_atom_start, _solve, companion_to_primary, inverse_map,
                               lsd_density, lss_centering, mp_quadratic_root, s_under_grid,
@@ -87,6 +88,19 @@ class TestSolver:
         grid = s_under_grid(zs, BATTERY["five_atom"], 0.5)
         for z, s in zip(zs[:10], grid[:10]):
             assert abs(s - solve_s_under(complex(z), BATTERY["five_atom"], 0.5).s_under) < 1e-11
+
+    @pytest.mark.parametrize("y", [0.98, 0.99])
+    @pytest.mark.parametrize("pairs", [[(0.01, 1.0)], [(0.01, 0.70), (0.1, 0.05), (0.3, 0.25)]],
+                             ids=["scaled_identity", "three_atom"])
+    def test_log_near_the_hard_edge_of_a_small_scale_spectrum(self, pairs, y):
+        # |s| reaches about 1e4 near z = 0 here, where an absolute 1e-12 on
+        # |F(s) - s| lies below its rounding floor and the solve raised
+        # NonConvergence; log's moments do not depend on the scale of T, so
+        # the closed forms log(1 - y)/2 and -2 log(1 - y) hold
+        mom = compute_moments(TestFunction.log(), PopulationSpectrum.from_pairs(pairs), y,
+                              EntryEnsemble.real_gaussian())
+        assert abs(mom.mu - np.log(1 - y) / 2.0) <= 1e-12
+        assert abs(mom.sigma + 2.0 * np.log(1 - y)) <= 1e-12
 
 
 class TestStarts:
