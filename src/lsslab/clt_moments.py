@@ -105,8 +105,8 @@ class CltMoments:
     # transform the moments were integrated over (a run takes f, the
     # spectrum, y_n and the contour from them) and where each ladder
     # stopped ({"mean": Quadrature, "variance": Quadrature}, no mean for CG)
-    f: TestFunction | None = field(default=None, compare=False)
-    s_under: CompanionTransform | None = field(default=None, compare=False)
+    f: TestFunction = field(compare=False)
+    s_under: CompanionTransform = field(compare=False)
     quadrature: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -115,8 +115,8 @@ class CltMoments:
         return "CG" if self.ensemble.is_complex else "RG"
 
     @property
-    def contour(self) -> Contour | None:
-        return None if self.s_under is None else self.s_under.contour
+    def contour(self) -> Contour:
+        return self.s_under.contour
 
 
 def _atom_factors(s: np.ndarray, spectrum: PopulationSpectrum, y_n: float) -> np.ndarray:

@@ -13,10 +13,10 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .contour import DEFAULT_V0
-from .errors import ConstraintViolation, LogDomain, MissingRequired, TypeMismatch, UnknownKey
+from .contour import DEFAULT_V0, build_contour
+from .errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
 from .simulator import MAX_ENTRIES, population_diagonal
-from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction, support_interval
+from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
 
 KINDS = ("lsd", "moments", "simulate", "ks-rate", "stein-check", "probe-qform")
 
@@ -200,9 +200,6 @@ class RunConfig:
             "matrix_kind": self.matrix_kind,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
 
 def _expect(value, types, path: str):
     if isinstance(value, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
@@ -309,13 +306,6 @@ def parse_config(text: str) -> RunConfig:
     large = [(q, m) for q, m in dims.get(kind, []) if q * m > MAX_ENTRIES]
     if large:
         raise ConstraintViolation(f"p*n over the memory budget {MAX_ENTRIES} at (p, n) = {large}")
-    if f.kind == "log":
-        # the bulk reaches 0 when p >= n or an atom is 0, and log's contour cannot enclose it
-        at_zero = [(q, m) for q, m in dims.get(kind, [])
-                   if support_interval(spectrum, q / m)[0] <= 0]
-        if at_zero:
-            raise LogDomain(f"f = log needs the bulk away from 0, so p < n and no zero atom, "
-                            f"but (p, n) = {at_zero} puts it at 0")
 
     contour_raw = get("contour")
     _expect(contour_raw, dict, "contour")
@@ -326,6 +316,11 @@ def parse_config(text: str) -> RunConfig:
     if eps is not None:
         eps = _positive(eps, "contour.eps")
     v0 = _positive(contour_raw.get("v0", _DEFAULTS["contour"]["v0"]), "contour.v0")
+    if f.kind == "log" and kind in ("moments", "simulate", "ks-rate"):
+        # build_contour raises LogDomain when log's contour cannot enclose the bulk
+        # at a ratio the run integrates at: p >= n, a zero atom or too large an eps
+        for ratio in [q / m for q, m in dims["ks-rate"]] if kind == "ks-rate" else [y]:
+            build_contour(spectrum, ratio, eps, v0, f=f)
 
     trunc_raw = get("truncation")
     _expect(trunc_raw, dict, "truncation")

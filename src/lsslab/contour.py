@@ -159,9 +159,9 @@ def build_contour(spectrum: PopulationSpectrum, y: float, eps: float | None = No
     c = _confocal(w_lo, w_hi, eps_w, v_0, m)
     if not (lo > 0 and c.x_l > 0):
         raise LogDomain(
-            f"log test function needs the contour in Re z > 0, but the bulk lower edge "
-            f"is {lo} and the contour's ellipse in w = sqrt(z) reaches Re w = {c.x_l}; the "
-            f"bulk must stay away from 0 (y < 1, no zero atom) and contour.eps below it"
+            f"f = log needs the bulk away from 0 and its contour's ellipse in w = sqrt(z) "
+            f"in Re w > 0, but at y = {y} the bulk's lower edge is {lo} and the ellipse "
+            f"reaches Re w = {c.x_l}: keep p < n with no zero atom, and contour.eps smaller"
         )
     return replace(c, x_l=c.x_l * c.x_l, x_r=c.x_r * c.x_r, sqrt_map=True)
 
@@ -228,6 +228,7 @@ def trapezoid(integrand, nodes, m0: int, what: str) -> Quadrature:
     return _doubling_ladder(level, m0, what)[0]
 
 
+# no run calls it; perfbench/spans.py wraps it by name
 def integrate(g, c: Contour) -> complex:
     """Closed-path integral of a vectorized complex function over c."""
     return trapezoid(g, c.nodes, c.m, "contour integral").value

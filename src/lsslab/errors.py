@@ -13,16 +13,12 @@ class BranchViolation(LabError):
     """Fixed point converged on the wrong half plane."""
 
 
-class PoleAtAtom(LabError):
-    """An evaluation point collided with a spectrum atom pole."""
-
-
 class OutsideSupport(LabError):
     """Density requested off the spectral bulk."""
 
 
 class LogDomain(LabError):
-    """Log test function used on a contour touching Re z <= 0."""
+    """Log test function evaluated on its branch cut, or its contour cannot avoid it."""
 
 
 class NodeSingularity(LabError):

@@ -35,8 +35,7 @@ import numpy as np
 # but never samples, and loading scipy takes longer than such a run
 from .clt_moments import CltMoments, normalize
 from .diagnostics import ks_to_normal
-from .errors import (ConstraintViolation, DegenerateTruncation, LabError, LogDomain,
-                     NonConvergence)
+from .errors import ConstraintViolation, DegenerateTruncation, LabError, NonConvergence
 from .spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
                              TestFunction, support_interval)
 from .stieltjes import lss_centering
@@ -199,6 +198,7 @@ def _clip_restandardize(entries: np.ndarray, threshold: float, mean: float,
     return clipped
 
 
+# no run calls it; perfbench/spans.py wraps it by name
 def truncate_normalize(entries: np.ndarray, n: int, eta: float,
                        ensemble: EntryEnsemble) -> np.ndarray:
     """Zero out entries at or beyond ``eta * n^(1/4)``, then restandardize.
@@ -365,10 +365,10 @@ def replicate_eigenvalues(ensemble: EntryEnsemble, spectrum: PopulationSpectrum,
 
 
 def lss_centered(f: TestFunction, eigs: np.ndarray, centering: float) -> float:
-    """Sum of f over the eigenvalues minus the deterministic centering."""
-    if f.kind == "log" and np.min(eigs) <= 0:
-        raise LogDomain(f"log statistic undefined at eigenvalue {np.min(eigs):.3e}: f = log "
-                        f"needs every eigenvalue positive, so p <= n and no zero atom")
+    """Sum of f over the eigenvalues minus the deterministic centering.
+
+    ``f = log`` raises ``LogDomain`` at an eigenvalue at or below 0.
+    """
     total = float(np.sum(f(np.asarray(eigs, dtype=complex))).real)
     return total - centering
 
@@ -443,9 +443,6 @@ class ExperimentRecord:
     sampler: str  # replicate_sampler's name for the run's law
     statistic: str  # replicate_reduction's name for the run's f and law
 
-    def values(self) -> np.ndarray:
-        return np.array([r.value for r in self.rows])
-
 
 def _one_replicate(cfg: SimConfig, moments: CltMoments, centering: float,
                    index: int) -> ReplicateRow:
@@ -464,17 +461,14 @@ def run_experiment(cfg: SimConfig, moments: CltMoments) -> ExperimentRecord:
     f, the entry law (truncated or not), the spectrum and the contour come
     from ``moments``, and the centering is integrated over the transform
     they already solved; the confinement band runs halfway from the bulk's
-    edges ``lo`` and ``hi`` to the contour's crossings ``x_l`` and ``x_r``.  Raises ``ConstraintViolation`` before any draw when
-    the moments carry no transform or were solved at another ``y_n`` than
-    the run's ``p/n``.  The centering is computed once per run; each
-    replicate draws through ``replicate_statistic``, and the record names
-    the sampler and the reduction.  Any replicate failure is re-raised with
-    its index attached.
+    edges ``lo`` and ``hi`` to the contour's crossings ``x_l`` and ``x_r``.
+    Raises ``ConstraintViolation`` before any draw when the moments were
+    solved at another ``y_n`` than the run's ``p/n``.  The centering is
+    computed once per run; each replicate draws through
+    ``replicate_statistic``, and the record names the sampler and the
+    reduction.  Any replicate failure is re-raised with its index attached.
     """
     s = moments.s_under
-    if s is None or moments.f is None:
-        raise ConstraintViolation("moments carry no test function or companion transform; "
-                                  "compute them with compute_moments")
     y = cfg.ratio.y_n
     if y != s.y_n:
         raise ConstraintViolation(f"moments were computed at y_n={s.y_n}, but the run has "

@@ -79,10 +79,6 @@ class PopulationSpectrum:
     def max_eigenvalue(self) -> float:
         return max(t for t, _ in self.atoms)
 
-    def moment(self, order: int) -> float:
-        """Raw moment of the population distribution."""
-        return math.fsum(w * t**order for t, w in self.atoms)
-
 
 @dataclass(frozen=True)
 class AspectRatio:
@@ -224,8 +220,8 @@ class TestFunction:
 
     ``kind`` is ``"poly"`` with Horner-evaluated coefficients ``c0..cd``
     (derivative coefficients are the exact formal derivative) or ``"log"``
-    using the principal branch, admissible only on contours staying in
-    Re z > 0.
+    using the principal branch, defined off its branch cut ``(-inf, 0]``:
+    f and f' raise ``LogDomain`` at any z with ``Im z = 0`` and ``Re z <= 0``.
     """
 
     __test__ = False  # keep pytest from collecting the domain type
@@ -282,10 +278,16 @@ class TestFunction:
         return "+".join(terms) if terms else "0"
 
     def __call__(self, z):
-        return eval_f(self, z)
+        """f at a complex point or an array of points."""
+        if self.kind == "poly":
+            return _horner(self.coeffs, z)
+        return _off_branch_cut(np.log, z)
 
     def deriv(self, z):
-        return eval_f_prime(self, z)
+        """f' at a complex point or an array of points (exact, not numeric)."""
+        if self.kind == "poly":  # a constant's empty derivative evaluates to 0
+            return _horner(tuple(k * c for k, c in enumerate(self.coeffs))[1:], z)
+        return _off_branch_cut(lambda zc: 1.0 / zc, z)
 
 
 def _horner(coeffs: tuple[float, ...], z):
@@ -295,23 +297,12 @@ def _horner(coeffs: tuple[float, ...], z):
     return acc if acc.shape else complex(acc)
 
 
-def eval_f(f: TestFunction, z):
-    """Evaluate f at a complex point or array of points."""
-    if f.kind == "poly":
-        return _horner(f.coeffs, z)
+def _off_branch_cut(op, z):
+    """``op(z)`` for log or its derivative; raises ``LogDomain`` at a z on ``(-inf, 0]``."""
     zc = np.asarray(z, dtype=complex)
-    if np.any(zc.real <= 0):
-        raise LogDomain("log test function evaluated at Re z <= 0")
-    out = np.log(zc)
-    return out if out.shape else complex(out)
-
-
-def eval_f_prime(f: TestFunction, z):
-    """Evaluate f' at a complex point or array of points (exact, not numeric)."""
-    if f.kind == "poly":  # a constant's empty derivative evaluates to 0
-        return _horner(tuple(k * c for k, c in enumerate(f.coeffs))[1:], z)
-    zc = np.asarray(z, dtype=complex)
-    if np.any(zc.real <= 0):
-        raise LogDomain("log test function evaluated at Re z <= 0")
-    out = 1.0 / zc
+    cut = (zc.imag == 0.0) & (zc.real <= 0.0)
+    if cut.any():
+        raise LogDomain(f"log test function evaluated at z = {float(zc[cut][0].real)!r}, "
+                        f"on its branch cut (-inf, 0]")
+    out = op(zc)
     return out if out.shape else complex(out)

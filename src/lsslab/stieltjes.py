@@ -1,4 +1,4 @@
-"""Companion Stieltjes transform: one Newton solver, inverse map, exact density.
+"""Companion Stieltjes transform: one Newton solver and the exact density.
 
 The central object is the transform ``s_under(z)`` of the companion
 spectral law, characterized off the real bulk by the fixed point
@@ -13,15 +13,14 @@ safeguarded by the plain step ``F``, certified by the fixed-point residual
 ``|F(s) - s| <= 1e-12 max(1, |s|)`` and polished by one last Newton step.
 A solve starts at the Herglotz root of the one-atom equation at the mean
 atom, which is the root itself on a one-atom spectrum, or at given starts
-(the nested contour nodes start from their solved neighbours); on the axis
-the density is read off the eigenvalues of an arrowhead matrix.  The
-transform of the primary law follows from the companion relation
-``s = (s_under + (1 - y)/z) / y``.
+in the half plane of z (the nested contour nodes start from their solved
+neighbours); on the axis the density is read off the eigenvalues of an
+arrowhead matrix.  The transform of the primary law follows from the
+companion relation ``s = (s_under + (1 - y)/z) / y``.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -29,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .contour import real_part, trapezoid
-from .errors import BranchViolation, NonConvergence, OutsideSupport, PoleAtAtom
+from .errors import BranchViolation, NonConvergence, OutsideSupport
 from .spectral_model import PopulationSpectrum, TestFunction, support_interval
 
 if TYPE_CHECKING:
@@ -193,10 +192,9 @@ def solve_s_under(z: complex, spectrum: PopulationSpectrum, y_n: float, *,
     start = (_mean_atom_start(z_arr, spectrum, y) if s0 is None
              else np.array([s0], dtype=complex))
     s, res, it = _solve(z_arr, start, spectrum, y)
-    s = complex(s[0])
-    s_primary = (s + (1.0 - y) / z) / y
-    return StieltjesSolution(z=z, s_under=s, s=s_primary, residual=float(res[0]),
-                             iterations=int(it[0]))
+    return StieltjesSolution(z=z, s_under=complex(s[0]),
+                             s=complex(companion_to_primary(s[0], z, y)),
+                             residual=float(res[0]), iterations=int(it[0]))
 
 
 def s_under_grid(z: np.ndarray, spectrum: PopulationSpectrum, y_n: float,
@@ -208,15 +206,20 @@ def s_under_grid(z: np.ndarray, spectrum: PopulationSpectrum, y_n: float,
     Each point starts from ``start`` (same shape as z) when given, else
     from the Herglotz root of the one-atom equation at the mean atom
     ``sum_k w_k t_k``, falling back to ``-1/z`` where that root is not
-    finite or not in the half plane of z.
+    finite or not in the half plane of z.  A given start that is not
+    finite or not strictly in the half plane of z is replaced by the
+    mean-atom one: the plain step keeps each half plane, so from the wrong
+    one the solve never reaches the Herglotz root.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     if np.any(flat.imag == 0.0):
         raise ValueError("grid solver expects Im z != 0 at every point; use solve_s_under")
     y = float(y_n)
-    s0 = (_mean_atom_start(flat, spectrum, y) if start is None
-          else np.asarray(start, dtype=complex).ravel())
+    s0 = _mean_atom_start(flat, spectrum, y)
+    if start is not None:
+        given = np.asarray(start, dtype=complex).ravel()
+        s0 = np.where(np.isfinite(given) & (given.imag * flat.imag > 0.0), given, s0)
     s, _, _ = _solve(flat, s0, spectrum, y)
     return s.reshape(z.shape)
 
@@ -224,22 +227,6 @@ def s_under_grid(z: np.ndarray, spectrum: PopulationSpectrum, y_n: float,
 def companion_to_primary(s_under: np.ndarray, z: np.ndarray, y_n: float) -> np.ndarray:
     """Transform of the primary law from the companion one."""
     return (s_under + (1.0 - y_n) / np.asarray(z, dtype=complex)) / y_n
-
-
-def inverse_map(s_under: complex, spectrum: PopulationSpectrum, y_n: float) -> complex:
-    """Exact inverse of the companion transform.
-
-    ``z(s_under) = -1/s_under + y * sum_k w_k t_k / (1 + t_k s_under)``.
-    Raises ``PoleAtAtom`` when an atom makes ``1 + t_k s_under`` vanish.
-    """
-    s_under = complex(s_under)
-    if s_under == 0:
-        raise ValueError("inverse map undefined at s_under = 0")
-    for t, _ in spectrum.atoms:
-        if abs(1.0 + t * s_under) < 1e-14:
-            raise PoleAtAtom(f"1 + t*s_under vanished at atom t={t}")
-    g, _ = _atom_sum(spectrum, np.array([s_under]))
-    return -1.0 / s_under + y_n * complex(g[0])
 
 
 def lsd_density(x, spectrum: PopulationSpectrum, y_n: float):
@@ -297,20 +284,3 @@ def lss_centering(f: TestFunction, p: int, s_under: CompanionTransform) -> float
                     s_under, s_under.contour.m, "centering").value
     return real_part(-p / (2.0j * np.pi) * raw, "centering integral")
 
-
-def mp_quadratic_root(z: complex, y: float) -> complex:
-    """Closed-form companion transform for the single-atom-at-1 population.
-
-    Root of ``z s^2 + (z + 1 - y) s + 1 = 0`` on the Herglotz branch;
-    independent oracle for the fixed point solver.
-    """
-    z = complex(z)
-    b = z + 1.0 - y
-    disc = cmath.sqrt(b * b - 4.0 * z)
-    r1 = (-b + disc) / (2.0 * z)
-    r2 = (-b - disc) / (2.0 * z)
-    if z.imag != 0.0:
-        return r1 if r1.imag * z.imag > 0 else r2
-    # real z off support: the branch continuous from above has larger |.|
-    lifted = mp_quadratic_root(z + 1j * _REAL_Z_LIFT, y)
-    return r1 if abs(r1 - lifted) < abs(r2 - lifted) else r2

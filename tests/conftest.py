@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -36,3 +39,37 @@ def companion(spectrum, y, f=None, **contour):
     from lsslab.contour import build_contour
 
     return CompanionTransform(spectrum, y, build_contour(spectrum, y, f=f, **contour))
+
+
+def population_moment(spectrum, order):
+    """Raw moment ``sum_k w_k t_k^order`` of the population distribution."""
+    return math.fsum(w * t**order for t, w in spectrum.atoms)
+
+
+def mp_quadratic_root(z, y):
+    """Closed-form companion transform for the single-atom-at-1 population.
+
+    Root of ``z s^2 + (z + 1 - y) s + 1 = 0`` on the Herglotz branch;
+    independent oracle for the fixed point solver.
+    """
+    z = complex(z)
+    b = z + 1.0 - y
+    disc = cmath.sqrt(b * b - 4.0 * z)
+    r1 = (-b + disc) / (2.0 * z)
+    r2 = (-b - disc) / (2.0 * z)
+    if z.imag != 0.0:
+        return r1 if r1.imag * z.imag > 0 else r2
+    # real z off support: the branch continuous from above has larger |.|
+    lifted = mp_quadratic_root(z + 1e-9j, y)
+    return r1 if abs(r1 - lifted) < abs(r2 - lifted) else r2
+
+
+def inverse_map(s_under, spectrum, y_n):
+    """Exact inverse of the companion transform.
+
+    ``z(s_under) = -1/s_under + y * sum_k w_k t_k / (1 + t_k s_under)``.
+    """
+    s_under = complex(s_under)
+    if s_under == 0:
+        raise ValueError("inverse map undefined at s_under = 0")
+    return -1.0 / s_under + y_n * sum(w * t / (1.0 + t * s_under) for t, w in spectrum.atoms)

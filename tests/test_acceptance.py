@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import BATTERY, random_offbulk_points
+from conftest import BATTERY, mp_quadratic_root, random_offbulk_points
 from lsslab.clt_moments import (CompanionTransform, compute_moments, kernel_from_s,
                                 mean_correction, variance_with_kernel)
 from lsslab.contour import Contour, build_contour
@@ -22,7 +22,7 @@ from lsslab.diagnostics import (SteinContext, fit_rate, qform_probe,
 from lsslab.simulator import SimConfig, run_experiment
 from lsslab.spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
                                    TestFunction)
-from lsslab.stieltjes import mp_quadratic_root, s_under_grid, solve_s_under
+from lsslab.stieltjes import s_under_grid, solve_s_under
 
 IDENTITY = PopulationSpectrum.identity()
 RG = EntryEnsemble.real_gaussian()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BATTERY, companion
+from conftest import BATTERY, companion, inverse_map, population_moment
 from lsslab import clt_moments, stieltjes
 from lsslab.clt_moments import (CltMoments, CompanionTransform, _a_times_t_integral,
                                 _mean_integrand, _variance_level, compute_moments,
@@ -16,7 +16,7 @@ from lsslab.contour import Contour, _confocal, build_contour, trapezoid
 from lsslab.errors import QuadratureStall, ZeroVariance
 from lsslab.spectral_model import (EntryEnsemble, PopulationSpectrum, TestFunction,
                                    support_interval)
-from lsslab.stieltjes import inverse_map, lss_centering, s_under_grid, solve_s_under
+from lsslab.stieltjes import lss_centering, s_under_grid, solve_s_under
 
 IDENTITY = PopulationSpectrum.identity()
 RG = EntryEnsemble.real_gaussian()
@@ -425,7 +425,7 @@ class TestMean:
         sp = BATTERY["two_atom"]
         y = 0.5
         s = CompanionTransform(sp, y, build_contour(sp, y))
-        assert mean_correction(F_X2, s) == pytest.approx(y * sp.moment(2), rel=1e-8)
+        assert mean_correction(F_X2, s) == pytest.approx(y * population_moment(sp, 2), rel=1e-8)
 
     def test_log_identity_population(self):
         # classical closed form log(1 - y) / 2 for the MP bulk
@@ -451,7 +451,8 @@ class TestVariance:
         sp = BATTERY["five_atom"]
         y = 0.5
         s = CompanionTransform(sp, y, build_contour(sp, y))
-        assert variance_with_kernel(F_X, s)[0] == pytest.approx(2 * y * sp.moment(2), rel=1e-9)
+        want = 2 * y * population_moment(sp, 2)
+        assert variance_with_kernel(F_X, s)[0] == pytest.approx(want, rel=1e-9)
 
     def test_log_identity_population(self):
         # classical closed form -2 log(1 - y)
@@ -537,15 +538,20 @@ class TestMomentsBundle:
         assert mom.kernel_max_abs == pytest.approx(amax, rel=1e-12)
 
 
+def _moments(mu, sigma, ensemble):
+    # normalize reads mu, sigma and the case; f and the transform are provenance
+    return CltMoments(mu, sigma, ensemble, 0.3, F_X, companion(IDENTITY, 0.5))
+
+
 class TestNormalize:
     def test_trivial_cases(self):
-        assert normalize(0.0, CltMoments(0.0, 1.0, RG, 0.3)) == 0.0
-        assert normalize(3.0, CltMoments(1.0, 4.0, RG, 0.3)) == pytest.approx(1.0)
-        assert normalize(1.0, CltMoments(0.0, 2.0, CG, 0.3)) == pytest.approx(1.0)
+        assert normalize(0.0, _moments(0.0, 1.0, RG)) == 0.0
+        assert normalize(3.0, _moments(1.0, 4.0, RG)) == pytest.approx(1.0)
+        assert normalize(1.0, _moments(0.0, 2.0, CG)) == pytest.approx(1.0)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ZeroVariance):
-            normalize(1.0, CltMoments(0.0, 0.0, RG, 0.0))
+            normalize(1.0, _moments(0.0, 0.0, RG))
 
 
 class TestImaginaryResidue:

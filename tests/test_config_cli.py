@@ -14,9 +14,11 @@ from lsslab import clt_moments as clt_moments_mod
 from lsslab.cli import main, run
 from lsslab.config import (RunConfig, parse_config, parse_test_function,
                            serialize_spectrum, serialize_test_function)
+from lsslab.contour import build_contour
 from lsslab.errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
 from lsslab.simulator import SimConfig, replicate_seed, replicate_statistic, run_experiment
-from lsslab.spectral_model import AspectRatio, PopulationSpectrum, support_interval
+from lsslab.spectral_model import (AspectRatio, PopulationSpectrum, TestFunction,
+                                   support_interval)
 from lsslab.stieltjes import lsd_density
 
 IDENTITY = PopulationSpectrum.identity()
@@ -206,7 +208,7 @@ class TestParseConfig:
             if kind in ("simulate", "ks-rate") and len(doc["f"]["poly"]) == 1:
                 doc["f"]["poly"].append(1.0)  # a run needs a nonconstant f
             cfg1 = parse_config(json.dumps(doc))
-            cfg2 = parse_config(cfg1.to_json())
+            cfg2 = parse_config(json.dumps(cfg1.to_dict()))
             assert cfg1 == cfg2, f"round trip failed for config {i}"
 
 
@@ -337,6 +339,46 @@ class TestCliRuns:
         assert "LogDomain: f = log needs the bulk away from 0" in capsys.readouterr().err
         assert calls == []
         assert list(tmp_path.iterdir()) == [cfgfile]
+
+    @pytest.mark.parametrize("extra", [
+        {"kind": "simulate", "p": 16, "n": 64},
+        {"kind": "ks-rate", "y": 0.25, "n_grid": [16, 32, 64]},
+    ], ids=["simulate", "ks_rate"])
+    def test_log_contour_across_re_w_zero_fails_before_any_draw(self, extra, tmp_path,
+                                                                monkeypatch, capsys):
+        # sqrt(lo) = 0.5 and sqrt(hi) = 1.5 at y = 0.25: eps = 2 takes log's
+        # ellipse in w = sqrt(z) across Re w = 0; the budget check drew a
+        # replicate before the contour was built
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return replicate_statistic(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "replicate_statistic", counting)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"f": "log", "replicates": 2, "contour": {"eps": 2.0},
+                                       **extra}))
+        assert main([extra["kind"], "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "LogDomain: f = log needs the bulk away from 0" in err and "Re w = -0.06" in err
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
+    def test_log_contour_with_nodes_left_of_zero(self, tmp_path):
+        # log's domain is its branch cut (-inf, 0]: at y = 0.25 and eps = 1 the
+        # ellipse in w = sqrt(z) stays in Re w > 0, so z = w^2 never meets the
+        # cut, though some nodes have Re z < 0, which a check on Re z rejected
+        log = TestFunction.log()
+        z, _ = build_contour(IDENTITY, 0.25, 1.0, f=log).nodes()
+        assert (z.real < 0).any()
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": "moments", "f": "log", "y": 0.25,
+                                       "contour": {"eps": 1.0}}))
+        assert main(["moments", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "moments_summary.json").read_text())["summary"]
+        assert abs(doc["mu"] - np.log(0.75) / 2.0) <= 1e-12
+        assert abs(doc["sigma"] + 2.0 * np.log(0.75)) <= 1e-12
 
     def test_probe_on_an_all_zero_population_diagonal_fails(self, tmp_path, capsys):
         # at n = 2, p = 1 and population_diagonal gives that entry to the

@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,32 @@ def test_readme_sketch_runs_and_prints_its_commented_values():
     assert sigma == pytest.approx(10.0, rel=1e-9)
     assert 0.0 < kernel_max_abs < 1.0
     assert float(centering) == pytest.approx(96.0, rel=1e-9)
+
+
+def _names_used(source: str) -> set[str]:
+    """Every name a module reads, imports or takes as an attribute, docstrings left out."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_export_is_used_by_the_package_or_documented():
+    # an export serves another module of the package or the README's reader;
+    # one that only tests use belongs in the tests
+    package = Path(lsslab.__file__).resolve().parent
+    used = {path.stem: _names_used(path.read_text(encoding="utf-8"))
+            for path in package.glob("*.py") if path.stem != "__init__"}
+    readme = _readme()
+    unused = []
+    for name in lsslab.__all__:
+        home = getattr(getattr(lsslab, name), "__module__", "lsslab").rpartition(".")[2]
+        elsewhere = any(name in names for module, names in used.items() if module != home)
+        if not elsewhere and not re.search(rf"(?<![\w.]){re.escape(name)}\b", readme):
+            unused.append(name)
+    assert unused == []

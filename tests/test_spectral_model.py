@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import population_moment
 from lsslab.errors import LogDomain
 from lsslab.spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
-                                   TestFunction, eval_f, eval_f_prime,
-                                   support_interval)
+                                   TestFunction, support_interval)
 
 
 class TestPopulationSpectrum:
@@ -35,8 +35,8 @@ class TestPopulationSpectrum:
 
     def test_moments(self):
         sp = PopulationSpectrum.from_pairs([(0.4, 0.5), (1.0, 0.5)])
-        assert sp.moment(1) == pytest.approx(0.7, abs=1e-15)
-        assert sp.moment(2) == pytest.approx(0.58, abs=1e-15)
+        assert population_moment(sp, 1) == pytest.approx(0.7, abs=1e-15)
+        assert population_moment(sp, 2) == pytest.approx(0.58, abs=1e-15)
 
 
 class TestAspectRatio:
@@ -79,20 +79,30 @@ class TestSupportInterval:
 class TestTestFunction:
     def test_square_at_complex_point(self):
         f = TestFunction.monomial(2)
-        assert eval_f(f, 1 + 1j) == pytest.approx(2j, abs=1e-15)
+        assert f(1 + 1j) == pytest.approx(2j, abs=1e-15)
 
     def test_square_derivative(self):
         f = TestFunction.monomial(2)
-        assert eval_f_prime(f, 3.0) == pytest.approx(6.0, abs=1e-15)
+        assert f.deriv(3.0) == pytest.approx(6.0, abs=1e-15)
 
     def test_log_at_e(self):
         f = TestFunction.log()
-        assert eval_f(f, np.e) == pytest.approx(1.0, abs=1e-15)
+        assert f(np.e) == pytest.approx(1.0, abs=1e-15)
 
     def test_log_domain_violation(self):
         f = TestFunction.log()
-        with pytest.raises(LogDomain):
-            eval_f(f, -1.0 + 0.0j)
+        with pytest.raises(LogDomain, match=r"z = -1\.0, on its branch cut"):
+            f(-1.0 + 0.0j)
+        with pytest.raises(LogDomain, match=r"z = 0\.0, on its branch cut"):
+            f.deriv(np.array([1.0, 0.0]))
+
+    def test_log_domain_is_the_branch_cut(self):
+        # a node with Re z <= 0 off the real axis is in log's domain: the
+        # square-root-mapped contour puts nodes there
+        f = TestFunction.log()
+        z = np.array([-1.0 + 1e-300j, -2.0 - 0.5j, 0.5j])
+        assert np.array_equal(f(z), np.log(z))
+        assert np.array_equal(f.deriv(z), 1.0 / z)
 
     @pytest.mark.parametrize("f", [
         TestFunction.polynomial([1.0, -2.0, 0.5, 3.0]),
@@ -104,8 +114,8 @@ class TestTestFunction:
         h = 1e-5
         for _ in range(100):
             z = complex(rng.uniform(0.5, 4.0), rng.uniform(-2.0, 2.0))
-            fd = (eval_f(f, z + h) - eval_f(f, z - h)) / (2 * h)
-            exact = eval_f_prime(f, z)
+            fd = (f(z + h) - f(z - h)) / (2 * h)
+            exact = f.deriv(z)
             assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
     def test_constant_detection_and_label(self):
@@ -123,7 +133,7 @@ class TestTestFunction:
     def test_vectorized_evaluation(self):
         f = TestFunction.polynomial([1.0, 0.0, 1.0])  # 1 + x^2
         z = np.array([1.0 + 0j, 2.0 + 0j])
-        np.testing.assert_allclose(eval_f(f, z), [2.0, 5.0])
+        np.testing.assert_allclose(f(z), [2.0, 5.0])
 
 
 class TestEntryEnsemble:

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BATTERY, companion, random_offbulk_points
-from lsslab.errors import OutsideSupport, PoleAtAtom
+from conftest import (BATTERY, companion, inverse_map, mp_quadratic_root, population_moment,
+                      random_offbulk_points)
+from lsslab.errors import OutsideSupport
 from lsslab.spectral_model import (EntryEnsemble, PopulationSpectrum, TestFunction,
                                    support_interval)
 from lsslab.clt_moments import CompanionTransform, compute_moments
 from lsslab.contour import build_contour
-from lsslab.stieltjes import (_mean_atom_start, _solve, companion_to_primary, inverse_map,
-                              lsd_density, lss_centering, mp_quadratic_root, s_under_grid,
-                              solve_s_under)
+from lsslab.stieltjes import (_mean_atom_start, _solve, companion_to_primary, lsd_density,
+                              lss_centering, s_under_grid, solve_s_under)
 
 DELTA0 = PopulationSpectrum.from_pairs([(0.0, 1.0)])
 IDENTITY = PopulationSpectrum.identity()
@@ -159,6 +159,23 @@ class TestStarts:
             assert s.imag * z.imag > 0
             assert abs(inverse_map(s, sp, y) - z) <= 1e-14 * abs(z)
 
+    @pytest.mark.parametrize("y, z, start, want", [
+        (0.98, 0.001067664355417719 + 0.00010346669270256855j, -16.8 - 56.9j,
+         -10.508185185254453 + 71.50534453582073j),
+        (0.99, 0.0010673482934913103 + 5.173339601433193e-05j, -10.7 - 57.4j,
+         -7.5400696767714654 + 71.54196821519136j),
+    ])
+    def test_start_in_the_wrong_half_plane_is_replaced(self, y, z, start, want):
+        # midpoints of two solved neighbours near the hard edge of the old log
+        # ellipse: from the wrong half plane the plain step never crosses, and
+        # the solve raised NonConvergence (y = 0.98) and BranchViolation (0.99)
+        sp = PopulationSpectrum.from_pairs([(0.1, 0.5), (1.0, 0.5)])
+        for s0 in (start, complex(np.nan, 1.0)):
+            s = s_under_grid(np.array([z]), sp, y, np.array([s0]))[0]
+            assert s == s_under_grid(np.array([z]), sp, y)[0]
+            assert abs(s - want) <= 1e-12 * abs(want)
+            assert abs(inverse_map(s, sp, y) - z) <= 1e-12 * abs(z)
+
 
 @st.composite
 def _problems(draw):
@@ -213,10 +230,6 @@ class TestInverseMap:
             sol = solve_s_under(complex(z), BATTERY["two_atom"], 0.5)
             back = inverse_map(sol.s_under, BATTERY["two_atom"], 0.5)
             assert abs(back - z) <= 1e-10 * max(1.0, abs(z))
-
-    def test_pole_at_atom(self):
-        with pytest.raises(PoleAtAtom):
-            inverse_map(-1.0, IDENTITY, 0.5)  # 1 + 1*(-1) = 0
 
     def test_zero_s_rejected(self):
         with pytest.raises(ValueError):
@@ -407,7 +420,7 @@ class TestCentering:
         sp = BATTERY[name]
         p, y = 48, 0.5
         val = lss_centering(TestFunction.monomial(1), p, companion(sp, y))
-        assert val == pytest.approx(p * sp.moment(1), rel=1e-10)
+        assert val == pytest.approx(p * population_moment(sp, 1), rel=1e-10)
 
     def test_constant_counts_dimension(self):
         val = lss_centering(TestFunction.polynomial([1.0]), 37, companion(IDENTITY, 0.5))
@@ -423,7 +436,7 @@ class TestCentering:
         sp = BATTERY["two_atom"]
         p, y = 32, 0.5
         val = lss_centering(TestFunction.monomial(2), p, companion(sp, y))
-        expected = p * (sp.moment(2) + y * sp.moment(1) ** 2)
+        expected = p * (population_moment(sp, 2) + y * population_moment(sp, 1) ** 2)
         assert val == pytest.approx(expected, rel=1e-10)
 
     def test_aspect_ratio_above_one_counts_zero_atom(self):
@@ -439,4 +452,4 @@ class TestCentering:
         sp = BATTERY[name]
         p, y = 48, 0.5
         val = lss_centering(TestFunction.monomial(1), p, companion(sp, y, eps=0.01))
-        assert val == pytest.approx(p * sp.moment(1), rel=1e-10)
+        assert val == pytest.approx(p * population_moment(sp, 1), rel=1e-10)
