@@ -283,6 +283,12 @@ def parse_config(text: str) -> RunConfig:
     if kind in ("simulate", "ks-rate") and f.is_constant:
         raise ConstraintViolation(f"{kind} needs a nonconstant f: a constant statistic "
                                   f"has variance 0 and cannot be normalized")
+    # E|x|^4 = 1 with E|x|^2 = 1 means |x|^2 = 1 for every entry, so tr B = tr T
+    if kind in ("simulate", "ks-rate") and ensemble.fourth_moment == 1.0 and f.degree == 1:
+        raise ConstraintViolation(
+            f"{kind} with {ensemble.name} entries needs f of degree >= 2: every entry has "
+            f"|x|^2 = 1, so the statistic of an affine f, a tr B + b p with tr B = tr T, "
+            f"is the same in every replicate and cannot be normalized")
     if kind in ("ks-rate", "probe-qform"):
         if n_grid is None:
             raise MissingRequired(f"{kind} needs n_grid")

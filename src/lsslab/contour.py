@@ -34,6 +34,9 @@ each finer level adds only its new odd-index nodes to the level below,
 ``Q_m = Q_{m/2} / 2 + w_odd . v_odd``, and m doubles until the difference
 of the two, the error estimate, clears the tolerance.  Each node is
 evaluated once; the CLT's levels are formed once, in a ``CompanionTransform``.
+The nested Monte-Carlo column sums need no ladder: they take the unshifted,
+conjugate-symmetric rule, of which ``Contour.upper_half`` gives the half in
+``Im z > 0``.
 """
 
 from __future__ import annotations
@@ -99,7 +102,24 @@ class Contour:
     def nodes(self, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes z and trapezoid weights ``(2 pi / m) dz/dtheta``."""
         m = self.m if m is None else m
-        theta = 2.0 * np.pi * np.arange(m) / m + np.pi / (3.0 * self.m)
+        return self._at(2.0 * np.pi * np.arange(m) / m + np.pi / (3.0 * self.m), m)
+
+    def upper_half(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the conjugate-symmetric m-node rule in ``Im z > 0``.
+
+        That rule puts its nodes at ``theta_k = 2 pi (k + 1/2) / m``, with no
+        shift, so they pair as ``z`` and ``conj(z)`` with weights ``w`` and
+        ``-conj(w)``.  For an integrand with ``F(conj z) = conj F(z)``, such
+        as ``f(z) / (lam - z)`` with real f and real lam, each mirror node
+        adds the conjugate of its partner's term of
+        ``(1 / 2 pi i) sum w F``: the whole rule's sum is twice the real
+        part of these m/2 terms.  This rule does not nest with the levels
+        of ``nodes``.
+        """
+        return self._at(2.0 * np.pi * (np.arange(self.m // 2) + 0.5) / self.m, self.m)
+
+    def _at(self, theta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Points z at angles theta and their weights ``(2 pi / m) dz/dtheta``."""
         centre, a = self._semi_axis()
         cos, sin = np.cos(theta), np.sin(theta)
         pts = centre + a * cos + 1j * self.v_0 * sin  # on the ellipse: z, or w with sqrt_map

@@ -16,11 +16,11 @@ from time import perf_counter
 
 import numpy as np
 
-from .clt_moments import CompanionTransform
 from .contour import build_contour
 from .errors import (CostBudgetExceeded, EmptySample, NonPositiveKs, OutOfRange,
                      TooFewPoints)
 from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction, support_interval
+from .stieltjes import s_under_grid
 
 # simulator imports ks_to_normal from here, so its helpers are imported where used;
 # scipy is too, so that a moments or lsd run, which never calls it, does not load it
@@ -284,48 +284,64 @@ class QformProbeResult:
 
 def _probe_matrix(spectrum: PopulationSpectrum, diag_t: np.ndarray, matrix_kind: str,
                   n: int, seed: int) -> np.ndarray:
-    """The probed matrix A; ``fixed_psd``'s ``diag(T)`` comes as its p x 1 column."""
+    """The probed dense matrix A: ``resolvent``'s ``(B - (hi + 1) I)^-1`` at one draw of B."""
     from .simulator import assemble_B, sample_entries
 
+    if matrix_kind != "resolvent":
+        raise ValueError(f"unknown matrix kind {matrix_kind!r}")
+    # one fixed draw per grid point; the probed vector stays independent
     p = diag_t.size
-    if matrix_kind == "fixed_psd":
-        return diag_t[:, None]
-    if matrix_kind == "resolvent":
-        # one fixed draw per grid point; the probed vector stays independent
-        b = assemble_B(spectrum, sample_entries(EntryEnsemble.real_gaussian(), p, n, seed), n)
-        _, hi = support_interval(spectrum, p / n)
-        return np.linalg.inv(b - (hi + 1.0) * np.eye(p))
-    raise ValueError(f"unknown matrix kind {matrix_kind!r}")
+    b = assemble_B(spectrum, sample_entries(EntryEnsemble.real_gaussian(), p, n, seed), n)
+    _, hi = support_interval(spectrum, p / n)
+    return np.linalg.inv(b - (hi + 1.0) * np.eye(p))
 
 
 def qform_moment(spectrum: PopulationSpectrum, matrix_kind: str, n: int, y: float,
                  k: int, replicates: int, seed: int) -> float:
     """Monte-Carlo estimate of E |r* A r - tr(T A)/n|^k at one grid point.
 
-    Each block of up to 20,000 replicates is one draw of p x size entries.
-    ``r``, ``A r`` and the forms are made on column slices of that draw, of
-    at most ``_QFORM_CELLS`` cells each, so the block's entries are the
-    only array of its full size; the k-th powers are summed once per block.
+    ``r = T^(1/2) x / sqrt(n)`` with standard normal x.  Each block of up to
+    20,000 replicates draws from its own stream, ``replicate_seed(seed,
+    block)``, and the k-th powers are summed once per block.  The two
+    matrix kinds draw the form from two laws:
+
+    - ``fixed_psd``, ``A = diag(T)``: ``r* A r = sum_i t_i^2 x_i^2 / n`` has
+      the law of ``sum_t t^2 chi2_{p_t} / n`` over the distinct atoms t of
+      the population diagonal, ``p_t`` times each, so a replicate is one
+      ``Generator.chisquare`` variate per atom, atoms in ascending order,
+      in place of p normals.
+    - ``resolvent``, a dense A: a block is one draw of p x size entries.
+      ``r``, ``A r`` and the forms are made on column slices of it, of at
+      most ``_QFORM_CELLS`` cells each, so the entries are the only array
+      of the block's full size.
     """
     from .simulator import population_diagonal, replicate_seed, sample_entries
 
     p = int(round(y * n))
     diag_t = population_diagonal(spectrum, p)
-    a = _probe_matrix(spectrum, diag_t, matrix_kind, n, replicate_seed(seed, 0))
-    column = a.shape[1] == 1  # a diagonal A scales rows: the same products as diag(a) @ r
-    target = float(np.sum(diag_t * (a[:, 0] if column else np.diag(a)))) / n
-    root_t = np.sqrt(diag_t)[:, None]
-    width = max(1, _QFORM_CELLS // max(p, 1))
+    diagonal = matrix_kind == "fixed_psd"
+    if diagonal:
+        atoms, counts = np.unique(diag_t, return_counts=True)
+        target = float(np.sum(diag_t * diag_t)) / n
+    else:
+        a = _probe_matrix(spectrum, diag_t, matrix_kind, n, replicate_seed(seed, 0))
+        target = float(np.sum(diag_t * np.diag(a))) / n
+        root_t = np.sqrt(diag_t)[:, None]
+        width = max(1, _QFORM_CELLS // max(p, 1))
     acc = 0.0
     done = 0
     block = 1
     while done < replicates:
         size = min(_QFORM_CHUNK, replicates - done)
-        x = sample_entries(EntryEnsemble.real_gaussian(), p, size, replicate_seed(seed, block))
-        q = np.empty(size)
-        for start in range(0, size, width):
-            r = root_t * x[:, start:start + width] / math.sqrt(n)
-            q[start:start + width] = np.einsum("ip,ip->p", r, a * r if column else a @ r)
+        if diagonal:
+            rng = np.random.Generator(np.random.PCG64(replicate_seed(seed, block)))
+            q = sum(t * t * rng.chisquare(c, size) for t, c in zip(atoms, counts)) / n
+        else:
+            x = sample_entries(EntryEnsemble.real_gaussian(), p, size, replicate_seed(seed, block))
+            q = np.empty(size)
+            for start in range(0, size, width):
+                r = root_t * x[:, start:start + width] / math.sqrt(n)
+                q[start:start + width] = np.einsum("ip,ip->p", r, a @ r)
         acc += float(np.sum(np.abs(q - target) ** k))
         done += size
         block += 1
@@ -372,7 +388,7 @@ class Sigma0Result:
     b_equivalent: str = "-z*s_under"
 
 
-_SIGMA0_NODES = 128  # trapezoid nodes of the column sums on the default contour
+_SIGMA0_NODES = 128  # nodes of the column sums' symmetric rule, half of them evaluated
 _SIGMA0_CELLS = 1 << 14  # (eigenvalue, node) cells of the resolvent sum per block
 
 
@@ -386,13 +402,19 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     columns is realized by redrawing them; two independent half-estimates
     of ``inner_reps`` draws each are multiplied so the inner noise cancels
     in expectation instead of biasing the square.  Column weights use the
-    deterministic equivalent ``-z s_under(z)``.  The contour sum is one
-    trapezoid rule of 128 nodes on the default contour.
+    deterministic equivalent ``-z s_under(z)``.  The contour sum is the
+    conjugate-symmetric trapezoid rule of 128 nodes on the default contour
+    (``Contour.upper_half``).  f is real and so is every eigenvalue lam,
+    since each inner matrix is Hermitian, so the rule's mirror nodes add
+    the conjugates of their partners' terms: the sum is twice the real part
+    of the 64 terms in the upper half plane, and only those nodes are
+    solved and summed.
 
     A column works on all of its ``2 inner_reps`` draws at once: one batch
     of fresh entries, one stacked Gram update and one stacked ``eigh``.
     The contour sum is folded into ``g(lam) = Re sum_k W_k / (lam - z_k)``
-    per eigenvalue, evaluated in real arithmetic.  Work is projected from
+    per eigenvalue over the 64 upper nodes, with the mirror half's factor
+    2 folded into ``W_k``, evaluated in real arithmetic.  Work is projected from
     one timed stacked eigendecomposition of ``2 inner_reps`` fixed p x p
     matrices, the unit of a column, and the run aborts beforehand if
     ``outer_reps n`` of them exceed the cap.  Sizes below 1 and
@@ -421,9 +443,9 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
                  f"{columns} nested-MC columns of {reps} inner draws")
 
     c = build_contour(spectrum, y_n, m=_SIGMA0_NODES, f=f)
-    z, w, s_under = CompanionTransform(spectrum, y_n, c)(c.m)
-    # trapezoid weight folded with f', b = -z s_under and -1/(2 pi i)
-    big_w = w * f.deriv(z) * (-z * s_under) / (-2.0j * math.pi)
+    z, w = c.upper_half()
+    # trapezoid weight folded with f', b = -z s_under, -1/(2 pi i) and the 2 of the mirror half
+    big_w = w * f.deriv(z) * (-z * s_under_grid(z, spectrum, y_n)) / (-1.0j * math.pi)
     x_k, w_re, w_im_y, y2 = z.real, big_w.real, big_w.imag * z.imag, z.imag ** 2
     block = max(1, _SIGMA0_CELLS // z.size)
 

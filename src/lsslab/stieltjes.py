@@ -21,6 +21,7 @@ companion relation ``s = (s_under + (1 - y)/z) / y``.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -163,15 +164,33 @@ def _mean_atom_start(z: np.ndarray, spectrum: PopulationSpectrum, y: float) -> n
         return np.where(good, root, -1.0 / z)
 
 
+def _start(z: np.ndarray, spectrum: PopulationSpectrum, y: float, given=None) -> np.ndarray:
+    """Start of the solve at every point of 1-D z: ``given`` where it is usable.
+
+    A given start that is not finite or not strictly in the half plane of
+    z is replaced by the mean-atom start, as is every start when none is
+    given: the plain step keeps each half plane, so from the wrong one the
+    solve never reaches the Herglotz root.
+    """
+    s0 = _mean_atom_start(z, spectrum, y)
+    if given is None:
+        return s0
+    given = np.asarray(given, dtype=complex).ravel()
+    return np.where(np.isfinite(given) & (given.imag * z.imag > 0.0), given, s0)
+
+
 def solve_s_under(z: complex, spectrum: PopulationSpectrum, y_n: float, *,
                   s0: complex | None = None) -> StieltjesSolution:
     """Solve for the companion transform at one point off the spectral bulk.
 
     Runs the safeguarded Newton solve on a single point, from ``s0`` or
-    the mean-atom start of ``s_under_grid``.  Real ``z`` (off support only)
-    is handled by continuity: the equation is first solved at
-    ``z + 1e-9j`` and the result warm-starts the solve on the real axis,
-    which selects the boundary-value branch without sign ambiguity.
+    the mean-atom start of ``s_under_grid``; as there, an ``s0`` that is
+    not finite or not strictly in the half plane of z is replaced by the
+    mean-atom start.  Real ``z`` (off support only) is handled by
+    continuity: unless a finite ``s0`` is given, the equation is first
+    solved at ``z + 1e-9j`` and the result warm-starts the solve on the
+    real axis, which selects the boundary-value branch without sign
+    ambiguity.
     ``residual`` is the certified ``|F(s) - s|`` (at most
     ``1e-12 max(1, |s|)``) and ``iterations`` counts the iterates checked,
     the start included.  Raises ``NonConvergence`` if the step cap runs out
@@ -186,12 +205,12 @@ def solve_s_under(z: complex, spectrum: PopulationSpectrum, y_n: float, *,
         lo, hi = support_interval(spectrum, y)
         if lo <= z.real <= hi:
             raise ValueError(f"real z={z.real} lies in the closed support [{lo}, {hi}]")
-        if s0 is None:
+        if s0 is None or not cmath.isfinite(s0):
             s0 = solve_s_under(z + 1j * _REAL_Z_LIFT, spectrum, y).s_under
-    z_arr = np.array([z])
-    start = (_mean_atom_start(z_arr, spectrum, y) if s0 is None
-             else np.array([s0], dtype=complex))
-    s, res, it = _solve(z_arr, start, spectrum, y)
+        start = np.array([s0], dtype=complex)
+    else:
+        start = _start(np.array([z]), spectrum, y, s0)
+    s, res, it = _solve(np.array([z]), start, spectrum, y)
     return StieltjesSolution(z=z, s_under=complex(s[0]),
                              s=complex(companion_to_primary(s[0], z, y)),
                              residual=float(res[0]), iterations=int(it[0]))
@@ -216,11 +235,7 @@ def s_under_grid(z: np.ndarray, spectrum: PopulationSpectrum, y_n: float,
     if np.any(flat.imag == 0.0):
         raise ValueError("grid solver expects Im z != 0 at every point; use solve_s_under")
     y = float(y_n)
-    s0 = _mean_atom_start(flat, spectrum, y)
-    if start is not None:
-        given = np.asarray(start, dtype=complex).ravel()
-        s0 = np.where(np.isfinite(given) & (given.imag * flat.imag > 0.0), given, s0)
-    s, _, _ = _solve(flat, s0, spectrum, y)
+    s, _, _ = _solve(flat, _start(flat, spectrum, y, start), spectrum, y)
     return s.reshape(z.shape)
 
 

@@ -341,6 +341,35 @@ class TestCliRuns:
         assert list(tmp_path.iterdir()) == [cfgfile]
 
     @pytest.mark.parametrize("extra", [
+        {"kind": "simulate", "p": 16, "n": 32},
+        {"kind": "ks-rate", "y": 0.5, "n_grid": [16, 32, 64]},
+    ], ids=["simulate", "ks_rate"])
+    @pytest.mark.parametrize("f", ["x", "2x + 1"])
+    def test_affine_f_with_rademacher_entries_fails_before_any_work(self, extra, f, tmp_path,
+                                                                   monkeypatch, capsys):
+        # |x|^2 = 1 makes tr B = tr T: the run exited 0 with variance 7.8e-30
+        # and KS 0.5 at 16 x 32
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "compute_moments", counting("solve", cli.compute_moments))
+        monkeypatch.setattr(cli, "replicate_statistic",
+                            counting("draw", cli.replicate_statistic))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"f": f, "ensemble": {"name": "rademacher"},
+                                       "replicates": 50, **extra}))
+        assert main([extra["kind"], "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "ConstraintViolation" in err and "tr B = tr T" in err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
+    @pytest.mark.parametrize("extra", [
         {"kind": "simulate", "p": 16, "n": 64},
         {"kind": "ks-rate", "y": 0.25, "n_grid": [16, 32, 64]},
     ], ids=["simulate", "ks_rate"])
@@ -602,7 +631,7 @@ class TestCliRuns:
                 "ks-rate": {"n_grid": [16, 24, 32]}}
         for kind, extra in runs.items():
             cfgfile = tmp_path / f"{kind}.json"
-            cfgfile.write_text(json.dumps({"kind": kind, "ensemble": ensemble, "f": "x",
+            cfgfile.write_text(json.dumps({"kind": kind, "ensemble": ensemble, "f": "x^2",
                                            "replicates": 4, "truncation": {"mode": truncation},
                                            **extra}))
             assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
@@ -663,7 +692,7 @@ class TestCliRuns:
         ({"ensemble": "RG", "f": "x^3"}, "laguerre_bidiagonal", "spectrum"),
         ({"ensemble": "RG", "truncation": {"mode": "on"}}, "dense", "spectrum"),
         ({"ensemble": "RG", "spectrum": FIVE_ATOM}, "dense", "spectrum"),
-        ({"ensemble": {"name": "rademacher"}}, "dense", "spectrum"),
+        ({"ensemble": {"name": "rademacher"}, "f": "x^2"}, "dense", "spectrum"),
     ], ids=["rg", "cg-half", "rg-x^3", "rg-truncated", "rg-five_atom", "rademacher"])
     def test_summaries_name_the_sampler(self, extra, sampler, statistic, tmp_path):
         runs = {"simulate": {"p": 8, "n": 16}, "ks-rate": {"n_grid": [16, 24, 32]}}
@@ -729,21 +758,35 @@ class TestCliRuns:
 
     def test_fresh_process_loads_only_the_scipy_it_calls(self, tmp_path):
         # a fresh process, since this one has scipy loaded already; scipy is
-        # imported only where it is called, the t density needs no scipy.stats
-        # and the truncated moments' fixed rule no scipy.integrate
+        # imported only where it is called, the t density needs no scipy.stats,
+        # the truncated moments' fixed rule no scipy.integrate, and the probe's
+        # chi-square forms and the nested-MC sums none at all
         sim = tmp_path / "t11.json"
         sim.write_text(json.dumps({"kind": "simulate", "p": 8, "n": 16, "replicates": 4,
                                    "ensemble": {"name": "student_t", "df": 11},
                                    "truncation": {"mode": "on"}}))
+        probes = []
+        for matrix_kind in ("fixed_psd", "resolvent"):
+            probes.append(tmp_path / f"{matrix_kind}.json")
+            probes[-1].write_text(json.dumps({"kind": "probe-qform", "matrix_kind": matrix_kind,
+                                              "n_grid": [16, 32], "replicates": 100}))
         script = (
             "import contextlib, io, sys\n"
             "import lsslab\n"
             "from lsslab.cli import main\n"
+            "from lsslab.diagnostics import sigma0_nested_mc\n"
+            "from lsslab.spectral_model import PopulationSpectrum, TestFunction\n"
             "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(loaded())\n"
             "for kind in ('moments', 'lsd'):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             f"        assert main([kind, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(loaded())\n"
+            f"for probe in {[str(p) for p in probes]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert main(['probe-qform', '--config', probe, '--out', {str(tmp_path)!r}]) == 0\n"
+            "sigma0_nested_mc(TestFunction.monomial(2), PopulationSpectrum.identity(), 0.5,\n"
+            "                 n_small=8, inner_reps=2, outer_reps=2, seed=1)\n"
             "print(loaded())\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main(['simulate', '--config', {str(sim)!r},\n"
@@ -756,7 +799,7 @@ class TestCliRuns:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env=env, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["[]", "[]", "False False"]
+        assert out.stdout.splitlines() == ["[]", "[]", "[]", "False False"]
 
     def test_ks_rate_csv_shape(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -98,6 +98,19 @@ class TestBuild:
             assert np.array_equal(2.0 * w[::2], coarse_w)
             coarse_z, coarse_w = z, w
 
+    @pytest.mark.parametrize("f", [None, TestFunction.log()], ids=["ellipse", "sqrt_map"])
+    def test_upper_half_folds_the_symmetric_rule(self, f):
+        # Cauchy's formula (1/2 pi i) oint g(z)/(z - lam) dz = g(lam) for real g and
+        # lam in the bulk: the mirror half adds the conjugate of this half's sum
+        c = build_contour(IDENTITY, 0.5, m=128, f=f)
+        g = f or TestFunction.monomial(3)
+        z, w = c.upper_half()
+        assert z.size == 64 and np.all(z.imag > 0.0)
+        lo, hi = support_interval(IDENTITY, 0.5)
+        for lam in np.linspace(lo, hi, 7):
+            half = complex(w @ (g(z) / (z - lam))) / (2j * np.pi)
+            assert 2.0 * half.real == pytest.approx(complex(g(lam)).real, rel=1e-13, abs=1e-13)
+
     def test_minimum_node_count(self):
         with pytest.raises(ValueError, match="node count"):
             Contour(0.0, 1.0, 1.0, m=8)

@@ -11,7 +11,7 @@ from scipy import integrate, stats
 
 from conftest import BATTERY
 from lsslab import diagnostics
-from lsslab.contour import build_contour
+from lsslab.contour import Contour, build_contour
 from lsslab.diagnostics import (QformProbeResult, RateFit, SteinContext,
                                 fit_rate, ks_to_normal, norm_cdf, qform_moment,
                                 qform_probe, sigma0_nested_mc, stein_Nh,
@@ -313,7 +313,7 @@ class TestQformProbe:
         with pytest.raises(ValueError):
             qform_probe(IDENTITY, "fixed_psd", [64, 128, 256], 0.5, 3, 100, 0)
 
-    @pytest.mark.parametrize("matrix_kind, seed", [("fixed_psd", 2), ("resolvent", 8)])
+    @pytest.mark.parametrize("matrix_kind, seed", [("resolvent", 8)])
     def test_column_slices_give_the_one_shot_moment(self, matrix_kind, seed):
         # p = 24 slices a block into 10,922 columns, and 25,000 replicates
         # draw two blocks: the sliced forms and one sum per block keep the
@@ -324,24 +324,75 @@ class TestQformProbe:
         assert reps > diagnostics._QFORM_CHUNK > diagnostics._QFORM_CELLS // round(y * n)
         diag_t = population_diagonal(sp, round(y * n))
         a = diagnostics._probe_matrix(sp, diag_t, matrix_kind, n, replicate_seed(seed, 0))
-        column = matrix_kind == "fixed_psd"
-        target = float(np.sum(diag_t * (a[:, 0] if column else np.diag(a)))) / n
+        target = float(np.sum(diag_t * np.diag(a))) / n
         acc = 0.0
         for block, size in ((1, diagnostics._QFORM_CHUNK), (2, reps - diagnostics._QFORM_CHUNK)):
             x = sample_entries(EntryEnsemble.real_gaussian(), diag_t.size, size,
                                replicate_seed(seed, block))
             r = np.sqrt(diag_t)[:, None] * x / math.sqrt(n)
-            q = np.einsum("ip,ip->p", r, a * r if column else a @ r) - target
+            q = np.einsum("ip,ip->p", r, a @ r) - target
             acc += float(np.sum(np.abs(q) ** k))
         assert qform_moment(sp, matrix_kind, n, y, k, reps, seed) == acc / reps
 
+    def test_diagonal_form_is_the_chi_square_stream(self):
+        # fixed_psd draws sum_t t^2 chi2_{p_t} / n, atoms ascending, one stream
+        # per block of 20,000: 25,000 replicates take two blocks
+        sp = PopulationSpectrum.from_pairs([(0.25, 0.5), (1.0, 0.5)])
+        n, y, k, reps, seed = 48, 0.5, 4, 25_000, 2
+        diag_t = population_diagonal(sp, round(y * n))
+        target = float(np.sum(diag_t * diag_t)) / n
+        acc = 0.0
+        for block, size in ((1, diagnostics._QFORM_CHUNK), (2, reps - diagnostics._QFORM_CHUNK)):
+            rng = np.random.Generator(np.random.PCG64(replicate_seed(seed, block)))
+            q = (0.25**2 * rng.chisquare(12, size) + 1.0 * rng.chisquare(12, size)) / n
+            acc += float(np.sum(np.abs(q - target) ** k))
+        assert qform_moment(sp, "fixed_psd", n, y, k, reps, seed) == acc / reps
+
+    @pytest.mark.parametrize("pairs", [[(1.0, 1.0)], [(0.25, 0.5), (1.0, 0.5)]],
+                             ids=["identity", "two_atom"])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_diagonal_form_meets_the_chi_square_moments(self, pairs, k):
+        # Q = sum_g mu_g chi2_{c_g} / n with mu_g = t_g^2 has cumulants
+        # kappa_r = 2^(r-1) (r-1)! sum_g c_g mu_g^r / n^r; the k-th central
+        # moment is kappa_2 (k = 2) or kappa_4 + 3 kappa_2^2 (k = 4), and the
+        # standard error of its estimate comes from the 2k-th
+        sp = PopulationSpectrum.from_pairs(pairs)
+        n, y, reps = 64, 0.5, 40_000
+        t, c = np.unique(population_diagonal(sp, round(y * n)), return_counts=True)
+        mu = t * t
+        kappa = [0.0, 0.0] + [2.0 ** (r - 1) * math.factorial(r - 1) * float(c @ mu**r) / n**r
+                              for r in range(2, 2 * k + 1)]
+        central = [1.0]  # central moments from the cumulants, with kappa_1 = 0
+        for j in range(1, 2 * k + 1):
+            central.append(sum(math.comb(j - 1, i - 1) * kappa[i] * central[j - i]
+                               for i in range(1, j + 1)))
+        exact = {2: 2.0 * float(c @ mu**2) / n**2,
+                 4: 48.0 * float(c @ mu**4) / n**4 + 3.0 * kappa[2] ** 2}[k]
+        assert central[k] == pytest.approx(exact, rel=1e-14)
+        stderr = math.sqrt((central[2 * k] - exact**2) / reps)
+        got = qform_moment(sp, "fixed_psd", n, y, k, replicates=reps, seed=31)
+        assert abs(got - exact) <= 5.0 * stderr
+
     def test_peak_memory_is_about_one_entry_block(self):
-        # fixed_psd at n = 512 draws a 256 x 10,000 block of 20.5 MB; the
-        # full-width r, A r and forms took the traced peak to 61.5 MB
+        # the bound of the sampled path, which drew a 256 x 10,000 block of
+        # 20.5 MB at n = 512; the chi-square path draws 10,000 variates per atom
         qform_moment(IDENTITY, "fixed_psd", 16, 0.5, 4, 10, 0)  # imports outside the trace
         tracemalloc.start()
         try:
             qform_moment(IDENTITY, "fixed_psd", 512, 0.5, 4, 10_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 256 * 10_000 * 8
+
+    def test_resolvent_peak_memory_is_about_one_entry_block(self):
+        # n = 512 draws a 256 x 10,000 block of 20.5 MB; its column slices of
+        # 2^18 cells (2.1 MB each for r, its scaled copy and A r) stay below
+        # half of it, and full-width ones would triple the peak
+        qform_moment(IDENTITY, "resolvent", 16, 0.5, 2, 10, 0)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            qform_moment(IDENTITY, "resolvent", 512, 0.5, 2, 10_000, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -356,14 +407,14 @@ class TestSigma0:
         assert res.estimate == 0.0
 
     @pytest.mark.parametrize("ensemble,expected", [
-        (EntryEnsemble.real_gaussian(), 20.010132702313935),
+        (EntryEnsemble.real_gaussian(), 20.010132720913088),
         (EntryEnsemble.complex_gaussian(), 5.443063516176532),
         (EntryEnsemble.rademacher(), 0.38476562500000594),
     ], ids=["RG", "CG", "rademacher"])
     def test_random_stream_pinned(self, ensemble, expected):
         # recorded values: a change to how the outer and inner columns are
         # drawn moves every estimate, and so does a change of the contour
-        # nodes (the 128 nodes of the default ellipse)
+        # nodes (the conjugate-symmetric 128-node rule on the default ellipse)
         res = sigma0_nested_mc(TestFunction.monomial(2), IDENTITY, 0.5, n_small=8,
                                inner_reps=4, outer_reps=3, seed=11, ensemble=ensemble)
         assert res.estimate == pytest.approx(expected, rel=1e-10)
@@ -451,6 +502,24 @@ class TestSigma0:
         args = (f, sp, y_n, 6, 3, 2, 17)
         res = sigma0_nested_mc(*args, ensemble=t11)
         assert res.estimate == pytest.approx(_sigma0_per_draw(*args, t11), rel=1e-12)
+
+    @pytest.mark.parametrize("ensemble", [EntryEnsemble.real_gaussian(),
+                                          EntryEnsemble.complex_gaussian(),
+                                          EntryEnsemble.student_t(11.0)],
+                             ids=["RG", "CG", "student_t"])
+    def test_upper_half_equals_the_whole_symmetric_rule(self, ensemble, monkeypatch):
+        # every node of the same conjugate-symmetric rule solved and summed, at
+        # half weight against the mirror half's factor 2 in the column sums
+        args = (TestFunction.monomial(3), BATTERY["five_atom"], 0.5, 6, 3, 2, 17)
+        half = sigma0_nested_mc(*args, ensemble=ensemble).estimate
+
+        def whole(c):
+            z, w = c._at(2.0 * np.pi * (np.arange(c.m) + 0.5) / c.m, c.m)
+            return z, w / 2.0
+
+        monkeypatch.setattr(Contour, "upper_half", whole)
+        assert half == pytest.approx(sigma0_nested_mc(*args, ensemble=ensemble).estimate,
+                                     rel=1e-13)
 
 
 def _sigma0_per_draw(f, spectrum, y_n, n, inner_reps, outer_reps, seed, ensemble):
