@@ -27,9 +27,9 @@ from .config import KINDS, RunConfig, parse_config
 from .diagnostics import (SteinContext, fit_rate, project_cost, qform_probe,
                           stein_bound_report)
 from .errors import LabError
-from .simulator import (SimConfig, default_eta, replicate_seed, replicate_statistic,
-                        run_experiment, truncated_law)
-from .spectral_model import AspectRatio, EntryEnsemble, support_interval
+from .simulator import (default_eta, replicate_seed, replicate_statistic, run_experiment,
+                        truncated_law)
+from .spectral_model import EntryEnsemble, support_interval
 from .stieltjes import lsd_density
 
 ENV_OUT = "LSSLAB_OUT"
@@ -124,16 +124,14 @@ def run_moments(cfg: RunConfig, out: Path, started: str) -> str:
 
 
 def _moments(cfg: RunConfig, y_n: float, law: EntryEnsemble):
-    return compute_moments(cfg.f, cfg.spectrum, y_n, law,
-                           eps=cfg.contour.eps, v_0=cfg.contour.v0)
+    return compute_moments(cfg.f, cfg.spectrum, y_n, law, eps=cfg.eps)
 
 
 def run_simulate(cfg: RunConfig, out: Path, started: str) -> str:
     law = _law(cfg, cfg.n)
     _check_budget(cfg, [(law, cfg.p, cfg.n)])
-    ratio = AspectRatio(p=cfg.p, n=cfg.n)
-    mom = _moments(cfg, ratio.y_n, law)
-    record = run_experiment(SimConfig(ratio, cfg.replicates, cfg.root_seed), mom)
+    mom = _moments(cfg, cfg.p / cfg.n, law)
+    record = run_experiment(mom, cfg.p, cfg.n, cfg.replicates, cfg.root_seed)
     rows = [(r.index, r.seed, _fmt(r.value), _fmt(r.lam_min), _fmt(r.lam_max))
             for r in record.rows]
     _write_csv(out / "simulate_detail.csv",
@@ -159,12 +157,11 @@ def run_ks_rate(cfg: RunConfig, out: Path, started: str) -> str:
     points = []
     moments = {}  # by (y_n, law): p = round(y n) often gives the same ratio at every n
     for i, (law, p, n) in enumerate(runs):
-        ratio = AspectRatio(p=p, n=n)
-        key = (ratio.y_n, law)
+        key = (p / n, law)
         if key not in moments:
-            moments[key] = _moments(cfg, ratio.y_n, law)
+            moments[key] = _moments(cfg, p / n, law)
         seed_n = replicate_seed(cfg.root_seed, i)
-        record = run_experiment(SimConfig(ratio, cfg.replicates, seed_n), moments[key])
+        record = run_experiment(moments[key], p, n, cfg.replicates, seed_n)
         rows.append((n, _fmt(record.ks), cfg.replicates, seed_n))
         points.append((n, record.ks))
     fit = fit_rate(points, seed=cfg.root_seed)

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contour import DEFAULT_V0, Contour, _doubling_ladder, build_contour, real_part, trapezoid
+from .contour import Contour, _doubling_ladder, build_contour, real_part, trapezoid
 from .errors import DenominatorNearZero, KernelOutOfDisk, ZeroVariance
 from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
 from .stieltjes import s_under_grid
@@ -265,8 +265,7 @@ def variance_with_kernel(f: TestFunction, s: CompanionTransform, *,
 
 
 def compute_moments(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
-                    ensemble: EntryEnsemble, *, eps: float | None = None,
-                    v_0: float = DEFAULT_V0) -> CltMoments:
+                    ensemble: EntryEnsemble, *, eps: float | None = None) -> CltMoments:
     """Mean, variance and kernel diagnostic for one configuration.
 
     The mean correction applies to real entries only; circular complex
@@ -276,7 +275,7 @@ def compute_moments(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     mean; the result keeps it, with f and the entry law, for a run to
     draw, center and normalize with.
     """
-    s = CompanionTransform(spectrum, y_n, build_contour(spectrum, y_n, eps, v_0, f=f))
+    s = CompanionTransform(spectrum, y_n, build_contour(spectrum, y_n, eps, f=f))
     report = {}
     sigma, kernel_max = variance_with_kernel(f, s, report=report)
     mu = 0.0

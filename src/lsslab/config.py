@@ -13,7 +13,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .contour import DEFAULT_V0, build_contour
+from .contour import build_contour
+from .diagnostics import _QFORM_CHUNK
 from .errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
 from .simulator import MAX_ENTRIES, population_diagonal
 from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
@@ -26,7 +27,7 @@ _TOP_KEYS = {
     "truncation", "out", "cost_cap_seconds",
     "grid_points", "contexts", "k", "matrix_kind",
 }
-_CONTOUR_KEYS = {"eps", "v0"}
+_CONTOUR_KEYS = {"eps"}
 _TRUNCATION_KEYS = {"mode", "eta"}
 
 _DEFAULTS = {
@@ -35,7 +36,7 @@ _DEFAULTS = {
     "y": 0.5,
     "ensemble": "RG",
     "f": "x^2",
-    "contour": {"eps": None, "v0": DEFAULT_V0},
+    "contour": {"eps": None},  # contour.eps; None = default_margin
     "replicates": 200,
     "root_seed": 12345,
     "truncation": {"mode": "off", "eta": None},
@@ -149,12 +150,6 @@ def serialize_ensemble(e: EntryEnsemble):
 
 
 @dataclass(frozen=True)
-class ContourParams:
-    eps: float | None
-    v0: float
-
-
-@dataclass(frozen=True)
 class RunConfig:
     kind: str
     spectrum: PopulationSpectrum
@@ -164,7 +159,7 @@ class RunConfig:
     n_grid: tuple[int, ...] | None
     ensemble: EntryEnsemble
     f: TestFunction
-    contour: ContourParams
+    eps: float | None  # contour.eps
     replicates: int
     root_seed: int
     truncation_mode: str
@@ -188,7 +183,7 @@ class RunConfig:
             "n_grid": list(self.n_grid) if self.n_grid is not None else None,
             "ensemble": serialize_ensemble(self.ensemble),
             "f": serialize_test_function(self.f),
-            "contour": {"eps": self.contour.eps, "v0": self.contour.v0},
+            "contour": {"eps": self.eps},
             "replicates": self.replicates,
             "root_seed": self.root_seed,
             "truncation": {"mode": self.truncation_mode, "eta": self.truncation_eta},
@@ -221,6 +216,23 @@ def _finite_number(text: str) -> int | float:
     if not math.isfinite(value):
         raise TypeMismatch(f"config number {text} is not finite; numbers must be finite")
     return int(text) if text.lstrip("-").isdigit() else value
+
+
+def _largest_array(kind: str, dims: list[tuple[int, int]], spectrum: PopulationSpectrum,
+                   replicates: int, grid_points: int, matrix_kind: str) -> tuple[str, dict]:
+    """What sizes the largest array a run allocates, and its entries at each value of that."""
+    if kind in ("simulate", "ks-rate"):  # a replicate's p x n entries
+        return "(p, n)", {(q, m): q * m for q, m in dims}
+    if kind == "probe-qform" and matrix_kind == "resolvent":
+        # B's p x n entries, then blocks of p x min(replicates, _QFORM_CHUNK) probe entries
+        block = min(replicates, _QFORM_CHUNK)
+        return "(p, n)", {(q, m): q * max(m, block) for q, m in dims}
+    if kind == "lsd":  # one (K + 1) x (K + 1) arrowhead matrix per point, K nonzero atoms
+        k = sum(t != 0 for t, _ in spectrum.atoms)
+        return "(grid_points, K)", {(grid_points, k): grid_points * (k + 1) ** 2}
+    if kind == "stein-check":
+        return "grid_points", {grid_points: grid_points}
+    return "", {}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -307,11 +319,8 @@ def parse_config(text: str) -> RunConfig:
         if len(n_grid) < least:
             raise ConstraintViolation(f"n_grid: {kind} needs at least {least} sizes, "
                                       f"got {len(n_grid)}")
-    # replicates hold p x n entries, p = round(y*n) at each n of a ks-rate grid
-    dims = {"simulate": [(p, n)], "ks-rate": [(round(y * m), m) for m in n_grid or ()]}
-    large = [(q, m) for q, m in dims.get(kind, []) if q * m > MAX_ENTRIES]
-    if large:
-        raise ConstraintViolation(f"p*n over the memory budget {MAX_ENTRIES} at (p, n) = {large}")
+    # the (p, n) a run draws at: p = round(y*n) at each n of a grid
+    dims = [(p, n)] if kind == "simulate" else [(round(y * m), m) for m in n_grid or ()]
 
     contour_raw = get("contour")
     _expect(contour_raw, dict, "contour")
@@ -321,12 +330,12 @@ def parse_config(text: str) -> RunConfig:
     eps = contour_raw.get("eps", _DEFAULTS["contour"]["eps"])
     if eps is not None:
         eps = _positive(eps, "contour.eps")
-    v0 = _positive(contour_raw.get("v0", _DEFAULTS["contour"]["v0"]), "contour.v0")
-    if f.kind == "log" and kind in ("moments", "simulate", "ks-rate"):
-        # build_contour raises LogDomain when log's contour cannot enclose the bulk
-        # at a ratio the run integrates at: p >= n, a zero atom or too large an eps
-        for ratio in [q / m for q, m in dims["ks-rate"]] if kind == "ks-rate" else [y]:
-            build_contour(spectrum, ratio, eps, v0, f=f)
+    if kind in ("moments", "simulate", "ks-rate"):
+        # build_contour raises at a ratio the run integrates at: FlatContour when
+        # eps is too small, and for log LogDomain when its contour cannot enclose
+        # the bulk (p >= n, a zero atom or too large an eps)
+        for ratio in sorted({q / m for q, m in dims}) if kind == "ks-rate" else [y]:
+            build_contour(spectrum, ratio, eps, f=f)
 
     trunc_raw = get("truncation")
     _expect(trunc_raw, dict, "truncation")
@@ -362,6 +371,11 @@ def parse_config(text: str) -> RunConfig:
     matrix_kind = _expect(get("matrix_kind"), str, "matrix_kind")
     if matrix_kind not in ("fixed_psd", "resolvent"):
         raise ConstraintViolation("matrix_kind must be 'fixed_psd' or 'resolvent'")
+    by, sizes = _largest_array(kind, dims, spectrum, replicates, grid_points, matrix_kind)
+    large = [at for at, size in sizes.items() if size > MAX_ENTRIES]
+    if large:
+        raise ConstraintViolation(f"{kind}'s largest array is over the memory budget "
+                                  f"{MAX_ENTRIES} entries at {by} = {large}")
     out = raw.get("out", _DEFAULTS["out"])
     if out is not None:
         out = _expect(out, str, "out")
@@ -369,7 +383,7 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         kind=kind, spectrum=spectrum, y=float(y), p=p, n=n, n_grid=n_grid,
         ensemble=ensemble, f=f,
-        contour=ContourParams(eps=eps, v0=v0),
+        eps=eps,
         replicates=replicates, root_seed=root_seed,
         truncation_mode=trunc_mode, truncation_eta=trunc_eta,
         out=out, cost_cap_seconds=cost_cap,

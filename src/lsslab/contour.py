@@ -8,9 +8,10 @@ with centre ``c`` and half-width ``h`` of that interval its nodes are
     z = c + h (rho e^{i theta} + e^{-i theta} / rho) / 2
 
 at equally spaced ``theta``, where ``rho > 1`` is the ellipse's conformal
-radius.  The trapezoid rule on it converges geometrically, at a rate set by
-``rho`` against 1 (the bulk) and against the conformal radius of the
-nearest singularity of the integrand outside it (Trefethen & Weideman, SIAM
+radius.  It passes through ``hi + eps``, so the margin ``eps`` alone sets
+``rho = 1 + e + sqrt(e (2 + e))`` with ``e = eps / h``.  The trapezoid
+rule on it converges geometrically, at a rate set by ``rho`` against 1
+(the bulk) and against the conformal radius of the nearest singularity of the integrand outside it (Trefethen & Weideman, SIAM
 Rev. 56, 2014).  For ``f = log`` that singularity is 0, whose radius in z
 tends to 1 as the bulk's lower edge ``lo`` does (``y -> 1``), so the rule
 there runs on the square-root map instead: the ellipse lies in
@@ -46,13 +47,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import LogDomain, NodeSingularity, QuadratureStall
+from .errors import FlatContour, LogDomain, NodeSingularity, QuadratureStall
 from .spectral_model import PopulationSpectrum, TestFunction, support_interval
 
 DEFAULT_NODES = 64
-DEFAULT_V0 = 1.0
 MIN_NODES = 16
 MAX_NODES = 1 << 13  # c03's pole at 1.2 + 0.3j needs 2048
+MIN_RHO = 1.006  # least conformal radius of a contour: ladders below it stall (README)
 RTOL = 1e-9  # relative tolerance of the mean, the variance and the centering
 IMAG_RTOL = 1e-8  # largest imaginary residue of a real integral, relative to 1 + |real part|
 
@@ -134,56 +135,66 @@ def default_margin(spectrum: PopulationSpectrum, y: float) -> float:
     return 0.05 * (hi - lo + 1.0)
 
 
-def _confocal(lo: float, hi: float, eps: float, v_0: float, m: int) -> Contour:
-    """Largest ellipse with foci lo and hi inside ``[lo - eps, hi + eps] x [-v_0, v_0]``."""
+def _confocal(lo: float, hi: float, eps: float, m: int) -> Contour:
+    """The ellipse with foci lo and hi through ``hi + eps``."""
     h = (hi - lo) / 2.0
     a = h + eps
-    b = math.sqrt(eps * (2.0 * h + eps))  # sqrt(a^2 - h^2)
-    if b > v_0:
-        a, b = math.sqrt(v_0 * v_0 + h * h), v_0
     c = (lo + hi) / 2.0
-    return Contour(x_l=c - a, x_r=c + a, v_0=b, m=m)
+    return Contour(x_l=c - a, x_r=c + a, v_0=math.sqrt(eps * (2.0 * h + eps)), m=m)
+
+
+def _margin(h: float, rho: float) -> float:
+    """The margin past its foci ``c -+ h`` of the ellipse of conformal radius rho."""
+    return h * ((rho + 1.0 / rho) / 2.0 - 1.0)
 
 
 def build_contour(spectrum: PopulationSpectrum, y: float, eps: float | None = None,
-                  v_0: float = DEFAULT_V0, m: int = DEFAULT_NODES,
-                  f: TestFunction | None = None) -> Contour:
+                  m: int = DEFAULT_NODES, f: TestFunction | None = None) -> Contour:
     """The contour around the enclosing interval ``[lo, hi]`` of the bulk.
 
-    It reaches ``x_r = hi + eps`` on the real axis, shrunk if needed so that
-    its ellipse's half-height stays at most ``v_0``; ``eps`` defaults to
-    ``0.05 (hi - lo + 1)``.  For every f but log it is the ellipse confocal
-    with ``[lo, hi]``.  For ``f = log`` it is the square-root-mapped one
-    (``Contour.sqrt_map``): the ellipse in ``w = sqrt(z)`` confocal with
-    ``[sqrt(lo), sqrt(hi)]`` through ``sqrt(hi + eps)``.  Its default
-    radius there is ``R_w^(1/2)``, where
-    ``R_w = (hi^(1/4) + lo^(1/4)) / (hi^(1/4) - lo^(1/4))`` is the radius of
-    log's singularity ``w = 0``: it balances the convergence rate against
-    the bulk (radius 1) with the rate against 0.  Raises ``LogDomain``
-    before any work when log is asked for and ``lo <= 0`` or the w-ellipse
-    reaches ``Re w <= 0``.
+    For every f but log it is the ellipse confocal with ``[lo, hi]``
+    through ``x_r = hi + eps``; ``eps`` defaults to ``0.05 (hi - lo + 1)``.
+    For ``f = log`` it is the square-root-mapped one (``Contour.sqrt_map``):
+    the ellipse in ``w = sqrt(z)`` confocal with ``[sqrt(lo), sqrt(hi)]``
+    through ``sqrt(hi + eps)``.  Its default radius there is ``R_w^(1/2)``,
+    where ``R_w = (hi^(1/4) + lo^(1/4)) / (hi^(1/4) - lo^(1/4))`` is the
+    radius of log's singularity ``w = 0``: it balances the convergence rate
+    against the bulk (radius 1) with the rate against 0.  Raises, before
+    any work, ``LogDomain`` when log is asked for and ``lo <= 0`` or the
+    w-ellipse reaches ``Re w <= 0``, and ``FlatContour`` when the conformal
+    radius is below ``MIN_RHO``, whose ladder would stall at ``MAX_NODES``.
     """
-    if (eps is not None and eps <= 0) or v_0 <= 0:
-        raise ValueError("eps and v_0 must be positive")
+    if eps is not None and eps <= 0:
+        raise ValueError("eps must be positive")
     lo, hi = support_interval(spectrum, y)
     margin = default_margin(spectrum, y) if eps is None else eps
     if f is None or f.kind != "log":
-        return _confocal(lo, hi, margin, v_0, m)
-    w_lo, w_hi = math.sqrt(lo), math.sqrt(hi)
-    if eps is None and lo > 0:
-        q_lo, q_hi = math.sqrt(w_lo), math.sqrt(w_hi)
-        r = math.sqrt((q_hi + q_lo) / (q_hi - q_lo))
-        eps_w = (w_hi - w_lo) / 2.0 * ((r + 1.0 / r) / 2.0 - 1.0)
+        c = _confocal(lo, hi, margin, m)
+        least = _margin((hi - lo) / 2.0, MIN_RHO)
     else:
-        eps_w = math.sqrt(hi + margin) - w_hi
-    c = _confocal(w_lo, w_hi, eps_w, v_0, m)
-    if not (lo > 0 and c.x_l > 0):
-        raise LogDomain(
-            f"f = log needs the bulk away from 0 and its contour's ellipse in w = sqrt(z) "
-            f"in Re w > 0, but at y = {y} the bulk's lower edge is {lo} and the ellipse "
-            f"reaches Re w = {c.x_l}: keep p < n with no zero atom, and contour.eps smaller"
+        w_lo, w_hi = math.sqrt(lo), math.sqrt(hi)
+        if eps is None and lo > 0:
+            q_lo, q_hi = math.sqrt(w_lo), math.sqrt(w_hi)
+            eps_w = _margin((w_hi - w_lo) / 2.0, math.sqrt((q_hi + q_lo) / (q_hi - q_lo)))
+        else:
+            eps_w = math.sqrt(hi + margin) - w_hi
+        c = _confocal(w_lo, w_hi, eps_w, m)
+        if not (lo > 0 and c.x_l > 0):
+            raise LogDomain(
+                f"f = log needs the bulk away from 0 and its contour's ellipse in w = sqrt(z) "
+                f"in Re w > 0, but at y = {y} the bulk's lower edge is {lo} and the ellipse "
+                f"reaches Re w = {c.x_l}: keep p < n with no zero atom, and contour.eps smaller"
+            )
+        least = (w_hi + _margin((w_hi - w_lo) / 2.0, MIN_RHO)) ** 2 - hi
+        c = replace(c, x_l=c.x_l * c.x_l, x_r=c.x_r * c.x_r, sqrt_map=True)
+    if c.rho < MIN_RHO:
+        digits = 2 - math.floor(math.log10(least))  # least rounded up to 3 digits
+        raise FlatContour(
+            f"at y = {y} the contour's conformal radius is {c.rho:.6f}, below {MIN_RHO}, "
+            f"so its ladder would stall at {MAX_NODES} nodes: take contour.eps >= "
+            f"{math.ceil(least * 10**digits) / 10**digits:.3g}"
         )
-    return replace(c, x_l=c.x_l * c.x_l, x_r=c.x_r * c.x_r, sqrt_map=True)
+    return c
 
 
 def _checked(vals, z: np.ndarray) -> np.ndarray:

@@ -29,6 +29,10 @@ class QuadratureStall(LabError):
     """Node doubling stopped reducing the quadrature error estimate."""
 
 
+class FlatContour(LabError):
+    """The contour hugs the bulk so closely that its quadrature cannot converge."""
+
+
 class DenominatorNearZero(LabError):
     """Mean-correction denominator vanished at a quadrature node."""
 

@@ -36,13 +36,12 @@ import numpy as np
 from .clt_moments import CltMoments, normalize
 from .diagnostics import ks_to_normal
 from .errors import ConstraintViolation, DegenerateTruncation, LabError, NonConvergence
-from .spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
-                             TestFunction, support_interval)
+from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction, support_interval
 from .stieltjes import lss_centering
 
 logger = logging.getLogger(__name__)
 
-MAX_ENTRIES = 1 << 26  # memory budget on p*n, also checked by the config parser
+MAX_ENTRIES = 1 << 26  # memory budget in entries: of p*n here, of every kind in the parser
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -412,19 +411,6 @@ def replicate_statistic(f: TestFunction, ensemble: EntryEnsemble, spectrum: Popu
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    ratio: AspectRatio
-    replicates: int
-    root_seed: int
-
-    def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if (size := self.ratio.p * self.ratio.n) > MAX_ENTRIES:
-            raise ValueError(f"p*n = {size} over the memory budget {MAX_ENTRIES}")
-
-
-@dataclass(frozen=True)
 class ReplicateRow:
     index: int
     seed: int
@@ -444,43 +430,44 @@ class ExperimentRecord:
     statistic: str  # replicate_reduction's name for the run's f and law
 
 
-def _one_replicate(cfg: SimConfig, moments: CltMoments, centering: float,
-                   index: int) -> ReplicateRow:
-    seed = replicate_seed(cfg.root_seed, index)
-    total, lam_min, lam_max = replicate_statistic(moments.f, moments.ensemble,
-                                                  moments.s_under.spectrum, cfg.ratio.p,
-                                                  cfg.ratio.n, seed)
-    value = normalize(total - centering, moments)
-    return ReplicateRow(index=index, seed=seed, value=float(value),
-                        lam_min=lam_min, lam_max=lam_max)
-
-
-def run_experiment(cfg: SimConfig, moments: CltMoments) -> ExperimentRecord:
-    """Replicated simulation of the normalized centered statistic.
+def run_experiment(moments: CltMoments, p: int, n: int, replicates: int,
+                   root_seed: int) -> ExperimentRecord:
+    """Replicated simulation of the normalized centered statistic at dimension p, size n.
 
     f, the entry law (truncated or not), the spectrum and the contour come
     from ``moments``, and the centering is integrated over the transform
     they already solved; the confinement band runs halfway from the bulk's
     edges ``lo`` and ``hi`` to the contour's crossings ``x_l`` and ``x_r``.
-    Raises ``ConstraintViolation`` before any draw when the moments were
-    solved at another ``y_n`` than the run's ``p/n``.  The centering is
-    computed once per run; each replicate draws through
-    ``replicate_statistic``, and the record names the sampler and the
-    reduction.  Any replicate failure is re-raised with its index attached.
+    Before any draw it raises ``ValueError`` unless p, n and ``replicates``
+    are at least 1 and ``p n <= MAX_ENTRIES``, and ``ConstraintViolation``
+    when the moments were solved at another ``y_n`` than ``p/n``.  The
+    centering is computed once per run; replicate i draws from stream
+    ``replicate_seed(root_seed, i)`` through ``replicate_statistic``, and
+    the record names the sampler and the reduction.  Any replicate failure
+    is re-raised with its index attached.
     """
+    if min(p, n, replicates) < 1:
+        raise ValueError(f"p, n and replicates must be >= 1, got {p}, {n} and {replicates}")
+    if p * n > MAX_ENTRIES:
+        raise ValueError(f"p*n = {p * n} over the memory budget {MAX_ENTRIES}")
     s = moments.s_under
-    y = cfg.ratio.y_n
+    y = p / n
     if y != s.y_n:
         raise ConstraintViolation(f"moments were computed at y_n={s.y_n}, but the run has "
-                                  f"p/n = {cfg.ratio.p}/{cfg.ratio.n} = {y}")
-    centering = lss_centering(moments.f, cfg.ratio.p, s)
+                                  f"p/n = {p}/{n} = {y}")
+    centering = lss_centering(moments.f, p, s)
 
     rows = []
-    for i in range(cfg.replicates):
+    for i in range(replicates):
+        seed = replicate_seed(root_seed, i)
         try:
-            rows.append(_one_replicate(cfg, moments, centering, i))
+            total, lam_min, lam_max = replicate_statistic(moments.f, moments.ensemble,
+                                                          s.spectrum, p, n, seed)
+            value = float(normalize(total - centering, moments))
         except LabError as exc:
             raise type(exc)(f"replicate {i}: {exc}") from exc
+        rows.append(ReplicateRow(index=i, seed=seed, value=value,
+                                 lam_min=lam_min, lam_max=lam_max))
 
     lo, hi = support_interval(s.spectrum, y)
     # halfway from the bulk's edges to the contour's real-axis crossings

@@ -80,22 +80,6 @@ class PopulationSpectrum:
         return max(t for t, _ in self.atoms)
 
 
-@dataclass(frozen=True)
-class AspectRatio:
-    """Dimension p over sample size n; the ratio is always recomputed."""
-
-    p: int
-    n: int
-
-    def __post_init__(self):
-        if self.p < 1 or self.n < 1:
-            raise ValueError("p and n must be positive integers")
-
-    @property
-    def y_n(self) -> float:
-        return self.p / self.n
-
-
 def support_interval(spectrum: PopulationSpectrum, y: float) -> tuple[float, float]:
     """Enclosing interval of the limiting spectral bulk.
 

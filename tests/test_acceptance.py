@@ -19,9 +19,8 @@ from lsslab.contour import Contour, build_contour
 from lsslab.diagnostics import (SteinContext, fit_rate, qform_probe,
                                 sigma0_nested_mc, stein_Nh, stein_bound_report,
                                 stein_h, stein_residual)
-from lsslab.simulator import SimConfig, run_experiment
-from lsslab.spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
-                                   TestFunction)
+from lsslab.simulator import run_experiment
+from lsslab.spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction, support_interval
 from lsslab.stieltjes import s_under_grid, solve_s_under
 
 IDENTITY = PopulationSpectrum.identity()
@@ -70,7 +69,7 @@ def test_c03_contour_engine():
     from lsslab.contour import integrate as cintegrate
 
     t0 = time.perf_counter()
-    c = build_contour(IDENTITY, 0.25, eps=0.05, v_0=1.0, m=64)
+    c = build_contour(IDENTITY, 0.25, eps=0.05, m=64)
     inside, outside = 1.2 + 0.3j, 4.0 + 0.5j
     e1 = abs(cintegrate(lambda z: np.ones_like(z), c))
     e2 = abs(cintegrate(lambda z: 1.0 / (z - inside), c) - 2j * np.pi)
@@ -107,15 +106,20 @@ def test_c04_moment_oracles():
 def test_c05_contour_invariance():
     t0 = time.perf_counter()
     y = 0.5
-    settings = [(0.05, 1.0), (0.1, 0.5), (0.2, 1.5)]
-    moments = [compute_moments(F_X2, IDENTITY, y, RG, eps=e, v_0=v)
-               for e, v in settings]
-    mu0, s0 = moments[0].mu, moments[0].sigma
-    dmu = max(abs(m.mu - mu0) for m in moments[1:]) / max(1.0, abs(mu0))
-    dsig = max(abs(m.sigma - s0) for m in moments[1:]) / abs(s0)
+    lo, hi = support_interval(IDENTITY, y)
+    # confocal ellipses through hi + 0.05 and hi + 0.2, and the ellipse inscribed
+    # in [lo - 0.1, hi + 0.1] x [-0.5, 0.5], which is not confocal
+    contours = [build_contour(IDENTITY, y, eps=0.05), Contour(lo - 0.1, hi + 0.1, 0.5),
+                build_contour(IDENTITY, y, eps=0.2)]
+    transforms = [CompanionTransform(IDENTITY, y, c) for c in contours]
+    mus = [mean_correction(F_X2, s) for s in transforms]
+    sigmas = [variance_with_kernel(F_X2, s)[0] for s in transforms]
+    dmu = max(abs(m - mus[0]) for m in mus[1:]) / max(1.0, abs(mus[0]))
+    dsig = max(abs(s - sigmas[0]) for s in sigmas[1:]) / abs(sigmas[0])
     dt = time.perf_counter() - t0
     report(5, dmu < 1e-7 and dsig < 1e-7 and dt < 30.0,
-           f"relative spread over {settings}: mu {dmu:.2e}, sigma {dsig:.2e} in {dt:.2f}s")
+           f"relative spread over three contours: mu {dmu:.2e}, sigma {dsig:.2e} "
+           f"in {dt:.2f}s")
 
 
 def test_c06_kernel_disk_bound():
@@ -137,8 +141,7 @@ def test_c07_clt_normality_fixed_n():
     t0 = time.perf_counter()
     p, n = 256, 512
     mom = compute_moments(F_X2, IDENTITY, p / n, RG)
-    cfg = SimConfig(ratio=AspectRatio(p=p, n=n), replicates=2000, root_seed=20_240_701)
-    rec = run_experiment(cfg, mom)
+    rec = run_experiment(mom, p, n, 2000, 20_240_701)
     dt = time.perf_counter() - t0
     ok = abs(rec.mean) <= 0.08 and abs(rec.variance - 1.0) <= 0.12 and rec.ks <= 0.05
     report(7, ok and dt < 600,
@@ -160,8 +163,7 @@ def test_c08_rate_reproduction():
     for i, n in enumerate((128, 256, 512, 1024)):
         p = n // 4
         mom = compute_moments(f, IDENTITY, p / n, RG)
-        cfg = SimConfig(ratio=AspectRatio(p=p, n=n), replicates=4000, root_seed=97 + i)
-        rec = run_experiment(cfg, mom)
+        rec = run_experiment(mom, p, n, 4000, 97 + i)
         points.append((n, rec.ks))
     fit = fit_rate(points, seed=7)
     dt = time.perf_counter() - t0
@@ -176,8 +178,7 @@ def test_c09_cg_case_zero_mean():
     t0 = time.perf_counter()
     p, n = 256, 512
     mom = compute_moments(F_X2, IDENTITY, p / n, CG)
-    cfg = SimConfig(ratio=AspectRatio(p=p, n=n), replicates=2000, root_seed=20_240_702)
-    rec = run_experiment(cfg, mom)
+    rec = run_experiment(mom, p, n, 2000, 20_240_702)
     dt = time.perf_counter() - t0
     ok = abs(rec.mean) <= 0.08 and abs(rec.variance - 1.0) <= 0.12
     report(9, ok and dt < 600,

@@ -152,8 +152,8 @@ def _textbook_level(f, spectrum, y, c1, m, c2=None):
 def _nested_variance(f, spectrum, y):
     """sigma(f) the way Bai & Silverstein set it up: z1 on an inner ellipse, z2 on a
     strictly larger confocal one, laddered to 1e-11.  The ellipses are those the
-    variance ran on before it moved to one contour: margins eps and 2 eps with
-    half-heights at most 1 and 2, or conformal radii R0^(1/3) and R0^(2/3) for log,
+    variance ran on before it moved to one contour, less their half-height caps:
+    margins eps and 2 eps, or conformal radii R0^(1/3) and R0^(2/3) for log,
     where R0 is that of the singularity 0."""
     lo, hi = support_interval(spectrum, y)
     h = (hi - lo) / 2.0
@@ -163,7 +163,7 @@ def _nested_variance(f, spectrum, y):
     else:
         eps = 0.05 * (hi - lo + 1.0)
         margins = [eps, 2.0 * eps]
-    inner, outer = (_confocal(lo, hi, e, cap, 64) for e, cap in zip(margins, (1.0, 2.0)))
+    inner, outer = (_confocal(lo, hi, e, 64) for e in margins)
 
     for m in (64 << k for k in range(8)):
         fine = _textbook_level(f, spectrum, y, inner, m, outer)
@@ -430,7 +430,7 @@ class TestMean:
     def test_log_identity_population(self):
         # classical closed form log(1 - y) / 2 for the MP bulk
         y = 0.25
-        c = build_contour(IDENTITY, y, eps=0.04, v_0=0.8, f=TestFunction.log())
+        c = build_contour(IDENTITY, y, eps=0.04, f=TestFunction.log())
         got = mean_correction(TestFunction.log(), CompanionTransform(IDENTITY, y, c))
         assert got == pytest.approx(np.log(1 - y) / 2.0, rel=1e-9)
 
@@ -457,7 +457,7 @@ class TestVariance:
     def test_log_identity_population(self):
         # classical closed form -2 log(1 - y)
         y = 0.25
-        c = build_contour(IDENTITY, y, eps=0.04, v_0=0.8, f=TestFunction.log())
+        c = build_contour(IDENTITY, y, eps=0.04, f=TestFunction.log())
         got = variance_with_kernel(TestFunction.log(), CompanionTransform(IDENTITY, y, c))[0]
         assert got == pytest.approx(-2.0 * np.log(1 - y), rel=1e-9)
 
@@ -490,16 +490,32 @@ class TestMomentsBundle:
                     assert mom.kernel_max_abs < 1
 
     def test_contour_invariance(self):
+        # two confocal ellipses, at eps = 0.05 and 0.2, and the ellipse inscribed
+        # in [lo - 0.1, hi + 0.1] x [-0.5, 0.5], which is not confocal
         y = 0.5
-        settings = [(0.05, 1.0), (0.1, 0.5), (0.2, 1.5)]
-        moments = [compute_moments(F_X2, IDENTITY, y, RG, eps=e, v_0=v)
-                   for e, v in settings]
-        mus = [m.mu for m in moments]
-        sigmas = [m.sigma for m in moments]
+        lo, hi = support_interval(IDENTITY, y)
+        contours = [build_contour(IDENTITY, y, eps=0.05), Contour(lo - 0.1, hi + 0.1, 0.5),
+                    build_contour(IDENTITY, y, eps=0.2)]
+        transforms = [CompanionTransform(IDENTITY, y, c) for c in contours]
+        mus = [mean_correction(F_X2, s) for s in transforms]
+        sigmas = [variance_with_kernel(F_X2, s)[0] for s in transforms]
         for a in mus[1:]:
             assert abs(a - mus[0]) <= 1e-7 * max(1.0, abs(mus[0]))
         for a in sigmas[1:]:
             assert abs(a - sigmas[0]) <= 1e-7 * abs(sigmas[0])
+
+    @pytest.mark.parametrize("y", [2.0, 10.0])
+    def test_wide_bulk_at_few_nodes(self, y):
+        # T = 4 I: mu(x^2) = y t^2 and sigma(x^2) = 4 y (2 + 5 y + 2 y^2) t^4; the
+        # ellipse through hi + eps has rho = 1.56 at y = 10 and accepts at 128
+        # nodes, where a half-height capped at 1 had rho = 1.03 and took 2048
+        t = 4.0
+        sp = PopulationSpectrum.from_pairs([(t, 1.0)], allow_large_atoms=True)
+        mom = compute_moments(F_X2, sp, y, RG)
+        assert all(q.nodes <= 128 for q in mom.quadrature.values())
+        assert abs(mom.mu - y * t**2) <= 1e-13 * y * t**2
+        sigma = 4 * y * (2 + 5 * y + 2 * y * y) * t**4
+        assert abs(mom.sigma - sigma) <= 1e-13 * sigma
 
     def test_small_margin_does_not_stall(self):
         # sigma(x) = 2y and mu(x) = 0 on the identity; at eps = 0.03 the mean

@@ -16,9 +16,8 @@ from lsslab.config import (RunConfig, parse_config, parse_test_function,
                            serialize_spectrum, serialize_test_function)
 from lsslab.contour import build_contour
 from lsslab.errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
-from lsslab.simulator import SimConfig, replicate_seed, replicate_statistic, run_experiment
-from lsslab.spectral_model import (AspectRatio, PopulationSpectrum, TestFunction,
-                                   support_interval)
+from lsslab.simulator import replicate_seed, replicate_statistic, run_experiment
+from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
 from lsslab.stieltjes import lsd_density
 
 IDENTITY = PopulationSpectrum.identity()
@@ -62,7 +61,7 @@ class TestParseConfig:
             "kind": "moments", "spectrum": "identity", "y": 0.5,
             "f": "x^2"}))
         assert cfg.replicates == 200
-        assert (cfg.contour.eps, cfg.contour.v0) == (None, 1.0)
+        assert cfg.eps is None
         assert cfg.root_seed == 12345
         assert cfg.truncation_mode == "off"
 
@@ -140,6 +139,53 @@ class TestParseConfig:
             parse_config(json.dumps({"kind": "ks-rate", "y": 1.0, "n_grid": [32, 64, 8193]}))
         parse_config(json.dumps({"kind": "ks-rate", "y": 1.0, "n_grid": [32, 64, 8192]}))
 
+    @pytest.mark.parametrize("doc, over", [
+        # resolvent probe blocks of p x min(replicates, 20000): p = 4096 at n = 8192
+        ({"kind": "probe-qform", "matrix_kind": "resolvent", "y": 0.5, "n_grid": [64, 8192],
+          "replicates": 16384}, False),
+        ({"kind": "probe-qform", "matrix_kind": "resolvent", "y": 0.5, "n_grid": [64, 8192],
+          "replicates": 16385}, True),
+        ({"kind": "probe-qform", "matrix_kind": "resolvent", "y": 0.5,
+          "n_grid": [8192, 16384], "replicates": 20000}, True),
+        # the fixed_psd probe draws no block of entries
+        ({"kind": "probe-qform", "y": 0.5, "n_grid": [8192, 16384], "replicates": 20000},
+         False),
+        # B's p x n draw: p = n at y = 1
+        ({"kind": "probe-qform", "matrix_kind": "resolvent", "y": 1.0, "n_grid": [64, 8192],
+          "replicates": 2}, False),
+        ({"kind": "probe-qform", "matrix_kind": "resolvent", "y": 1.0, "n_grid": [64, 8193],
+          "replicates": 2}, True),
+        # lsd's arrowhead stack of grid_points (K + 1) x (K + 1) matrices
+        ({"kind": "lsd", "grid_points": 1 << 24}, False),
+        ({"kind": "lsd", "grid_points": (1 << 24) + 1}, True),
+        ({"kind": "lsd", "grid_points": 1864135, "spectrum": FIVE_ATOM}, False),
+        ({"kind": "lsd", "grid_points": 1864136, "spectrum": FIVE_ATOM}, True),
+        ({"kind": "lsd", "grid_points": 1 << 24,  # a zero atom adds no row
+          "spectrum": [{"atom": 0.0, "weight": 0.5}, {"atom": 1.0, "weight": 0.5}]}, False),
+        ({"kind": "lsd", "grid_points": 1 << 40}, True),
+        # the stein sweep's grid
+        ({"kind": "stein-check", "grid_points": 1 << 26}, False),
+        ({"kind": "stein-check", "grid_points": (1 << 26) + 1}, True),
+        ({"kind": "stein-check", "grid_points": 1 << 40}, True),
+    ])
+    def test_memory_budget_of_every_kind(self, doc, over):
+        # parsed only: a config under the budget would still allocate gigabytes
+        if over:
+            with pytest.raises(ConstraintViolation, match="memory budget 67108864"):
+                parse_config(json.dumps(doc))
+        else:
+            parse_config(json.dumps(doc))
+
+    def test_contour_v0_key_rejected(self, tmp_path, capsys):
+        # eps alone sets the contour; the half-height cap v0 is gone
+        with pytest.raises(UnknownKey, match="v0"):
+            parse_config(json.dumps({"kind": "moments", "contour": {"eps": 0.1, "v0": 1.0}}))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": "moments", "contour": {"v0": 1.0}}))
+        assert main(["moments", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert "UnknownKey" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
     def test_simulate_needs_dims(self):
         with pytest.raises(MissingRequired):
             parse_config(json.dumps({"kind": "simulate"}))
@@ -194,8 +240,7 @@ class TestParseConfig:
                    "root_seed": int(rng.integers(0, 2**63)),
                    "f": {"poly": [float(round(c, 6)) for c in rng.standard_normal(
                        int(rng.integers(1, 5)))]},
-                   "contour": {"eps": float(round(rng.uniform(0.01, 0.3), 6)),
-                               "v0": float(round(rng.uniform(0.3, 2.0), 6))}}
+                   "contour": {"eps": float(round(rng.uniform(0.01, 0.3), 6))}}
             if rng.random() < 0.5:
                 w = float(round(rng.uniform(0.2, 0.8), 6))
                 doc["spectrum"] = [{"atom": 0.5, "weight": w},
@@ -299,6 +344,35 @@ class TestCliRuns:
         # the summary says its v_0 and rho belong to the ellipse in w = sqrt(z)
         doc = json.loads((tmp_path / "moments_summary.json").read_text())["summary"]
         assert doc["contour"]["sqrt_map"] is True
+
+    @pytest.mark.parametrize("extra", [
+        {"kind": "moments", "y": 1.5},
+        {"kind": "simulate", "p": 48, "n": 16},
+        {"kind": "ks-rate", "y": 0.5, "n_grid": [16, 32, 64]},
+        {"kind": "moments", "y": 0.5, "f": "log"},
+    ], ids=["moments", "simulate", "ks_rate", "moments_log"])
+    def test_flat_contour_fails_before_any_work(self, extra, tmp_path, monkeypatch, capsys):
+        # contour.eps = 1e-5 gives rho from 1.0023 (y = 3) to 1.0038 (y = 0.5),
+        # where the ladder stalled at 8192 nodes after a second or so of solving
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(clt_moments_mod, "s_under_grid",
+                            counting("solve", clt_moments_mod.s_under_grid))
+        monkeypatch.setattr(cli, "replicate_statistic",
+                            counting("draw", cli.replicate_statistic))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"replicates": 2, "contour": {"eps": 1e-5}, **extra}))
+        assert main([extra["kind"], "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "FlatContour" in err and "take contour.eps >= " in err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [cfgfile]
 
     @pytest.mark.parametrize("kind", ["moments", "simulate"])
     def test_log_above_one_fails_before_any_solve(self, kind, tmp_path, monkeypatch, capsys):
@@ -832,10 +906,10 @@ class TestCliRuns:
         cfg = parse_config(cfgfile.read_text())
         expected = [["n", "ks", "replicates", "seed"]]
         for i, n in enumerate(cfg.n_grid):
-            ratio = AspectRatio(p=int(round(cfg.y * n)), n=n)
+            p = int(round(cfg.y * n))
             seed = replicate_seed(cfg.root_seed, i)
-            mom = cli._moments(cfg, ratio.y_n, cfg.ensemble)
-            record = run_experiment(SimConfig(ratio, cfg.replicates, seed), mom)
+            mom = cli._moments(cfg, p / n, cfg.ensemble)
+            record = run_experiment(mom, p, n, cfg.replicates, seed)
             expected.append([str(n), repr(record.ks), str(cfg.replicates), str(seed)])
         with open(tmp_path / "ks_rate_detail.csv", newline="") as fh:
             assert list(csv.reader(fh)) == expected

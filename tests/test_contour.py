@@ -6,32 +6,40 @@ import pytest
 from conftest import BATTERY
 from lsslab import clt_moments
 from lsslab.clt_moments import compute_moments
-from lsslab.contour import Contour, build_contour, default_margin, integrate
-from lsslab.errors import LogDomain, NodeSingularity, QuadratureStall
+from lsslab.contour import MIN_RHO, Contour, build_contour, default_margin, integrate
+from lsslab.errors import FlatContour, LogDomain, NodeSingularity, QuadratureStall
 from lsslab.spectral_model import (EntryEnsemble, PopulationSpectrum, TestFunction,
                                    support_interval)
 
 IDENTITY = PopulationSpectrum.identity()
+FOUR_I = PopulationSpectrum.from_pairs([(4.0, 1.0)], allow_large_atoms=True)
 
 
 class TestBuild:
     def test_rectangle_from_margin(self):
         # the ellipse with foci lo = 0.25 and hi = 2.25 through hi + eps
-        c = build_contour(IDENTITY, 0.25, eps=0.05, v_0=1.0)
+        c = build_contour(IDENTITY, 0.25, eps=0.05)
         assert c.x_l == pytest.approx(0.20)
         assert c.x_r == pytest.approx(2.30)
         assert c.v_0 == pytest.approx(math.sqrt(1.05**2 - 1.0))
         assert c.rho == pytest.approx(1.05 + math.sqrt(1.05**2 - 1.0))
 
-    def test_half_height_capped_by_v0(self):
-        # the largest confocal ellipse inside [lo - eps, hi + eps] x [-v_0, v_0]
-        c = build_contour(IDENTITY, 0.25, eps=0.5, v_0=0.4)
-        assert c.v_0 == 0.4
-        assert c.x_r == pytest.approx(1.25 + math.sqrt(1.0 + 0.4**2))
-        assert c.x_r < 2.25 + 0.5
+    @pytest.mark.parametrize("spectrum", [IDENTITY, FOUR_I], ids=["identity", "4I"])
+    @pytest.mark.parametrize("y", [0.25, 2.0, 10.0])
+    @pytest.mark.parametrize("eps", [None, 0.3])
+    def test_confocal_through_hi_plus_eps(self, spectrum, y, eps):
+        # eps alone sets the ellipse: foci lo and hi, a^2 - b^2 = h^2, x_r = hi + eps
+        lo, hi = support_interval(spectrum, y)
+        c = build_contour(spectrum, y, eps=eps)
+        a, h = (c.x_r - c.x_l) / 2, (hi - lo) / 2
+        assert (c.x_l + c.x_r) / 2 == pytest.approx((lo + hi) / 2, rel=1e-14)
+        assert c.x_r == pytest.approx(hi + (eps or default_margin(spectrum, y)), rel=1e-14)
+        assert a * a - c.v_0 * c.v_0 == pytest.approx(h * h, rel=1e-12)
+        e = (c.x_r - hi) / h
+        assert c.rho == pytest.approx(1 + e + math.sqrt(e * (2 + e)), rel=1e-12)
 
     def test_negative_left_edge_when_bulk_touches_zero(self):
-        c = build_contour(IDENTITY, 4.0, eps=0.05, v_0=1.0)
+        c = build_contour(IDENTITY, 4.0, eps=0.05)
         assert c.x_l == pytest.approx(-0.05)
 
     def test_default_margin_formula(self):
@@ -65,13 +73,13 @@ class TestBuild:
 
     def test_log_rejected_when_left_edge_nonpositive(self):
         with pytest.raises(LogDomain):
-            build_contour(IDENTITY, 4.0, eps=0.05, v_0=1.0, f=TestFunction.log())
+            build_contour(IDENTITY, 4.0, eps=0.05, f=TestFunction.log())
         with pytest.raises(LogDomain):
             build_contour(IDENTITY, 1.0, f=TestFunction.log())
         # sqrt(lo) = 0.5 and sqrt(hi) = 1.5 at y = 0.25: eps = 2 takes the
         # ellipse in w = sqrt(z) out to sqrt(4.25) and its left crossing below 0
         with pytest.raises(LogDomain):
-            build_contour(IDENTITY, 0.25, eps=2.0, v_0=1.0, f=TestFunction.log())
+            build_contour(IDENTITY, 0.25, eps=2.0, f=TestFunction.log())
 
     def test_log_domain_checked_before_any_solve(self, monkeypatch):
         # sqrt(lo) = 0.5 at y = 0.25: eps = 2 takes the ellipse in w = sqrt(z)
@@ -83,6 +91,27 @@ class TestBuild:
         with pytest.raises(LogDomain):
             compute_moments(TestFunction.log(), IDENTITY, 0.25, EntryEnsemble.real_gaussian(),
                             eps=2.0)
+
+    @pytest.mark.parametrize("f, y", [(None, 0.5), (None, 3.0), (TestFunction.log(), 0.5)],
+                             ids=["ellipse", "ellipse-y3", "sqrt_map"])
+    def test_flat_contour_names_the_eps_that_clears_it(self, f, y):
+        # rho = 1 + e + sqrt(e (2 + e)) with e = eps / h (in w for log) is
+        # 1.0012 at eps = 1e-6 on the identity at y = 0.5, below MIN_RHO
+        with pytest.raises(FlatContour, match="contour.eps >= ") as err:
+            build_contour(IDENTITY, y, eps=1e-6, f=f)
+        named = float(str(err.value).rsplit(" ", 1)[1])
+        assert build_contour(IDENTITY, y, eps=named, f=f).rho >= MIN_RHO
+        with pytest.raises(FlatContour):
+            build_contour(IDENTITY, y, eps=0.99 * named, f=f)
+
+    def test_flat_contour_checked_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the transform was solved")
+
+        monkeypatch.setattr(clt_moments, "s_under_grid", no_solve)
+        with pytest.raises(FlatContour):
+            compute_moments(TestFunction.monomial(2), IDENTITY, 1.5,
+                            EntryEnsemble.real_gaussian(), eps=1e-5)
 
     @pytest.mark.parametrize("f", [None, TestFunction.log()], ids=["ellipse", "sqrt_map"])
     @pytest.mark.parametrize("m0", [16, 24, 64])
@@ -128,7 +157,7 @@ class TestBuild:
 class TestIntegrate:
     @pytest.fixture()
     def contour(self):
-        return build_contour(IDENTITY, 0.25, eps=0.05, v_0=1.0)
+        return build_contour(IDENTITY, 0.25, eps=0.05)
 
     def test_constant_integrates_to_zero(self, contour):
         val = integrate(lambda z: np.ones_like(z), contour)

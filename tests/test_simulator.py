@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -14,14 +14,14 @@ from lsslab.contour import default_margin
 from lsslab.errors import (ConstraintViolation, DegenerateTruncation, LogDomain,
                            NonConvergence)
 from lsslab import simulator
-from lsslab.simulator import (CLOSED_FORM, DENSE, SPECTRUM, SimConfig, assemble_B,
+from lsslab.simulator import (CLOSED_FORM, DENSE, SPECTRUM, assemble_B,
                               default_eta, draw_entries, eigenvalues, lss_centered,
                               population_diagonal, replicate_eigenvalues, replicate_reduction,
                               replicate_sampler, replicate_seed, replicate_statistic,
                               run_experiment, sample_entries, splitmix64, truncate_normalize,
                               truncated_law, truncated_moments)
-from lsslab.spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
-                                   TestFunction, support_interval)
+from lsslab.spectral_model import (EntryEnsemble, PopulationSpectrum, TestFunction,
+                                   support_interval)
 from lsslab.stieltjes import lss_centering
 
 IDENTITY = PopulationSpectrum.identity()
@@ -488,8 +488,7 @@ class TestReplicateStatistic:
     def test_run_rows_match_the_spectrum(self):
         f, p, n = TestFunction.monomial(2), 16, 32
         mom = compute_moments(f, IDENTITY, p / n, RG)
-        cfg = SimConfig(ratio=AspectRatio(p=p, n=n), replicates=6, root_seed=9)
-        rec = run_experiment(cfg, mom)
+        rec = run_experiment(mom, p, n, 6, 9)
         assert rec.statistic == CLOSED_FORM
         centering = lss_centering(f, p, mom.s_under)
         for row in rec.rows:
@@ -527,32 +526,28 @@ class TestLssCentered:
 
 
 class TestRunExperiment:
-    def _config(self, **kw):
-        defaults = dict(ratio=AspectRatio(p=16, n=32), replicates=8, root_seed=777)
-        defaults.update(kw)
-        return SimConfig(**defaults)
+    @staticmethod
+    def _run(mom, p=16, n=32, replicates=8, root_seed=777):
+        return run_experiment(mom, p, n, replicates, root_seed)
 
     def test_deterministic_record(self):
-        cfg = self._config()
         mom = compute_moments(F_X, IDENTITY, 0.5, RG)
-        r1 = run_experiment(cfg, mom)
-        r2 = run_experiment(cfg, mom)
+        r1 = self._run(mom)
+        r2 = self._run(mom)
         assert [r.value for r in r1.rows] == [r.value for r in r2.rows]
         assert [r.seed for r in r1.rows] == [r.seed for r in r2.rows]
 
     def test_normalized_variance_near_one(self):
         # chi-square concentration: 2000 samples put the sample variance of
         # the unit-variance statistic within 0.1 of 1
-        cfg = self._config(ratio=AspectRatio(p=128, n=256), replicates=2000,
-                           root_seed=2024)
         mom = compute_moments(F_X, IDENTITY, 0.5, RG)
-        rec = run_experiment(cfg, mom)
+        rec = self._run(mom, 128, 256, replicates=2000, root_seed=2024)
         assert abs(rec.variance - 1.0) <= 0.1
         assert abs(rec.mean) <= 0.1
         assert 0.0 <= rec.ks <= 1.0
         # edge fluctuations at this n occasionally leave the +-eps/2 band;
         # the contract is counting + logging, not failure
-        assert rec.confinement_violations <= 0.05 * cfg.replicates
+        assert rec.confinement_violations <= 0.05 * 2000
 
     def test_confinement_band_follows_the_run_contour(self):
         mom = compute_moments(F_X, IDENTITY, 0.5, RG)
@@ -564,21 +559,23 @@ class TestRunExperiment:
 
         # contour margins of 0.01 and 0.03 against the default 0.19: the
         # narrowest band is left by one of these replicates, the others by none
-        cfg = self._config(ratio=AspectRatio(p=64, n=128), replicates=20)
-        rec = run_experiment(cfg, compute_moments(F_X, IDENTITY, 0.5, RG, eps=0.01))
+        def run(moments):
+            return self._run(moments, 64, 128, replicates=20)
+
+        rec = run(compute_moments(F_X, IDENTITY, 0.5, RG, eps=0.01))
         assert rec.confinement_violations == outside(rec, 0.01) == 1
-        rec = run_experiment(cfg, compute_moments(F_X, IDENTITY, 0.5, RG, eps=0.03))
+        rec = run(compute_moments(F_X, IDENTITY, 0.5, RG, eps=0.03))
         assert rec.confinement_violations == outside(rec, 0.03) == 0
         assert outside(rec, default_margin(IDENTITY, 0.5)) == 0
         # the default contour keeps the default band
-        assert run_experiment(cfg, mom).confinement_violations == 0
+        assert run(mom).confinement_violations == 0
         # log's mapped contour has a narrower margin at lo than at hi, so the
         # band takes each edge halfway to its own crossing: at contour.eps =
         # 0.03 one replicate's lam_min lies between x_l and (lo + x_l) / 2,
         # inside lo - eps / 2
         log_mom = compute_moments(TestFunction.log(), IDENTITY, 0.5, RG, eps=0.03)
         c = log_mom.contour
-        rec = run_experiment(cfg, log_mom)
+        rec = run(log_mom)
         flagged = [r for r in rec.rows
                    if r.lam_min < (lo + c.x_l) / 2 or r.lam_max > (hi + c.x_r) / 2]
         assert rec.confinement_violations == len(flagged) == 1
@@ -597,7 +594,7 @@ class TestRunExperiment:
             mom = compute_moments(f, BATTERY["five_atom"], 0.5, RG)
             with monkeypatch.context() as m:
                 m.setattr(stieltjes_mod, "s_under_grid", no_solve)
-                rec = run_experiment(self._config(replicates=2), mom)
+                rec = self._run(mom, replicates=2)
             assert np.isfinite([r.value for r in rec.rows]).all()
 
     def test_moments_at_another_ratio_rejected_before_any_draw(self, monkeypatch):
@@ -609,14 +606,20 @@ class TestRunExperiment:
             raise AssertionError("an entry matrix was drawn")
 
         monkeypatch.setattr(sim_mod, "sample_entries", no_draw)
-        cfg = self._config(ratio=AspectRatio(p=64, n=128))
         with pytest.raises(ConstraintViolation, match="y_n=0.25.*64/128"):
-            run_experiment(cfg, compute_moments(F_X, IDENTITY, 0.25, RG))
-        assert [fl.name for fl in fields(SimConfig)] == ["ratio", "replicates", "root_seed"]
+            self._run(compute_moments(F_X, IDENTITY, 0.25, RG), 64, 128)
 
-    def test_memory_budget_enforced(self):
-        with pytest.raises(ValueError, match="memory budget"):
-            self._config(ratio=AspectRatio(p=1 << 14, n=1 << 14))
+    @pytest.mark.parametrize("p, n, replicates, match", [
+        (0, 32, 8, ">= 1"), (16, 0, 8, ">= 1"), (16, 32, 0, ">= 1"),
+        (1 << 14, 1 << 14, 8, "memory budget"),
+    ], ids=["p", "n", "replicates", "budget"])
+    def test_run_checked_before_any_draw(self, p, n, replicates, match, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulator, "replicate_statistic", no_draw)
+        with pytest.raises(ValueError, match=match):
+            self._run(compute_moments(F_X, IDENTITY, 0.5, RG), p, n, replicates)
 
     @pytest.mark.parametrize("base", [RG, CG, EntryEnsemble.student_t(11.0)],
                              ids=["rg", "cg", "student_t"])
@@ -631,7 +634,7 @@ class TestRunExperiment:
             return sample_entries(ensemble, p, n, seed)
 
         monkeypatch.setattr(simulator, "sample_entries", recording)
-        rec = run_experiment(self._config(replicates=4), mom)
+        rec = self._run(mom, replicates=4)
         assert len(drawn) == 4 and all(e is mom.ensemble for e in drawn)
         assert rec.sampler == DENSE and np.isfinite([r.value for r in rec.rows]).all()
 
@@ -639,7 +642,6 @@ class TestRunExperiment:
                              ids=["student_t", "rg", "cg"])
     def test_truncated_run_matches_reference_loop(self, base, monkeypatch):
         p, n = 16, 32
-        cfg = self._config(replicates=5)
         calls = []
         original = simulator.truncated_moments
 
@@ -649,13 +651,13 @@ class TestRunExperiment:
 
         monkeypatch.setattr(simulator, "truncated_moments", counting)
         mom = compute_moments(F_X, IDENTITY, 0.5, truncated_law(base, n, default_eta(n)))
-        rec = run_experiment(cfg, mom)
+        rec = self._run(mom, replicates=5)
         assert len(calls) == 1  # one law, one quadrature, for every replicate
 
         centering = lss_centering(F_X, p, mom.s_under)
         expected = []
-        for i in range(cfg.replicates):
-            x = sample_entries(base, p, n, replicate_seed(cfg.root_seed, i))
+        for i in range(5):
+            x = sample_entries(base, p, n, replicate_seed(777, i))
             x = truncate_normalize(x, n, default_eta(n), base)
             eigs = eigenvalues(assemble_B(IDENTITY, x, n))
             stat = lss_centered(F_X, eigs, centering)

@@ -5,8 +5,7 @@ import pytest
 
 from conftest import population_moment
 from lsslab.errors import LogDomain
-from lsslab.spectral_model import (AspectRatio, EntryEnsemble, PopulationSpectrum,
-                                   TestFunction, support_interval)
+from lsslab.spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction, support_interval
 
 
 class TestPopulationSpectrum:
@@ -37,16 +36,6 @@ class TestPopulationSpectrum:
         sp = PopulationSpectrum.from_pairs([(0.4, 0.5), (1.0, 0.5)])
         assert population_moment(sp, 1) == pytest.approx(0.7, abs=1e-15)
         assert population_moment(sp, 2) == pytest.approx(0.58, abs=1e-15)
-
-
-class TestAspectRatio:
-    def test_ratio_recomputed(self):
-        r = AspectRatio(p=128, n=256)
-        assert r.y_n == 0.5
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            AspectRatio(p=0, n=4)
 
 
 class TestSupportInterval:
