@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .contour import build_contour
 from .diagnostics import _QFORM_CHUNK
 from .errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
-from .simulator import MAX_ENTRIES, population_diagonal
+from .simulator import DENSE, MAX_ENTRIES, population_diagonal, replicate_sampler
 from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
 
 KINDS = ("lsd", "moments", "simulate", "ks-rate", "stein-check", "probe-qform")
@@ -219,14 +219,19 @@ def _finite_number(text: str) -> int | float:
 
 
 def _largest_array(kind: str, dims: list[tuple[int, int]], spectrum: PopulationSpectrum,
-                   replicates: int, grid_points: int, matrix_kind: str) -> tuple[str, dict]:
+                   ensemble: EntryEnsemble, truncated: bool, replicates: int, grid_points: int,
+                   matrix_kind: str) -> tuple[str, dict]:
     """What sizes the largest array a run allocates, and its entries at each value of that."""
-    if kind in ("simulate", "ks-rate"):  # a replicate's p x n entries
-        return "(p, n)", {(q, m): q * m for q, m in dims}
+    if kind in ("simulate", "ks-rate"):
+        # a dense replicate's p x n entries and p x p Gram matrix; the bidiagonal
+        # model draws O(min(p, n)) and keeps the p x n bound of run_experiment
+        dense = truncated or replicate_sampler(ensemble, spectrum) == DENSE
+        return "(p, n)", {(q, m): q * max(q, m) if dense else q * m for q, m in dims}
     if kind == "probe-qform" and matrix_kind == "resolvent":
-        # B's p x n entries, then blocks of p x min(replicates, _QFORM_CHUNK) probe entries
+        # B's p x n entries, its p x p inverse, then blocks of p x min(replicates,
+        # _QFORM_CHUNK) probe entries
         block = min(replicates, _QFORM_CHUNK)
-        return "(p, n)", {(q, m): q * max(m, block) for q, m in dims}
+        return "(p, n)", {(q, m): q * max(q, m, block) for q, m in dims}
     if kind == "lsd":  # one (K + 1) x (K + 1) arrowhead matrix per point, K nonzero atoms
         k = sum(t != 0 for t, _ in spectrum.atoms)
         return "(grid_points, K)", {(grid_points, k): grid_points * (k + 1) ** 2}
@@ -371,7 +376,8 @@ def parse_config(text: str) -> RunConfig:
     matrix_kind = _expect(get("matrix_kind"), str, "matrix_kind")
     if matrix_kind not in ("fixed_psd", "resolvent"):
         raise ConstraintViolation("matrix_kind must be 'fixed_psd' or 'resolvent'")
-    by, sizes = _largest_array(kind, dims, spectrum, replicates, grid_points, matrix_kind)
+    by, sizes = _largest_array(kind, dims, spectrum, ensemble, trunc_mode == "on", replicates,
+                               grid_points, matrix_kind)
     large = [at for at, size in sizes.items() if size > MAX_ENTRIES]
     if large:
         raise ConstraintViolation(f"{kind}'s largest array is over the memory budget "

@@ -23,7 +23,7 @@ from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction, sup
 from .stieltjes import s_under_grid
 
 # simulator imports ks_to_normal from here, so its helpers are imported where used;
-# scipy is too, so that a moments or lsd run, which never calls it, does not load it
+# no scipy: the normal tail functions are the numpy kernel erfc below
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -47,11 +47,89 @@ def project_cost(unit, count: float, overhead: float, cap: float, what: str) -> 
             f"projected {projected:.0f}s for {what} exceeds the cost cap of {cap:.0f}s")
 
 
+# Cody's rational Chebyshev approximations (Math. Comp. 23, 1969; SPECFUN's CALERF),
+# coefficients from the highest degree down: erf(x) = x A(x^2) / B(x^2) for
+# |x| <= 0.46875, erfcx(x) = C(x) / D(x) up to 4 and
+# (1/sqrt(pi) - P(1/x^2) / (x^2 Q(1/x^2))) / x beyond
+_ERF_SPLIT = 0.46875
+_ERF_A = (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+          3.77485237685302021e02, 3.20937758913846947e03)
+_ERF_B = (1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+          2.84423683343917062e03)
+_ERFC_C = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+           6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+           1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03)
+_ERFC_D = (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+           3.43936767414372164e03, 1.23033935480374942e03)
+_ERFC_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+           1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
+_ERFC_Q = (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+           6.05183413124413191e-2, 2.33520497626869185e-3)
+_INV_SQRT_PI = 5.6418958354775628695e-1
+
+
+def _rational(x: np.ndarray, num, den) -> np.ndarray:
+    """``num(x) / den(x)`` by Horner's rule in Cody's order (both degrees equal)."""
+    p, q = num[0] * x, den[0] * x
+    for a, b in zip(num[1:-1], den[1:-1]):
+        p += a
+        p *= x
+        q += b
+        q *= x
+    p += num[-1]
+    q += den[-1]
+    p /= q
+    return p
+
+
+def _exp_square(t: np.ndarray, sign: float) -> np.ndarray:
+    """``exp(sign t^2)`` with ``t^2`` split at t truncated to 1/16, so large t keep their digits."""
+    s = np.trunc(16.0 * t) / 16.0
+    return np.exp(sign * s * s) * np.exp(sign * (t - s) * (t + s))
+
+
+def erfc(x, scaled: bool = False) -> np.ndarray:
+    """Complementary error function, or with ``scaled`` ``erfcx(x) = exp(x^2) erfc(x)``.
+
+    Elementwise over a float array by Cody's approximations, to a few units
+    in the last place.  Past |x| = 0.46875 the kernel forms ``erfcx(|x|)``;
+    erfc multiplies it by ``exp(-x^2)`` and a negative x takes the other tail,
+    ``erfc(-t) = 2 - erfc(t)`` and ``erfcx(-t) = 2 exp(t^2) - erfcx(t)``.
+    erfc underflows to 0 past about 27.2 and erfcx overflows to inf below
+    about -26.6.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    y = np.abs(flat)
+    out = np.empty(flat.shape)
+    near = y <= _ERF_SPLIT
+    mid = ~near & (y <= 4.0)
+    far = ~(near | mid)  # and NaN
+    with np.errstate(over="ignore", under="ignore"):
+        t = flat[near]
+        t2 = t * t
+        r = 1.0 - t * _rational(t2, _ERF_A, _ERF_B)
+        out[near] = np.exp(t2) * r if scaled else r
+        out[mid] = _rational(y[mid], _ERFC_C, _ERFC_D)
+        t = y[far]
+        z = 1.0 / (t * t)
+        out[far] = (_INV_SQRT_PI - z * _rational(z, _ERFC_P, _ERFC_Q)) / t
+        if scaled:
+            neg = ~near & (flat < 0.0)
+            # exp(27^2) overflows, as the true value does from -26.6 on
+            out[neg] = 2.0 * _exp_square(np.minimum(y[neg], 27.0), 1.0) - out[neg]
+        else:
+            rest = ~near
+            # exp(-27.5^2) underflows to 0, as the true value does from 27.3 on
+            r = _exp_square(np.minimum(y[rest], 27.5), -1.0) * out[rest]
+            out[rest] = np.where(flat[rest] < 0.0, 2.0 - r, r)
+    return out.reshape(x.shape)
+
+
 def norm_cdf(x):
     """Standard normal distribution function via the complementary error function."""
-    from scipy import special
-
-    return 0.5 * special.erfc(-np.asarray(x, dtype=float) / _SQRT2)
+    return 0.5 * erfc(-np.asarray(x, dtype=float) / _SQRT2)
 
 
 def norm_pdf(x):
@@ -181,20 +259,19 @@ def stein_solution(ctx: SteinContext, w):
     ``g(w) = int_{-inf}^{w} (h - Nh) phi / phi(w)`` for w <= 0 and the equal
     ``-int_{w}^{inf} (h - Nh) phi / phi(w)`` for w > 0.  h is the constant
     h(w) between w and ``u = clip(w, a, b)`` (``a = w0``, ``b = w0 + theta``),
-    so each tail is a sum of terms at t among w, a, b and u of two kinds:
-    the scaled tail ``Phi(t) / phi(w)`` (left) or ``(1 - Phi(t)) / phi(w)``
-    (right), formed as ``sqrt(pi/2) erfcx(-+t/sqrt 2) e^{(w^2 - t^2)/2}``,
-    and ``phi(t) / phi(w) = e^{(w^2 - t^2)/2}``.  No exp(w^2/2) factor is
-    formed: in the tail that w uses every exponent is nonpositive, save in
-    differences that vanish exactly, and no term of either tail exceeds
-    about ``1/phi(30)``; so both tails are evaluated everywhere and one is
-    kept.  The ramp's two terms, each about ``|w0| phi / phi(w)``, cancel to
-    O(theta), so rounding costs about ``eps (1 + |w0|) / theta``.  Takes a
-    scalar (returns a float) or an array; any |w| > 30 raises ``OutOfRange``
-    before evaluation.
+    so each tail is a sum of terms at t among w, u and its far kink e (a on
+    the left, b on the right) of two kinds: the scaled tail ``Phi(t) / phi(w)``
+    (left) or ``(1 - Phi(t)) / phi(w)`` (right), formed as
+    ``sqrt(pi/2) erfcx(-+t/sqrt 2) e^{(w^2 - t^2)/2}``, and
+    ``phi(t) / phi(w) = e^{(w^2 - t^2)/2}``.  Each point evaluates only the
+    tail it keeps, with one ``erfc`` kernel call on the stacked arguments:
+    w and both kinks, since u is one of them.  No exp(w^2/2) factor is
+    formed: in the kept tail every exponent is nonpositive, save in
+    differences that vanish exactly.  The ramp's two terms, each about
+    ``|w0| phi / phi(w)``, cancel to O(theta), so rounding costs about
+    ``eps (1 + |w0|) / theta``.  Takes a scalar (returns a float) or an
+    array of any shape; any |w| > 30 raises ``OutOfRange`` before evaluation.
     """
-    from scipy import special
-
     w = np.asarray(w, dtype=float)
     if np.any(np.abs(w) > 30.0):
         raise OutOfRange(f"stein_solution stable range is |w| <= 30, got max |w| = "
@@ -203,29 +280,33 @@ def stein_solution(ctx: SteinContext, w):
     b = a + th
     u = np.clip(w, a, b)
     hw = stein_h(ctx, w)
+    left = w <= 0.0
+    sign = np.where(left, -1.0, 1.0)
+    e = np.where(left, a, b)
+    # the kinks at both signs: u is w, a or b
+    ex = erfc(np.concatenate([(sign * w).ravel(), [-a, a, -b, b]]) / _SQRT2, scaled=True)
+    ex_w = ex[:-4].reshape(w.shape)
+    ex_a, ex_b = np.where(left, ex[-4], ex[-3]), np.where(left, ex[-2], ex[-1])
+    ex_u = np.where(w < a, ex_a, np.where(w > b, ex_b, ex_w))
+    ex_e = np.where(left, ex_a, ex_b)
 
     def ratio(t):  # phi(t) / phi(w)
         return np.exp((w * w - t * t) / 2.0)
 
-    def left(t):  # Phi(t) / phi(w)
-        return _SQRT_HALF_PI * special.erfcx(-t / _SQRT2) * ratio(t)
-
-    def right(t):  # (1 - Phi(t)) / phi(w)
-        return _SQRT_HALF_PI * special.erfcx(t / _SQRT2) * ratio(t)
-
-    g_left = ((hw - nh) * left(w) + (1.0 - hw) * left(u) + a / th * (left(u) - left(a))
-              - (ratio(a) - ratio(u)) / th)
-    g_right = ((nh - hw) * right(w) + hw * right(u) - (1.0 + a / th) * (right(u) - right(b))
-               + (ratio(u) - ratio(b)) / th)
-    g = np.where(w <= 0.0, g_left, g_right)
+    r_u, r_e = ratio(u), ratio(e)
+    tail_w = _SQRT_HALF_PI * ex_w  # its ratio is 1
+    tail_u, tail_e = _SQRT_HALF_PI * ex_u * r_u, _SQRT_HALF_PI * ex_e * r_e
+    g = (np.where(left, hw - nh, nh - hw) * tail_w + np.where(left, 1.0 - hw, hw) * tail_u
+         + np.where(left, a / th, -(1.0 + a / th)) * (tail_u - tail_e) + (r_u - r_e) / th)
     return g if g.shape else float(g)
 
 
 def stein_residual(ctx: SteinContext, w):
     """|g'(w) - w g(w) - (h(w) - Nh)| with g' by central difference; scalar or array w."""
     w = np.asarray(w, dtype=float)
-    gp = (stein_solution(ctx, w + _FD_STEP) - stein_solution(ctx, w - _FD_STEP)) / (2 * _FD_STEP)
-    r = np.abs(gp - w * stein_solution(ctx, w) - (stein_h(ctx, w) - ctx.Nh))
+    g, g_hi, g_lo = stein_solution(ctx, np.stack([w, w + _FD_STEP, w - _FD_STEP]))
+    gp = (g_hi - g_lo) / (2 * _FD_STEP)
+    r = np.abs(gp - w * g - (stein_h(ctx, w) - ctx.Nh))
     return r if r.shape else float(r)
 
 
@@ -247,8 +328,9 @@ def stein_bound_report(ctx: SteinContext, n_grid: int = 10_000) -> SteinBoundRep
     Derivatives use central differences; points within two steps of the two
     ramp kinks are excluded since h is not differentiable there and the
     bounds hold for the a.e. derivative.  A tolerance of 1e-9 absorbs
-    rounding in the finite differences.  g, g' and the residual (on every
-    ``len // 500``-th grid point) are each one array call.
+    rounding in the finite differences.  g with both difference points, and
+    the residual on every ``len // 500``-th grid point, are one
+    ``stein_solution`` call each, on the stacked points.
     """
     tol = 1e-9
     ws = np.linspace(-8.0, 8.0, n_grid)
@@ -257,8 +339,8 @@ def stein_bound_report(ctx: SteinContext, n_grid: int = 10_000) -> SteinBoundRep
     for k in kinks:
         keep &= np.abs(ws - k) > 2.0 * _FD_STEP
     ws = ws[keep]
-    g = stein_solution(ctx, ws)
-    gp = (stein_solution(ctx, ws + _FD_STEP) - stein_solution(ctx, ws - _FD_STEP)) / (2 * _FD_STEP)
+    g, g_hi, g_lo = stein_solution(ctx, np.stack([ws, ws + _FD_STEP, ws - _FD_STEP]))
+    gp = (g_hi - g_lo) / (2 * _FD_STEP)
     spread = float(np.max(gp) - np.min(gp))
     residual = np.max(stein_residual(ctx, ws[:: max(1, len(ws) // 500)]))
     violations = int(np.sum(g < -tol) + np.sum(g > 1.0 + tol)
@@ -291,7 +373,8 @@ def _probe_matrix(spectrum: PopulationSpectrum, diag_t: np.ndarray, matrix_kind:
         raise ValueError(f"unknown matrix kind {matrix_kind!r}")
     # one fixed draw per grid point; the probed vector stays independent
     p = diag_t.size
-    b = assemble_B(spectrum, sample_entries(EntryEnsemble.real_gaussian(), p, n, seed), n)
+    b = assemble_B(spectrum, sample_entries(EntryEnsemble.real_gaussian(), p, n, seed), n,
+                   overwrite_entries=True)
     _, hi = support_interval(spectrum, p / n)
     return np.linalg.inv(b - (hi + 1.0) * np.eye(p))
 

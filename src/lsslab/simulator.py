@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# scipy is imported where it is called: a moments or lsd run imports this module
-# but never samples, and loading scipy takes longer than such a run
+# scipy.linalg is imported where it is called, by the bidiagonal sampler only: every
+# other run imports this module without it, and loading it takes longer than most runs
 from .clt_moments import CltMoments, normalize
 from .diagnostics import ks_to_normal
 from .errors import ConstraintViolation, DegenerateTruncation, LabError, NonConvergence
@@ -191,10 +191,11 @@ def truncated_law(ensemble: EntryEnsemble, n: int, eta: float) -> EntryEnsemble:
 
 def _clip_restandardize(entries: np.ndarray, threshold: float, mean: float,
                         var: float) -> np.ndarray:
-    clipped = np.where(np.abs(entries) < threshold, entries, 0.0)
-    clipped -= mean  # in place on the array np.where made, never on the caller's entries
-    clipped /= math.sqrt(var)
-    return clipped
+    """Zero ``entries`` at ``|x| >= threshold`` and restandardize them, in place."""
+    np.copyto(entries, 0.0, where=~(np.abs(entries) < threshold))
+    entries -= mean
+    entries /= math.sqrt(var)
+    return entries
 
 
 # no run calls it; perfbench/spans.py wraps it by name
@@ -205,7 +206,8 @@ def truncate_normalize(entries: np.ndarray, n: int, eta: float,
     Entries are removed by indicator, not clamped, and the recentering and
     rescaling use the distributional truncated moments of the ensemble.
     """
-    return _clip_restandardize(entries, *truncated_law(ensemble, n, eta).truncation)
+    law = truncated_law(ensemble, n, eta)
+    return _clip_restandardize(entries.astype(np.result_type(entries, 0.0)), *law.truncation)
 
 
 def population_diagonal(spectrum: PopulationSpectrum, p: int) -> np.ndarray:
@@ -225,17 +227,38 @@ def population_diagonal(spectrum: PopulationSpectrum, p: int) -> np.ndarray:
     return np.repeat([t for t, _ in atoms], counts)
 
 
-def assemble_B(spectrum: PopulationSpectrum, entries: np.ndarray, n: int) -> np.ndarray:
-    """Sample covariance matrix ``(1/n) T^(1/2) X X* T^(1/2)``, symmetrized."""
+_SYM_CELLS = 1 << 13  # cells of B's transpose read per block of the symmetrization
+
+
+def assemble_B(spectrum: PopulationSpectrum, entries: np.ndarray, n: int, *,
+               overwrite_entries: bool = False) -> np.ndarray:
+    """Sample covariance matrix ``(1/n) T^(1/2) X X* T^(1/2)``, symmetrized.
+
+    With ``overwrite_entries`` the entries are scaled by ``T^(1/2)`` in place,
+    for callers that drew them and read them no more.  B is divided by n and
+    symmetrized, ``(B + B*) / 2``, in place, a block of rows at a time, so a
+    replicate frees no temporary of B's or X's size: each one costs page
+    faults in the next replicate.
+    """
     p = entries.shape[0]
     if entries.shape[1] != n:
         raise ValueError(f"entry matrix has {entries.shape[1]} columns, expected n={n}")
-    root_t = np.sqrt(population_diagonal(spectrum, p))
-    scaled = root_t[:, None] * entries
+    root_t = np.sqrt(population_diagonal(spectrum, p))[:, None]
+    if overwrite_entries:
+        entries *= root_t
+        scaled = entries
+    else:
+        scaled = root_t * entries
     b = scaled @ scaled.conj().T
-    b /= n  # in place, as below: each temporary a replicate frees costs page faults in the next
-    b = b + b.conj().T
-    b /= 2.0
+    b /= n
+    rows = max(1, _SYM_CELLS // p)
+    # block i reads rows and columns i on only; earlier blocks wrote rows and columns before i
+    for i in range(0, p, rows):
+        j = i + rows
+        half = b[i:j, i:] + b[i:, i:j].conj().T
+        half /= 2.0
+        b[i:j, i:] = half
+        b[i:, i:j] = half.conj().T
     return b
 
 
@@ -360,7 +383,8 @@ def replicate_eigenvalues(ensemble: EntryEnsemble, spectrum: PopulationSpectrum,
     if replicate_sampler(ensemble, spectrum) == LAGUERRE:
         vals = eigenvalues(*_tridiagonal(*_laguerre_factor(ensemble, p, n, seed)))
         return np.concatenate([np.zeros(p - min(p, n)), vals * (spectrum.atoms[0][0] / n)])
-    return eigenvalues(assemble_B(spectrum, sample_entries(ensemble, p, n, seed), n))
+    return eigenvalues(assemble_B(spectrum, sample_entries(ensemble, p, n, seed), n,
+                                  overwrite_entries=True))
 
 
 def lss_centered(f: TestFunction, eigs: np.ndarray, centering: float) -> float:

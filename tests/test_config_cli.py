@@ -22,6 +22,7 @@ from lsslab.stieltjes import lsd_density
 
 IDENTITY = PopulationSpectrum.identity()
 FIVE_ATOM = [{"atom": t, "weight": w} for t, w in BATTERY["five_atom"].atoms]
+TWO_ATOM = [{"atom": t, "weight": w} for t, w in BATTERY["two_atom"].atoms]
 
 
 class TestParseTestFunction:
@@ -154,6 +155,17 @@ class TestParseConfig:
         ({"kind": "probe-qform", "matrix_kind": "resolvent", "y": 1.0, "n_grid": [64, 8192],
           "replicates": 2}, False),
         ({"kind": "probe-qform", "matrix_kind": "resolvent", "y": 1.0, "n_grid": [64, 8193],
+          "replicates": 2}, True),
+        # p > n: a dense replicate's p x p Gram matrix, the bidiagonal model's p x n bound
+        ({"kind": "simulate", "p": 1 << 14, "n": 1 << 12, "spectrum": TWO_ATOM}, True),
+        ({"kind": "simulate", "p": 1 << 14, "n": 1 << 12}, False),
+        ({"kind": "simulate", "p": 1 << 14, "n": 1 << 12, "truncation": {"mode": "on"}}, True),
+        ({"kind": "ks-rate", "y": 4.0, "n_grid": [8, 16, 2048], "spectrum": TWO_ATOM}, False),
+        ({"kind": "ks-rate", "y": 4.0, "n_grid": [8, 16, 2049], "spectrum": TWO_ATOM}, True),
+        # the resolvent probe's p x p inverse: p = 8192 at y = 64, n = 128
+        ({"kind": "probe-qform", "matrix_kind": "resolvent", "y": 64.0, "n_grid": [2, 128],
+          "replicates": 2}, False),
+        ({"kind": "probe-qform", "matrix_kind": "resolvent", "y": 64.0, "n_grid": [2, 129],
           "replicates": 2}, True),
         # lsd's arrowhead stack of grid_points (K + 1) x (K + 1) matrices
         ({"kind": "lsd", "grid_points": 1 << 24}, False),
@@ -833,12 +845,15 @@ class TestCliRuns:
     def test_fresh_process_loads_only_the_scipy_it_calls(self, tmp_path):
         # a fresh process, since this one has scipy loaded already; scipy is
         # imported only where it is called, the t density needs no scipy.stats,
-        # the truncated moments' fixed rule no scipy.integrate, and the probe's
-        # chi-square forms and the nested-MC sums none at all
+        # the truncated moments' fixed rule no scipy.integrate, the probe's
+        # chi-square forms, the nested-MC sums and the Stein sweep's numpy erfc
+        # none at all, and the bidiagonal sampler only scipy.linalg's LAPACK
         sim = tmp_path / "t11.json"
         sim.write_text(json.dumps({"kind": "simulate", "p": 8, "n": 16, "replicates": 4,
                                    "ensemble": {"name": "student_t", "df": 11},
                                    "truncation": {"mode": "on"}}))
+        gaussian = tmp_path / "rg.json"
+        gaussian.write_text(json.dumps({"kind": "simulate", "p": 8, "n": 16, "replicates": 4}))
         probes = []
         for matrix_kind in ("fixed_psd", "resolvent"):
             probes.append(tmp_path / f"{matrix_kind}.json")
@@ -861,7 +876,13 @@ class TestCliRuns:
             f"        assert main(['probe-qform', '--config', probe, '--out', {str(tmp_path)!r}]) == 0\n"
             "sigma0_nested_mc(TestFunction.monomial(2), PopulationSpectrum.identity(), 0.5,\n"
             "                 n_small=8, inner_reps=2, outer_reps=2, seed=1)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['stein-check', '--out', {str(tmp_path)!r}]) == 0\n"
             "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['simulate', '--config', {str(gaussian)!r},\n"
+            f"                 '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main(['simulate', '--config', {str(sim)!r},\n"
             f"                 '--out', {str(tmp_path)!r}]) == 0\n"
@@ -873,7 +894,7 @@ class TestCliRuns:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env=env, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["[]", "[]", "[]", "False False"]
+        assert out.stdout.splitlines() == ["[]", "[]", "[]", "True False", "False False"]
 
     def test_ks_rate_csv_shape(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

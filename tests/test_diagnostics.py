@@ -78,6 +78,77 @@ class TestKs:
         assert norm_cdf(-8.0) == pytest.approx(stats.norm.cdf(-8.0), rel=1e-13)
 
 
+def _erfc_oracle(x: float, scaled: bool) -> mpmath.mpf:
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        return mpmath.erfc(x) * (mpmath.exp(x * x) if scaled else 1)
+
+
+class TestErfc:
+    TINY = np.finfo(float).tiny  # the smallest normal float
+    EDGES = [v for edge in (0.46875, 4.0) for s in (-1.0, 1.0)
+             for v in (s * edge, np.nextafter(s * edge, -np.inf), np.nextafter(s * edge, np.inf))]
+    SMALL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, TINY, -TINY, 1e-17, -1e-17]
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["erfc", "erfcx"])
+    def test_matches_mpmath(self, scaled):
+        # [-26.5, 30]: both branch edges from each side, signed zeros and subnormal
+        # arguments, and the negative side, which erfc and erfcx take by reflection
+        rng = np.random.default_rng(25)
+        xs = np.concatenate([np.linspace(-26.5, 30.0, 2001), rng.uniform(-26.5, 30.0, 500),
+                             self.EDGES, self.SMALL])
+        got = diagnostics.erfc(xs, scaled=scaled)
+        worst = 0.0
+        for x, g in zip(xs, got):
+            want = _erfc_oracle(float(x), scaled)
+            if want < self.TINY:  # erfc past 26.55: a subnormal or 0, to a few of its units
+                assert abs(float(mpmath.mpf(float(g)) - want)) <= 16 * 5e-324, x
+                continue
+            worst = max(worst, float(abs((mpmath.mpf(float(g)) - want) / want)))
+        assert worst <= 1e-15
+
+    def test_ends(self):
+        with np.errstate(all="raise"):
+            erfc = diagnostics.erfc(np.array([-np.inf, -30.0, 28.0, np.inf, np.nan]))
+            erfcx = diagnostics.erfc(np.array([-np.inf, -27.0, 1e300, np.inf, np.nan]),
+                                     scaled=True)
+        np.testing.assert_array_equal(erfc, [2.0, 2.0, 0.0, 0.0, np.nan])
+        np.testing.assert_array_equal(erfcx[[0, 1, 3, 4]], [np.inf, np.inf, 0.0, np.nan])
+        assert erfcx[2] == pytest.approx(1.0 / (1e300 * math.sqrt(math.pi)), rel=1e-15)
+
+    def test_keeps_the_shape(self):
+        assert diagnostics.erfc(0.5).shape == ()
+        assert diagnostics.erfc(np.zeros((2, 3, 4)), scaled=True).shape == (2, 3, 4)
+        assert diagnostics.erfc(np.zeros(0)).shape == (0,)
+
+    def test_norm_cdf_matches_mpmath(self):
+        # Phi(x) = erfc(-x/sqrt 2)/2: rounding -x/sqrt 2 moves erfc by about
+        # eps x^2 relative, its condition number, on top of the kernel's error
+        eps = np.finfo(float).eps
+        xs = np.concatenate([np.linspace(-37.0, 8.0, 1801), [0.0, -0.66291, 0.66291]])
+        got = norm_cdf(xs)
+        for x, g in zip(xs, got):
+            with mpmath.workdps(40):
+                want = mpmath.ncdf(mpmath.mpf(float(x)))
+                err = float(abs((mpmath.mpf(float(g)) - want) / want))
+            assert err <= 1e-15 + 1.5 * eps * x * x, x
+
+    def test_stein_solution_calls_the_kernel_once(self, monkeypatch):
+        calls = []
+        kernel = diagnostics.erfc
+
+        def counted(x, scaled=False):
+            calls.append(np.shape(x))
+            return kernel(x, scaled)
+
+        ctx = SteinContext(0.4, 0.9)
+        assert 0.0 < ctx.Nh < 1.0  # cached before counting: Nh calls the kernel too
+        monkeypatch.setattr(diagnostics, "erfc", counted)
+        stein_solution(ctx, np.linspace(-8.0, 8.0, 101))
+        stein_solution(ctx, -1.5)
+        assert calls == [(101 + 4,), (1 + 4,)]  # w, then -a, a, -b and b
+
+
 class TestRateFit:
     def test_exact_power_law(self):
         pts = [(n, 2.0 * n**-0.5) for n in (128, 256, 512, 1024)]
