@@ -15,6 +15,7 @@ import csv
 import datetime as _dt
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,8 +28,8 @@ from .config import KINDS, RunConfig, parse_config
 from .diagnostics import (SteinContext, fit_rate, project_cost, qform_probe,
                           stein_bound_report)
 from .errors import LabError
-from .simulator import (default_eta, replicate_seed, replicate_statistic, run_experiment,
-                        truncated_law)
+from .simulator import (DENSE, default_eta, dense_workers, replicate_sampler, replicate_seed,
+                        replicate_statistic, run_experiment, truncated_law)
 from .spectral_model import EntryEnsemble, support_interval
 from .stieltjes import lsd_density
 
@@ -77,14 +78,19 @@ def _check_budget(cfg: RunConfig, runs: list[tuple[EntryEnsemble, int, int]]) ->
 
     A run is ``(law, p, n)``.  The timed unit is one replicate's statistic of the
     run's f for each, drawn from seed 0, no run stream, by the sampler and reduction
-    the run takes.
+    the run takes.  A dense run spreads its replicates over ``dense_workers``
+    threads, so the projection counts ``ceil(replicates / W)`` units, with W the
+    narrowest pool of the runs.
     """
     def unit():
         for law, p, n in runs:
             replicate_statistic(cfg.f, law, cfg.spectrum, p, n, 0)
 
+    workers = min(dense_workers(p, n, cfg.replicates)
+                  if replicate_sampler(law, cfg.spectrum) == DENSE else 1
+                  for law, p, n in runs)
     where = ", ".join(f"p={p}, n={n}" for _, p, n in runs)
-    project_cost(unit, cfg.replicates, 1.5, cfg.cost_cap_seconds,
+    project_cost(unit, math.ceil(cfg.replicates / workers), 1.5, cfg.cost_cap_seconds,
                  f"{cfg.replicates} replicates at each of ({where})")
 
 

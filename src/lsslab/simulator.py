@@ -3,7 +3,10 @@
 Replicates are reproducible by construction: replicate ``i`` always uses
 the 64-bit stream seed ``splitmix64(root_seed + (i+1) * GAMMA)`` (the i-th
 output of the splitmix64 generator seeded at ``root_seed``), independent of
-execution order.
+execution order.  So a dense run draws its replicates on a pool of threads,
+one per core (``dense_workers``), each pinned to one OpenBLAS thread: its
+rows are those of a serial run at ``OPENBLAS_NUM_THREADS=1`` whatever the
+pool's width, the core count or the BLAS thread setting.
 
 A replicate's eigenvalues come from the beta-Laguerre bidiagonal model
 when the law is an untruncated Gaussian and ``T = t I``, and from a dense
@@ -27,6 +30,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -192,7 +196,14 @@ def truncated_law(ensemble: EntryEnsemble, n: int, eta: float) -> EntryEnsemble:
 def _clip_restandardize(entries: np.ndarray, threshold: float, mean: float,
                         var: float) -> np.ndarray:
     """Zero ``entries`` at ``|x| >= threshold`` and restandardize them, in place."""
-    np.copyto(entries, 0.0, where=~(np.abs(entries) < threshold))
+    if np.iscomplexobj(entries):
+        # numpy orders complex numbers lexicographically, so the modulus decides
+        clip = ~(np.abs(entries) < threshold)
+    else:
+        # two comparisons, and no float temporary of the entries' size
+        clip = entries >= threshold
+        clip |= entries <= -threshold
+    np.copyto(entries, 0.0, where=clip)
     entries -= mean
     entries /= math.sqrt(var)
     return entries
@@ -434,6 +445,45 @@ def replicate_statistic(f: TestFunction, ensemble: EntryEnsemble, spectrum: Popu
 # experiment harness
 
 
+@functools.cache
+def _blas_pin():
+    """OpenBLAS's ``openblas_set_num_threads_local``, or None where numpy's BLAS has none.
+
+    The symbol (OpenBLAS 0.3.27 and later) sets the BLAS thread count of the
+    calling thread only.  It is looked up through the handle of numpy's
+    linear-algebra extension, whose lookup reaches the OpenBLAS that numpy
+    links, so no library path is guessed.
+    """
+    import ctypes
+
+    try:
+        pin = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    pin.argtypes, pin.restype = [ctypes.c_int], ctypes.c_int
+    return pin
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: the calling thread's BLAS calls run on one thread."""
+    pin = _blas_pin()
+    if pin is not None:
+        pin(1)
+
+
+def dense_workers(p: int, n: int, replicates: int) -> int:
+    """Threads that draw a dense run's replicates: one per core, at most one per replicate.
+
+    Each replicate in flight holds arrays of ``p max(p, n)`` entries, so the
+    pool holds no more of them than ``MAX_ENTRIES``.  Without the BLAS pin
+    (``_blas_pin``) it is 1: an unpinned pool's BLAS threads contend.
+    """
+    if _blas_pin() is None:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cores or 1, replicates, MAX_ENTRIES // (p * max(p, n))))
+
+
 @dataclass(frozen=True)
 class ReplicateRow:
     index: int
@@ -467,8 +517,12 @@ def run_experiment(moments: CltMoments, p: int, n: int, replicates: int,
     when the moments were solved at another ``y_n`` than ``p/n``.  The
     centering is computed once per run; replicate i draws from stream
     ``replicate_seed(root_seed, i)`` through ``replicate_statistic``, and
-    the record names the sampler and the reduction.  Any replicate failure
-    is re-raised with its index attached.
+    the record names the sampler and the reduction.  A dense run computes
+    its replicates on a pool of ``dense_workers`` threads, each pinned to
+    one BLAS thread, so its rows do not depend on the pool's width or the
+    BLAS thread count; a bidiagonal run, whose replicates are short and
+    hold the GIL, computes them in a loop.  Rows are in index order, and
+    the first failing replicate is re-raised with its index attached.
     """
     if min(p, n, replicates) < 1:
         raise ValueError(f"p, n and replicates must be >= 1, got {p}, {n} and {replicates}")
@@ -481,8 +535,7 @@ def run_experiment(moments: CltMoments, p: int, n: int, replicates: int,
                                   f"p/n = {p}/{n} = {y}")
     centering = lss_centering(moments.f, p, s)
 
-    rows = []
-    for i in range(replicates):
+    def replicate(i: int) -> ReplicateRow:
         seed = replicate_seed(root_seed, i)
         try:
             total, lam_min, lam_max = replicate_statistic(moments.f, moments.ensemble,
@@ -490,8 +543,18 @@ def run_experiment(moments: CltMoments, p: int, n: int, replicates: int,
             value = float(normalize(total - centering, moments))
         except LabError as exc:
             raise type(exc)(f"replicate {i}: {exc}") from exc
-        rows.append(ReplicateRow(index=i, seed=seed, value=value,
-                                 lam_min=lam_min, lam_max=lam_max))
+        return ReplicateRow(index=i, seed=seed, value=value, lam_min=lam_min, lam_max=lam_max)
+
+    sampler = replicate_sampler(moments.ensemble, s.spectrum)
+    if sampler == DENSE:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # even one worker is pinned, so the rows never depend on the width
+        with ThreadPoolExecutor(dense_workers(p, n, replicates),
+                                initializer=_one_blas_thread) as pool:
+            rows = list(pool.map(replicate, range(replicates)))
+    else:
+        rows = [replicate(i) for i in range(replicates)]
 
     lo, hi = support_interval(s.spectrum, y)
     # halfway from the bulk's edges to the contour's real-axis crossings
@@ -507,6 +570,6 @@ def run_experiment(moments: CltMoments, p: int, n: int, replicates: int,
         mean=float(np.mean(values)),
         variance=float(np.var(values, ddof=1)) if len(values) > 1 else 0.0,
         confinement_violations=violations,
-        sampler=replicate_sampler(moments.ensemble, s.spectrum),
+        sampler=sampler,
         statistic=replicate_reduction(moments.f, moments.ensemble, s.spectrum),
     )

@@ -678,6 +678,38 @@ class TestCliRuns:
                                        "cost_cap_seconds": 10}))
         assert main(["ks-rate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("kind, extra, dense", [
+        ("simulate", {"p": 16, "n": 32, "ensemble": {"name": "student_t", "df": 11}}, True),
+        ("simulate", {"p": 16, "n": 32, "spectrum": TWO_ATOM}, True),
+        ("ks-rate", {"y": 0.5, "n_grid": [16, 24, 32], "truncation": {"mode": "on"}}, True),
+        ("simulate", {"p": 16, "n": 32}, False),
+        ("ks-rate", {"y": 0.5, "n_grid": [16, 24, 32]}, False),
+    ], ids=["student_t", "two_atom", "ks-rate-truncated", "bidiagonal", "ks-rate-bidiagonal"])
+    @pytest.mark.parametrize("workers", [None, 3], ids=["cores", "three"])
+    def test_budget_projects_one_replicate_per_worker(self, kind, extra, dense, workers,
+                                                      tmp_path, monkeypatch, capsys):
+        # a dense run's replicates share dense_workers threads, so the probe's one
+        # replicate projects ceil(replicates / W) of them; a bidiagonal run's loop
+        # all of them
+        from lsslab import simulator
+        from lsslab.errors import CostBudgetExceeded
+
+        if workers is not None:
+            monkeypatch.setattr(cli, "dense_workers", lambda p, n, replicates: workers)
+        counts = []
+
+        def recording(unit, count, *args):
+            counts.append(count)
+            raise CostBudgetExceeded("recorded")
+
+        monkeypatch.setattr(cli, "project_cost", recording)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": kind, "replicates": 7, **extra}))
+        assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert "CostBudgetExceeded: recorded" in capsys.readouterr().err
+        width = workers or simulator.dense_workers(16, 32, 7)
+        assert counts == [math.ceil(7 / width) if dense else 7]
+
     @pytest.mark.parametrize("kind, extra", [
         ("simulate", {"p": 8, "n": 16}),
         ("ks-rate", {"y": 0.3, "n_grid": [16, 24, 32]}),
@@ -847,7 +879,9 @@ class TestCliRuns:
         # imported only where it is called, the t density needs no scipy.stats,
         # the truncated moments' fixed rule no scipy.integrate, the probe's
         # chi-square forms, the nested-MC sums and the Stein sweep's numpy erfc
-        # none at all, and the bidiagonal sampler only scipy.linalg's LAPACK
+        # none at all, and the bidiagonal sampler only scipy.linalg's LAPACK;
+        # concurrent.futures, for the dense pool, comes with scipy.linalg or a
+        # dense run, and only a dense run opens the BLAS library for its pin
         sim = tmp_path / "t11.json"
         sim.write_text(json.dumps({"kind": "simulate", "p": 8, "n": 16, "replicates": 4,
                                    "ensemble": {"name": "student_t", "df": 11},
@@ -866,11 +900,13 @@ class TestCliRuns:
             "from lsslab.diagnostics import sigma0_nested_mc\n"
             "from lsslab.spectral_model import PopulationSpectrum, TestFunction\n"
             "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "print(loaded())\n"
+            "def pinned(): return lsslab.simulator._blas_pin.cache_info().currsize\n"
+            "def report(): print(loaded(), 'concurrent.futures' in sys.modules, pinned())\n"
+            "report()\n"
             "for kind in ('moments', 'lsd'):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             f"        assert main([kind, '--out', {str(tmp_path)!r}]) == 0\n"
-            "print(loaded())\n"
+            "report()\n"
             f"for probe in {[str(p) for p in probes]!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             f"        assert main(['probe-qform', '--config', probe, '--out', {str(tmp_path)!r}]) == 0\n"
@@ -878,15 +914,15 @@ class TestCliRuns:
             "                 n_small=8, inner_reps=2, outer_reps=2, seed=1)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main(['stein-check', '--out', {str(tmp_path)!r}]) == 0\n"
-            "print(loaded())\n"
+            "report()\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main(['simulate', '--config', {str(gaussian)!r},\n"
             f"                 '--out', {str(tmp_path)!r}]) == 0\n"
-            "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)\n"
+            "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules, pinned())\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main(['simulate', '--config', {str(sim)!r},\n"
             f"                 '--out', {str(tmp_path)!r}]) == 0\n"
-            "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)\n"
+            "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules, pinned())\n"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ,
@@ -894,7 +930,8 @@ class TestCliRuns:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env=env, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["[]", "[]", "[]", "True False", "False False"]
+        assert out.stdout.splitlines() == ["[] False 0", "[] False 0", "[] False 0",
+                                           "True False 0", "False False 1"]
 
     def test_ks_rate_csv_shape(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

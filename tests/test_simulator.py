@@ -220,9 +220,17 @@ class TestTruncateNormalize:
                              ids=["rg", "cg", "student_t"])
     def test_textbook_expression_bit_for_bit_input_kept(self, ensemble):
         x = sample_entries(ensemble, 24, 40, seed=12)
-        kept = x.copy()
         eta = default_eta(40)
-        mean, var, _ = truncated_moments(ensemble, eta * 40 ** 0.25)
+        c = eta * 40 ** 0.25
+        # the threshold, the values just inside it and the infinities, on each side
+        inside = np.nextafter(c, 0.0)
+        edges = np.array([c, -c, inside, -inside, np.inf, -np.inf])
+        x[0, :6] = edges
+        if np.iscomplexobj(x):
+            x[1, :6] = [complex(0.0, e) for e in edges]  # 1j * inf would hold a NaN
+            x[2, :2] = np.array([c, inside]) * np.exp(0.7j)
+        kept = x.copy()
+        mean, var, _ = truncated_moments(ensemble, c)
         out = truncate_normalize(x, n=40, eta=eta, ensemble=ensemble)
         expected = (np.where(np.abs(x) < eta * 40 ** 0.25, x, 0.0) - mean) / math.sqrt(var)
         assert np.array_equal(out, expected)
@@ -663,3 +671,93 @@ class TestRunExperiment:
             stat = lss_centered(F_X, eigs, centering)
             expected.append((normalize(stat, mom), eigs[0], eigs[-1]))
         assert [(r.value, r.lam_min, r.lam_max) for r in rec.rows] == expected
+
+
+class TestDensePool:
+    """A dense run's replicates on ``dense_workers`` threads, one BLAS thread each."""
+
+    T11 = truncated_law(EntryEnsemble.student_t(11.0), 512, default_eta(512))
+
+    @staticmethod
+    def _rows(mom, p, n, replicates, workers, monkeypatch):
+        monkeypatch.setattr(simulator, "dense_workers", lambda p, n, replicates: workers)
+        return run_experiment(mom, p, n, replicates, 7).rows
+
+    @pytest.mark.parametrize("law, p, n", [(T11, 256, 512), (RG, 128, 256)],
+                             ids=["t11-trunc-256x512", "rg-128x256"])
+    def test_rows_do_not_depend_on_the_width(self, law, p, n, monkeypatch):
+        mom = compute_moments(TestFunction.monomial(2), BATTERY["five_atom"], p / n, law)
+        assert replicate_sampler(law, BATTERY["five_atom"]) == DENSE
+        rows = [self._rows(mom, p, n, 6, w, monkeypatch) for w in (1, 2, 3)]
+        assert rows[1] == rows[0] and rows[2] == rows[0]
+        assert [r.index for r in rows[0]] == list(range(6))
+
+    def test_first_failing_replicate_in_index_order_is_named(self, monkeypatch):
+        # replicates 1 and 3 draw zero matrices, whose zero eigenvalues log rejects;
+        # with two workers replicate 0 runs beside replicate 1
+        mom = compute_moments(TestFunction.log(), BATTERY["five_atom"], 0.5, RG)
+        failing = {replicate_seed(7, 1), replicate_seed(7, 3)}
+
+        def zeroed(ensemble, p, n, seed):
+            x = sample_entries(ensemble, p, n, seed)
+            return x * 0.0 if seed in failing else x
+
+        monkeypatch.setattr(simulator, "sample_entries", zeroed)
+        with pytest.raises(LogDomain, match=r"^replicate 1: .*branch cut"):
+            self._rows(mom, 16, 32, 4, 2, monkeypatch)
+
+    def test_only_a_dense_run_builds_a_pool(self, monkeypatch):
+        import concurrent.futures
+
+        widths = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                widths.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        bidiagonal = compute_moments(F_X, IDENTITY, 0.5, RG)
+        assert run_experiment(bidiagonal, 16, 32, 3, 7).sampler != DENSE
+        assert widths == []
+        dense = compute_moments(F_X, BATTERY["two_atom"], 0.5, RG)
+        assert run_experiment(dense, 16, 32, 3, 7).sampler == DENSE
+        assert widths == [simulator.dense_workers(16, 32, 3)]
+
+    def test_width_follows_cores_replicates_and_memory(self, monkeypatch):
+        if simulator._blas_pin() is None:
+            assert simulator.dense_workers(16, 32, 100) == 1
+            return
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert simulator.dense_workers(16, 32, 100) == 8
+        assert simulator.dense_workers(16, 32, 3) == 3
+        # two replicates of 2^12 x 2^13 fill the budget, and p > n counts p x p
+        assert simulator.dense_workers(1 << 12, 1 << 13, 100) == 2
+        assert simulator.dense_workers(1 << 13, 1 << 12, 100) == 1
+        assert simulator.dense_workers(1 << 14, 1 << 12, 100) == 1
+
+    @pytest.mark.skipif(simulator._blas_pin() is None,
+                        reason="numpy's BLAS has no openblas_set_num_threads_local")
+    def test_csv_body_does_not_depend_on_the_blas_threads(self, tmp_path):
+        import json
+        import os
+        import subprocess
+        import sys
+
+        cfg = tmp_path / "t11.json"
+        cfg.write_text(json.dumps({
+            "kind": "simulate", "p": 256, "n": 512, "replicates": 4, "root_seed": 7,
+            "ensemble": {"name": "student_t", "df": 11}, "truncation": {"mode": "on"},
+            "spectrum": [{"atom": t, "weight": w} for t, w in BATTERY["five_atom"].atoms]}))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        bodies = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            run = subprocess.run([sys.executable, "-m", "lsslab.cli", "simulate", "--config",
+                                  str(cfg), "--out", str(out)],
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert run.returncode == 0, run.stderr
+            bodies.append((out / "simulate_detail.csv").read_bytes())
+        assert bodies[0] == bodies[1]
