@@ -28,9 +28,9 @@ from .config import KINDS, RunConfig, parse_config
 from .diagnostics import (SteinContext, fit_rate, project_cost, qform_probe,
                           stein_bound_report)
 from .errors import LabError
-from .simulator import (DENSE, default_eta, dense_workers, replicate_sampler, replicate_seed,
-                        replicate_statistic, run_experiment, truncated_law)
-from .spectral_model import EntryEnsemble, support_interval
+from .simulator import (DENSE, default_eta, dense_workers, realized_spectrum, replicate_sampler,
+                        replicate_seed, replicate_statistic, run_experiment, truncated_law)
+from .spectral_model import EntryEnsemble, PopulationSpectrum, support_interval
 from .stieltjes import lsd_density
 
 ENV_OUT = "LSSLAB_OUT"
@@ -73,23 +73,23 @@ def _law(cfg: RunConfig, n: int) -> EntryEnsemble:
     return truncated_law(cfg.ensemble, n, eta)
 
 
-def _check_budget(cfg: RunConfig, runs: list[tuple[EntryEnsemble, int, int]]) -> None:
+def _check_budget(cfg: RunConfig, runs: list[tuple]) -> None:
     """Fail before any solve or draw if ``cfg.replicates`` replicates of each run cost too much.
 
-    A run is ``(law, p, n)``.  The timed unit is one replicate's statistic of the
-    run's f for each, drawn from seed 0, no run stream, by the sampler and reduction
-    the run takes.  A dense run spreads its replicates over ``dense_workers``
-    threads, so the projection counts ``ceil(replicates / W)`` units, with W the
-    narrowest pool of the runs.
+    A run is ``(law, H_p, p, n)``, ``H_p`` the spectrum it draws.  The timed unit is
+    one replicate's statistic of the run's f for each, drawn from seed 0, no run
+    stream, by the sampler and reduction the run takes.  A dense run spreads its
+    replicates over ``dense_workers`` threads, so the projection counts
+    ``ceil(replicates / W)`` units, with W the narrowest pool of the runs.
     """
     def unit():
-        for law, p, n in runs:
-            replicate_statistic(cfg.f, law, cfg.spectrum, p, n, 0)
+        for law, h_p, p, n in runs:
+            replicate_statistic(cfg.f, law, h_p, p, n, 0)
 
     workers = min(dense_workers(p, n, cfg.replicates)
-                  if replicate_sampler(law, cfg.spectrum) == DENSE else 1
-                  for law, p, n in runs)
-    where = ", ".join(f"p={p}, n={n}" for _, p, n in runs)
+                  if replicate_sampler(law, h_p) == DENSE else 1
+                  for law, h_p, p, n in runs)
+    where = ", ".join(f"p={p}, n={n}" for _, _, p, n in runs)
     project_cost(unit, math.ceil(cfg.replicates / workers), 1.5, cfg.cost_cap_seconds,
                  f"{cfg.replicates} replicates at each of ({where})")
 
@@ -108,7 +108,7 @@ def run_lsd(cfg: RunConfig, out: Path, started: str) -> str:
 
 
 def run_moments(cfg: RunConfig, out: Path, started: str) -> str:
-    mom = _moments(cfg, cfg.y, cfg.ensemble)  # draws nothing, so never truncated
+    mom = _moments(cfg, cfg.spectrum, cfg.y, cfg.ensemble)  # draws nothing, so never truncated
     c = mom.contour
     summary = {
         "mu": mom.mu, "sigma": mom.sigma, "case": mom.case,
@@ -129,14 +129,15 @@ def run_moments(cfg: RunConfig, out: Path, started: str) -> str:
             f"max|a|={mom.kernel_max_abs:.4f}")
 
 
-def _moments(cfg: RunConfig, y_n: float, law: EntryEnsemble):
-    return compute_moments(cfg.f, cfg.spectrum, y_n, law, eps=cfg.eps)
+def _moments(cfg: RunConfig, spectrum: PopulationSpectrum, y_n: float, law: EntryEnsemble):
+    return compute_moments(cfg.f, spectrum, y_n, law, eps=cfg.eps)
 
 
 def run_simulate(cfg: RunConfig, out: Path, started: str) -> str:
-    law = _law(cfg, cfg.n)
-    _check_budget(cfg, [(law, cfg.p, cfg.n)])
-    mom = _moments(cfg, cfg.p / cfg.n, law)
+    # the replicates draw T_p, so the moments and the centering are those of H_p
+    law, h_p = _law(cfg, cfg.n), realized_spectrum(cfg.spectrum, cfg.p)
+    _check_budget(cfg, [(law, h_p, cfg.p, cfg.n)])
+    mom = _moments(cfg, h_p, cfg.p / cfg.n, law)
     record = run_experiment(mom, cfg.p, cfg.n, cfg.replicates, cfg.root_seed)
     rows = [(r.index, r.seed, _fmt(r.value), _fmt(r.lam_min), _fmt(r.lam_max))
             for r in record.rows]
@@ -157,15 +158,16 @@ def run_simulate(cfg: RunConfig, out: Path, started: str) -> str:
 
 
 def run_ks_rate(cfg: RunConfig, out: Path, started: str) -> str:
-    runs = [(_law(cfg, n), int(round(cfg.y * n)), n) for n in cfg.n_grid]
+    runs = [(_law(cfg, n), realized_spectrum(cfg.spectrum, p), p, n)
+            for p, n in ((int(round(cfg.y * n)), n) for n in cfg.n_grid)]
     _check_budget(cfg, runs)
     rows = []
     points = []
-    moments = {}  # by (y_n, law): p = round(y n) often gives the same ratio at every n
-    for i, (law, p, n) in enumerate(runs):
-        key = (p / n, law)
+    moments = {}  # by (H_p, y_n, law): p = round(y n) often gives the same ones at every n
+    for i, (law, h_p, p, n) in enumerate(runs):
+        key = (h_p, p / n, law)
         if key not in moments:
-            moments[key] = _moments(cfg, p / n, law)
+            moments[key] = _moments(cfg, *key)
         seed_n = replicate_seed(cfg.root_seed, i)
         record = run_experiment(moments[key], p, n, cfg.replicates, seed_n)
         rows.append((n, _fmt(record.ks), cfg.replicates, seed_n))
@@ -176,7 +178,7 @@ def run_ks_rate(cfg: RunConfig, out: Path, started: str) -> str:
         "points": [{"n": n, "ks": ks} for n, ks in points],
         "exponent": fit.exponent, "intercept": fit.intercept,
         "exponent_ci_90": list(fit.exponent_ci),
-        "gaussian_matched": not any(law.violates_matching for law, _, _ in runs),
+        "gaussian_matched": not any(law.violates_matching for law, *_ in runs),
         # the same for every n: one f, and the laws of all n truncated or none
         "sampler": record.sampler, "statistic": record.statistic,
     }

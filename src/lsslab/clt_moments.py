@@ -125,37 +125,40 @@ def _atom_factors(s: np.ndarray, spectrum: PopulationSpectrum, y_n: float) -> np
     return np.sqrt(y_n * spectrum.weights) * (ts / (1.0 + ts))
 
 
-def kernel_from_s(s1, s2, spectrum: PopulationSpectrum, y_n: float):
-    """Covariance kernel from precomputed companion-transform values.
+def kernel_from_s(s1, s2, spectrum: PopulationSpectrum, y_n: float) -> np.ndarray:
+    """Covariance kernel on the grid of two 1-D arrays of companion-transform values.
 
-    ``a(s1, s2) = sum_k v_k(s1) v_k(s2)`` with
+    ``a[i, j] = a(s1[i], s2[j]) = sum_k v_k(s1[i]) v_k(s2[j])`` with
     ``v_k(s) = sqrt(y w_k) t_k s / (1 + t_k s)``, i.e.
     ``y sum_k w_k u_k(s1) u_k(s2)`` with ``u_k(s) = t_k s / (1 + t_k s)``.
-    On an outer grid (``s1`` of shape ``(..., n1, 1)`` and ``s2`` of shape
-    ``(..., 1, n2)``) the whole grid is one real matrix product of rank-3K
+    The ``len(s1) x len(s2)`` grid is one real matrix product of rank-3K
     factors, written straight into the complex result:
 
         Re a = [ar, ai, ar + ai] . [br, -bi, 0]
         Im a = [ar, ai, ar + ai] . [-br, -bi, br + bi]
 
-    with ``v(s1) = ar + i ai`` and ``v(s2) = br + i bi``.  Swapping s1 and
+    with ``v(s1) = ar + i ai`` and ``v(s2) = br + i bi``.  The factors are
+    written into two preallocated matrices, the right one holding the
+    real- and imaginary-part rows of each ``s2`` in turn.  Swapping s1 and
     s2 forms the same products in the same order, so the kernel is exactly
-    symmetric.  Any other shape raises ``ValueError``: a single value is a
-    cell of a 1 x 1 grid, ``a(z, conj z)`` the diagonal of an outer one.
+    symmetric.  Other shapes raise ``ValueError``.
     """
     s1 = np.asarray(s1, dtype=complex)
     s2 = np.asarray(s2, dtype=complex)
-    if not (s1.ndim >= 2 and s2.ndim >= 2 and s1.shape[-1] == 1 and s2.shape[-2] == 1):
-        raise ValueError(f"kernel_from_s takes an outer grid, s1 (..., n1, 1) against "
-                         f"s2 (..., 1, n2); got {s1.shape} and {s2.shape}")
-    a = _atom_factors(s1[..., 0], spectrum, y_n)  # (..., n1, K)
-    b = _atom_factors(s2[..., 0, :], spectrum, y_n)  # (..., n2, K)
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    left = np.concatenate([ar, ai, ar + ai], axis=-1)
-    right = np.stack([np.concatenate([br, -bi, np.zeros_like(br)], axis=-1),
-                      np.concatenate([-br, -bi, br + bi], axis=-1)], axis=-2)
-    right = right.reshape(right.shape[:-3] + (-1, left.shape[-1]))  # (..., 2 n2, 3K)
-    return np.matmul(left, np.swapaxes(right, -1, -2)).view(complex)
+    if s1.ndim != 1 or s2.ndim != 1:
+        raise ValueError(f"kernel_from_s takes two 1-D arrays; got shapes {s1.shape} "
+                         f"and {s2.shape}")
+    a = _atom_factors(s1, spectrum, y_n)  # (n1, K)
+    b = _atom_factors(s2, spectrum, y_n)  # (n2, K)
+    k = a.shape[1]
+    left = np.empty((s1.size, 3 * k))
+    left[:, :k], left[:, k:2 * k] = a.real, a.imag
+    np.add(a.real, a.imag, out=left[:, 2 * k:])
+    right = np.zeros((s2.size, 2, 3 * k))  # rows (Re, Im) of each s2
+    right[:, 0, :k], right[:, 1, :k] = b.real, -b.real
+    right[:, 0, k:2 * k] = right[:, 1, k:2 * k] = -b.imag
+    np.add(b.real, b.imag, out=right[:, 1, 2 * k:])
+    return (left @ right.reshape(2 * s2.size, 3 * k).T).view(complex)
 
 
 def _a_times_t_integral(a):
@@ -238,7 +241,7 @@ def _variance_level(f: TestFunction, s: CompanionTransform, m: int,
     rows = max(1, _BLOCK_CELLS // m)
     for i in range(first, m, stride * rows):
         cut = slice(i, i + stride * rows, stride)
-        a = kernel_from_s(sv[cut, None], sv[None, :], s.spectrum, s.y_n)
+        a = kernel_from_s(sv[cut], sv, s.spectrum, s.y_n)
         amax = max(amax, float(np.max(np.abs(a))))
         if amax >= 1.0:
             raise KernelOutOfDisk(f"|a| reached {amax:.6f} on the node grid")

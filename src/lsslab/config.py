@@ -11,28 +11,18 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .contour import build_contour
 from .diagnostics import _QFORM_CHUNK
 from .errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
-from .simulator import DENSE, MAX_ENTRIES, population_diagonal, replicate_sampler
+from .simulator import DENSE, MAX_ENTRIES, realized_spectrum, replicate_sampler
 from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
 
 KINDS = ("lsd", "moments", "simulate", "ks-rate", "stein-check", "probe-qform")
 
-_TOP_KEYS = {
-    "kind", "spectrum", "spectrum_allow_large", "y", "p", "n", "n_grid",
-    "ensemble", "f", "contour", "replicates", "root_seed",
-    "truncation", "out", "cost_cap_seconds",
-    "grid_points", "contexts", "k", "matrix_kind",
-}
-_CONTOUR_KEYS = {"eps"}
-_TRUNCATION_KEYS = {"mode", "eta"}
-
 _DEFAULTS = {
     "spectrum": "identity",
-    "spectrum_allow_large": False,
     "y": 0.5,
     "ensemble": "RG",
     "f": "x^2",
@@ -47,6 +37,10 @@ _DEFAULTS = {
     "k": 2,                 # probe-qform moment order
     "matrix_kind": "fixed_psd",
 }
+# every key of the config: the defaulted ones and those without a default
+_TOP_KEYS = {"kind", "p", "n", "n_grid"} | set(_DEFAULTS)
+# the keys of each section, from its default
+_SECTION_KEYS = {key: set(value) for key, value in _DEFAULTS.items() if isinstance(value, dict)}
 
 _MONO_RE = re.compile(
     r"^\s*(?P<sign>[+-])?\s*(?P<coeff>\d*\.?\d+(?:[eE][+-]?\d+)?)?\s*\*?\s*"
@@ -92,7 +86,7 @@ def serialize_test_function(f: TestFunction):
     return "log" if f.kind == "log" else {"poly": list(f.coeffs)}
 
 
-def parse_spectrum(value, allow_large: bool) -> PopulationSpectrum:
+def parse_spectrum(value) -> PopulationSpectrum:
     """"identity" or a list of {"atom": t, "weight": w} pairs."""
     if value == "identity":
         return PopulationSpectrum.identity()
@@ -104,7 +98,7 @@ def parse_spectrum(value, allow_large: bool) -> PopulationSpectrum:
             raise TypeMismatch(f"spectrum[{i}] must be an object with keys atom, weight")
         pairs.append((entry["atom"], entry["weight"]))
     try:
-        return PopulationSpectrum.from_pairs(pairs, allow_large_atoms=allow_large)
+        return PopulationSpectrum.from_pairs(pairs)
     except ValueError as exc:
         raise ConstraintViolation(f"spectrum: {exc}") from exc
 
@@ -170,13 +164,11 @@ class RunConfig:
     contexts: int
     k: int
     matrix_kind: str
-    spectrum_allow_large: bool = field(default=False)
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
             "spectrum": serialize_spectrum(self.spectrum),
-            "spectrum_allow_large": self.spectrum_allow_large,
             "y": self.y,
             "p": self.p,
             "n": self.n,
@@ -218,20 +210,33 @@ def _finite_number(text: str) -> int | float:
     return int(text) if text.lstrip("-").isdigit() else value
 
 
-def _largest_array(kind: str, dims: list[tuple[int, int]], spectrum: PopulationSpectrum,
+def _section(raw: dict, key: str) -> dict:
+    """Section ``key`` of the config, its missing keys filled from its default."""
+    value = _expect(raw.get(key, _DEFAULTS[key]), dict, key)
+    unknown = set(value) - _SECTION_KEYS[key]
+    if unknown:
+        raise UnknownKey(f"unknown {key} keys: {sorted(unknown)}")
+    return {**_DEFAULTS[key], **value}
+
+
+def _largest_array(kind: str, drawn: dict, spectrum: PopulationSpectrum,
                    ensemble: EntryEnsemble, truncated: bool, replicates: int, grid_points: int,
                    matrix_kind: str) -> tuple[str, dict]:
-    """What sizes the largest array a run allocates, and its entries at each value of that."""
+    """What sizes the largest array a run allocates, and its entries at each value of that.
+
+    ``drawn`` maps each ``(p, n)`` a run draws at to the ``H_p`` it draws there.
+    """
     if kind in ("simulate", "ks-rate"):
         # a dense replicate's p x n entries and p x p Gram matrix; the bidiagonal
         # model draws O(min(p, n)) and keeps the p x n bound of run_experiment
-        dense = truncated or replicate_sampler(ensemble, spectrum) == DENSE
-        return "(p, n)", {(q, m): q * max(q, m) if dense else q * m for q, m in dims}
+        return "(p, n)", {(q, m): q * max(q, m)
+                          if truncated or replicate_sampler(ensemble, h) == DENSE else q * m
+                          for (q, m), h in drawn.items()}
     if kind == "probe-qform" and matrix_kind == "resolvent":
         # B's p x n entries, its p x p inverse, then blocks of p x min(replicates,
         # _QFORM_CHUNK) probe entries
         block = min(replicates, _QFORM_CHUNK)
-        return "(p, n)", {(q, m): q * max(q, m, block) for q, m in dims}
+        return "(p, n)", {(q, m): q * max(q, m, block) for q, m in drawn}
     if kind == "lsd":  # one (K + 1) x (K + 1) arrowhead matrix per point, K nonzero atoms
         k = sum(t != 0 for t, _ in spectrum.atoms)
         return "(grid_points, K)", {(grid_points, k): grid_points * (k + 1) ** 2}
@@ -262,8 +267,7 @@ def parse_config(text: str) -> RunConfig:
     def get(key):
         return raw.get(key, _DEFAULTS.get(key))
 
-    allow_large = _expect(get("spectrum_allow_large"), bool, "spectrum_allow_large")
-    spectrum = parse_spectrum(get("spectrum"), allow_large)
+    spectrum = parse_spectrum(get("spectrum"))
     ensemble = parse_ensemble(get("ensemble"))
     f = parse_test_function(get("f"))
 
@@ -312,45 +316,39 @@ def parse_config(text: str) -> RunConfig:
         empty = [n for n in n_grid if round(y * n) < 1]
         if empty:
             raise ConstraintViolation(f"n_grid: p = round(y*n) is 0 at n={empty} for y={y}")
-        if kind == "probe-qform":
-            # the probe's T is population_diagonal at each n: all zero, its moment is 0
-            zero = [n for n in n_grid if not population_diagonal(spectrum, round(y * n)).any()]
-            if zero:
-                raise ConstraintViolation(f"n_grid: all p = round(y*n) population entries are "
-                                          f"0 at n={zero} for y={y}, so the probed moment is 0 "
-                                          f"and its log undefined")
         # the rate fit needs 3 points for its bootstrap, the slope 2 for a line
         least = 3 if kind == "ks-rate" else 2
         if len(n_grid) < least:
             raise ConstraintViolation(f"n_grid: {kind} needs at least {least} sizes, "
                                       f"got {len(n_grid)}")
-    # the (p, n) a run draws at: p = round(y*n) at each n of a grid
-    dims = [(p, n)] if kind == "simulate" else [(round(y * m), m) for m in n_grid or ()]
+    # the (p, n) a run draws at, p = round(y*n) at each n of a grid, and the
+    # spectrum H_p of the T_p it draws there
+    drawn = {}
+    if kind in ("simulate", "ks-rate", "probe-qform"):
+        dims = [(p, n)] if kind == "simulate" else [(round(y * m), m) for m in n_grid]
+        drawn = {(q, m): realized_spectrum(spectrum, q) for q, m in dims}
 
-    contour_raw = get("contour")
-    _expect(contour_raw, dict, "contour")
-    unknown = set(contour_raw) - _CONTOUR_KEYS
-    if unknown:
-        raise UnknownKey(f"unknown contour keys: {sorted(unknown)}")
-    eps = contour_raw.get("eps", _DEFAULTS["contour"]["eps"])
+    eps = _section(raw, "contour")["eps"]
     if eps is not None:
         eps = _positive(eps, "contour.eps")
     if kind in ("moments", "simulate", "ks-rate"):
-        # build_contour raises at a ratio the run integrates at: FlatContour when
+        # build_contour raises at a law the run integrates over: FlatContour when
         # eps is too small, and for log LogDomain when its contour cannot enclose
         # the bulk (p >= n, a zero atom or too large an eps)
-        for ratio in sorted({q / m for q, m in dims}) if kind == "ks-rate" else [y]:
-            build_contour(spectrum, ratio, eps, f=f)
+        laws = dict.fromkeys((h, q / m) for (q, m), h in drawn.items()) or [(spectrum, y)]
+        for h, ratio in sorted(laws, key=lambda law: law[1]):
+            build_contour(h, ratio, eps, f=f)
+    zero = [m for (_, m), h in drawn.items() if h.max_eigenvalue == 0.0]
+    if zero:
+        # the apportioned counts give every entry to zero atoms, so B = 0
+        raise ConstraintViolation(f"{'' if kind == 'simulate' else 'n_grid: '}all p = "
+                                  f"round(y*n) population entries are 0 at n={zero} for "
+                                  f"y={y}: B = 0 there, so the run has nothing to measure")
 
-    trunc_raw = get("truncation")
-    _expect(trunc_raw, dict, "truncation")
-    unknown = set(trunc_raw) - _TRUNCATION_KEYS
-    if unknown:
-        raise UnknownKey(f"unknown truncation keys: {sorted(unknown)}")
-    trunc_mode = trunc_raw.get("mode", "off")
+    truncation = _section(raw, "truncation")
+    trunc_mode, trunc_eta = truncation["mode"], truncation["eta"]
     if trunc_mode not in ("off", "on"):
         raise ConstraintViolation("truncation.mode must be 'off' or 'on'")
-    trunc_eta = trunc_raw.get("eta")
     if trunc_eta is not None:
         trunc_eta = _positive(trunc_eta, "truncation.eta")
         if trunc_mode == "off":
@@ -376,7 +374,7 @@ def parse_config(text: str) -> RunConfig:
     matrix_kind = _expect(get("matrix_kind"), str, "matrix_kind")
     if matrix_kind not in ("fixed_psd", "resolvent"):
         raise ConstraintViolation("matrix_kind must be 'fixed_psd' or 'resolvent'")
-    by, sizes = _largest_array(kind, dims, spectrum, ensemble, trunc_mode == "on", replicates,
+    by, sizes = _largest_array(kind, drawn, spectrum, ensemble, trunc_mode == "on", replicates,
                                grid_points, matrix_kind)
     large = [at for at, size in sizes.items() if size > MAX_ENTRIES]
     if large:
@@ -394,5 +392,4 @@ def parse_config(text: str) -> RunConfig:
         truncation_mode=trunc_mode, truncation_eta=trunc_eta,
         out=out, cost_cap_seconds=cost_cap,
         grid_points=grid_points, contexts=contexts, k=k, matrix_kind=matrix_kind,
-        spectrum_allow_large=allow_large,
     )

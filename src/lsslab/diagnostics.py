@@ -28,6 +28,7 @@ from .stieltjes import s_under_grid
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _CI_LEVEL = 0.90  # the rate exponent's bootstrap interval, "exponent_ci_90" in summaries
+_N_BOOT = 1000  # bootstrap resamples of the rate fit
 _QFORM_CHUNK = 20_000  # probe replicates drawn per block
 _QFORM_CELLS = 1 << 18  # (row, replicate) cells of r and A r formed per column slice
 _FD_STEP = 1e-6  # central-difference step of the Stein sweep
@@ -168,12 +169,13 @@ class RateFit:
     points: tuple[tuple[int, float], ...]
 
 
-def fit_rate(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
+def fit_rate(points, seed: int = 0) -> RateFit:
     """OLS of log ks on log n with a 90% percentile bootstrap interval.
 
-    The bootstrap resamples the (n, ks) points themselves - KS values at
-    different n come from disjoint experiments - and the interval is
-    widened, if necessary, to contain the point estimate.
+    The bootstrap draws 1000 resamples of the (n, ks) points themselves,
+    from stream ``seed`` - KS values at different n come from disjoint
+    experiments - skipping any with fewer than two distinct n, and the
+    interval is widened, if necessary, to contain the point estimate.
     """
     pts = [(int(n), float(ks)) for n, ks in points]
     if len(pts) < 3:
@@ -190,7 +192,7 @@ def fit_rate(points, n_boot: int = 1000, seed: int = 0) -> RateFit:
     rng = np.random.Generator(np.random.PCG64(seed))
     resamples = []
     attempts = 0
-    while len(resamples) < n_boot and attempts < 50 * n_boot:
+    while len(resamples) < _N_BOOT and attempts < 50 * _N_BOOT:
         attempts += 1
         idx = rng.integers(0, len(pts), size=len(pts))
         if len(set(log_n[idx])) < 2:
@@ -466,9 +468,6 @@ class Sigma0Result:
     # sampled eigenvalues outside [x_l, x_r], counted once per inner draw: the
     # contour encloses only [x_l, x_r], so the column sums drop their terms
     outside_contour: int
-    # the per-column deterministic weight is the equivalent -z s0(z), whose
-    # gap to the exact conditional version is an order n^{-1} effect
-    b_equivalent: str = "-z*s_under"
 
 
 _SIGMA0_NODES = 128  # nodes of the column sums' symmetric rule, half of them evaluated
@@ -476,7 +475,7 @@ _SIGMA0_CELLS = 1 << 14  # (eigenvalue, node) cells of the resolvent sum per blo
 
 
 def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
-                     n_small: int, inner_reps: int, outer_reps: int, seed: int,
+                     n_small: int, inner_reps: int, outer_reps: int, seed: int, *,
                      ensemble: EntryEnsemble | None = None,
                      work_cap_seconds: float = 600.0) -> Sigma0Result:
     """Estimate the martingale variance sum by nested Monte Carlo.
@@ -485,7 +484,11 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     columns is realized by redrawing them; two independent half-estimates
     of ``inner_reps`` draws each are multiplied so the inner noise cancels
     in expectation instead of biasing the square.  Column weights use the
-    deterministic equivalent ``-z s_under(z)``.  The contour sum is the
+    deterministic equivalent ``-z s_under(z)`` in place of the exact
+    conditional one, an order 1/n gap.  The columns draw
+    ``T_p = population_diagonal(spectrum, p)``, so the contour and
+    ``s_under`` are those of the realized spectrum ``H_p``
+    (``realized_spectrum``) at ``y_n``.  The contour sum is the
     conjugate-symmetric trapezoid rule of 128 nodes on the default contour
     (``Contour.upper_half``).  f is real and so is every eigenvalue lam,
     since each inner matrix is Hermitian, so the rule's mirror nodes add
@@ -503,7 +506,8 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     ``outer_reps n`` of them exceed the cap.  Sizes below 1 and
     ``n_small > 64`` raise ``OutOfRange`` before any work.
     """
-    from .simulator import draw_entries, population_diagonal, replicate_seed, sample_entries
+    from .simulator import (draw_entries, population_diagonal, realized_spectrum,
+                            replicate_seed, sample_entries)
 
     if n_small > 64:
         raise OutOfRange(f"n_small is capped at 64 (cost grows like n^4), got {n_small}")
@@ -525,10 +529,11 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     project_cost(lambda: np.linalg.eigh(fixed), columns, 2.5, work_cap_seconds,
                  f"{columns} nested-MC columns of {reps} inner draws")
 
-    c = build_contour(spectrum, y_n, m=_SIGMA0_NODES, f=f)
+    h_p = realized_spectrum(spectrum, p)
+    c = build_contour(h_p, y_n, m=_SIGMA0_NODES, f=f)
     z, w = c.upper_half()
     # trapezoid weight folded with f', b = -z s_under, -1/(2 pi i) and the 2 of the mirror half
-    big_w = w * f.deriv(z) * (-z * s_under_grid(z, spectrum, y_n)) / (-1.0j * math.pi)
+    big_w = w * f.deriv(z) * (-z * s_under_grid(z, h_p, y_n)) / (-1.0j * math.pi)
     x_k, w_re, w_im_y, y2 = z.real, big_w.real, big_w.imag * z.imag, z.imag ** 2
     block = max(1, _SIGMA0_CELLS // z.size)
 

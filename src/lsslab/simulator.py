@@ -238,6 +238,19 @@ def population_diagonal(spectrum: PopulationSpectrum, p: int) -> np.ndarray:
     return np.repeat([t for t, _ in atoms], counts)
 
 
+def realized_spectrum(spectrum: PopulationSpectrum, p: int) -> PopulationSpectrum:
+    """The spectrum ``H_p`` of ``T_p = population_diagonal(spectrum, p)``.
+
+    Each distinct atom weighs its count in ``T_p`` over p, in the order of
+    ``spectrum``, and atoms with no entry are dropped.  A run draws ``T_p``,
+    so its moments, centering and contour are those of ``H_p``, which is
+    ``spectrum`` where every ``p w_k`` is an integer.
+    """
+    diag = population_diagonal(spectrum, p)
+    counts = ((t, int(np.count_nonzero(diag == t))) for t in dict.fromkeys(spectrum.eigenvalues))
+    return PopulationSpectrum(tuple((t, c / p) for t, c in counts if c))
+
+
 _SYM_CELLS = 1 << 13  # cells of B's transpose read per block of the symmetrization
 
 

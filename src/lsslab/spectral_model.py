@@ -24,15 +24,13 @@ _WEIGHT_TOL = 1e-12
 class PopulationSpectrum:
     """Atomic population eigenvalue distribution.
 
-    ``atoms`` is a sequence of ``(eigenvalue, weight)`` pairs with
-    nonnegative eigenvalues and positive weights summing to one.  By
-    default the spectral norm is capped at 1 (the usual normalization for
-    sample covariance ensembles); pass ``allow_large_atoms=True`` to lift
-    the cap, every formula stays valid for any bounded spectrum.
+    ``atoms`` is a sequence of ``(eigenvalue, weight)`` pairs with finite,
+    nonnegative eigenvalues and positive weights summing to one.  The
+    spectral norm is not capped: the CLT needs ``||T_p||`` bounded, not at
+    most 1, and every formula holds for any finite atoms.
     """
 
     atoms: tuple[tuple[float, float], ...]
-    allow_large_atoms: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not self.atoms:
@@ -46,10 +44,6 @@ class PopulationSpectrum:
         total = math.fsum(w for _, w in atoms)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"weights sum to {total}, expected 1 within {_WEIGHT_TOL}")
-        if not self.allow_large_atoms and max(t for t, _ in atoms) > 1.0:
-            raise ValueError(
-                "largest atom exceeds 1; pass allow_large_atoms=True to lift the norm cap"
-            )
         object.__setattr__(self, "atoms", atoms)
 
     @classmethod
@@ -58,10 +52,9 @@ class PopulationSpectrum:
         return cls(atoms=((1.0, 1.0),))
 
     @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[float, float]], *,
-                   allow_large_atoms: bool = False) -> "PopulationSpectrum":
+    def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "PopulationSpectrum":
         """Build a spectrum from ``(eigenvalue, weight)`` pairs whose weights sum to 1."""
-        return cls(atoms=tuple(pairs), allow_large_atoms=allow_large_atoms)
+        return cls(atoms=tuple(pairs))
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -226,9 +219,8 @@ class TestFunction:
         return cls(kind="poly", coeffs=tuple(coeffs))
 
     @classmethod
-    def monomial(cls, degree: int, coeff: float = 1.0) -> "TestFunction":
-        c = [0.0] * degree + [coeff]
-        return cls(kind="poly", coeffs=tuple(c))
+    def monomial(cls, degree: int) -> "TestFunction":
+        return cls(kind="poly", coeffs=(0.0,) * degree + (1.0,))
 
     @classmethod
     def log(cls) -> "TestFunction":

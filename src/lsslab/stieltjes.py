@@ -14,14 +14,14 @@ safeguarded by the plain step ``F``, certified by the fixed-point residual
 A solve starts at the Herglotz root of the one-atom equation at the mean
 atom, which is the root itself on a one-atom spectrum, or at given starts
 in the half plane of z (the nested contour nodes start from their solved
-neighbours); on the axis the density is read off the eigenvalues of an
-arrowhead matrix.  The transform of the primary law follows from the
-companion relation ``s = (s_under + (1 - y)/z) / y``.
+neighbours).  No solve runs at real z: on the axis the density is read
+off the eigenvalues of an arrowhead matrix.  The transform of the
+primary law follows from the companion relation
+``s = (s_under + (1 - y)/z) / y``.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -39,7 +39,6 @@ if TYPE_CHECKING:
 # relative once |s| > 1, where the rounding floor of F(s) - s grows with |s|
 _TOL = 1e-12
 _MAX_ITER = 10_000
-_REAL_Z_LIFT = 1e-9  # imaginary offset used to select the branch at real z
 
 
 @dataclass(frozen=True)
@@ -65,15 +64,16 @@ def _solve(z: np.ndarray, s0: np.ndarray, spectrum: PopulationSpectrum,
            y: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Safeguarded Newton solve of the companion equation at every point of 1-D z.
 
-    Newton runs on the inverse map, ``h(s) = -1/s + y g(s) - z`` with
+    Every z is non-real: the callers reject real z.  Newton runs on the
+    inverse map, ``h(s) = -1/s + y g(s) - z`` with
     ``h'(s) = 1/s^2 + y g'(s)``.  A Newton step is kept only where the new
-    point is finite, lies in the half plane of z (anywhere when Im z = 0)
-    and lowers the fixed-point residual ``|F(s) - s|`` of
-    ``F(s) = -1/(z - y g(s))``; elsewhere the plain step ``F(s)`` is taken,
-    which maps each half plane into itself.  A point is done once its
-    residual is at most ``1e-12 max(1, |s|)``: near the hard edge of a
-    small-scale spectrum ``|s|`` reaches 1e4, and an absolute 1e-12 would
-    lie below the rounding floor of ``F(s) - s`` there.  One more Newton
+    point is finite, lies in the half plane of z and lowers the fixed-point
+    residual ``|F(s) - s|`` of ``F(s) = -1/(z - y g(s))``; elsewhere the
+    plain step ``F(s)`` is taken, which maps each half plane into itself.
+    A point is done once its residual is at most ``1e-12 max(1, |s|)``:
+    near the hard edge of a small-scale spectrum ``|s|`` reaches 1e4, and
+    an absolute 1e-12 would lie below the rounding floor of ``F(s) - s``
+    there.  One more Newton
     step then polishes every point, kept where it is finite, stays in the
     half plane of z and does not raise the residual: it takes s from the
     certificate to the root's rounding, so a value does not depend on its
@@ -102,7 +102,7 @@ def _solve(z: np.ndarray, s0: np.ndarray, spectrum: PopulationSpectrum,
         return s - (1.0 / f - 1.0 / s) / (1.0 / (s * s) + y * dg)
 
     def in_half_plane(z, s):
-        return np.isfinite(s) & ((z.imag == 0.0) | (s.imag * z.imag > 0.0))
+        return np.isfinite(s) & (s.imag * z.imag > 0.0)
 
     with np.errstate(all="ignore"):
         f, dg, res = evaluate(z, s)
@@ -150,7 +150,7 @@ def _mean_atom_start(z: np.ndarray, spectrum: PopulationSpectrum, y: float) -> n
     ``z tbar s^2 + (z + tbar (1 - y)) s + 1 = 0``, the companion transform
     of the one-atom spectrum at ``tbar``, so on a one-atom spectrum the
     start is the root.  Where that root is not finite or not in the half
-    plane of z (``tbar = 0``, or real z), the start is ``-1/z``.
+    plane of z (``tbar = 0``), the start is ``-1/z``.
     """
     tbar = float(spectrum.weights @ spectrum.eigenvalues)
     with np.errstate(all="ignore"):
@@ -179,38 +179,23 @@ def _start(z: np.ndarray, spectrum: PopulationSpectrum, y: float, given=None) ->
     return np.where(np.isfinite(given) & (given.imag * z.imag > 0.0), given, s0)
 
 
-def solve_s_under(z: complex, spectrum: PopulationSpectrum, y_n: float, *,
-                  s0: complex | None = None) -> StieltjesSolution:
-    """Solve for the companion transform at one point off the spectral bulk.
+def solve_s_under(z: complex, spectrum: PopulationSpectrum, y_n: float) -> StieltjesSolution:
+    """Solve for the companion transform at one non-real point.
 
-    Runs the safeguarded Newton solve on a single point, from ``s0`` or
-    the mean-atom start of ``s_under_grid``; as there, an ``s0`` that is
-    not finite or not strictly in the half plane of z is replaced by the
-    mean-atom start.  Real ``z`` (off support only) is handled by
-    continuity: unless a finite ``s0`` is given, the equation is first
-    solved at ``z + 1e-9j`` and the result warm-starts the solve on the
-    real axis, which selects the boundary-value branch without sign
-    ambiguity.
-    ``residual`` is the certified ``|F(s) - s|`` (at most
-    ``1e-12 max(1, |s|)``) and ``iterations`` counts the iterates checked,
-    the start included.  Raises ``NonConvergence`` if the step cap runs out
-    and ``BranchViolation`` if the converged point lands on the wrong half
-    plane.
+    Runs the safeguarded Newton solve of ``s_under_grid`` on a single
+    point, from the mean-atom start.  ``residual`` is the certified
+    ``|F(s) - s|`` (at most ``1e-12 max(1, |s|)``) and ``iterations``
+    counts the iterates checked, the start included.  Raises
+    ``ValueError`` at real z, as ``s_under_grid`` does, ``NonConvergence``
+    if the step cap runs out and ``BranchViolation`` if the converged point
+    lands on the wrong half plane.
     """
     z = complex(z)
-    if z == 0:
-        raise ValueError("z = 0 is never off the companion support")
-    y = float(y_n)
     if z.imag == 0.0:
-        lo, hi = support_interval(spectrum, y)
-        if lo <= z.real <= hi:
-            raise ValueError(f"real z={z.real} lies in the closed support [{lo}, {hi}]")
-        if s0 is None or not cmath.isfinite(s0):
-            s0 = solve_s_under(z + 1j * _REAL_Z_LIFT, spectrum, y).s_under
-        start = np.array([s0], dtype=complex)
-    else:
-        start = _start(np.array([z]), spectrum, y, s0)
-    s, res, it = _solve(np.array([z]), start, spectrum, y)
+        raise ValueError(f"solve_s_under expects Im z != 0, got z = {z}")
+    y = float(y_n)
+    zs = np.array([z])
+    s, res, it = _solve(zs, _start(zs, spectrum, y), spectrum, y)
     return StieltjesSolution(z=z, s_under=complex(s[0]),
                              s=complex(companion_to_primary(s[0], z, y)),
                              residual=float(res[0]), iterations=int(it[0]))
@@ -220,8 +205,8 @@ def s_under_grid(z: np.ndarray, spectrum: PopulationSpectrum, y_n: float,
                  start: np.ndarray | None = None) -> np.ndarray:
     """Companion transform over an array of strictly complex points.
 
-    One safeguarded Newton solve over the flattened grid, with the same
-    residual certificate, polish and branch check as ``solve_s_under``.
+    One safeguarded Newton solve over the flattened grid (``_solve``), with
+    its residual certificate, polish and branch check.
     Each point starts from ``start`` (same shape as z) when given, else
     from the Herglotz root of the one-atom equation at the mean atom
     ``sum_k w_k t_k``, falling back to ``-1/z`` where that root is not
@@ -233,7 +218,7 @@ def s_under_grid(z: np.ndarray, spectrum: PopulationSpectrum, y_n: float,
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     if np.any(flat.imag == 0.0):
-        raise ValueError("grid solver expects Im z != 0 at every point; use solve_s_under")
+        raise ValueError("grid solver expects Im z != 0 at every point")
     y = float(y_n)
     s, _, _ = _solve(flat, _start(flat, spectrum, y, start), spectrum, y)
     return s.reshape(z.shape)

@@ -130,7 +130,7 @@ def test_c06_kernel_disk_bound():
     for sp, y in cases:
         z, _ = build_contour(sp, y).nodes()
         s = s_under_grid(z, sp, y)
-        a = kernel_from_s(s[:, None], s[None, :], sp, y)
+        a = kernel_from_s(s, s, sp, y)
         worst = max(worst, float(np.max(np.abs(a))))
     dt = time.perf_counter() - t0
     report(6, worst < 1.0 and dt < 30.0,

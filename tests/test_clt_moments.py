@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import BATTERY, companion, inverse_map, population_moment
 from lsslab import clt_moments, stieltjes
 from lsslab.clt_moments import (CltMoments, CompanionTransform, _a_times_t_integral,
-                                _mean_integrand, _variance_level, compute_moments,
+                                _atom_factors, _mean_integrand, _variance_level, compute_moments,
                                 kernel_from_s, mean_correction, normalize,
                                 variance_with_kernel)
 from lsslab.contour import Contour, _confocal, build_contour, trapezoid
@@ -29,10 +29,10 @@ F_CUBIC_MIX = TestFunction.polynomial([0.0, 1.0, 0.0, 1.0])  # x^3 + x
 
 
 def _kernel_at(z1, z2, spectrum, y):
-    """a(z1, z2), the one cell of a 1 x 1 outer grid."""
+    """a(z1, z2), the one cell of a 1 x 1 grid."""
     s1 = solve_s_under(z1, spectrum, y).s_under
     s2 = solve_s_under(z2, spectrum, y).s_under
-    return kernel_from_s(np.array([[s1]]), np.array([[s2]]), spectrum, y)[0, 0]
+    return kernel_from_s(np.array([s1]), np.array([s2]), spectrum, y)[0, 0]
 
 
 class TestKernel:
@@ -49,14 +49,32 @@ class TestKernel:
     def test_unit_disk_bound_identity(self, y):
         z, _ = build_contour(IDENTITY, y).nodes()
         s = s_under_grid(z, IDENTITY, y)
-        a = kernel_from_s(s[:, None], s[None, :], IDENTITY, y)
+        a = kernel_from_s(s, s, IDENTITY, y)
         assert float(np.max(np.abs(a))) < 1.0
 
-    @pytest.mark.parametrize("shapes", [((), ()), ((3,), (3,)), ((3, 2), (1, 3))])
-    def test_only_outer_grids(self, shapes):
+    @pytest.mark.parametrize("shapes", [((), ()), ((3,), ()), ((3, 1), (1, 3)),
+                                        ((2, 3, 1), (2, 1, 3))])
+    def test_only_1d_arrays(self, shapes):
+        # the old outer-grid and batch shapes are rejected too
         s1, s2 = (np.full(shape, 0.5 + 0.5j) for shape in shapes)
-        with pytest.raises(ValueError, match="outer grid"):
+        with pytest.raises(ValueError, match="1-D"):
             kernel_from_s(s1, s2, IDENTITY, 0.5)
+
+    @pytest.mark.parametrize("name", ["identity", "two_atom", "five_atom"])
+    @pytest.mark.parametrize("m", [32, 64])
+    def test_same_products_as_concatenated_factors(self, name, m):
+        # the factor matrices built by concatenation and a stack, as before
+        # they were preallocated: the same matrix product, so the same bits
+        sp = BATTERY[name]
+        z, _ = build_contour(sp, 0.5).nodes(m)
+        s = s_under_grid(z, sp, 0.5)
+        for s1 in (s, s[1::2]):
+            a, b = (_atom_factors(v, sp, 0.5) for v in (s1, s))
+            left = np.concatenate([a.real, a.imag, a.real + a.imag], axis=-1)
+            right = np.stack([np.concatenate([b.real, -b.imag, np.zeros_like(b.real)], axis=-1),
+                              np.concatenate([-b.real, -b.imag, b.real + b.imag], axis=-1)],
+                             axis=-2).reshape(2 * s.size, -1)
+            assert np.array_equal(kernel_from_s(s1, s, sp, 0.5), (left @ right.T).view(complex))
 
 
 def _textbook_kernel(s1, s2, spectrum, y):
@@ -91,13 +109,13 @@ class TestKernelProperties:
     @given(_kernel_grids())
     def test_rank_k_product_is_the_textbook_kernel(self, problem):
         spectrum, y, _, s1, _, s2 = problem
-        a = kernel_from_s(s1[:, None], s2[None, :], spectrum, y)
+        a = kernel_from_s(s1, s2, spectrum, y)
         ref, scale = _textbook_kernel(s1[:, None], s2[None, :], spectrum, y)
         assert a.shape == (s1.size, s2.size)
         # errors are relative to the size of the summed products, not to |a|,
         # which may cancel between atoms
         assert np.all(np.abs(a - ref) <= 1e-13 * scale)
-        swapped = kernel_from_s(s2[:, None], s1[None, :], spectrum, y)
+        swapped = kernel_from_s(s2, s1, spectrum, y)
         assert np.all(np.abs(swapped.T - a) <= 1e-15 * scale)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -110,13 +128,13 @@ class TestKernelProperties:
         # transform is s to rounding: at the drawn z it would also carry the
         # solver's 1e-12 residual, divided by Im s
         spectrum, y, _, s1, _, s2 = problem
-        d1, d2 = (np.diagonal(kernel_from_s(s[:, None], s.conj()[None, :], spectrum, y))
+        d1, d2 = (np.diagonal(kernel_from_s(s, s.conj(), spectrum, y))
                   for s in (s1, s2))
         for s, d in ((s1, d1), (s2, d2)):
             z = np.array([inverse_map(v, spectrum, y) for v in s])
             assert np.all(np.abs(d - (1.0 - z.imag * np.abs(s) ** 2 / s.imag)) <= 1e-12)
             assert np.all(d.real < 1.0)
-        a = kernel_from_s(s1[:, None], s2[None, :], spectrum, y)
+        a = kernel_from_s(s1, s2, spectrum, y)
         bound = d1.real[:, None] * d2.real[None, :]
         assert np.all(np.abs(a) ** 2 <= bound * (1.0 + 1e-12))
 
@@ -510,7 +528,7 @@ class TestMomentsBundle:
         # ellipse through hi + eps has rho = 1.56 at y = 10 and accepts at 128
         # nodes, where a half-height capped at 1 had rho = 1.03 and took 2048
         t = 4.0
-        sp = PopulationSpectrum.from_pairs([(t, 1.0)], allow_large_atoms=True)
+        sp = PopulationSpectrum.from_pairs([(t, 1.0)])
         mom = compute_moments(F_X2, sp, y, RG)
         assert all(q.nodes <= 128 for q in mom.quadrature.values())
         assert abs(mom.mu - y * t**2) <= 1e-13 * y * t**2

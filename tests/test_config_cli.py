@@ -16,8 +16,11 @@ from lsslab.config import (RunConfig, parse_config, parse_test_function,
                            serialize_spectrum, serialize_test_function)
 from lsslab.contour import build_contour
 from lsslab.errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
-from lsslab.simulator import replicate_seed, replicate_statistic, run_experiment
-from lsslab.spectral_model import PopulationSpectrum, TestFunction, support_interval
+from lsslab.simulator import (realized_spectrum, replicate_seed, replicate_statistic,
+                              run_experiment)
+from lsslab.clt_moments import compute_moments
+from lsslab.spectral_model import (EntryEnsemble, PopulationSpectrum, TestFunction,
+                                   support_interval)
 from lsslab.stieltjes import lsd_density
 
 IDENTITY = PopulationSpectrum.identity()
@@ -198,6 +201,16 @@ class TestParseConfig:
         assert "UnknownKey" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfgfile]
 
+    def test_spectrum_allow_large_key_rejected(self, tmp_path, capsys):
+        # there is no norm cap to lift: atoms above 1 need no flag
+        with pytest.raises(UnknownKey, match="spectrum_allow_large"):
+            parse_config(json.dumps({"kind": "moments", "spectrum_allow_large": True}))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": "moments", "spectrum_allow_large": False}))
+        assert main(["moments", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert "UnknownKey" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
     def test_simulate_needs_dims(self):
         with pytest.raises(MissingRequired):
             parse_config(json.dumps({"kind": "simulate"}))
@@ -212,8 +225,7 @@ class TestParseConfig:
         '{"kind": "moments", "y": Infinity}',
         '{"kind": "moments", "y": 1e999}',
         '{"kind": "moments", "spectrum": [{"atom": NaN, "weight": 1.0}]}',
-        '{"kind": "moments", "spectrum_allow_large": true,'
-        ' "spectrum": [{"atom": Infinity, "weight": 1.0}]}',
+        '{"kind": "moments", "spectrum": [{"atom": Infinity, "weight": 1.0}]}',
         '{"kind": "moments", "spectrum": [{"atom": 1.0, "weight": NaN}]}',
         '{"kind": "simulate", "p": 8, "n": 16, "truncation": {"mode": "on", "eta": NaN}}',
         '{"kind": "simulate", "p": 8, "n": 16, "ensemble": {"name": "student_t", "df": NaN}}',
@@ -324,15 +336,17 @@ class TestCliRuns:
     def test_log_moments_match_closed_forms(self, y, name, tmp_path, monkeypatch):
         # Bai & Silverstein (2004): mu(log) = log(1 - y)/2, sigma(log) = -2 log(1 - y)
         # for every T, since sum log lambda(B) = log det T + sum log lambda(XX*/n);
-        # so the centering is p ((y - 1)/y log(1 - y) - 1 + sum_k w_k log t_k)
+        # so the centering is p ((y - 1)/y log(1 - y) - 1 + sum_k w_k log t_k),
+        # with the weights of the drawn T_p (five-atom: p w_k = 39.2 at y = 0.98)
         import lsslab.simulator as sim_mod
 
         sp = BATTERY[name]
         n = 200
         p = round(y * n)
         mu, sigma = np.log(1.0 - y) / 2.0, -2.0 * np.log(1.0 - y)
+        h_p = realized_spectrum(sp, p)
         centering = p * ((y - 1.0) / y * np.log(1.0 - y) - 1.0
-                         + sp.weights @ np.log(sp.eigenvalues))
+                         + h_p.weights @ np.log(h_p.eigenvalues))
         seen = []
         original = sim_mod.lss_centering
 
@@ -507,6 +521,77 @@ class TestCliRuns:
         assert "ConstraintViolation: n_grid: all p = round(y*n) population entries" in err
         assert "n=[2]" in err
         assert list(tmp_path.iterdir()) == [cfgfile]
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("simulate", {"p": 1, "n": 2}),
+        ("ks-rate", {"y": 0.5, "n_grid": [2, 37, 40]}),
+    ])
+    def test_run_on_an_all_zero_population_diagonal_fails_before_any_work(
+            self, kind, extra, tmp_path, monkeypatch, capsys):
+        # at p = 1 the one entry goes to the zero atom: T_p = 0, so B = 0, and
+        # the run drew constant statistics normalized by the moments of H
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "_check_budget", no_work)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "kind": kind, "replicates": 4, **extra,
+            "spectrum": [{"atom": 0, "weight": 0.92}, {"atom": 0.3, "weight": 0.08}]}))
+        assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "all p = round(y*n) population entries are 0 at n=[2]" in err
+        assert list(tmp_path.iterdir()) == [cfgfile]
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("moments", {"y": 0.5}),
+        ("simulate", {"p": 16, "n": 32, "replicates": 8}),
+    ])
+    def test_atoms_above_one_need_no_flag(self, kind, extra, tmp_path):
+        # the CLT needs ||T_p|| bounded, not at most 1: T = (2, 4) is 4 times
+        # (0.5, 1), so mu(x^2) and sigma(x^2) are 16 and 256 times theirs
+        scaled = PopulationSpectrum.from_pairs([(0.5, 0.5), (1.0, 0.5)])
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "kind": kind, "f": "x^2", **extra,
+            "spectrum": [{"atom": 2.0, "weight": 0.5}, {"atom": 4.0, "weight": 0.5}]}))
+        assert main([kind, "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / f"{kind}_summary.json").read_text())["summary"]
+        mom = compute_moments(TestFunction.monomial(2), scaled, 0.5, EntryEnsemble.real_gaussian())
+        assert doc["mu"] == pytest.approx(16.0 * mom.mu, rel=1e-9)
+        assert doc["sigma"] == pytest.approx(256.0 * mom.sigma, rel=1e-9)
+        if kind == "simulate":
+            assert doc["confinement_violations"] == 0
+
+    @pytest.mark.parametrize("ensemble", ["CG", "RG"])
+    def test_five_atom_run_centers_on_the_drawn_population(self, ensemble, tmp_path):
+        # p w_k = 25.6 is no integer at p = 128: T_p holds 25, 25, 26, 26 and 26
+        # entries, and centered over the configured weights the KS distance was
+        # 0.380 (CG) and 0.265 (RG)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": "simulate", "spectrum": FIVE_ATOM, "p": 128,
+                                       "n": 256, "ensemble": ensemble, "replicates": 2000,
+                                       "root_seed": 5}))
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "simulate_summary.json").read_text())["summary"]
+        assert doc["ks"] <= 0.05
+
+    def test_ks_rate_keys_moments_on_the_drawn_population(self, tmp_path, monkeypatch):
+        # y = 0.5 at n = 250, 256 and 260 gives p/n = 0.5 at every n, but the
+        # five-atom T_p has exact counts at p = 125 and 130 only: two moment sets
+        spectra = []
+        compute_moments = cli.compute_moments
+
+        def recording(f, spectrum, *args, **kwargs):
+            spectra.append(spectrum)
+            return compute_moments(f, spectrum, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_moments", recording)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"kind": "ks-rate", "spectrum": FIVE_ATOM, "y": 0.5,
+                                       "n_grid": [250, 256, 260], "replicates": 4}))
+        assert main(["ks-rate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        assert spectra == [BATTERY["five_atom"], realized_spectrum(BATTERY["five_atom"], 128)]
 
     def test_constant_f_moments_sigma_is_plus_zero(self, tmp_path, capsys):
         # the variance of a constant f sums exact zeros, and max(-0.0, 0.0)
@@ -966,7 +1051,7 @@ class TestCliRuns:
         for i, n in enumerate(cfg.n_grid):
             p = int(round(cfg.y * n))
             seed = replicate_seed(cfg.root_seed, i)
-            mom = cli._moments(cfg, p / n, cfg.ensemble)
+            mom = cli._moments(cfg, realized_spectrum(cfg.spectrum, p), p / n, cfg.ensemble)
             record = run_experiment(mom, p, n, cfg.replicates, seed)
             expected.append([str(n), repr(record.ks), str(cfg.replicates), str(seed)])
         with open(tmp_path / "ks_rate_detail.csv", newline="") as fh:

@@ -26,15 +26,14 @@ MAX_SIZE = 48
 
 def _spectrum(rng):
     if rng.random() < 0.3:
-        return "identity", False
+        return "identity"
     k = int(rng.integers(1, 6))
-    large = rng.random() < 0.15
+    large = rng.random() < 0.15  # atoms up to 4
     atoms = rng.uniform(0.0, 4.0 if large else 1.0, k)
     atoms[rng.random(k) < 0.15] = 0.0
     weights = rng.dirichlet(np.ones(k))
     weights[-1] = 1.0 - math.fsum(weights[:-1])
-    return ([{"atom": float(t), "weight": float(w)} for t, w in zip(atoms, weights)],
-            bool(large))
+    return [{"atom": float(t), "weight": float(w)} for t, w in zip(atoms, weights)]
 
 
 def _f(rng):
@@ -57,8 +56,7 @@ def _ensemble(rng):
 
 def draw_config(rng) -> dict:
     kind = KINDS[int(rng.integers(len(KINDS)))]
-    spectrum, large = _spectrum(rng)
-    doc = {"kind": kind, "spectrum": spectrum, "spectrum_allow_large": large,
+    doc = {"kind": kind, "spectrum": _spectrum(rng),
            "ensemble": _ensemble(rng), "f": _f(rng),
            "replicates": int(rng.integers(1, 25)),
            "root_seed": int(rng.integers(0, 2**63)),

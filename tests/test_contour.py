@@ -12,7 +12,7 @@ from lsslab.spectral_model import (EntryEnsemble, PopulationSpectrum, TestFuncti
                                    support_interval)
 
 IDENTITY = PopulationSpectrum.identity()
-FOUR_I = PopulationSpectrum.from_pairs([(4.0, 1.0)], allow_large_atoms=True)
+FOUR_I = PopulationSpectrum.from_pairs([(4.0, 1.0)])
 
 
 class TestBuild:

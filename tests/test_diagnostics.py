@@ -19,8 +19,8 @@ from lsslab.diagnostics import (QformProbeResult, RateFit, SteinContext,
                                 stein_solution)
 from lsslab.errors import (CostBudgetExceeded, EmptySample, NonPositiveKs,
                            OutOfRange, TooFewPoints)
-from lsslab.simulator import (draw_entries, population_diagonal, replicate_seed,
-                              sample_entries)
+from lsslab.simulator import (draw_entries, population_diagonal, realized_spectrum,
+                              replicate_seed, sample_entries)
 from lsslab.spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
 from lsslab.stieltjes import s_under_grid
 
@@ -177,7 +177,7 @@ class TestRateFit:
         covered = 0
         for trial in range(100):
             pts = [(n, n**-0.5 * (1 + 0.05 * rng.standard_normal())) for n in ns]
-            fit = fit_rate(pts, n_boot=400, seed=trial)
+            fit = fit_rate(pts, seed=trial)
             if fit.exponent_ci[0] <= -0.5 <= fit.exponent_ci[1]:
                 covered += 1
         assert covered >= 85
@@ -596,8 +596,9 @@ class TestSigma0:
 def _sigma0_per_draw(f, spectrum, y_n, n, inner_reps, outer_reps, seed, ensemble):
     """Reference: the nested-MC estimate with one eigh and one complex node sum per draw."""
     p = int(round(y_n * n))
-    z, w = build_contour(spectrum, y_n, m=128, f=f).nodes()
-    weight = w * f.deriv(z) * (-z * s_under_grid(z, spectrum, y_n))
+    h_p = realized_spectrum(spectrum, p)  # the spectrum of the T_p that the columns draw
+    z, w = build_contour(h_p, y_n, m=128, f=f).nodes()
+    weight = w * f.deriv(z) * (-z * s_under_grid(z, h_p, y_n))
     diag_t = population_diagonal(spectrum, p)
     root_t = np.sqrt(diag_t)
 

@@ -16,7 +16,8 @@ from lsslab.errors import (ConstraintViolation, DegenerateTruncation, LogDomain,
 from lsslab import simulator
 from lsslab.simulator import (CLOSED_FORM, DENSE, SPECTRUM, assemble_B,
                               default_eta, draw_entries, eigenvalues, lss_centered,
-                              population_diagonal, replicate_eigenvalues, replicate_reduction,
+                              population_diagonal, realized_spectrum, replicate_eigenvalues,
+                              replicate_reduction,
                               replicate_sampler, replicate_seed, replicate_statistic,
                               run_experiment, sample_entries, splitmix64, truncate_normalize,
                               truncated_law, truncated_moments)
@@ -292,6 +293,36 @@ class TestAssemble:
         sp = BATTERY["five_atom"]
         for p in (7, 16, 33):
             assert population_diagonal(sp, p).size == p
+
+    def test_realized_spectrum_weighs_the_apportioned_counts(self):
+        # five weights of 0.2 at p = 128: quotas 25.6, the three remainders to
+        # the largest atoms; at p = 125 every count is exact, and H_p is H
+        five = BATTERY["five_atom"]
+        assert realized_spectrum(five, 128).atoms == tuple(
+            (t, c / 128) for t, c in zip((0.2, 0.4, 0.6, 0.8, 1.0), (25, 25, 26, 26, 26)))
+        assert realized_spectrum(five, 125) == five
+        assert realized_spectrum(IDENTITY, 7) == IDENTITY
+        # atoms keep the spectrum's order; those with no entry are dropped
+        sp = PopulationSpectrum.from_pairs([(1.0, 0.5), (0.0, 0.1), (0.4, 0.4)])
+        assert realized_spectrum(sp, 5).atoms == ((1.0, 0.6), (0.4, 0.4))
+
+    def test_realized_spectrum_draws_the_same_diagonal(self):
+        # T_p of H_p is T_p of H, bit for bit, zero-count atoms dropped or not
+        rng = np.random.default_rng(12)
+        dropped = 0
+        for _ in range(3000):
+            k = int(rng.integers(1, 7))
+            atoms = np.round(rng.uniform(0.0, 4.0, k), int(rng.integers(1, 4)))
+            atoms[rng.random(k) < 0.15] = 0.0
+            weights = rng.dirichlet(np.ones(k))
+            weights[-1] = 1.0 - math.fsum(weights[:-1])
+            sp = PopulationSpectrum.from_pairs(zip(atoms, weights))
+            p = int(rng.integers(1, 300))
+            h_p = realized_spectrum(sp, p)
+            assert np.array_equal(population_diagonal(h_p, p), population_diagonal(sp, p))
+            assert realized_spectrum(h_p, p) == h_p
+            dropped += len(h_p.atoms) < k
+        assert dropped >= 100
 
 
 class TestEigenvalues:

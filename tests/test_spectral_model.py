@@ -24,13 +24,13 @@ class TestPopulationSpectrum:
     @pytest.mark.parametrize("pair", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)])
     def test_non_finite_atom_or_weight_rejected(self, pair):
         with pytest.raises(ValueError, match="finite"):
-            PopulationSpectrum.from_pairs([pair], allow_large_atoms=True)
+            PopulationSpectrum.from_pairs([pair])
 
-    def test_norm_cap_default_and_override(self):
-        with pytest.raises(ValueError, match="allow_large_atoms"):
-            PopulationSpectrum(atoms=((2.0, 1.0),))
-        sp = PopulationSpectrum(atoms=((2.0, 1.0),), allow_large_atoms=True)
-        assert sp.max_eigenvalue == 2.0
+    def test_no_norm_cap(self):
+        # the CLT needs ||T_p|| bounded, not at most 1
+        sp = PopulationSpectrum(atoms=((2.0, 0.5), (4.0, 0.5)))
+        assert sp.max_eigenvalue == 4.0
+        assert sp == PopulationSpectrum.from_pairs([(2.0, 0.5), (4.0, 0.5)])
 
     def test_moments(self):
         sp = PopulationSpectrum.from_pairs([(0.4, 0.5), (1.0, 0.5)])
@@ -51,8 +51,7 @@ class TestSupportInterval:
         assert hi == pytest.approx(2.5 + 2.0 * np.sqrt(1.5), abs=1e-14)
 
     def test_two_atom_plugin(self):
-        sp = PopulationSpectrum.from_pairs([(1.0, 0.5), (2.0, 0.5)],
-                                           allow_large_atoms=True)
+        sp = PopulationSpectrum.from_pairs([(1.0, 0.5), (2.0, 0.5)])
         lo, hi = support_interval(sp, 0.25)
         assert lo == pytest.approx(1.0 * (1 - 0.5) ** 2, abs=1e-15)  # 0.25
         assert hi == pytest.approx(2.0 * (1 + 0.5) ** 2, abs=1e-15)  # 4.5

@@ -67,23 +67,13 @@ class TestSolver:
         rhs = -(1 - y) / sol.z + y * sol.s
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
-    def test_real_z_right_of_support(self):
-        sol = solve_s_under(3.5, IDENTITY, 0.25)
-        assert sol.z == 3.5
-        assert abs(sol.s_under.imag) < 1e-9
-        lifted = solve_s_under(3.5 + 1e-9j, IDENTITY, 0.25)
-        assert abs(sol.s_under - lifted.s_under) < 1e-6
-        assert abs(sol.s_under - mp_quadratic_root(3.5, 0.25)) < 1e-9
-        # a start that is not finite falls back to the lifted solve's
-        assert solve_s_under(3.5, IDENTITY, 0.25, s0=complex(np.nan, 0.0)) == sol
-
-    def test_real_z_left_of_support(self):
-        sol = solve_s_under(0.1, IDENTITY, 0.25)  # support starts at 0.25
-        assert abs(sol.s_under - mp_quadratic_root(0.1, 0.25)) < 1e-9
-
-    def test_real_z_inside_support_rejected(self):
-        with pytest.raises(ValueError, match="support"):
-            solve_s_under(1.0, IDENTITY, 0.25)
+    @pytest.mark.parametrize("z", [3.5, 0.1, 1.0, 0.0, -2.0, 3.5 + 0j],
+                             ids=["right", "left", "inside", "zero", "negative", "complex-typed"])
+    def test_real_z_rejected(self, z):
+        # off the bulk (support [0.25, 2.25]) as well as in it: no solve runs
+        # on the real axis, as in s_under_grid
+        with pytest.raises(ValueError, match="Im z"):
+            solve_s_under(z, IDENTITY, 0.25)
 
     def test_grid_matches_scalar(self):
         zs = random_offbulk_points(BATTERY["five_atom"], 0.5, 64, seed=9)
@@ -170,13 +160,11 @@ class TestStarts:
     def test_start_in_the_wrong_half_plane_is_replaced(self, y, z, start, want):
         # midpoints of two solved neighbours near the hard edge of the old log
         # ellipse: from the wrong half plane the plain step never crosses, and
-        # the solve raised NonConvergence (y = 0.98) and BranchViolation (0.99),
-        # in s_under_grid and in solve_s_under alike
+        # the solve raised NonConvergence (y = 0.98) and BranchViolation (0.99)
         sp = PopulationSpectrum.from_pairs([(0.1, 0.5), (1.0, 0.5)])
         for s0 in (start, complex(np.nan, 1.0)):
             s = s_under_grid(np.array([z]), sp, y, np.array([s0]))[0]
             assert s == s_under_grid(np.array([z]), sp, y)[0]
-            assert solve_s_under(z, sp, y, s0=s0).s_under == s
             assert abs(s - want) <= 1e-12 * abs(want)
             assert abs(inverse_map(s, sp, y) - z) <= 1e-12 * abs(z)
 
