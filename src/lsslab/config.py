@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from .contour import build_contour
 from .diagnostics import _QFORM_CHUNK
 from .errors import ConstraintViolation, MissingRequired, TypeMismatch, UnknownKey
-from .simulator import DENSE, MAX_ENTRIES, realized_spectrum, replicate_sampler
+from .simulator import (DENSE, MAX_ENTRIES, realized_spectrum, replicate_entries,
+                        replicate_sampler)
 from .spectral_model import EntryEnsemble, PopulationSpectrum, TestFunction
 
 KINDS = ("lsd", "moments", "simulate", "ks-rate", "stein-check", "probe-qform")
@@ -110,37 +111,28 @@ def serialize_spectrum(sp: PopulationSpectrum):
 
 
 def parse_ensemble(value) -> EntryEnsemble:
-    if value == "RG":
-        return EntryEnsemble.real_gaussian()
-    if value == "CG":
-        return EntryEnsemble.complex_gaussian()
+    """"RG", "CG", {"name": "rademacher"} or {"name": "student_t", "df": df}, df > 4."""
+    if value in ("RG", "CG"):
+        return EntryEnsemble(value)
     if isinstance(value, dict):
         name = value.get("name")
-        if name == "rademacher":
-            if set(value) != {"name"}:
-                raise UnknownKey(f"ensemble.rademacher takes no extra keys: {sorted(value)}")
-            return EntryEnsemble.rademacher()
-        if name == "student_t":
-            extra = set(value) - {"name", "df"}
-            if extra:
-                raise UnknownKey(f"unknown ensemble keys {sorted(extra)}")
-            df = _expect(value.get("df", 11.0), (int, float), "ensemble.df")
-            try:
-                return EntryEnsemble.student_t(float(df))
-            except ValueError as exc:
-                raise ConstraintViolation(f"ensemble.df: {exc}") from exc
-        raise ConstraintViolation(f"unknown custom ensemble name {name!r}")
+        keys = {"rademacher": {"name"}, "student_t": {"name", "df"}}.get(name)
+        if keys is None:
+            raise ConstraintViolation(f"unknown custom ensemble name {name!r}")
+        if set(value) - keys:
+            raise UnknownKey(f"unknown ensemble.{name} keys {sorted(set(value) - keys)}")
+        df = _expect(value.get("df", 11.0), (int, float), "ensemble.df") if "df" in keys else None
+        try:
+            return EntryEnsemble(name, df)
+        except ValueError as exc:
+            raise ConstraintViolation(f"ensemble.df: {exc}") from exc
     raise TypeMismatch(f"ensemble must be 'RG', 'CG' or an object, got {value!r}")
 
 
 def serialize_ensemble(e: EntryEnsemble):
-    if e.variant in ("RG", "CG"):
-        return e.variant
-    if e.name == "rademacher":
-        return {"name": "rademacher"}
-    if e.df is not None:
-        return {"name": "student_t", "df": e.df}
-    raise ValueError(f"ensemble {e.name!r} has no config form")
+    if e.name in ("RG", "CG"):
+        return e.name
+    return {"name": e.name} if e.df is None else {"name": e.name, "df": e.df}
 
 
 @dataclass(frozen=True)
@@ -227,10 +219,9 @@ def _largest_array(kind: str, drawn: dict, spectrum: PopulationSpectrum,
     ``drawn`` maps each ``(p, n)`` a run draws at to the ``H_p`` it draws there.
     """
     if kind in ("simulate", "ks-rate"):
-        # a dense replicate's p x n entries and p x p Gram matrix; the bidiagonal
-        # model draws O(min(p, n)) and keeps the p x n bound of run_experiment
-        return "(p, n)", {(q, m): q * max(q, m)
-                          if truncated or replicate_sampler(ensemble, h) == DENSE else q * m
+        # a truncated law is dense at every (p, n)
+        return "(p, n)", {(q, m): replicate_entries(q, m, DENSE if truncated
+                                                    else replicate_sampler(ensemble, h))
                           for (q, m), h in drawn.items()}
     if kind == "probe-qform" and matrix_kind == "resolvent":
         # B's p x n entries, its p x p inverse, then blocks of p x min(replicates,

@@ -375,8 +375,7 @@ def _probe_matrix(spectrum: PopulationSpectrum, diag_t: np.ndarray, matrix_kind:
         raise ValueError(f"unknown matrix kind {matrix_kind!r}")
     # one fixed draw per grid point; the probed vector stays independent
     p = diag_t.size
-    b = assemble_B(spectrum, sample_entries(EntryEnsemble.real_gaussian(), p, n, seed), n,
-                   overwrite_entries=True)
+    b = assemble_B(spectrum, sample_entries(EntryEnsemble.real_gaussian(), p, n, seed), n)
     _, hi = support_interval(spectrum, p / n)
     return np.linalg.inv(b - (hi + 1.0) * np.eye(p))
 
@@ -486,9 +485,9 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     in expectation instead of biasing the square.  Column weights use the
     deterministic equivalent ``-z s_under(z)`` in place of the exact
     conditional one, an order 1/n gap.  The columns draw
-    ``T_p = population_diagonal(spectrum, p)``, so the contour and
-    ``s_under`` are those of the realized spectrum ``H_p``
-    (``realized_spectrum``) at ``y_n``.  The contour sum is the
+    ``T_p = population_diagonal(spectrum, p)``, ``p = round(y_n n)``, so
+    the contour and ``s_under`` are those of the realized spectrum ``H_p``
+    (``realized_spectrum``) at ``p/n``.  The contour sum is the
     conjugate-symmetric trapezoid rule of 128 nodes on the default contour
     (``Contour.upper_half``).  f is real and so is every eigenvalue lam,
     since each inner matrix is Hermitian, so the rule's mirror nodes add
@@ -529,11 +528,11 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     project_cost(lambda: np.linalg.eigh(fixed), columns, 2.5, work_cap_seconds,
                  f"{columns} nested-MC columns of {reps} inner draws")
 
-    h_p = realized_spectrum(spectrum, p)
-    c = build_contour(h_p, y_n, m=_SIGMA0_NODES, f=f)
+    h_p, ratio = realized_spectrum(spectrum, p), p / n
+    c = build_contour(h_p, ratio, m=_SIGMA0_NODES, f=f)
     z, w = c.upper_half()
     # trapezoid weight folded with f', b = -z s_under, -1/(2 pi i) and the 2 of the mirror half
-    big_w = w * f.deriv(z) * (-z * s_under_grid(z, h_p, y_n)) / (-1.0j * math.pi)
+    big_w = w * f.deriv(z) * (-z * s_under_grid(z, h_p, ratio)) / (-1.0j * math.pi)
     x_k, w_re, w_im_y, y2 = z.real, big_w.real, big_w.imag * z.imag, z.imag ** 2
     block = max(1, _SIGMA0_CELLS // z.size)
 

@@ -45,7 +45,7 @@ from .stieltjes import lss_centering
 
 logger = logging.getLogger(__name__)
 
-MAX_ENTRIES = 1 << 26  # memory budget in entries: of p*n here, of every kind in the parser
+MAX_ENTRIES = 1 << 26  # memory budget in entries: replicate_entries, every kind's largest array
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -70,25 +70,28 @@ def _rng(seed: int) -> np.random.Generator:
 def draw_entries(ensemble: EntryEnsemble, rng: np.random.Generator, shape) -> np.ndarray:
     """i.i.d. entries of the given shape, drawn from an existing generator.
 
-    Circular complex entries have real and imaginary parts i.i.d. normal
-    with variance one half, so E|x|^2 = 1; the real parts of a matrix are
-    drawn before its imaginary parts.
+    Each law is drawn here, by its name.  ``CG`` real and imaginary parts
+    are i.i.d. normal with variance one half, so E|x|^2 = 1, and the real
+    parts of a matrix are drawn before its imaginary parts.
 
     Leading axes are consecutive draws: for ``shape = (k, p, m)`` entry
     ``i`` equals the i-th of k sequential calls with shape ``(p, m)`` on
     the same generator, so a batch reproduces the one-at-a-time stream.
     A truncated law's draws are clipped and restandardized after drawing.
     """
-    if ensemble.variant == "RG":
+    if ensemble.name == "RG":
         x = rng.standard_normal(shape)
-    elif ensemble.variant == "CG":
+    elif ensemble.name == "CG":
         shape = tuple(shape)
         lead = max(len(shape) - 2, 0)
         re, im = np.moveaxis(rng.standard_normal(shape[:lead] + (2,) + shape[lead:]), lead, 0)
         x = (re + 1j * im) * math.sqrt(0.5)
+    elif ensemble.name == "rademacher":
+        x = rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
     else:
-        x = np.asarray(ensemble.sampler(rng, shape), dtype=float)
-    return x if ensemble.truncation is None else _clip_restandardize(x, *ensemble.truncation)
+        x = rng.standard_t(ensemble.df, size=shape)
+        x /= math.sqrt(ensemble.df / (ensemble.df - 2.0))  # unit variance
+    return x if ensemble.truncation is None else _clip_restandardize(x, ensemble.truncation)
 
 
 def sample_entries(ensemble: EntryEnsemble, p: int, n: int, seed: int) -> np.ndarray:
@@ -126,22 +129,40 @@ def _half_line_rule(c: float) -> tuple[np.ndarray, np.ndarray]:
     return (((hi + lo) / 2.0)[:, None] + half * t).ravel(), (half * v).ravel()
 
 
+@functools.cache
+def _t_log_norm(df: float) -> float:
+    """Log of the t density's constant, as ``scipy.stats.t`` forms it."""
+    from scipy.special import poch
+
+    return np.log(poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
+
+
+def _student_t_density(x, df: float):
+    """Unit-variance t density ``scale * t_df(x * scale)`` at a float or an array, in the numpy
+    operations of ``scipy.stats.t``: its values are scipy's to the bit."""
+    scale = math.sqrt(df / (df - 2.0))
+    u = x * scale
+    return scale * np.exp(_t_log_norm(df) - (df + 1) / 2 * np.log1p(u * u / df))
+
+
 def truncated_moments(ensemble: EntryEnsemble, threshold: float) -> tuple[float, float, float]:
     """Distributional mean, variance and central fourth moment of ``x * 1{|x| < c}``.
 
-    These are population quantities of the entry law, never read from the
+    These are population quantities of the base law, never read from the
     sampled matrix: one composite Gauss-Legendre rule (``_half_line_rule``)
     integrates the density on ``[0, c]`` and its mirror image, the radial
-    density for the circular complex family.  Symmetric laws give mean 0.
+    density for the circular complex family and the t density of
+    ``_student_t_density``; ``rademacher`` has its two atoms at +-1.
+    Symmetric laws give mean 0.
     """
     c = float(threshold)
     if c <= 0:
         return 0.0, 0.0, 0.0
-    if ensemble.variant in ("RG", "CG"):
+    if ensemble.name in ("RG", "CG"):
         # the Gaussian densities carry no float64 mass beyond 40
         x, w = _half_line_rule(min(c, 40.0))
         x2 = x * x
-        if ensemble.variant == "RG":
+        if ensemble.name == "RG":
             # twice the half line; the mean vanishes by symmetry
             weighted = 2.0 * w * np.exp(-x2 / 2.0) / math.sqrt(2.0 * math.pi)
         else:
@@ -151,11 +172,9 @@ def truncated_moments(ensemble: EntryEnsemble, threshold: float) -> tuple[float,
         return 0.0, float(np.sum(x2 * weighted)), float(np.sum(x2 * x2 * weighted))
     if ensemble.name == "rademacher":
         return (0.0, 1.0, 1.0) if c > 1.0 else (0.0, 0.0, 0.0)
-    if ensemble.pdf is None:
-        raise ValueError(f"ensemble {ensemble.name!r} has no density for truncated moments")
     x, w = _half_line_rule(min(c, 1e3))
     # each half line summed on its own, so a symmetric density's mean is exactly 0
-    halves = [(u, w * ensemble.pdf(u)) for u in (-x, x)]
+    halves = [(u, w * _student_t_density(u, ensemble.df)) for u in (-x, x)]
 
     def integral(g):
         return sum(float(np.sum(g(u) * weighted)) for u, weighted in halves)
@@ -175,8 +194,8 @@ def default_eta(n: int) -> float:
 def truncated_law(ensemble: EntryEnsemble, n: int, eta: float) -> EntryEnsemble:
     """``ensemble`` zeroed at ``|x| >= eta n^(1/4)`` and restandardized.
 
-    The law carries ``truncation = (threshold, mean, variance)`` and the
-    fourth moment of the restandardized draws, all from one
+    The law carries ``truncation = (threshold, mean, variance, fourth_moment)``,
+    the last the E|x|^4 of the restandardized draws, all from one
     ``truncated_moments`` call.  Raises ``DegenerateTruncation`` when the
     truncated variance is below 1e-6.
     """
@@ -190,12 +209,12 @@ def truncated_law(ensemble: EntryEnsemble, n: int, eta: float) -> EntryEnsemble:
         raise DegenerateTruncation(
             f"at n = {n} the threshold eta n^(1/4) = {eta:.3g} * {n}^(1/4) = {threshold:.3e} "
             f"leaves truncated variance {var:.3e}, below 1e-6: raise truncation.eta")
-    return replace(ensemble, truncation=(threshold, mean, var), fourth_moment=fourth / var**2)
+    return replace(ensemble, truncation=(threshold, mean, var, fourth / var**2))
 
 
-def _clip_restandardize(entries: np.ndarray, threshold: float, mean: float,
-                        var: float) -> np.ndarray:
+def _clip_restandardize(entries: np.ndarray, truncation: tuple) -> np.ndarray:
     """Zero ``entries`` at ``|x| >= threshold`` and restandardize them, in place."""
+    threshold, mean, var, _ = truncation
     if np.iscomplexobj(entries):
         # numpy orders complex numbers lexicographically, so the modulus decides
         clip = ~(np.abs(entries) < threshold)
@@ -218,7 +237,7 @@ def truncate_normalize(entries: np.ndarray, n: int, eta: float,
     rescaling use the distributional truncated moments of the ensemble.
     """
     law = truncated_law(ensemble, n, eta)
-    return _clip_restandardize(entries.astype(np.result_type(entries, 0.0)), *law.truncation)
+    return _clip_restandardize(entries.astype(np.result_type(entries, 0.0)), law.truncation)
 
 
 def population_diagonal(spectrum: PopulationSpectrum, p: int) -> np.ndarray:
@@ -254,26 +273,20 @@ def realized_spectrum(spectrum: PopulationSpectrum, p: int) -> PopulationSpectru
 _SYM_CELLS = 1 << 13  # cells of B's transpose read per block of the symmetrization
 
 
-def assemble_B(spectrum: PopulationSpectrum, entries: np.ndarray, n: int, *,
-               overwrite_entries: bool = False) -> np.ndarray:
+def assemble_B(spectrum: PopulationSpectrum, entries: np.ndarray, n: int) -> np.ndarray:
     """Sample covariance matrix ``(1/n) T^(1/2) X X* T^(1/2)``, symmetrized.
 
-    With ``overwrite_entries`` the entries are scaled by ``T^(1/2)`` in place,
-    for callers that drew them and read them no more.  B is divided by n and
-    symmetrized, ``(B + B*) / 2``, in place, a block of rows at a time, so a
-    replicate frees no temporary of B's or X's size: each one costs page
-    faults in the next replicate.
+    The float or complex entries X, which the caller reads no more, are
+    scaled by ``T^(1/2)`` in place.  B is divided by n and symmetrized,
+    ``(B + B*) / 2`` (a complex ``X X*`` is not exactly Hermitian), in
+    place, a block of rows at a time, so a replicate frees no temporary of
+    B's or X's size: each one costs page faults in the next replicate.
     """
     p = entries.shape[0]
     if entries.shape[1] != n:
         raise ValueError(f"entry matrix has {entries.shape[1]} columns, expected n={n}")
-    root_t = np.sqrt(population_diagonal(spectrum, p))[:, None]
-    if overwrite_entries:
-        entries *= root_t
-        scaled = entries
-    else:
-        scaled = root_t * entries
-    b = scaled @ scaled.conj().T
+    entries *= np.sqrt(population_diagonal(spectrum, p))[:, None]
+    b = entries @ entries.conj().T
     b /= n
     rows = max(1, _SYM_CELLS // p)
     # block i reads rows and columns i on only; earlier blocks wrote rows and columns before i
@@ -339,7 +352,7 @@ def replicate_sampler(ensemble: EntryEnsemble, spectrum: PopulationSpectrum) -> 
     the beta-Laguerre bidiagonal model, whose eigenvalue law is that of the
     sample covariance matrix; every other law samples the entry matrix.
     """
-    if (ensemble.variant in ("RG", "CG") and ensemble.truncation is None
+    if (ensemble.name in ("RG", "CG") and ensemble.truncation is None
             and len({t for t, _ in spectrum.atoms}) == 1):
         return LAGUERRE
     return DENSE
@@ -407,8 +420,7 @@ def replicate_eigenvalues(ensemble: EntryEnsemble, spectrum: PopulationSpectrum,
     if replicate_sampler(ensemble, spectrum) == LAGUERRE:
         vals = eigenvalues(*_tridiagonal(*_laguerre_factor(ensemble, p, n, seed)))
         return np.concatenate([np.zeros(p - min(p, n)), vals * (spectrum.atoms[0][0] / n)])
-    return eigenvalues(assemble_B(spectrum, sample_entries(ensemble, p, n, seed), n,
-                                  overwrite_entries=True))
+    return eigenvalues(assemble_B(spectrum, sample_entries(ensemble, p, n, seed), n))
 
 
 def lss_centered(f: TestFunction, eigs: np.ndarray, centering: float) -> float:
@@ -484,17 +496,23 @@ def _one_blas_thread() -> None:
         pin(1)
 
 
+def replicate_entries(p: int, n: int, sampler: str) -> int:
+    """Entries one replicate holds, which ``MAX_ENTRIES`` bounds: ``p max(p, n)`` for a dense
+    one's entries and Gram matrix; the bidiagonal model keeps the ``p n`` bound."""
+    return p * max(p, n) if sampler == DENSE else p * n
+
+
 def dense_workers(p: int, n: int, replicates: int) -> int:
     """Threads that draw a dense run's replicates: one per core, at most one per replicate.
 
-    Each replicate in flight holds arrays of ``p max(p, n)`` entries, so the
+    Each replicate in flight holds ``replicate_entries`` entries, so the
     pool holds no more of them than ``MAX_ENTRIES``.  Without the BLAS pin
     (``_blas_pin``) it is 1: an unpinned pool's BLAS threads contend.
     """
     if _blas_pin() is None:
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cores or 1, replicates, MAX_ENTRIES // (p * max(p, n))))
+    return max(1, min(cores or 1, replicates, MAX_ENTRIES // replicate_entries(p, n, DENSE)))
 
 
 @dataclass(frozen=True)
@@ -526,8 +544,8 @@ def run_experiment(moments: CltMoments, p: int, n: int, replicates: int,
     they already solved; the confinement band runs halfway from the bulk's
     edges ``lo`` and ``hi`` to the contour's crossings ``x_l`` and ``x_r``.
     Before any draw it raises ``ValueError`` unless p, n and ``replicates``
-    are at least 1 and ``p n <= MAX_ENTRIES``, and ``ConstraintViolation``
-    when the moments were solved at another ``y_n`` than ``p/n``.  The
+    are at least 1 and ``replicate_entries <= MAX_ENTRIES``, and
+    ``ConstraintViolation`` when the moments were solved at another ``y_n`` than ``p/n``.  The
     centering is computed once per run; replicate i draws from stream
     ``replicate_seed(root_seed, i)`` through ``replicate_statistic``, and
     the record names the sampler and the reduction.  A dense run computes
@@ -539,9 +557,12 @@ def run_experiment(moments: CltMoments, p: int, n: int, replicates: int,
     """
     if min(p, n, replicates) < 1:
         raise ValueError(f"p, n and replicates must be >= 1, got {p}, {n} and {replicates}")
-    if p * n > MAX_ENTRIES:
-        raise ValueError(f"p*n = {p * n} over the memory budget {MAX_ENTRIES}")
     s = moments.s_under
+    sampler = replicate_sampler(moments.ensemble, s.spectrum)
+    entries = replicate_entries(p, n, sampler)
+    if entries > MAX_ENTRIES:
+        raise ValueError(f"a {sampler} replicate at p = {p}, n = {n} holds {entries} entries, "
+                         f"over the memory budget {MAX_ENTRIES}")
     y = p / n
     if y != s.y_n:
         raise ConstraintViolation(f"moments were computed at y_n={s.y_n}, but the run has "
@@ -558,7 +579,6 @@ def run_experiment(moments: CltMoments, p: int, n: int, replicates: int,
             raise type(exc)(f"replicate {i}: {exc}") from exc
         return ReplicateRow(index=i, seed=seed, value=value, lam_min=lam_min, lam_max=lam_max)
 
-    sampler = replicate_sampler(moments.ensemble, s.spectrum)
     if sampler == DENSE:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -5,13 +5,17 @@ only the eigenvalues of the population matrix enter any downstream formula,
 so a diagonal representative is materialized lazily by the simulator and
 every deterministic integral against the population distribution reduces to
 a finite weighted sum over the atoms.
+
+An entry law is a value too, a name with a t's ``df`` and any truncation:
+the CLT reads only whether it is complex and its fourth moment, and the
+simulator draws it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -93,36 +97,50 @@ def support_interval(spectrum: PopulationSpectrum, y: float) -> tuple[float, flo
 # entry ensembles
 
 
+_BASE_FOURTH = {"RG": 3.0, "CG": 2.0, "rademacher": 1.0}  # E|x|^4 of each law without a df
+
+
 @dataclass(frozen=True)
 class EntryEnsemble:
-    """Distribution family of the matrix entries.
+    """Law of the matrix entries, by name: a plain value that the simulator draws.
 
-    ``variant`` is ``"RG"`` (real, Gaussian-matched fourth moment),
-    ``"CG"`` (complex, circular, E|x|^4 = 2), or ``"custom_real"``.  Custom
-    real families carry a unit-variance sampler plus a density, evaluated on
-    arrays, used for the distributional truncated moments; ``fourth_moment``
-    must be the exact E|x|^4 of the standardized entries.  A truncated law
-    draws the base law zeroed at ``|x| >= threshold``, less ``mean``, over
-    ``sqrt(variance)``.
+    ``name`` is ``"RG"`` (real Gaussian), ``"CG"`` (circular complex
+    Gaussian, E|x|^4 = 2), ``"rademacher"`` (+-1) or ``"student_t"``
+    (unit-variance t with ``df > 4`` degrees of freedom, the only law that
+    takes a ``df``).  Every law has unit variance.  A truncated law (see
+    ``simulator.truncated_law``) carries ``truncation = (threshold, mean,
+    variance, fourth_moment)``: its draws are the base law's zeroed at
+    ``|x| >= threshold``, less ``mean``, over ``sqrt(variance)``, and
+    ``fourth_moment`` is their E|x|^4.
     """
 
-    variant: str
-    name: str = ""
-    sampler: Callable | None = field(default=None, compare=False)
-    pdf: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
-    fourth_moment: float = 3.0
-    df: float | None = None  # Student t degrees of freedom, kept exactly for the config form
-    truncation: tuple[float, float, float] | None = None  # see simulator.truncated_law
+    name: str
+    df: float | None = None
+    truncation: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
-        if self.variant not in ("RG", "CG", "custom_real"):
-            raise ValueError(f"unknown ensemble variant {self.variant!r}")
-        if self.variant == "custom_real" and self.sampler is None:
-            raise ValueError("custom_real ensembles need a sampler")
+        if self.name == "student_t":
+            if self.df is None or not self.df > 4:
+                raise ValueError(f"student_t needs df > 4 for a finite fourth moment, "
+                                 f"got {self.df}")
+            object.__setattr__(self, "df", float(self.df))
+        elif self.name not in _BASE_FOURTH:
+            raise ValueError(f"unknown entry law {self.name!r}")
+        elif self.df is not None:
+            raise ValueError(f"df is a student_t parameter, not one of {self.name!r}")
 
     @property
     def is_complex(self) -> bool:
-        return self.variant == "CG"
+        return self.name == "CG"
+
+    @property
+    def fourth_moment(self) -> float:
+        """E|x|^4 of the drawn entries: the truncated law's, else the base law's closed form."""
+        if self.truncation is not None:
+            return self.truncation[3]
+        if self.name == "student_t":
+            return 3.0 * (self.df - 2.0) / (self.df - 4.0)
+        return _BASE_FOURTH[self.name]
 
     @property
     def beta_x(self) -> float:
@@ -136,55 +154,21 @@ class EntryEnsemble:
 
     @classmethod
     def real_gaussian(cls) -> "EntryEnsemble":
-        return cls(variant="RG", name="real_gaussian")
+        return cls("RG")
 
     @classmethod
     def complex_gaussian(cls) -> "EntryEnsemble":
-        return cls(variant="CG", name="complex_gaussian", fourth_moment=2.0)
+        return cls("CG")
 
     @classmethod
     def rademacher(cls) -> "EntryEnsemble":
         """Symmetric +-1 entries: E x^4 = 1, all moments finite."""
-
-        def sampler(rng: np.random.Generator, size):
-            return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
-
-        return cls(variant="custom_real", name="rademacher", sampler=sampler,
-                   pdf=None, fourth_moment=1.0)
+        return cls("rademacher")
 
     @classmethod
-    def student_t(cls, df: float = 11.0) -> "EntryEnsemble":
-        """Unit-variance Student t entries; df must exceed 4, for a finite fourth moment.
-
-        The density is ``scale * t_df(x * scale)``, with the log density of
-        ``scipy.stats.t`` spelled out in the same numpy operations, so its
-        values are scipy's to the bit and no ``scipy.stats`` is loaded.  It
-        takes a float or an array; ``truncated_moments`` calls it on the
-        nodes of its rule.
-        """
-        if df <= 4:
-            raise ValueError("df must exceed 4 for a finite fourth moment")
-        scale = math.sqrt(df / (df - 2.0))  # t/scale has unit variance
-
-        def sampler(rng: np.random.Generator, size):
-            x = rng.standard_t(df, size=size)
-            x /= scale
-            return x
-
-        log_norm = None  # log of the t density's constant, formed on the first call
-
-        def pdf(x: float) -> float:
-            nonlocal log_norm
-            if log_norm is None:
-                from scipy.special import poch
-
-                log_norm = np.log(poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
-            u = x * scale
-            return scale * np.exp(log_norm - (df + 1) / 2 * np.log1p(u * u / df))
-
-        fourth = 3.0 * (df - 2.0) / (df - 4.0)
-        return cls(variant="custom_real", name=f"student_t_{df:g}", sampler=sampler,
-                   pdf=pdf, fourth_moment=fourth, df=df)
+    def student_t(cls, df: float) -> "EntryEnsemble":
+        """Unit-variance Student t entries; df must exceed 4, for a finite fourth moment."""
+        return cls("student_t", df)
 
 
 # ---------------------------------------------------------------------------

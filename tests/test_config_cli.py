@@ -134,6 +134,24 @@ class TestParseConfig:
             parse_config(json.dumps({"kind": "moments",
                                      "ensemble": {"name": "student_t", "df": 3}}))
 
+    @pytest.mark.parametrize("raw, law, form", [
+        ("RG", EntryEnsemble.real_gaussian(), "RG"),
+        ("CG", EntryEnsemble.complex_gaussian(), "CG"),
+        ({"name": "rademacher"}, EntryEnsemble.rademacher(), {"name": "rademacher"}),
+        ({"name": "student_t", "df": 11}, EntryEnsemble.student_t(11.0),
+         {"name": "student_t", "df": 11.0}),
+        ({"name": "student_t"}, EntryEnsemble.student_t(11.0),
+         {"name": "student_t", "df": 11.0}),
+        ({"name": "student_t", "df": 4.25}, EntryEnsemble.student_t(4.25),
+         {"name": "student_t", "df": 4.25}),
+    ], ids=["RG", "CG", "rademacher", "t11", "t-default", "t4.25"])
+    def test_each_law_round_trips_through_its_config_form(self, raw, law, form):
+        # the config form names the law; df is written as a float
+        cfg = parse_config(json.dumps({"kind": "moments", "ensemble": raw}))
+        assert cfg.ensemble == law
+        assert json.dumps(cfg.to_dict()["ensemble"]) == json.dumps(form)
+        assert parse_config(json.dumps(cfg.to_dict())).ensemble == law
+
     def test_memory_budget_checked_by_the_parser(self):
         # p*n above 2^26 fails at parse time, before anything is allocated
         with pytest.raises(ConstraintViolation, match="memory budget"):

@@ -567,6 +567,24 @@ class TestSigma0:
                                inner_reps=4, outer_reps=3, seed=1)
         assert res.outside_contour == 0
 
+    def test_solves_at_the_drawn_ratio(self, monkeypatch):
+        # n_small = 7 at y_n = 0.5 draws p = round(3.5) = 4 rows of 7 columns,
+        # so the contour and the transform are those of the law at 4/7
+        ratios = []
+
+        def recording(name, original, at):  # the ratio is positional argument ``at``
+            def wrapper(*args, **kwargs):
+                ratios.append((name, args[at]))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(diagnostics, name, wrapper)
+
+        recording("build_contour", build_contour, 1)
+        recording("s_under_grid", s_under_grid, 2)
+        res = sigma0_nested_mc(TestFunction.monomial(1), IDENTITY, 0.5, n_small=7,
+                               inner_reps=2, outer_reps=2, seed=3)
+        assert res.p == 4 and res.n == 7
+        assert ratios == [("build_contour", 4 / 7), ("s_under_grid", 4 / 7)]
+
     @pytest.mark.parametrize("y_n", [0.5, 2.0])
     def test_matches_per_draw_loop(self, y_n):
         f, sp, t11 = TestFunction.monomial(3), BATTERY["five_atom"], EntryEnsemble.student_t(11.0)
@@ -597,8 +615,8 @@ def _sigma0_per_draw(f, spectrum, y_n, n, inner_reps, outer_reps, seed, ensemble
     """Reference: the nested-MC estimate with one eigh and one complex node sum per draw."""
     p = int(round(y_n * n))
     h_p = realized_spectrum(spectrum, p)  # the spectrum of the T_p that the columns draw
-    z, w = build_contour(h_p, y_n, m=128, f=f).nodes()
-    weight = w * f.deriv(z) * (-z * s_under_grid(z, h_p, y_n))
+    z, w = build_contour(h_p, p / n, m=128, f=f).nodes()
+    weight = w * f.deriv(z) * (-z * s_under_grid(z, h_p, p / n))
     diag_t = population_diagonal(spectrum, p)
     root_t = np.sqrt(diag_t)
 

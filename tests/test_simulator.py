@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -83,6 +84,42 @@ class TestSampleEntries:
         assert x.tobytes() == ((parts[0] + 1j * parts[1]) * math.sqrt(0.5)).tobytes()
 
 
+class TestStreams:
+    """SHA-256 of each law's draws at one seed: any move of a stream fails here.
+
+    A numpy upgrade that changes a generator's output fails too; the CSV
+    bodies of every run that draws the law move with it.
+    """
+
+    T11 = EntryEnsemble.student_t(11.0)
+    DRAWS = {
+        "RG": (RG, "80e271d29068cfcf6b5c802852f41af74eca0f590a3dfd6df5f9af8a64b49deb"),
+        "CG": (CG, "87ef1fea951e51d63fbb7d917087d4df22603be2297dfe8c0e991f1be2c073bc"),
+        "rademacher": (EntryEnsemble.rademacher(),
+                       "15476b9393df4498bc4b09f5d1c1e6ad1f434f67c621db51600f1b3b2442650d"),
+        "student_t": (T11, "93aa9d3b2189172fec1d75a7a935164a8399fb76f2321637e2c3471def4eb642"),
+        "student_t-truncated": (
+            truncated_law(T11, 512, default_eta(512)),
+            "55b00e79ec1633d7d7d327e74ec0bb398359f3a4eb3f0d73aeedd12bcabbad48"),
+    }
+    FACTORS = {
+        "RG": (RG, "2bd82c2f2dfd7b7540b162da3e19ffbe54a1fccd4f7d332369a3425c4d19799b"),
+        "CG": (CG, "6a8cc3de05d7452d89fe6b27f0c753ed32dc74b49fa5320047cdcf91ac1cb8cc"),
+    }
+
+    @pytest.mark.parametrize("name", DRAWS)
+    def test_entry_draws_keep_their_digest(self, name):
+        law, digest = self.DRAWS[name]
+        x = sample_entries(law, 256, 512, seed=7)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", FACTORS)
+    def test_bidiagonal_factor_keeps_its_digest(self, name):
+        law, digest = self.FACTORS[name]
+        d2, e2 = simulator._laguerre_factor(law, 256, 512, 7)
+        assert hashlib.sha256(d2.tobytes() + e2.tobytes()).hexdigest() == digest
+
+
 class TestTruncateNormalize:
     def test_huge_threshold_is_identity(self):
         x = sample_entries(RG, 20, 30, seed=4)
@@ -137,7 +174,7 @@ class TestTruncateNormalize:
     def test_truncated_rademacher_law(self):
         rad = EntryEnsemble.rademacher()
         law = truncated_law(rad, 1, 1.5)
-        assert law.truncation == (1.5, 0.0, 1.0)
+        assert law.truncation == (1.5, 0.0, 1.0, 1.0)
         assert law.fourth_moment == 1.0 and law.beta_x == -2.0
         with pytest.raises(DegenerateTruncation):
             truncated_law(rad, 1, 1.0)  # |x| = 1 is not below the threshold
@@ -145,8 +182,8 @@ class TestTruncateNormalize:
     def test_truncated_law_is_the_base_law_plus_its_truncation(self):
         t11 = EntryEnsemble.student_t(11.0)
         law = truncated_law(t11, 64, 0.5)
-        assert (law.variant, law.name, law.df, law.sampler) == (
-            t11.variant, t11.name, t11.df, t11.sampler)
+        assert replace(law, truncation=None) == t11
+        assert law.fourth_moment == law.truncation[3] != t11.fourth_moment
         assert law != t11 and law == truncated_law(t11, 64, 0.5)
         with pytest.raises(ValueError, match="truncated already"):
             truncated_law(law, 64, 0.5)
@@ -182,9 +219,12 @@ class TestTruncateNormalize:
 
         t_df = EntryEnsemble.student_t(df)
         scale = math.sqrt(df / (df - 2.0))
-        with_scipy = replace(t_df, pdf=lambda x: scale * stats.t.pdf(x * scale, df))
+        # the density the rule integrates is scipy's to the bit at each of its nodes
+        x, _ = simulator._half_line_rule(min(threshold, 1e3))
+        for u in (-x, x):
+            assert np.array_equal(simulator._student_t_density(u, df),
+                                  scale * stats.t.pdf(u * scale, df))
         moments = truncated_moments(t_df, threshold)
-        assert moments == truncated_moments(with_scipy, threshold)
         # the fourth moment against scipy's own expectation over the t law
         fourth = stats.t.expect(lambda u: (u / scale) ** 4, args=(df,),
                                 lb=-threshold * scale, ub=threshold * scale)
@@ -256,14 +296,13 @@ class TestAssemble:
 
     @pytest.mark.parametrize("ensemble", [RG, CG], ids=["rg", "cg"])
     @pytest.mark.parametrize("p, n", [(12, 20), (20, 12)])
-    def test_textbook_expression_bit_for_bit_input_kept(self, ensemble, p, n):
+    def test_textbook_expression_bit_for_bit(self, ensemble, p, n):
+        # assemble_B scales the entries it is handed in place, so it gets a copy
         sp = BATTERY["five_atom"]
         x = sample_entries(ensemble, p, n, seed=9)
-        kept = x.copy()
         scaled = np.sqrt(population_diagonal(sp, p))[:, None] * x
         b = scaled @ scaled.conj().T / n
-        assert np.array_equal(assemble_B(sp, x, n), (b + b.conj().T) / 2.0)
-        assert np.array_equal(x, kept)
+        assert np.array_equal(assemble_B(sp, x.copy(), n), (b + b.conj().T) / 2.0)
 
     def test_hermitian_to_machine_precision(self):
         x = sample_entries(CG, 12, 20, seed=8)
@@ -659,6 +698,18 @@ class TestRunExperiment:
         monkeypatch.setattr(simulator, "replicate_statistic", no_draw)
         with pytest.raises(ValueError, match=match):
             self._run(compute_moments(F_X, IDENTITY, 0.5, RG), p, n, replicates)
+
+    def test_dense_budget_counts_the_gram_matrix(self, monkeypatch):
+        # p n = 800 fits a budget of 1000 entries, but a dense replicate at
+        # p = 40 > n = 20 also holds its 40 x 40 Gram matrix: p max(p, n) = 1600
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an entry matrix was drawn")
+
+        mom = compute_moments(TestFunction.monomial(2), IDENTITY, 2.0, RG_TRUNCATED)
+        monkeypatch.setattr(simulator, "sample_entries", no_draw)
+        monkeypatch.setattr(simulator, "MAX_ENTRIES", 1000)
+        with pytest.raises(ValueError, match="holds 1600 entries, over the memory budget 1000"):
+            self._run(mom, 40, 20)
 
     @pytest.mark.parametrize("base", [RG, CG, EntryEnsemble.student_t(11.0)],
                              ids=["rg", "cg", "student_t"])

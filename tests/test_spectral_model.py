@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -150,11 +151,41 @@ class TestEntryEnsemble:
         # calls it, and one float at a time gives the same values
         from scipy import stats
 
-        ens = EntryEnsemble.student_t(df)
+        from lsslab.simulator import _student_t_density
+
         scale = math.sqrt(df / (df - 2.0))
         rng = np.random.default_rng(int(df * 10))
         xs = np.concatenate([rng.standard_normal(1000) * 3.0, rng.uniform(-1e3, 1e3, 990),
                              [0.0, -0.0, 5e-324, 1e-8, 0.5, -2.0, 10.0, 1e3, -1e3, 1e6]])
-        ours = ens.pdf(xs)
+        ours = _student_t_density(xs, df)
         assert np.array_equal(ours, scale * stats.t.pdf(xs * scale, df))
-        assert np.array_equal(ours, [ens.pdf(float(x)) for x in xs])
+        assert np.array_equal(ours, [_student_t_density(float(x), df) for x in xs])
+
+    def test_a_law_is_its_name_df_and_truncation(self):
+        assert [f.name for f in fields(EntryEnsemble)] == ["name", "df", "truncation"]
+        assert EntryEnsemble("student_t", 11) == EntryEnsemble.student_t(11.0)
+        assert EntryEnsemble.student_t(11).df == 11.0 and EntryEnsemble("CG").is_complex
+        assert [EntryEnsemble(name).fourth_moment for name in ("RG", "CG", "rademacher")] == [
+            3.0, 2.0, 1.0]
+        assert EntryEnsemble.student_t(11.0).fourth_moment == 3.0 * 9.0 / 7.0
+        # a truncated law's fourth moment is the one kept with its truncation
+        assert EntryEnsemble("RG", truncation=(1.0, 0.0, 0.5, 2.5)).fourth_moment == 2.5
+
+    @pytest.mark.parametrize("args, match", [
+        (("custom_real",), "unknown entry law"),
+        (("rg",), "unknown entry law"),
+        (("RG", 11.0), "df is a student_t parameter"),
+        (("rademacher", 5.0), "df is a student_t parameter"),
+        (("student_t",), "df > 4"),
+        (("student_t", 4.0), "df > 4"),
+        (("student_t", float("nan")), "df > 4"),
+    ])
+    def test_bad_laws_raise(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            EntryEnsemble(*args)
+
+    def test_fourth_moment_is_not_settable(self):
+        with pytest.raises(TypeError):
+            EntryEnsemble("RG", fourth_moment=2.0)
+        with pytest.raises(TypeError):
+            EntryEnsemble.student_t()
