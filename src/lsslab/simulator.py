@@ -27,6 +27,7 @@ transform that ``compute_moments`` solved, whose ``y_n`` must be the run's
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import logging
 import math
@@ -35,8 +36,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# scipy.linalg is imported where it is called, by the bidiagonal sampler only: every
-# other run imports this module without it, and loading it takes longer than most runs
+# no scipy: LAPACK's tridiagonal solvers come from the OpenBLAS numpy links (_lapack; SciPy's
+# wrappers only for a numpy without them), the t density's constant from a port of cephes'
+# lgam, and the Gauss-Legendre rule from constants
 from .clt_moments import CltMoments, normalize
 from .diagnostics import ks_to_normal
 from .errors import ConstraintViolation, DegenerateTruncation, LabError, NonConvergence
@@ -99,15 +101,21 @@ def sample_entries(ensemble: EntryEnsemble, p: int, n: int, seed: int) -> np.nda
     return draw_entries(ensemble, _rng(seed), (p, n))
 
 
-_GL_NODES = 32  # Gauss-Legendre nodes per panel of the truncated-moment rule
-
-
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    # formed on first use: importing numpy.polynomial slows every lsslab import
-    from numpy.polynomial.legendre import leggauss
-
-    return leggauss(_GL_NODES)
+# the 32-node Gauss-Legendre rule on [-1, 1], numpy's leggauss(32) to the bit, as constants:
+# leggauss solves an eigenproblem.  Its upper half, (node, weight) ascending; leggauss
+# symmetrizes the rule exactly, so the lower half is the mirror image
+_GL_UPPER = np.array([
+    (0.048307665687738324, 0.09654008851472766), (0.1444719615827965, 0.09563872007927471),
+    (0.23928736225213706, 0.09384439908080451), (0.33186860228212767, 0.09117387869576378),
+    (0.42135127613063533, 0.08765209300440378), (0.5068999089322294, 0.08331192422694671),
+    (0.5877157572407623, 0.07819389578707023), (0.6630442669302152, 0.07234579410884834),
+    (0.7321821187402897, 0.06582222277636168), (0.7944837959679424, 0.058684093478535565),
+    (0.84936761373257, 0.05099805926237609), (0.8963211557660521, 0.042835898022226836),
+    (0.9349060759377397, 0.034273862913021765), (0.9647622555875064, 0.025392065309262024),
+    (0.9856115115452684, 0.016274394730905743), (0.9972638618494816, 0.007018610009470506),
+])
+_GL_NODES = np.concatenate((-_GL_UPPER[::-1, 0], _GL_UPPER[:, 0]))
+_GL_WEIGHTS = np.concatenate((_GL_UPPER[::-1, 1], _GL_UPPER[:, 1]))
 
 
 def _half_line_rule(c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -124,22 +132,78 @@ def _half_line_rule(c: float) -> tuple[np.ndarray, np.ndarray]:
         edge *= 2.0
     edges.append(c)
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-    t, v = _gauss_legendre()
     half = ((hi - lo) / 2.0)[:, None]
-    return (((hi + lo) / 2.0)[:, None] + half * t).ravel(), (half * v).ravel()
+    return (((hi + lo) / 2.0)[:, None] + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
+# cephes' lgam, which SciPy's gammaln and poch call: Stirling's series coefficients, and
+# the rational approximation on [2, 3)
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
+_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4, -3.31612992738871184744E5,
+           -1.16237097492762307383E6, -1.72173700820839662146E6, -8.53555664245765465627E5)
+_LGAM_C = (1.0, -3.51815701436523470549E2, -1.70642106651881159223E4, -2.20528590553854454839E5,
+           -1.13933444367982507207E6, -2.53252307177582951285E6, -2.01889141433532773231E6)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+
+
+def _polevl(x: float, coeffs: tuple) -> float:
+    """Horner's rule, highest degree first, in cephes' order of operations."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _lgam(x: float) -> float:
+    """``log Gamma(x)`` for finite ``x > 0``, cephes' ``lgam`` operation for operation:
+    SciPy's ``gammaln`` to the bit, where ``math.lgamma`` often differs in the last place."""
+    if x < 13.0:
+        # shift the argument into [2, 3) by the recurrence, keeping the product in z
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
+
+
+def _poch_half(a: float) -> float:
+    """``Gamma(a + 1/2) / Gamma(a)`` for ``a > 0``, as cephes' ``poch(a, 0.5)`` forms it."""
+    if a > 1e4:
+        # the asymptotic series, its coefficients at m = 1/2 exact in binary
+        return math.pow(a, 0.5) * (1.0 - 0.25 / (2.0 * a) + 0.1875 / (24.0 * a * a)
+                                   + 0.234375 / (48.0 * a * a * a))
+    return math.exp(_lgam(a + 0.5) - _lgam(a))
 
 
 @functools.cache
 def _t_log_norm(df: float) -> float:
-    """Log of the t density's constant, as ``scipy.stats.t`` forms it."""
-    from scipy.special import poch
-
-    return np.log(poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
+    """Log of the t density's constant as ``scipy.stats.t`` forms it,
+    ``log poch(df/2, 1/2) - (log df + log pi) / 2``, to the bit, with no SciPy:
+    ``_poch_half`` is ``scipy.special.poch`` at ``m = 1/2``."""
+    return np.log(_poch_half(0.5 * df)) - 0.5 * (np.log(df) + np.log(np.pi))
 
 
 def _student_t_density(x, df: float):
     """Unit-variance t density ``scale * t_df(x * scale)`` at a float or an array, in the numpy
-    operations of ``scipy.stats.t``: its values are scipy's to the bit."""
+    operations of ``scipy.stats.t`` and with its constant (``_t_log_norm``): its values are
+    scipy's to the bit."""
     scale = math.sqrt(df / (df - 2.0))
     u = x * scale
     return scale * np.exp(_t_log_norm(df) - (df + 1) / 2 * np.log1p(u * u / df))
@@ -304,7 +368,7 @@ def eigenvalues(b: np.ndarray, offdiag: np.ndarray | None = None) -> np.ndarray:
 
     With ``offdiag``, ``b`` is the diagonal and ``offdiag`` the off-diagonal
     of a real symmetric tridiagonal matrix, solved without forming it by
-    LAPACK's ``dsterf``.
+    LAPACK's ``dsterf`` (``_tridiagonal_eigenvalues``).
     """
     if offdiag is None:
         try:
@@ -314,16 +378,91 @@ def eigenvalues(b: np.ndarray, offdiag: np.ndarray | None = None) -> np.ndarray:
     return _tridiagonal_eigenvalues(b, offdiag)
 
 
+@functools.cache
+def _numpy_blas() -> ctypes.CDLL | None:
+    """The BLAS and LAPACK library numpy links, or None where it cannot be opened.
+
+    It is opened through the handle of numpy's linear-algebra extension,
+    whose symbol lookup reaches the library that numpy links, so no path is
+    guessed and no second copy is loaded.
+    """
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (OSError, AttributeError):
+        return None
+
+
+@functools.cache
+def _lapack():
+    """LAPACK's ``dsterf`` and ``dstebz`` from numpy's own library, or None without them.
+
+    numpy's OpenBLAS exports the reference routines with 64-bit integers as
+    ``scipy_dsterf_64_`` and ``scipy_dstebz_64_``; a numpy that links
+    another LAPACK (MKL, Accelerate, a system library) has neither.  Every
+    argument is a pointer, and ``dstebz`` takes gfortran's hidden lengths of
+    its two one-character strings last.
+    """
+    lib = _numpy_blas()
+    dsterf, dstebz = (getattr(lib, f"scipy_{name}_64_", None) for name in ("dsterf", "dstebz"))
+    if dsterf is None or dstebz is None:
+        return None
+    dsterf.argtypes, dsterf.restype = [ctypes.c_void_p] * 4, None
+    dstebz.argtypes, dstebz.restype = [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 2, None
+    return dsterf, dstebz
+
+
 def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray,
                              extremes: bool = False) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric tridiagonal ``(diag, off)`` by SciPy's raw LAPACK.
+    """Ascending eigenvalues of the symmetric tridiagonal ``(diag, off)`` by LAPACK.
 
     All of them by ``dsterf``, or with ``extremes`` only the smallest and the
-    largest, by two ``dstebz`` bisections.  Order 1 is its own eigenvalue:
-    the wrappers reject an empty off-diagonal.
+    largest, by two ``dstebz`` bisections.  The routines are numpy's own
+    (``_lapack``), called on one float64 and one int64 buffer that hold the
+    inputs, the outputs and the workspace, so a call reads two addresses;
+    where numpy has none, SciPy's wrappers of the same routines run, to the
+    same bits.  Order 1 is its own eigenvalue: SciPy's wrappers reject an
+    empty off-diagonal.
     """
-    if len(diag) == 1:
+    m = len(diag)
+    if m == 1:
         return np.array(diag, dtype=float)
+    lapack = _lapack()
+    if lapack is None:
+        return _scipy_tridiagonal_eigenvalues(diag, off, extremes)
+    dsterf, dstebz = lapack
+    if not extremes:
+        # floats: d, overwritten by the eigenvalues, then e; ints: n, info
+        floats, ints = (ctypes.c_double * (2 * m - 1))(), (ctypes.c_int64 * 2)(m)
+        vals = np.frombuffer(floats)
+        vals[:m], vals[m:] = diag, off
+        f, i = ctypes.addressof(floats), ctypes.addressof(ints)
+        dsterf(i, f, f + 8 * m, i + 8)
+        if ints[1]:
+            raise NonConvergence(f"dsterf left {ints[1]} off-diagonal entries unconverged")
+        return vals[:m]
+    # floats: 0 (vl, vu and abstol), d, e, w, work(4m); ints: n, il = iu, the eigenvalue
+    # and block counts, info, iblock, isplit, iwork(3m)
+    floats, ints = (ctypes.c_double * (7 * m))(), (ctypes.c_int64 * (5 + 5 * m))(m)
+    vals = np.frombuffer(floats)
+    vals[1:m + 1], vals[m + 1:2 * m] = diag, off
+    f, i = ctypes.addressof(floats), ctypes.addressof(ints)
+    w, iblock = f + 16 * m, i + 40
+    # range "I" with il = iu: the il-th smallest eigenvalue only
+    args = (b"I", b"E", i, f, f, i + 8, i + 8, f, f + 8, f + 8 * (m + 1), i + 16, i + 24,
+            w, iblock, iblock + 8 * m, w + 8 * m, iblock + 16 * m, i + 32, 1, 1)
+    ends = np.empty(2)
+    for j, k in enumerate((1, m)):
+        ints[1] = k
+        dstebz(*args)
+        if ints[4]:
+            raise NonConvergence(f"dstebz failed to bisect eigenvalue {k} (info={ints[4]})")
+        ends[j] = floats[2 * m]
+    return ends
+
+
+def _scipy_tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray,
+                                   extremes: bool) -> np.ndarray:
+    """``_tridiagonal_eigenvalues`` by SciPy's LAPACK wrappers, for a numpy without its own."""
     from scipy.linalg import lapack
 
     if not extremes:
@@ -475,17 +614,12 @@ def _blas_pin():
     """OpenBLAS's ``openblas_set_num_threads_local``, or None where numpy's BLAS has none.
 
     The symbol (OpenBLAS 0.3.27 and later) sets the BLAS thread count of the
-    calling thread only.  It is looked up through the handle of numpy's
-    linear-algebra extension, whose lookup reaches the OpenBLAS that numpy
-    links, so no library path is guessed.
+    calling thread only.  It is looked up in ``_numpy_blas``.
     """
-    import ctypes
-
-    try:
-        pin = ctypes.CDLL(np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
-    except (OSError, AttributeError):
-        return None
-    pin.argtypes, pin.restype = [ctypes.c_int], ctypes.c_int
+    lib = _numpy_blas()
+    pin = getattr(lib, "openblas_set_num_threads_local", None)
+    if pin is not None:
+        pin.argtypes, pin.restype = [ctypes.c_int], ctypes.c_int
     return pin
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import BATTERY
-from lsslab import cli
+from lsslab import cli, simulator
 from lsslab import clt_moments as clt_moments_mod
 from lsslab.cli import main, run
 from lsslab.config import (RunConfig, parse_config, parse_test_function,
@@ -977,25 +977,40 @@ class TestCliRuns:
         assert unseeded["simulate_summary.json"][0]["root_seed"] == parse_config(
             sim.read_text()).root_seed
 
+    @pytest.mark.skipif(simulator._lapack() is None,
+                        reason="numpy's LAPACK exports no scipy_dsterf_64_: the bidiagonal "
+                               "sampler falls back to scipy.linalg")
     def test_fresh_process_loads_only_the_scipy_it_calls(self, tmp_path):
-        # a fresh process, since this one has scipy loaded already; scipy is
-        # imported only where it is called, the t density needs no scipy.stats,
-        # the truncated moments' fixed rule no scipy.integrate, the probe's
-        # chi-square forms, the nested-MC sums and the Stein sweep's numpy erfc
-        # none at all, and the bidiagonal sampler only scipy.linalg's LAPACK;
-        # concurrent.futures, for the dense pool, comes with scipy.linalg or a
-        # dense run, and only a dense run opens the BLAS library for its pin
-        sim = tmp_path / "t11.json"
-        sim.write_text(json.dumps({"kind": "simulate", "p": 8, "n": 16, "replicates": 4,
-                                   "ensemble": {"name": "student_t", "df": 11},
-                                   "truncation": {"mode": "on"}}))
-        gaussian = tmp_path / "rg.json"
-        gaussian.write_text(json.dumps({"kind": "simulate", "p": 8, "n": 16, "replicates": 4}))
-        probes = []
-        for matrix_kind in ("fixed_psd", "resolvent"):
-            probes.append(tmp_path / f"{matrix_kind}.json")
-            probes[-1].write_text(json.dumps({"kind": "probe-qform", "matrix_kind": matrix_kind,
-                                              "n_grid": [16, 32], "replicates": 100}))
+        # a fresh process, since this one has scipy loaded already: no kind
+        # loads scipy, since the t density's constant is a port of cephes'
+        # lgam, the truncated moments' rule constants, the normal tails a
+        # numpy erfc and the bidiagonal sampler's LAPACK numpy's own;
+        # concurrent.futures, for the dense pool, comes with a dense run, and
+        # only a dense run opens the BLAS library for its pin
+        configs = {
+            "t11": {"kind": "simulate", "p": 8, "n": 16, "replicates": 4,
+                    "ensemble": {"name": "student_t", "df": 11}, "truncation": {"mode": "on"}},
+            "rg": {"kind": "simulate", "p": 8, "n": 16, "replicates": 4},
+            "rg-log": {"kind": "simulate", "p": 8, "n": 16, "replicates": 4, "f": "log"},
+            "ks": {"kind": "ks-rate", "y": 0.25, "n_grid": [16, 24, 32], "replicates": 4,
+                   "f": "x^11"},
+            "fixed_psd": {"kind": "probe-qform", "matrix_kind": "fixed_psd",
+                          "n_grid": [16, 32], "replicates": 100},
+            "resolvent": {"kind": "probe-qform", "matrix_kind": "resolvent",
+                          "n_grid": [16, 32], "replicates": 100},
+        }
+        paths = {}
+        for name, cfg in configs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            paths[name] = str(path)
+        out = str(tmp_path)
+
+        def call(kind, name):
+            return ("with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    assert main([{kind!r}, '--config', {paths[name]!r}, '--out', {out!r}])"
+                    " == 0\n")
+
         script = (
             "import contextlib, io, sys\n"
             "import lsslab\n"
@@ -1008,33 +1023,26 @@ class TestCliRuns:
             "report()\n"
             "for kind in ('moments', 'lsd'):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"        assert main([kind, '--out', {str(tmp_path)!r}]) == 0\n"
+            f"        assert main([kind, '--out', {out!r}]) == 0\n"
             "report()\n"
-            f"for probe in {[str(p) for p in probes]!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"        assert main(['probe-qform', '--config', probe, '--out', {str(tmp_path)!r}]) == 0\n"
+            + call("probe-qform", "fixed_psd") + call("probe-qform", "resolvent") +
             "sigma0_nested_mc(TestFunction.monomial(2), PopulationSpectrum.identity(), 0.5,\n"
             "                 n_small=8, inner_reps=2, outer_reps=2, seed=1)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main(['stein-check', '--out', {str(tmp_path)!r}]) == 0\n"
+            f"    assert main(['stein-check', '--out', {out!r}]) == 0\n"
             "report()\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main(['simulate', '--config', {str(gaussian)!r},\n"
-            f"                 '--out', {str(tmp_path)!r}]) == 0\n"
-            "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules, pinned())\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main(['simulate', '--config', {str(sim)!r},\n"
-            f"                 '--out', {str(tmp_path)!r}]) == 0\n"
-            "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules, pinned())\n"
+            + call("simulate", "rg") + "report()\n"
+            + call("simulate", "rg-log") + "report()\n"
+            + call("ks-rate", "ks") + "report()\n"
+            + call("simulate", "t11") + "report()\n"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env=env, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["[] False 0", "[] False 0", "[] False 0",
-                                           "True False 0", "False False 1"]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[] False 0"] * 6 + ["[] True 1"]
 
     def test_ks_rate_csv_shape(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -104,9 +104,6 @@ def _finite_csv(path):
 @pytest.fixture
 def work_counter(monkeypatch):
     """Counts the run's transform solves, draws and eigensolves, outside the cost probe."""
-    # leggauss solves an eigenproblem when the truncated-moment rule's cache is
-    # first filled; filled here, that solve is never booked to a run
-    simulator._gauss_legendre()
     events = []
     probing = []
 

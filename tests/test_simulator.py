@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import math
 from dataclasses import replace
@@ -31,6 +32,8 @@ RG = EntryEnsemble.real_gaussian()
 CG = EntryEnsemble.complex_gaussian()
 F_X = TestFunction.monomial(1)
 RG_TRUNCATED = truncated_law(RG, 20, 1.0)  # clips at 20^(1/4) = 2.11
+NEEDS_NUMPY_LAPACK = pytest.mark.skipif(simulator._lapack() is None,
+                                        reason="numpy's LAPACK exports no scipy_dsterf_64_")
 
 
 class TestSeeds:
@@ -391,12 +394,113 @@ class TestEigenvalues:
         got = eigenvalues(np.array([2.5]), np.array([]))
         assert got.tolist() == [2.5]
 
+    @NEEDS_NUMPY_LAPACK
     def test_tridiagonal_failure_is_typed(self, monkeypatch):
+        dsterf, dstebz = simulator._lapack()
+        monkeypatch.setattr(simulator, "_lapack", lambda: (_failing(dsterf, 3, 2), dstebz))
+        with pytest.raises(NonConvergence, match="2 off-diagonal"):
+            eigenvalues(np.ones(3), np.ones(2))
+
+    def test_fallback_failure_is_typed(self, monkeypatch):
         from scipy.linalg import lapack
 
+        monkeypatch.setattr(simulator, "_lapack", lambda: None)
         monkeypatch.setattr(lapack, "dsterf", lambda d, e: (d, 2))
         with pytest.raises(NonConvergence, match="2 off-diagonal"):
             eigenvalues(np.ones(3), np.ones(2))
+        monkeypatch.setattr(lapack, "dstebz", lambda d, e, *args: (0, d, None, None, 1))
+        with pytest.raises(NonConvergence, match="dstebz failed to bisect eigenvalue 1"):
+            simulator._tridiagonal_eigenvalues(np.ones(3), np.ones(2), extremes=True)
+
+
+def _failing(fn, info_arg, info):
+    """``fn`` of ``_lapack``, with ``info`` written over the result code it returns."""
+    def call(*args):
+        fn(*args)
+        ctypes.c_int64.from_address(args[info_arg]).value = info
+    return call
+
+
+def _laguerre_tridiagonals(count, seed):
+    """Seeded tridiagonals of the bidiagonal model, orders 2 to 300, both betas, p < n and
+    p > n."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        order, extra = int(rng.integers(2, 301)), int(rng.integers(0, 300))
+        p, n = (order, order + extra) if rng.random() < 0.5 else (order + extra + 1, order)
+        ensemble = RG if rng.random() < 0.5 else CG
+        seed = int(rng.integers(2**63))
+        yield simulator._tridiagonal(*simulator._laguerre_factor(ensemble, p, n, seed))
+
+
+class TestTridiagonalLapack:
+    """numpy's own ``dsterf`` and ``dstebz`` against SciPy's wrappers of the same routines."""
+
+    @staticmethod
+    def _scipy(diag, off):
+        from scipy.linalg import lapack
+
+        vals, info = lapack.dsterf(diag, off)
+        assert info == 0
+        ends = [lapack.dstebz(diag, off, 2, 0.0, 0.0, k, k, 0.0, "E")[1][0]
+                for k in (1, len(diag))]
+        return vals, np.array(ends)
+
+    @NEEDS_NUMPY_LAPACK
+    def test_numpy_lapack_is_scipys_to_the_bit(self):
+        for diag, off in _laguerre_tridiagonals(60, 29):
+            vals, ends = self._scipy(diag, off)
+            assert simulator._tridiagonal_eigenvalues(diag, off).tobytes() == vals.tobytes()
+            got = simulator._tridiagonal_eigenvalues(diag, off, extremes=True)
+            assert got.tobytes() == ends.tobytes()
+
+    def test_fallback_gives_the_same_bits(self, monkeypatch):
+        cases = list(_laguerre_tridiagonals(8, 30))
+        native = [(simulator._tridiagonal_eigenvalues(d, e),
+                   simulator._tridiagonal_eigenvalues(d, e, extremes=True)) for d, e in cases]
+        monkeypatch.setattr(simulator, "_lapack", lambda: None)
+        for (diag, off), (vals, ends) in zip(cases, native):
+            assert simulator._tridiagonal_eigenvalues(diag, off).tobytes() == vals.tobytes()
+            got = simulator._tridiagonal_eigenvalues(diag, off, extremes=True)
+            assert got.tobytes() == ends.tobytes()
+
+    def test_inputs_are_kept(self):
+        diag, off = next(_laguerre_tridiagonals(1, 31))
+        kept = diag.copy(), off.copy()
+        for extremes in (False, True):
+            simulator._tridiagonal_eigenvalues(diag, off, extremes)
+            assert diag.tobytes() == kept[0].tobytes() and off.tobytes() == kept[1].tobytes()
+
+
+class TestNoScipyConstants:
+    def test_gauss_legendre_rule_is_leggauss(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(32)
+        assert np.array_equal(simulator._GL_NODES, nodes)
+        assert np.array_equal(simulator._GL_WEIGHTS, weights)
+
+    def test_lgam_is_scipys_gammaln_to_the_bit(self):
+        from scipy.special import gammaln
+
+        rng = np.random.default_rng(32)
+        # each branch: the recurrence below 13 (both directions), Stirling's series in its
+        # two forms, and its leading term above 1e8
+        xs = np.concatenate([rng.uniform(1e-3, 13.0, 2000), np.arange(1, 27) / 2.0,
+                             rng.uniform(13.0, 1e3, 2000), rng.uniform(1e3, 1e8, 2000),
+                             np.exp(rng.uniform(np.log(1e8), np.log(1e12), 200))])
+        assert [x for x in xs if simulator._lgam(float(x)) != gammaln(x)] == []
+
+    def test_t_log_norm_is_scipys_to_the_bit(self):
+        from scipy.special import poch
+
+        # poch switches to its asymptotic series at df/2 = 1e4
+        dfs = np.concatenate([np.nextafter(4.0, 5.0) + np.zeros(1), [4.5, 5.0, 11.0, 30.0],
+                              np.geomspace(4.001, 1e7, 400),
+                              np.nextafter(2e4, [0.0, 3e4]), [2e4, 1e7]])
+        for df in map(float, dfs):
+            want = np.log(poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
+            assert simulator._t_log_norm(df) == want, df
 
 
 def _dense_eigenvalues(ensemble, spectrum, p, n, seed):
@@ -525,11 +629,11 @@ class TestReplicateStatistic:
         with pytest.raises(LogDomain, match=r"at z = -?0\.0, on its branch cut"):
             replicate_statistic(TestFunction.log(), RG, spectrum, p, n, 3)
 
+    @NEEDS_NUMPY_LAPACK
     def test_bisection_failure_is_typed(self, monkeypatch):
-        from scipy.linalg import lapack
-
-        monkeypatch.setattr(lapack, "dstebz", lambda d, e, *args: (0, d, None, None, 1))
-        with pytest.raises(NonConvergence, match="dstebz"):
+        dsterf, dstebz = simulator._lapack()
+        monkeypatch.setattr(simulator, "_lapack", lambda: (dsterf, _failing(dstebz, 17, 1)))
+        with pytest.raises(NonConvergence, match="dstebz failed to bisect eigenvalue 1"):
             replicate_statistic(F_X, RG, IDENTITY, 12, 20, 5)
 
     def test_trailing_zero_coefficients_keep_the_closed_form(self, monkeypatch):
