@@ -499,14 +499,22 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     of fresh entries, one stacked Gram update and one stacked ``eigh``.
     The contour sum is folded into ``g(lam) = Re sum_k W_k / (lam - z_k)``
     per eigenvalue over the 64 upper nodes, with the mirror half's factor
-    2 folded into ``W_k``, evaluated in real arithmetic.  Work is projected from
-    one timed stacked eigendecomposition of ``2 inner_reps`` fixed p x p
-    matrices, the unit of a column, and the run aborts beforehand if
-    ``outer_reps n`` of them exceed the cap.  Sizes below 1 and
-    ``n_small > 64`` raise ``OutOfRange`` before any work.
+    2 folded into ``W_k``, evaluated in real arithmetic.
+
+    The outer repetitions are independent: repetition ``i`` draws its
+    columns from stream ``replicate_seed(seed, 2 i + 1)`` and their redraws
+    from ``replicate_seed(seed, 2 i)``.  They run by ``simulator.pinned_map``
+    on ``W = pool_width(outer_reps, 2 inner_reps p max(p, n))`` threads, each
+    pinned to one BLAS thread, as a dense run's replicates do, and their
+    totals are gathered in repetition order, so the estimate, its stderr and
+    ``outside_contour`` do not depend on W.  Work is projected from one timed
+    stacked eigendecomposition of ``2 inner_reps`` fixed p x p matrices, the
+    unit of a column, and the run aborts beforehand if the
+    ``ceil(outer_reps / W) n`` columns of one thread's share exceed the cap.
+    Sizes below 1 and ``n_small > 64`` raise ``OutOfRange`` before any work.
     """
-    from .simulator import (draw_entries, population_diagonal, realized_spectrum,
-                            replicate_seed, sample_entries)
+    from .simulator import (DENSE, draw_entries, pinned_map, pool_width, population_diagonal,
+                            realized_spectrum, replicate_entries, replicate_seed, sample_entries)
 
     if n_small > 64:
         raise OutOfRange(f"n_small is capped at 64 (cost grows like n^4), got {n_small}")
@@ -523,10 +531,12 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     dtype = complex if ensemble.is_complex else float
     # distinct eigenvalues: a degenerate matrix such as I + 0.01 solves about 1.7x faster
     fixed = np.broadcast_to(np.diag(np.arange(1.0, p + 1.0)) + 0.01, (reps, p, p)).astype(dtype)
-    columns = outer_reps * n
+    # a repetition in flight holds its redraws and their stacked p x p matrices
+    workers = pool_width(outer_reps, reps * replicate_entries(p, n, DENSE))
     # 2.5: each column adds its draw, Gram update and resolvent sums to the eigh
-    project_cost(lambda: np.linalg.eigh(fixed), columns, 2.5, work_cap_seconds,
-                 f"{columns} nested-MC columns of {reps} inner draws")
+    project_cost(lambda: np.linalg.eigh(fixed), math.ceil(outer_reps / workers) * n, 2.5,
+                 work_cap_seconds, f"{outer_reps * n} nested-MC columns of {reps} inner draws "
+                                   f"on {workers} threads")
 
     h_p, ratio = realized_spectrum(spectrum, p), p / n
     c = build_contour(h_p, ratio, m=_SIGMA0_NODES, f=f)
@@ -547,14 +557,14 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
 
     diag_t = population_diagonal(spectrum, p)
     root_t = np.sqrt(diag_t)
-    totals = []
-    outside = 0
-    for outer in range(outer_reps):
+
+    def repetition(outer: int) -> tuple[float, int]:
+        """One outer repetition's sum over its n columns, and its eigenvalues outside."""
         rng = np.random.Generator(np.random.PCG64(replicate_seed(seed, 2 * outer)))
         x_full = sample_entries(ensemble, p, n, replicate_seed(seed, 2 * outer + 1))
         r_cols = root_t[:, None] * x_full / math.sqrt(n)
         base = np.zeros((p, p), dtype=dtype)
-        total = 0.0
+        total, outside = 0.0, 0
         for j in range(n):
             r_j = r_cols[:, j]
             fresh = n - 1 - j
@@ -569,8 +579,11 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
             total += terms[:inner_reps].mean() * terms[inner_reps:].mean()
             outside += reps // len(lam) * int(np.count_nonzero((lam < c.x_l) | (lam > c.x_r)))
             base = base + np.outer(r_j, r_j.conj())
-        totals.append(total)
-    totals = np.array(totals)
+        return total, outside
+
+    runs = pinned_map(repetition, outer_reps, workers)
+    totals = np.array([total for total, _ in runs])
+    outside = sum(count for _, count in runs)
     est = float(np.mean(totals))
     stderr = float(np.std(totals, ddof=1) / math.sqrt(len(totals))) if len(totals) > 1 else 0.0
     return Sigma0Result(estimate=est, stderr=stderr, n=n, p=p, inner_reps=inner_reps,

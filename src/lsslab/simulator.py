@@ -4,9 +4,11 @@ Replicates are reproducible by construction: replicate ``i`` always uses
 the 64-bit stream seed ``splitmix64(root_seed + (i+1) * GAMMA)`` (the i-th
 output of the splitmix64 generator seeded at ``root_seed``), independent of
 execution order.  So a dense run draws its replicates on a pool of threads,
-one per core (``dense_workers``), each pinned to one OpenBLAS thread: its
-rows are those of a serial run at ``OPENBLAS_NUM_THREADS=1`` whatever the
-pool's width, the core count or the BLAS thread setting.
+one per core (``pool_width``), each pinned to one OpenBLAS thread
+(``pinned_map``): its rows are those of a serial run at
+``OPENBLAS_NUM_THREADS=1`` whatever the pool's width, the core count or the
+BLAS thread setting.  ``diagnostics.sigma0_nested_mc`` runs its outer
+repetitions on the same pool.
 
 A replicate's eigenvalues come from the beta-Laguerre bidiagonal model
 when the law is an untruncated Gaussian and ``T = t I``, and from a dense
@@ -412,11 +414,12 @@ def _lapack():
 
 
 def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray,
-                             extremes: bool = False) -> np.ndarray:
+                             ranks: tuple[int, ...] = ()) -> np.ndarray:
     """Ascending eigenvalues of the symmetric tridiagonal ``(diag, off)`` by LAPACK.
 
-    All of them by ``dsterf``, or with ``extremes`` only the smallest and the
-    largest, by two ``dstebz`` bisections.  The routines are numpy's own
+    All of them by ``dsterf``, or with ``ranks`` only those of the given
+    ascending ranks (1 the smallest, ``len(diag)`` the largest), in that
+    order, by one ``dstebz`` bisection each.  The routines are numpy's own
     (``_lapack``), called on one float64 and one int64 buffer that hold the
     inputs, the outputs and the workspace, so a call reads two addresses;
     where numpy has none, SciPy's wrappers of the same routines run, to the
@@ -425,12 +428,12 @@ def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray,
     """
     m = len(diag)
     if m == 1:
-        return np.array(diag, dtype=float)
+        return np.full(max(len(ranks), 1), float(diag[0]))
     lapack = _lapack()
     if lapack is None:
-        return _scipy_tridiagonal_eigenvalues(diag, off, extremes)
+        return _scipy_tridiagonal_eigenvalues(diag, off, ranks)
     dsterf, dstebz = lapack
-    if not extremes:
+    if not ranks:
         # floats: d, overwritten by the eigenvalues, then e; ints: n, info
         floats, ints = (ctypes.c_double * (2 * m - 1))(), (ctypes.c_int64 * 2)(m)
         vals = np.frombuffer(floats)
@@ -450,8 +453,8 @@ def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray,
     # range "I" with il = iu: the il-th smallest eigenvalue only
     args = (b"I", b"E", i, f, f, i + 8, i + 8, f, f + 8, f + 8 * (m + 1), i + 16, i + 24,
             w, iblock, iblock + 8 * m, w + 8 * m, iblock + 16 * m, i + 32, 1, 1)
-    ends = np.empty(2)
-    for j, k in enumerate((1, m)):
+    ends = np.empty(len(ranks))
+    for j, k in enumerate(ranks):
         ints[1] = k
         dstebz(*args)
         if ints[4]:
@@ -461,17 +464,17 @@ def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray,
 
 
 def _scipy_tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray,
-                                   extremes: bool) -> np.ndarray:
+                                   ranks: tuple[int, ...]) -> np.ndarray:
     """``_tridiagonal_eigenvalues`` by SciPy's LAPACK wrappers, for a numpy without its own."""
     from scipy.linalg import lapack
 
-    if not extremes:
+    if not ranks:
         vals, info = lapack.dsterf(diag, off)
         if info:
             raise NonConvergence(f"dsterf left {info} off-diagonal entries unconverged")
         return vals
-    ends = np.empty(2)
-    for j, k in enumerate((1, len(diag))):
+    ends = np.empty(len(ranks))
+    for j, k in enumerate(ranks):
         # range 2 is SciPy's code for an index range: the k-th smallest eigenvalue only
         _, w, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, k, k, 0.0, "E")
         if info:
@@ -531,12 +534,14 @@ def _laguerre_statistic(f: TestFunction, ensemble: EntryEnsemble, t: float, p: i
     With ``scale = t/n`` and ``T = L L^T``: ``sum lambda = scale tr T`` and
     ``sum lambda^2 = scale^2 (sum diag^2 + 2 sum off^2)``; the
     ``p - min(p, n)`` zero eigenvalues add ``c0`` each.  The extremes come
-    from two bisections.
+    from bisections: both for ``p <= n``, and only the largest for ``p > n``,
+    whose smallest eigenvalue is one of the zeros.
     """
     d2, e2 = _laguerre_factor(ensemble, p, n, seed)
     scale = t / n
     diag, off = _tridiagonal(d2, e2)
-    ends = _tridiagonal_eigenvalues(diag, off, extremes=True)
+    m = len(diag)
+    ends = _tridiagonal_eigenvalues(diag, off, (m,) if p > n else (1, m))
     lam_min = 0.0 if p > n else float(ends[0]) * scale
     lam_max = float(ends[-1]) * scale
     c0, c1, c2 = (f.coeffs + (0.0, 0.0))[:3]
@@ -594,7 +599,7 @@ def replicate_statistic(f: TestFunction, ensemble: EntryEnsemble, spectrum: Popu
     """``(sum f(lambda), lambda_min, lambda_max)`` of one replicate drawn from stream ``seed``.
 
     Under ``replicate_reduction``'s ``CLOSED_FORM`` the sum comes from the
-    traces of the bidiagonal factor's ``L L^T`` and the extremes from two
+    traces of the bidiagonal factor's ``L L^T`` and the extremes from
     bisections, in O(min(p, n)); they agree with the spectrum to rounding.
     Otherwise it is ``lss_centered`` over ``replicate_eigenvalues``,
     uncentered.  Both read the same draws.
@@ -613,8 +618,14 @@ def replicate_statistic(f: TestFunction, ensemble: EntryEnsemble, spectrum: Popu
 def _blas_pin():
     """OpenBLAS's ``openblas_set_num_threads_local``, or None where numpy's BLAS has none.
 
-    The symbol (OpenBLAS 0.3.27 and later) sets the BLAS thread count of the
-    calling thread only.  It is looked up in ``_numpy_blas``.
+    The symbol (OpenBLAS 0.3.27 and later) sets a BLAS thread count and
+    returns the one it replaces.  It is looked up in ``_numpy_blas``.  In
+    an OpenMP build the count is the calling thread's; in numpy's OpenBLAS,
+    a pthreads build, it is the whole process's, so after the first pool
+    the process keeps one BLAS thread.  Setting the caller's count back
+    after each pool made a dense 256 x 512 run 10-15% slower on two cores,
+    most likely because OpenBLAS's helper threads, woken by the caller's
+    next threaded call, spin beside the next pool's workers.
     """
     lib = _numpy_blas()
     pin = getattr(lib, "openblas_set_num_threads_local", None)
@@ -636,17 +647,35 @@ def replicate_entries(p: int, n: int, sampler: str) -> int:
     return p * max(p, n) if sampler == DENSE else p * n
 
 
-def dense_workers(p: int, n: int, replicates: int) -> int:
-    """Threads that draw a dense run's replicates: one per core, at most one per replicate.
+def pool_width(tasks: int, entries: int) -> int:
+    """Threads for ``tasks`` independent tasks of ``entries`` entries each: one per core,
+    at most one per task, and no more tasks in flight than ``MAX_ENTRIES`` holds.
 
-    Each replicate in flight holds ``replicate_entries`` entries, so the
-    pool holds no more of them than ``MAX_ENTRIES``.  Without the BLAS pin
-    (``_blas_pin``) it is 1: an unpinned pool's BLAS threads contend.
+    Without the BLAS pin (``_blas_pin``) it is 1: an unpinned pool's BLAS
+    threads contend.
     """
     if _blas_pin() is None:
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cores or 1, replicates, MAX_ENTRIES // replicate_entries(p, n, DENSE)))
+    return max(1, min(cores or 1, tasks, MAX_ENTRIES // entries))
+
+
+def pinned_map(fn, tasks: int, workers: int) -> list:
+    """``[fn(i) for i in range(tasks)]`` on ``workers`` threads, each pinned to one BLAS thread.
+
+    Results are in index order, and the first failure in index order is
+    re-raised.  Even one worker is pinned, so a task's BLAS calls, and so
+    its bits, never depend on the width or on the BLAS thread count.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers, initializer=_one_blas_thread) as pool:
+        return list(pool.map(fn, range(tasks)))
+
+
+def dense_workers(p: int, n: int, replicates: int) -> int:
+    """``pool_width`` of a dense run: its replicates, each of ``replicate_entries`` entries."""
+    return pool_width(replicates, replicate_entries(p, n, DENSE))
 
 
 @dataclass(frozen=True)
@@ -683,10 +712,10 @@ def run_experiment(moments: CltMoments, p: int, n: int, replicates: int,
     centering is computed once per run; replicate i draws from stream
     ``replicate_seed(root_seed, i)`` through ``replicate_statistic``, and
     the record names the sampler and the reduction.  A dense run computes
-    its replicates on a pool of ``dense_workers`` threads, each pinned to
-    one BLAS thread, so its rows do not depend on the pool's width or the
-    BLAS thread count; a bidiagonal run, whose replicates are short and
-    hold the GIL, computes them in a loop.  Rows are in index order, and
+    its replicates by ``pinned_map`` on ``dense_workers`` threads, each
+    pinned to one BLAS thread, so its rows do not depend on the pool's width
+    or the BLAS thread count; a bidiagonal run, whose replicates are short
+    and hold the GIL, computes them in a loop.  Rows are in index order, and
     the first failing replicate is re-raised with its index attached.
     """
     if min(p, n, replicates) < 1:
@@ -714,12 +743,7 @@ def run_experiment(moments: CltMoments, p: int, n: int, replicates: int,
         return ReplicateRow(index=i, seed=seed, value=value, lam_min=lam_min, lam_max=lam_max)
 
     if sampler == DENSE:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # even one worker is pinned, so the rows never depend on the width
-        with ThreadPoolExecutor(dense_workers(p, n, replicates),
-                                initializer=_one_blas_thread) as pool:
-            rows = list(pool.map(replicate, range(replicates)))
+        rows = pinned_map(replicate, replicates, dense_workers(p, n, replicates))
     else:
         rows = [replicate(i) for i in range(replicates)]
 

@@ -985,8 +985,9 @@ class TestCliRuns:
         # loads scipy, since the t density's constant is a port of cephes'
         # lgam, the truncated moments' rule constants, the normal tails a
         # numpy erfc and the bidiagonal sampler's LAPACK numpy's own;
-        # concurrent.futures, for the dense pool, comes with a dense run, and
-        # only a dense run opens the BLAS library for its pin
+        # concurrent.futures, for the pinned pool, comes with the nested-MC run,
+        # whose outer repetitions share the pool of a dense run, and only those
+        # two open the BLAS library for its pin
         configs = {
             "t11": {"kind": "simulate", "p": 8, "n": 16, "replicates": 4,
                     "ensemble": {"name": "student_t", "df": 11}, "truncation": {"mode": "on"}},
@@ -1042,7 +1043,7 @@ class TestCliRuns:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[] False 0"] * 6 + ["[] True 1"]
+        assert proc.stdout.splitlines() == ["[] False 0"] * 2 + ["[] True 1"] * 5
 
     def test_ks_rate_csv_shape(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate, stats
 
 from conftest import BATTERY
-from lsslab import diagnostics
+from lsslab import diagnostics, simulator
 from lsslab.contour import Contour, build_contour
 from lsslab.diagnostics import (QformProbeResult, RateFit, SteinContext,
                                 fit_rate, ks_to_normal, norm_cdf, qform_moment,
@@ -556,6 +556,40 @@ class TestSigma0:
                              env=env, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "past the projection"
+
+    @pytest.mark.parametrize("ensemble", [EntryEnsemble.real_gaussian(),
+                                          EntryEnsemble.complex_gaussian(),
+                                          EntryEnsemble.student_t(11.0)],
+                             ids=["RG", "CG", "student_t"])
+    def test_result_does_not_depend_on_the_width(self, ensemble, monkeypatch):
+        # the outer repetitions draw from their own streams and their totals are
+        # gathered in repetition order, so every width gives the same bits
+        outer_reps = 5
+        results = []
+        for width in (1, 2, 3, outer_reps):
+            monkeypatch.setattr(simulator, "pool_width", lambda tasks, entries: width)
+            res = sigma0_nested_mc(TestFunction.monomial(2), BATTERY["five_atom"], 0.5,
+                                   n_small=8, inner_reps=3, outer_reps=outer_reps, seed=19,
+                                   ensemble=ensemble)
+            results.append((res.estimate, res.stderr, res.outside_contour))
+        assert results[1:] == results[:1] * 3
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_projection_counts_one_threads_share(self, width, monkeypatch):
+        # W threads share the 7 outer repetitions, so the cap is set against the
+        # ceil(7 / W) repetitions of n = 8 columns each one runs
+        counts = []
+
+        def recording(unit, count, *args):
+            counts.append(count)
+            raise CostBudgetExceeded("recorded")
+
+        monkeypatch.setattr(simulator, "pool_width", lambda tasks, entries: width)
+        monkeypatch.setattr(diagnostics, "project_cost", recording)
+        with pytest.raises(CostBudgetExceeded, match="recorded"):
+            sigma0_nested_mc(TestFunction.monomial(1), IDENTITY, 0.5, n_small=8,
+                             inner_reps=2, outer_reps=7, seed=0)
+        assert counts == [math.ceil(7 / width) * 8]
 
     def test_outside_contour_counts_dropped_eigenvalues(self):
         # 3 outer reps x 8 columns x 8 inner draws x p = 4 eigenvalues = 768 sampled

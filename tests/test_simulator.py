@@ -13,6 +13,7 @@ from scipy import stats
 from conftest import BATTERY, companion, population_moment
 from lsslab.clt_moments import compute_moments, normalize
 from lsslab.contour import default_margin
+from lsslab.diagnostics import sigma0_nested_mc
 from lsslab.errors import (ConstraintViolation, DegenerateTruncation, LogDomain,
                            NonConvergence)
 from lsslab import simulator
@@ -410,7 +411,7 @@ class TestEigenvalues:
             eigenvalues(np.ones(3), np.ones(2))
         monkeypatch.setattr(lapack, "dstebz", lambda d, e, *args: (0, d, None, None, 1))
         with pytest.raises(NonConvergence, match="dstebz failed to bisect eigenvalue 1"):
-            simulator._tridiagonal_eigenvalues(np.ones(3), np.ones(2), extremes=True)
+            simulator._tridiagonal_eigenvalues(np.ones(3), np.ones(2), (1, 3))
 
 
 def _failing(fn, info_arg, info):
@@ -450,25 +451,30 @@ class TestTridiagonalLapack:
     def test_numpy_lapack_is_scipys_to_the_bit(self):
         for diag, off in _laguerre_tridiagonals(60, 29):
             vals, ends = self._scipy(diag, off)
+            m = len(diag)
             assert simulator._tridiagonal_eigenvalues(diag, off).tobytes() == vals.tobytes()
-            got = simulator._tridiagonal_eigenvalues(diag, off, extremes=True)
+            got = simulator._tridiagonal_eigenvalues(diag, off, (1, m))
             assert got.tobytes() == ends.tobytes()
+            # the largest alone is the same bisection
+            top = simulator._tridiagonal_eigenvalues(diag, off, (m,))
+            assert top.tobytes() == ends[1:].tobytes()
 
     def test_fallback_gives_the_same_bits(self, monkeypatch):
         cases = list(_laguerre_tridiagonals(8, 30))
-        native = [(simulator._tridiagonal_eigenvalues(d, e),
-                   simulator._tridiagonal_eigenvalues(d, e, extremes=True)) for d, e in cases]
+        native = [[simulator._tridiagonal_eigenvalues(d, e, ranks)
+                   for ranks in ((), (1, len(d)), (len(d),))] for d, e in cases]
         monkeypatch.setattr(simulator, "_lapack", lambda: None)
-        for (diag, off), (vals, ends) in zip(cases, native):
-            assert simulator._tridiagonal_eigenvalues(diag, off).tobytes() == vals.tobytes()
-            got = simulator._tridiagonal_eigenvalues(diag, off, extremes=True)
-            assert got.tobytes() == ends.tobytes()
+        for (diag, off), expected in zip(cases, native):
+            m = len(diag)
+            got = [simulator._tridiagonal_eigenvalues(diag, off, ranks)
+                   for ranks in ((), (1, m), (m,))]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
     def test_inputs_are_kept(self):
         diag, off = next(_laguerre_tridiagonals(1, 31))
         kept = diag.copy(), off.copy()
-        for extremes in (False, True):
-            simulator._tridiagonal_eigenvalues(diag, off, extremes)
+        for ranks in ((), (1, len(diag))):
+            simulator._tridiagonal_eigenvalues(diag, off, ranks)
             assert diag.tobytes() == kept[0].tobytes() and off.tobytes() == kept[1].tobytes()
 
 
@@ -635,6 +641,34 @@ class TestReplicateStatistic:
         monkeypatch.setattr(simulator, "_lapack", lambda: (dsterf, _failing(dstebz, 17, 1)))
         with pytest.raises(NonConvergence, match="dstebz failed to bisect eigenvalue 1"):
             replicate_statistic(F_X, RG, IDENTITY, 12, 20, 5)
+
+    @pytest.mark.parametrize("native", [True, False], ids=["numpy", "scipy-fallback"])
+    @pytest.mark.parametrize("p, n, bisections", [(12, 20, 2), (15, 15, 2), (20, 12, 1), (9, 1, 0)],
+                             ids=["p<n", "p=n", "p>n", "p>n=1"])
+    def test_bisects_only_the_extremes_it_keeps(self, native, p, n, bisections, monkeypatch):
+        # for p > n the smallest eigenvalue is one of the p - n zeros, so only the
+        # largest is bisected; order 1 is its own eigenvalue
+        calls = []
+
+        def counting(dstebz):
+            def call(*args):
+                calls.append(1)
+                return dstebz(*args)
+            return call
+
+        if native:
+            if simulator._lapack() is None:
+                pytest.skip("numpy's LAPACK exports no scipy_dsterf_64_")
+            dsterf, dstebz = simulator._lapack()
+            monkeypatch.setattr(simulator, "_lapack", lambda: (dsterf, counting(dstebz)))
+        else:
+            from scipy.linalg import lapack
+
+            monkeypatch.setattr(simulator, "_lapack", lambda: None)
+            monkeypatch.setattr(lapack, "dstebz", counting(lapack.dstebz))
+        for seed in range(3):
+            replicate_statistic(F_X, RG, IDENTITY, p, n, seed)
+        assert len(calls) == 3 * bisections
 
     def test_trailing_zero_coefficients_keep_the_closed_form(self, monkeypatch):
         padded = TestFunction.polynomial([0.0, 0.0, 1.0, 0.0])
@@ -909,6 +943,11 @@ class TestDensePool:
         dense = compute_moments(F_X, BATTERY["two_atom"], 0.5, RG)
         assert run_experiment(dense, 16, 32, 3, 7).sampler == DENSE
         assert widths == [simulator.dense_workers(16, 32, 3)]
+        # the nested-MC outer repetitions share the rule: 3 of them, each holding its
+        # 2 inner_reps = 4 redraws of a 4 x 8 dense replicate
+        sigma0_nested_mc(F_X, IDENTITY, 0.5, n_small=8, inner_reps=2, outer_reps=3, seed=1)
+        entries = 4 * simulator.replicate_entries(4, 8, DENSE)
+        assert widths[1:] == [simulator.pool_width(3, entries)]
 
     def test_width_follows_cores_replicates_and_memory(self, monkeypatch):
         if simulator._blas_pin() is None:
