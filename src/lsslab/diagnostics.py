@@ -511,7 +511,15 @@ def sigma0_nested_mc(f: TestFunction, spectrum: PopulationSpectrum, y_n: float,
     stacked eigendecomposition of ``2 inner_reps`` fixed p x p matrices, the
     unit of a column, and the run aborts beforehand if the
     ``ceil(outer_reps / W) n`` columns of one thread's share exceed the cap.
+    That share assumes the threads scale linearly, which they do not quite:
+    each column's loop holds the GIL between its numpy calls.  On two cores
+    the pool ran 1.6-1.7 times as fast as one thread, so the projection
+    reads about 15-20% low there; wider pools have not been measured.
     Sizes below 1 and ``n_small > 64`` raise ``OutOfRange`` before any work.
+
+    In numpy's OpenBLAS the pool's pin sets the whole process's BLAS thread
+    count (``simulator._blas_pin``), so after this call the process keeps
+    one BLAS thread, as after a dense run.
     """
     from .simulator import (DENSE, draw_entries, pinned_map, pool_width, population_diagonal,
                             realized_spectrum, replicate_entries, replicate_seed, sample_entries)

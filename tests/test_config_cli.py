@@ -985,9 +985,9 @@ class TestCliRuns:
         # loads scipy, since the t density's constant is a port of cephes'
         # lgam, the truncated moments' rule constants, the normal tails a
         # numpy erfc and the bidiagonal sampler's LAPACK numpy's own;
-        # concurrent.futures, for the pinned pool, comes with the nested-MC run,
-        # whose outer repetitions share the pool of a dense run, and only those
-        # two open the BLAS library for its pin
+        # concurrent.futures, for the pinned pool, comes only with the nested-MC
+        # run and the dense run, whose outer repetitions and replicates run on
+        # it, and only those two open the BLAS library for its pin
         configs = {
             "t11": {"kind": "simulate", "p": 8, "n": 16, "replicates": 4,
                     "ensemble": {"name": "student_t", "df": 11}, "truncation": {"mode": "on"}},
@@ -1027,14 +1027,15 @@ class TestCliRuns:
             f"        assert main([kind, '--out', {out!r}]) == 0\n"
             "report()\n"
             + call("probe-qform", "fixed_psd") + call("probe-qform", "resolvent") +
-            "sigma0_nested_mc(TestFunction.monomial(2), PopulationSpectrum.identity(), 0.5,\n"
-            "                 n_small=8, inner_reps=2, outer_reps=2, seed=1)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert main(['stein-check', '--out', {out!r}]) == 0\n"
             "report()\n"
             + call("simulate", "rg") + "report()\n"
             + call("simulate", "rg-log") + "report()\n"
             + call("ks-rate", "ks") + "report()\n"
+            + "sigma0_nested_mc(TestFunction.monomial(2), PopulationSpectrum.identity(), 0.5,\n"
+              "                 n_small=8, inner_reps=2, outer_reps=2, seed=1)\n"
+              "report()\n"
             + call("simulate", "t11") + "report()\n"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -1043,7 +1044,7 @@ class TestCliRuns:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[] False 0"] * 2 + ["[] True 1"] * 5
+        assert proc.stdout.splitlines() == ["[] False 0"] * 6 + ["[] True 1"] * 2
 
     def test_ks_rate_csv_shape(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
